@@ -6,16 +6,23 @@ detector: window means accumulate oldest-to-newest exactly like the ring
 does, and anomalous-point counts are integer-exact, so a selected
 configuration re-run through the streaming engine reproduces its sweep
 metrics without tolerance.
+
+Each (ret, alpha) cell scores its whole beta column at once with array
+operations over the steps whose danger coefficient exceeds alpha: the
+begin and end marks of the alarmed runs give every event of every beta,
+and one searchsorted pass over the sorted intervals scores them with the
+same overlap rule as ``evaluate_events``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detector import AlarmEvent, DetectorConfig, segment_alarms
+from .detector import DetectorConfig, segment_alarms
 from .errors import DataError
 from .lstm import LstmParams, predict_windows
 from .pipeline import Scaler, TimeSeries, build_windows
@@ -39,6 +46,8 @@ class CalibrationGrid:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite")
             if any(b < a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be sorted ascending")
         if any(v <= 0 for v in self.ret_candidates):
@@ -83,8 +92,40 @@ def _check_intervals(intervals) -> list[tuple[int, int]]:
     return ordered
 
 
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
+def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end arrays of checked intervals; both ascend."""
+    bounds = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    return bounds[:, 0], bounds[:, 1]
+
+
+def _score_spans(row: np.ndarray, first_step: np.ndarray,
+                 last_step: np.ndarray, intervals,
+                 n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Detected intervals and false alarms per row of a batch of events.
+
+    Event ``i`` belongs to row ``row[i]`` and spans the steps
+    ``[first_step[i], last_step[i]]``; ``intervals`` are checked.
+    """
+    starts, ends = _bounds(intervals)
+    # The intervals are disjoint and sorted, so those an event overlaps
+    # are the contiguous index range [first, stop).
+    first = np.searchsorted(ends, first_step, side="left")
+    stop = np.searchsorted(starts, last_step, side="right")
+    hit = first < stop
+    width = len(starts) + 1
+    cover = (np.bincount(row[hit] * width + first[hit],
+                         minlength=n_rows * width)
+             - np.bincount(row[hit] * width + stop[hit],
+                           minlength=n_rows * width))
+    covered = np.cumsum(cover.reshape(n_rows, width), axis=1)[:, :-1]
+    return (np.count_nonzero(covered, axis=1),
+            np.bincount(row[~hit], minlength=n_rows))
+
+
+def _detection_rate(detected: int, intervals_total: int) -> float:
+    if intervals_total:
+        return 100.0 * detected / intervals_total
+    return 100.0
 
 
 def evaluate_events(events, attack_intervals) -> EvalReport:
@@ -95,19 +136,19 @@ def evaluate_events(events, attack_intervals) -> EvalReport:
     the detection rate is vacuously 100.
     """
     intervals = _check_intervals(attack_intervals)
-    spans = [(e.start_step, e.end_step) for e in events]
-    detected = sum(
-        1 for iv in intervals if any(_overlaps(iv, sp) for sp in spans))
-    false_alarms = sum(
-        1 for sp in spans if not any(_overlaps(iv, sp) for iv in intervals))
-    if intervals:
-        rate = 100.0 * detected / len(intervals)
-    else:
-        rate = 100.0
+    spans = np.array([(e.start_step, e.end_step) for e in events],
+                     dtype=np.int64).reshape(-1, 2)
+    inverted = spans[:, 0] > spans[:, 1]
+    if np.any(inverted):
+        s, e = spans[np.argmax(inverted)]
+        raise ValueError(f"alarm event [{s}, {e}] is inverted")
+    (detected,), (false_alarms,) = _score_spans(
+        np.zeros(len(spans), dtype=np.int64), spans[:, 0], spans[:, 1],
+        intervals, 1)
     return EvalReport(
-        detection_rate_pct=rate, false_alarms=false_alarms,
-        events_total=len(spans), intervals_total=len(intervals),
-        detected_intervals=detected)
+        detection_rate_pct=_detection_rate(int(detected), len(intervals)),
+        false_alarms=int(false_alarms), events_total=len(spans),
+        intervals_total=len(intervals), detected_intervals=int(detected))
 
 
 def evaluate(verdicts, attack_intervals) -> EvalReport:
@@ -157,6 +198,10 @@ def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
         raise ValueError("pairs must be step-ordered")
     actual = np.array([r[1] for r in rows], dtype=np.float64)
     predicted = np.array([r[2] for r in rows], dtype=np.float64)
+    finite = np.isfinite(actual) & np.isfinite(predicted)
+    if not np.all(finite):
+        raise DataError("non-finite actual or predicted value at step "
+                        f"{steps[np.argmin(finite)]}")
     re = np.abs(actual - predicted) / np.maximum(np.abs(actual), epsilon_floor)
     n = len(re)
     are = np.zeros(n)
@@ -168,43 +213,49 @@ def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
                        re=re, are=are, warmup=warmup, mat=mat)
 
 
-def _events_from_mask(trace: ReplayTrace, alarmed: np.ndarray,
-                      dc: np.ndarray) -> list[AlarmEvent]:
-    events: list[AlarmEvent] = []
-    current = None
-    for idx in np.flatnonzero(alarmed):
-        step = int(trace.steps[idx])
-        if current is not None and step == current.end_step + 1:
-            current.end_step = step
-            current.peak_dc = max(current.peak_dc, float(dc[idx]))
-            current.peak_are = max(current.peak_are, float(trace.are[idx]))
-        else:
-            if current is not None:
-                events.append(current)
-            current = AlarmEvent(step, step, float(dc[idx]),
-                                 float(trace.are[idx]))
-    if current is not None:
-        events.append(current)
-    return events
-
-
-def _row(trace: ReplayTrace, dc: np.ndarray, ret: float, alpha: float,
-         beta: float, intervals) -> SweepRow:
-    alarmed = (~trace.warmup) & (dc > alpha) & (trace.are > beta)
-    report = evaluate_events(_events_from_mask(trace, alarmed, dc), intervals)
-    return SweepRow(
-        ret=ret, alpha=alpha, beta=beta,
-        detection_rate_pct=report.detection_rate_pct,
-        false_alarms=report.false_alarms, events_total=report.events_total,
-        detected_intervals=report.detected_intervals,
-        intervals_total=report.intervals_total)
-
-
 def _normal_step_count(trace: ReplayTrace, intervals) -> int:
-    in_attack = np.zeros(len(trace.steps), dtype=bool)
-    for s, e in intervals:
-        in_attack |= (trace.steps >= s) & (trace.steps <= e)
-    return int(np.sum(~in_attack))
+    starts, ends = _bounds(intervals)
+    in_attack = (np.searchsorted(trace.steps, ends, side="right")
+                 - np.searchsorted(trace.steps, starts, side="left"))
+    return len(trace.steps) - int(np.sum(in_attack))
+
+
+def _score_column(trace: ReplayTrace, dc: np.ndarray, ret: float,
+                  alpha: float, betas, intervals) -> list[SweepRow]:
+    """Sweep rows of one (ret, alpha) cell, one per beta, in beta order.
+
+    Works on the candidate steps (past warmup, dc above alpha) only: a
+    candidate is alarmed for one beta when its window mean exceeds that
+    beta, and consecutive alarmed candidates at adjacent steps form one
+    event, exactly as ``segment_alarms`` joins streaming verdicts.  So an
+    event begins at an alarmed candidate whose adjacent predecessor's
+    mean does not exceed beta (-inf stands for no adjacent predecessor),
+    and ends likewise at the successor side.
+    """
+    idx = np.flatnonzero(~trace.warmup & (dc > alpha))
+    steps, are = trace.steps[idx], trace.are[idx]
+    adjacent = np.diff(steps) == 1
+    before = np.full(len(idx), -np.inf)
+    before[1:][adjacent] = are[:-1][adjacent]
+    after = np.full(len(idx), -np.inf)
+    after[:-1][adjacent] = are[1:][adjacent]
+    column = np.asarray(betas, dtype=np.float64)[:, None]
+    alarmed = are > column
+    # Row-major order pairs the k-th begin of a row with its k-th end.
+    row, first = np.nonzero(alarmed & (before <= column))
+    last = np.nonzero(alarmed & (after <= column))[1]
+    detected, false_alarms = _score_spans(
+        row, steps[first], steps[last], intervals, len(betas))
+    events = np.bincount(row, minlength=len(betas))
+    return [SweepRow(ret=ret, alpha=alpha, beta=beta,
+                     detection_rate_pct=_detection_rate(n_detected,
+                                                        len(intervals)),
+                     false_alarms=n_false, events_total=n_events,
+                     detected_intervals=n_detected,
+                     intervals_total=len(intervals))
+            for beta, n_detected, n_false, n_events in zip(
+                betas, detected.tolist(), false_alarms.tolist(),
+                events.tolist())]
 
 
 def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
@@ -228,8 +279,8 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
     for ret in grid.ret_candidates:
         dc = trace.danger(ret)
         for alpha in grid.alpha_candidates:
-            for beta in grid.beta_candidates:
-                rows.append(_row(trace, dc, ret, alpha, beta, intervals))
+            rows += _score_column(trace, dc, ret, alpha,
+                                  grid.beta_candidates, intervals)
 
     best = max(rows, key=lambda r: (r.detection_rate_pct, -r.false_alarms,
                                     r.beta, r.alpha, r.ret))
@@ -252,9 +303,8 @@ def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
         raise ValueError("beta_list must be non-empty")
     intervals = _check_intervals(attack_intervals)
     trace = replay_trace(pairs, config_base.mat, config_base.epsilon_floor)
-    dc = trace.danger(config_base.ret)
-    return [_row(trace, dc, config_base.ret, config_base.alpha, beta,
-                 intervals) for beta in betas]
+    return _score_column(trace, trace.danger(config_base.ret),
+                         config_base.ret, config_base.alpha, betas, intervals)
 
 
 def default_grid(pairs, mat: int = 12,

@@ -11,6 +11,7 @@ filled once (warmup).
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,9 @@ class DetectorConfig:
     epsilon_floor: float = 1e-6  # division guard for zero-traffic steps
 
     def __post_init__(self):
+        for name in ("ret", "beta", "alpha", "epsilon_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.ret <= 0:
             raise ValueError("ret must be positive")
         if self.beta < 0:
@@ -54,9 +58,13 @@ class DetectorConfig:
             r"ret=(\S+) mat=(\d+) alpha=(\S+) beta=(\S+)", text.strip())
         if m is None:
             raise DataError(f"not a detector config line: {text.strip()!r}")
-        return cls(ret=float(m.group(1)), mat=int(m.group(2)),
-                   alpha=float(m.group(3)), beta=float(m.group(4)),
-                   epsilon_floor=epsilon_floor)
+        try:
+            return cls(ret=float(m.group(1)), mat=int(m.group(2)),
+                       alpha=float(m.group(3)), beta=float(m.group(4)),
+                       epsilon_floor=epsilon_floor)
+        except ValueError as exc:
+            raise DataError(
+                f"bad detector config {text.strip()!r}: {exc}") from None
 
 
 class ErrorRing:

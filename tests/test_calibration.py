@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, calibrate,
                                   default_grid, evaluate, evaluate_events,
@@ -71,6 +73,31 @@ class TestEvaluate:
         report_inside = evaluate_events(inside, intervals)
         assert report_inside.detection_rate_pct == 100.0
         assert report_inside.false_alarms == 0
+
+    def test_inverted_event_rejected(self):
+        with pytest.raises(ValueError, match="inverted"):
+            evaluate_events([AlarmEvent(5, 3, 1.0, 1.0)], [(0, 10)])
+
+    @settings(derandomize=True, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)),
+                          max_size=12),
+           cuts=st.lists(st.integers(0, 70), max_size=10, unique=True))
+    def test_matches_pairwise_overlap_reference(self, spans, cuts):
+        events = [AlarmEvent(s, s + w, 1.0, 1.0) for s, w in spans]
+        cuts = sorted(cuts)
+        intervals = [(s, e - 1) for s, e in zip(cuts[::2], cuts[1::2])]
+
+        def overlaps(ev, iv):
+            return ev.start_step <= iv[1] and iv[0] <= ev.end_step
+
+        report = evaluate_events(events, intervals)
+        detected = sum(any(overlaps(ev, iv) for ev in events)
+                       for iv in intervals)
+        assert report.detected_intervals == detected
+        assert report.false_alarms == sum(
+            not any(overlaps(ev, iv) for iv in intervals) for ev in events)
+        assert report.events_total == len(events)
+        assert report.intervals_total == len(intervals)
 
 
 def synthetic_pairs(rng, n=400, attack_intervals=((150, 190), (300, 335)),
@@ -174,6 +201,15 @@ class TestCalibrate:
         with pytest.raises(DataError, match="normal steps"):
             calibrate(pairs, [(0, 14)], grid)
 
+    def test_normal_step_count_includes_interval_ends(self):
+        # 19 steps (0..19 without 10); [0, 8] leaves 10 of them normal
+        pairs = [(s, 1.0, 0.5) for s in range(20) if s != 10]
+        grid = CalibrationGrid((0.4,), (0.5,), (0.3,), mat=11)
+        with pytest.raises(DataError, match="normal steps"):
+            calibrate(pairs, [(0, 8), (10, 10)], grid)
+        _, _, rows = calibrate(pairs, [(0, 7), (10, 10)], grid)
+        assert len(rows) == 1
+
     def test_tie_break_prefers_conservative_thresholds(self, rng):
         # every cell scores identically on an all-quiet stream
         pairs = [(s, 1.0, 1.0) for s in range(60)]
@@ -190,6 +226,15 @@ class TestCalibrate:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             CalibrationGrid((0.4, 0.2), (0.5,), (0.3,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationGrid((bad,), (0.5,), (0.3,))
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationGrid((0.4,), (bad,), (0.3,))
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationGrid((0.4,), (0.5,), (0.3, bad))
 
 
 class TestSweepBeta:
@@ -235,6 +280,105 @@ class TestSweepBeta:
             rows = sweep_beta(base, pairs, [(60, 90), (170, 200)], betas)
             rates = [r.detection_rate_pct for r in rows]
             assert all(a <= b for a, b in zip(rates, rates[1:]))
+
+
+class TestReplayTrace:
+    @pytest.mark.parametrize("pair", [(3, float("nan"), 1.0),
+                                      (3, 1.0, float("inf")),
+                                      (3, float("-inf"), 1.0)])
+    def test_non_finite_pair_rejected(self, pair):
+        pairs = [(s, 1.0, 0.9) for s in range(3)] + [pair]
+        with pytest.raises(DataError, match="step 3"):
+            replay_trace(pairs, 2)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random stream, attack intervals and a small threshold grid.
+
+    Steps may skip (gaps of 1-3), actuals may be zero, ``mat`` may exceed
+    the stream, every prediction may be exact (no step can alarm) or off
+    (every step past warmup alarms at the smallest thresholds), and the
+    intervals may reach past either end of the stream.
+    """
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    steps = np.cumsum(gaps) + draw(st.integers(0, 5))
+    actual = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    errors = draw(st.sampled_from(["none", "all", "random"]))
+    if errors == "none":
+        predicted = list(actual)
+    elif errors == "all":
+        predicted = [a + 1 for a in actual]
+    else:
+        predicted = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    pairs = [(int(s), float(a), float(p))
+             for s, a, p in zip(steps, actual, predicted)]
+    lo, hi = int(steps[0]) - 2, int(steps[-1]) + 2
+    points = sorted(draw(st.sets(st.integers(lo, hi), max_size=6)))
+    intervals = []
+    for start, following in zip(points, points[1:] + [hi + 1]):
+        if draw(st.booleans()):
+            intervals.append((start, draw(st.integers(start, following - 1))))
+    thresholds = st.sampled_from([1e-9, 0.1, 0.3, 0.5, 1.0, 2.0])
+    rets = sorted(draw(st.lists(thresholds, min_size=1, max_size=2)))
+    alphas = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+                                  min_size=1, max_size=2)))
+    betas = draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0, 1e9]),
+                          min_size=1, max_size=4))
+    mat = draw(st.integers(1, 8))
+    return pairs, intervals, rets, alphas, betas, mat
+
+
+def streaming_row(pairs, intervals, ret, alpha, beta, mat):
+    """The streaming reference: Detector, then segment_alarms and
+    evaluate_events (through ``evaluate``)."""
+    detector = Detector(DetectorConfig(ret=ret, beta=beta, mat=mat,
+                                       alpha=alpha))
+    return evaluate([detector.step(*p) for p in pairs], intervals)
+
+
+def assert_row_matches(row, report):
+    assert row.detection_rate_pct == report.detection_rate_pct
+    assert row.false_alarms == report.false_alarms
+    assert row.events_total == report.events_total
+    assert row.detected_intervals == report.detected_intervals
+    assert row.intervals_total == report.intervals_total
+
+
+class TestSweepMatchesStreamingReference:
+    @settings(derandomize=True, deadline=None)
+    @given(case=sweep_cases())
+    def test_sweep_beta_rows(self, case):
+        pairs, intervals, rets, alphas, betas, mat = case
+        base = DetectorConfig(ret=rets[0], beta=0.0, mat=mat, alpha=alphas[0])
+        rows = sweep_beta(base, pairs, intervals, betas)
+        assert [r.beta for r in rows] == betas
+        for row in rows:
+            assert_row_matches(row, streaming_row(
+                pairs, intervals, row.ret, row.alpha, row.beta, mat))
+
+    @settings(derandomize=True, deadline=None)
+    @given(case=sweep_cases())
+    def test_calibrate_rows(self, case):
+        pairs, intervals, rets, alphas, betas, mat = case
+        grid = CalibrationGrid(rets, alphas, sorted(betas), mat=mat)
+        normal = sum(not any(a <= s <= b for a, b in intervals)
+                     for s, _, _ in pairs)
+        if not intervals or normal < mat:
+            with pytest.raises(DataError):
+                calibrate(pairs, intervals, grid)
+            return
+        config, report, rows = calibrate(pairs, intervals, grid)
+        keys = [(r.ret, r.alpha, r.beta) for r in rows]
+        assert keys == [(r, a, b) for r in grid.ret_candidates
+                        for a in grid.alpha_candidates
+                        for b in grid.beta_candidates]
+        for row in rows:
+            assert_row_matches(row, streaming_row(
+                pairs, intervals, row.ret, row.alpha, row.beta, mat))
+        assert report == streaming_row(pairs, intervals, config.ret,
+                                       config.alpha, config.beta, mat)
 
 
 class TestDefaultGrid:

@@ -251,6 +251,33 @@ class TestCalibrate:
             "-o", str(tmp_path / "cfg.txt")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag", ["--ret", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_is_usage_error(self, runner, workspace,
+                                                 tmp_path, flag, value):
+        result = runner.invoke(main, [
+            "calibrate", workspace["model"], workspace["val"],
+            flag, value, "-o", str(tmp_path / "cfg.txt")])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_non_finite_count_is_data_error(self, runner, workspace,
+                                            tmp_path):
+        from pathlib import Path
+        lines = Path(workspace["val"]).read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("100,"))
+        fields = lines[row].split(",")
+        fields[2] = "nan"
+        lines[row] = ",".join(fields)
+        bad = tmp_path / "val-nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "calibrate", workspace["model"], str(bad),
+            "-o", str(tmp_path / "cfg.txt")])
+        assert result.exit_code == 3
+        assert "non-finite" in result.output
+        assert not (tmp_path / "cfg.txt").exists()
+
 
 class TestDetect:
     def test_outputs_and_replay_consistency(self, workspace):
@@ -309,6 +336,16 @@ class TestDetect:
                                       "-o", str(tmp_path / "v.csv")])
         assert result.exit_code == 3
         assert "scaler" in result.output
+
+    def test_non_finite_config_is_data_error(self, runner, workspace,
+                                             tmp_path):
+        config = tmp_path / "nan.cfg"
+        config.write_text("ret=nan mat=12 alpha=0.5 beta=nan\n")
+        result = runner.invoke(main, ["detect", workspace["model"],
+                                      str(config), workspace["test"],
+                                      "-o", str(tmp_path / "v.csv")])
+        assert result.exit_code == 3
+        assert "finite" in result.output
 
     def test_detect_deterministic_outputs(self, runner, workspace, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -267,6 +267,24 @@ class TestDetectorConfig:
         with pytest.raises(DataError):
             DetectorConfig.from_text("ret=1.0 alpha=0.5")
 
+    @pytest.mark.parametrize("field", ["ret", "beta", "alpha",
+                                       "epsilon_floor"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(ret=0.5, beta=0.5, alpha=0.5, epsilon_floor=1e-6)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig(**values)
+
+    @pytest.mark.parametrize("text", [
+        "ret=nan mat=12 alpha=0.5 beta=nan",
+        "ret=0.5 mat=12 alpha=0.5 beta=inf",
+        "ret=0.5 mat=0 alpha=0.5 beta=0.5",
+        "ret=x mat=12 alpha=0.5 beta=0.5"])
+    def test_invalid_text_values_are_data_errors(self, text):
+        with pytest.raises(DataError, match="bad detector config"):
+            DetectorConfig.from_text(text)
+
 
 def verdict(step, alarm, dc=0.9, are=0.9):
     return StepVerdict(step=step, actual=1.0, predicted=0.5, re=0.5,
