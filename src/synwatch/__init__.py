@@ -12,14 +12,11 @@ from .calibration import (CalibrationGrid, EvalReport, SweepRow, calibrate,
                           replay_trace, sweep_beta)
 from .detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
                        StepVerdict, WarmupError, averaged_relative_error,
-                       danger_coefficient, detector_step, relative_error,
-                       ring_push, segment_alarms)
+                       danger_coefficient, relative_error, segment_alarms)
 from .errors import DataError, DivergenceError
-from .kernels import active_backend, available_backends
-from .lstm import (LstmParams, LstmState, TrainConfig, TrainReport,
-                   bptt_gradients, finite_difference_gradient, forward_step,
-                   init_params, load_model, predict_window, predict_windows,
-                   save_model, train)
+from .lstm import (LstmParams, TrainConfig, TrainReport, bptt_gradients,
+                   finite_difference_gradient, init_params, load_model,
+                   predict_window, predict_windows, save_model, train)
 from .pipeline import (LabeledTimeSeries, PacketRecord, Scaler, SynthConfig,
                        TimeSeries, WindowSet, aggregate_counts, build_windows,
                        fit_scaler, generate_synthetic, load_series,

@@ -115,13 +115,6 @@ def relative_error(actual: float, predicted: float,
     return abs(actual - predicted) / max(abs(actual), epsilon_floor)
 
 
-def ring_push(ring: ErrorRing, re_value: float) -> ErrorRing:
-    """Push onto a copy, leaving the input ring untouched."""
-    updated = ring.copy()
-    updated.push(re_value)
-    return updated
-
-
 def danger_coefficient(ring: ErrorRing, ret: float) -> float:
     """Fraction of ring entries strictly above ret; defined only once the
     ring has filled."""
@@ -202,15 +195,6 @@ class Detector:
             step=step, actual=actual, predicted=predicted, re=re_value,
             point_anomaly=re_value > cfg.ret, dc=dc, are=are,
             collective_alarm=alarm, warmup=warmup)
-
-
-def detector_step(config: DetectorConfig, ring: ErrorRing, step: int,
-                  actual: float, predicted: float,
-                  last_step: int | None = None) -> tuple[ErrorRing, StepVerdict]:
-    """Functional single-step form: returns the updated ring and verdict."""
-    worker = Detector(config, ring.copy(), last_step)
-    verdict = worker.step(step, actual, predicted)
-    return worker.ring, verdict
 
 
 def segment_alarms(verdicts) -> list[AlarmEvent]:

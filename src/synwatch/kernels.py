@@ -1,53 +1,51 @@
 """Batched LSTM compute kernels.
 
-Each kernel exists in two interchangeable flavors: the plain numpy function
-and a numba ``@njit``-compiled version of the same body.  The active flavor
-is selected by the ``SYNWATCH_BACKEND`` environment variable:
+Every window is one cell step from the zero state ``h = c = 0``.  There
+the recurrent terms ``U @ h`` vanish and the forget gate multiplies a
+zero cell, so the cell that is computed has three gates:
 
-* unset      -> numba when importable, numpy otherwise
-* ``numba``  -> require the JIT path (raises if numba is missing)
-* ``numpy``  -> force the pure-numpy path
+    i = sigmoid(x W_i^T + b_i)
+    o = sigmoid(x W_o^T + b_o)
+    g = tanh(x W_g^T + b_g)
+    h = o * tanh(i * g)
+    prediction = h w_y + b_y
 
-Both flavors execute the same floating-point operations; they agree to
-within a few ulps and each is bit-deterministic run to run.
-
-All windows in a batch start from one shared initial state ``(h0, c0)``,
-which is always the zero state in the training and prediction paths.  The
-kernels keep the recurrent and forget-gate terms anyway so that gradients
-are exact partials for arbitrary initial states.
+Each gate keeps its own matmul: fusing the three weights into one matrix
+would change the reduction order and so the output bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_VAR = "SYNWATCH_BACKEND"
 
+def predict_batch_numpy(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
+    """Predictions for an (n, input_dim) batch of windows.
 
-def _predict_batch(x, h0, c0, W_i, U_i, b_i, W_f, U_f, b_f,
-                   W_o, U_o, b_o, W_g, U_g, b_g, w_y, b_y):
-    # x: (n, input_dim); h0, c0: (hidden_dim,)
-    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + U_i @ h0 + b_i)))
-    f = 1.0 / (1.0 + np.exp(-(x @ W_f.T + U_f @ h0 + b_f)))
-    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + U_o @ h0 + b_o)))
-    g = np.tanh(x @ W_g.T + U_g @ h0 + b_g)
-    c = f * c0 + i * g
-    h = o * np.tanh(c)
+    Defined under this name (not aliased): ``perfbench/spans.py`` traces
+    the kernel by it.
+    """
+    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + b_i)))
+    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + b_o)))
+    g = np.tanh(x @ W_g.T + b_g)
+    h = o * np.tanh(i * g)
     return h @ w_y + b_y
 
 
-def _loss_and_grads(x, y, h0, c0, W_i, U_i, b_i, W_f, U_f, b_f,
-                    W_o, U_o, b_o, W_g, U_g, b_g, w_y, b_y):
-    # Mean-squared-error loss over the batch plus exact parameter gradients.
+def loss_and_grads_numpy(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
+    """Mean-squared-error loss over the batch plus exact parameter
+    gradients: ``(loss, pred, dW_i, db_i, dW_o, db_o, dW_g, db_g, dw_y,
+    db_y)``.
+
+    Defined under this name (not aliased): ``perfbench/spans.py`` traces
+    the kernel by it.
+    """
     n = x.shape[0]
 
-    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + U_i @ h0 + b_i)))
-    f = 1.0 / (1.0 + np.exp(-(x @ W_f.T + U_f @ h0 + b_f)))
-    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + U_o @ h0 + b_o)))
-    g = np.tanh(x @ W_g.T + U_g @ h0 + b_g)
-    c = f * c0 + i * g
+    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + b_i)))
+    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + b_o)))
+    g = np.tanh(x @ W_g.T + b_g)
+    c = i * g
     tc = np.tanh(c)
     h = o * tc
     pred = h @ w_y + b_y
@@ -63,69 +61,11 @@ def _loss_and_grads(x, y, h0, c0, W_i, U_i, b_i, W_f, U_f, b_f,
     do = dh * tc
     dc = dh * o * (1.0 - tc * tc)
     dpre_o = do * o * (1.0 - o)
-    dpre_f = (dc * c0) * f * (1.0 - f)
     dpre_i = (dc * g) * i * (1.0 - i)
     dpre_g = (dc * i) * (1.0 - g * g)
 
-    dW_i = dpre_i.T @ x
-    dW_f = dpre_f.T @ x
-    dW_o = dpre_o.T @ x
-    dW_g = dpre_g.T @ x
-
-    s_i = np.sum(dpre_i, axis=0)
-    s_f = np.sum(dpre_f, axis=0)
-    s_o = np.sum(dpre_o, axis=0)
-    s_g = np.sum(dpre_g, axis=0)
-
-    h0_row = h0.reshape(1, -1)
-    dU_i = s_i.reshape(-1, 1) * h0_row
-    dU_f = s_f.reshape(-1, 1) * h0_row
-    dU_o = s_o.reshape(-1, 1) * h0_row
-    dU_g = s_g.reshape(-1, 1) * h0_row
-
     return (loss, pred,
-            dW_i, dU_i, s_i, dW_f, dU_f, s_f,
-            dW_o, dU_o, s_o, dW_g, dU_g, s_g,
+            dpre_i.T @ x, np.sum(dpre_i, axis=0),
+            dpre_o.T @ x, np.sum(dpre_o, axis=0),
+            dpre_g.T @ x, np.sum(dpre_g, axis=0),
             dw_y, db_y)
-
-
-predict_batch_numpy = _predict_batch
-loss_and_grads_numpy = _loss_and_grads
-
-try:
-    import numba
-
-    predict_batch_numba = numba.njit(cache=True)(_predict_batch)
-    loss_and_grads_numba = numba.njit(cache=True)(_loss_and_grads)
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    predict_batch_numba = None
-    loss_and_grads_numba = None
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    """Resolve the backend name from the environment (checked per call)."""
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError(
-                f"{_ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    if choice:
-        raise ValueError(
-            f"unknown {_ENV_VAR}={choice!r}; expected 'numba' or 'numpy'")
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def get_kernels():
-    """Return ``(predict_batch, loss_and_grads)`` for the active backend."""
-    if active_backend() == "numba":
-        return predict_batch_numba, loss_and_grads_numba
-    return predict_batch_numpy, loss_and_grads_numpy

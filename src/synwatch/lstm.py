@@ -2,8 +2,11 @@
 
 One cell step consumes the whole lag window as a multi-feature input
 vector from the zero state, so backpropagation is depth 1 per sample and
-the batch gradient is exact.  Training is full-batch gradient descent;
-64-bit floats throughout.
+the batch gradient is exact.  From the zero state the recurrent weights
+and the forget gate of the Hochreiter & Schmidhuber / Gers et al. cell
+never reach an output, so the model holds only the input, output and
+candidate gates (see ``kernels``).  Training is full-batch gradient
+descent; 64-bit floats throughout.
 """
 
 from __future__ import annotations
@@ -14,14 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DivergenceError
-from .kernels import get_kernels
+from .kernels import loss_and_grads_numpy, predict_batch_numpy
 from .pipeline import WindowSet
 
 #: Matrix/vector fields in canonical order (model file block order).
-PARAM_FIELDS = ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
-                "W_o", "U_o", "b_o", "W_g", "U_g", "b_g", "w_y")
+PARAM_FIELDS = ("W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y")
 
-MODEL_MAGIC = "lstm-model v1"
+MODEL_MAGIC = "lstm-model v2"
+
+#: Block order of each readable model file version.  A v1 file also holds
+#: the recurrent matrices and the forget gate of the four-gate cell; they
+#: are read, checked and dropped.
+_FILE_FIELDS = {
+    "lstm-model v1": ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
+                      "W_o", "U_o", "b_o", "W_g", "U_g", "b_g", "w_y"),
+    MODEL_MAGIC: PARAM_FIELDS,
+}
 
 
 @dataclass
@@ -31,16 +42,10 @@ class LstmParams:
     input_dim: int
     hidden_dim: int
     W_i: np.ndarray
-    U_i: np.ndarray
     b_i: np.ndarray
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
     W_o: np.ndarray
-    U_o: np.ndarray
     b_o: np.ndarray
     W_g: np.ndarray
-    U_g: np.ndarray
     b_g: np.ndarray
     w_y: np.ndarray
     b_y: float
@@ -56,12 +61,6 @@ class LstmParams:
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(arr)) for arr in self.arrays()) \
             and np.isfinite(self.b_y)
-
-
-@dataclass
-class LstmState:
-    hidden: np.ndarray
-    cell: np.ndarray
 
 
 @dataclass
@@ -103,72 +102,50 @@ OUTPUT_INIT_RANGE = 2.0
 def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     """Seeded initialization: gate weights uniform in [-r, r] with
     r = 1/sqrt(hidden_dim), output projection uniform in
-    [-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE]; forget-gate bias 1.0, other
-    biases 0."""
+    [-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE]; biases 0."""
     if input_dim not in (1, 2, 3):
         raise ValueError("input_dim must be 1, 2 or 3")
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
     rng = np.random.default_rng(rng_seed)
     r = 1.0 / np.sqrt(hidden_dim)
-
-    def w(rows, cols):
-        return rng.uniform(-r, r, size=(rows, cols))
-
     h, k = hidden_dim, input_dim
+    # Draw in the four-gate order W_i U_i W_f U_f W_o U_o W_g U_g and drop
+    # the recurrent and forget blocks, so a seed still gives the weights
+    # it gave the four-gate cell.
+    W_i, _, _, _, W_o, _, W_g, _ = (
+        rng.uniform(-r, r, size=(h, cols)) for cols in (k, h) * 4)
     return LstmParams(
         input_dim=k, hidden_dim=h,
-        W_i=w(h, k), U_i=w(h, h), b_i=np.zeros(h),
-        W_f=w(h, k), U_f=w(h, h), b_f=np.ones(h),
-        W_o=w(h, k), U_o=w(h, h), b_o=np.zeros(h),
-        W_g=w(h, k), U_g=w(h, h), b_g=np.zeros(h),
+        W_i=W_i, b_i=np.zeros(h),
+        W_o=W_o, b_o=np.zeros(h),
+        W_g=W_g, b_g=np.zeros(h),
         w_y=rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, size=h),
         b_y=0.0,
     )
-
-
-def zero_state(params: LstmParams) -> LstmState:
-    return LstmState(hidden=np.zeros(params.hidden_dim),
-                     cell=np.zeros(params.hidden_dim))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def forward_step(params: LstmParams, state: LstmState,
-                 x: np.ndarray) -> tuple[LstmState, float]:
-    """One LSTM cell update plus the affine output projection.
-
-    Pure function: returns a fresh state, never mutates its arguments.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ValueError(
-            f"input has shape {x.shape}, expected ({params.input_dim},)")
-    if state.hidden.shape != (params.hidden_dim,) \
-            or state.cell.shape != (params.hidden_dim,):
-        raise ValueError("state dimensions do not match hidden_dim")
-
-    i = _sigmoid(params.W_i @ x + params.U_i @ state.hidden + params.b_i)
-    f = _sigmoid(params.W_f @ x + params.U_f @ state.hidden + params.b_f)
-    o = _sigmoid(params.W_o @ x + params.U_o @ state.hidden + params.b_o)
-    g = np.tanh(params.W_g @ x + params.U_g @ state.hidden + params.b_g)
-    c = f * state.cell + i * g
-    h = o * np.tanh(c)
-    prediction = float(params.w_y @ h + params.b_y)
-    return LstmState(hidden=h, cell=c), prediction
-
-
 def predict_window(params: LstmParams, window: np.ndarray) -> float:
     """Next-value prediction from one lag window (oldest value first),
-    computed in a single cell step from the zero state."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (params.input_dim,):
+    computed in a single cell step from the zero state.
+
+    Evaluates the cell formula one window at a time, independently of the
+    batch kernel; the finite-difference oracle and online detection use
+    it.  Pure: never mutates its arguments.
+    """
+    x = np.asarray(window, dtype=np.float64)
+    if x.shape != (params.input_dim,):
         raise ValueError(
-            f"window has shape {window.shape}, expected ({params.input_dim},)")
-    _, prediction = forward_step(params, zero_state(params), window)
-    return prediction
+            f"window has shape {x.shape}, expected ({params.input_dim},)")
+    i = _sigmoid(params.W_i @ x + params.b_i)
+    o = _sigmoid(params.W_o @ x + params.b_o)
+    g = np.tanh(params.W_g @ x + params.b_g)
+    h = o * np.tanh(i * g)
+    return float(params.w_y @ h + params.b_y)
 
 
 def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -176,10 +153,7 @@ def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.input_dim:
         raise ValueError("inputs must have shape (n, input_dim)")
-    predict_batch, _ = get_kernels()
-    h0 = np.zeros(params.hidden_dim)
-    c0 = np.zeros(params.hidden_dim)
-    return predict_batch(inputs, h0, c0, *params.arrays(), params.b_y)
+    return predict_batch_numpy(inputs, *params.arrays(), params.b_y)
 
 
 def _check_windows(params: LstmParams, windows: WindowSet) -> None:
@@ -200,14 +174,11 @@ def bptt_gradients(params: LstmParams,
     _check_windows(params, windows)
     x = np.ascontiguousarray(windows.inputs, dtype=np.float64)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
-    h0 = np.zeros(params.hidden_dim)
-    c0 = np.zeros(params.hidden_dim)
-    _, loss_and_grads = get_kernels()
-    out = loss_and_grads(x, y, h0, c0, *params.arrays(), params.b_y)
-    loss = float(out[0])
+    loss, _, *grad_arrays, grad_b_y = loss_and_grads_numpy(
+        x, y, *params.arrays(), params.b_y)
     grads = LstmParams(params.input_dim, params.hidden_dim,
-                       *out[2:15], float(out[15]))
-    return grads, loss
+                       *grad_arrays, float(grad_b_y))
+    return grads, float(loss)
 
 
 def forward_loss(params: LstmParams, windows: WindowSet) -> float:
@@ -270,9 +241,6 @@ def train(config: TrainConfig,
     params = init_params(config.lag, config.hidden_dim, config.rng_seed)
     x = np.ascontiguousarray(windows.inputs, dtype=np.float64)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
-    h0 = np.zeros(params.hidden_dim)
-    c0 = np.zeros(params.hidden_dim)
-    _, loss_and_grads = get_kernels()
     param_arrays = params.arrays()
     lr = config.learning_rate
     clip = config.gradient_clip
@@ -280,10 +248,8 @@ def train(config: TrainConfig,
 
     start = time.perf_counter()
     for epoch in range(config.epochs):
-        out = loss_and_grads(x, y, h0, c0, *param_arrays, params.b_y)
-        losses[epoch] = out[0]
-        grad_arrays = out[2:15]
-        grad_b_y = out[15]
+        losses[epoch], _, *grad_arrays, grad_b_y = loss_and_grads_numpy(
+            x, y, *param_arrays, params.b_y)
         if clip is not None:
             grad_arrays = tuple(np.clip(g, -clip, clip) for g in grad_arrays)
             grad_b_y = min(max(grad_b_y, -clip), clip)
@@ -318,13 +284,43 @@ def save_model(path, params: LstmParams) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_block(lines: list[str], cursor: int, name: str, rows: int,
+                width: int) -> tuple[np.ndarray, int]:
+    """Parse the block ``name`` of ``rows`` lines of ``width`` finite
+    floats starting at ``lines[cursor]``; returns it and the next cursor."""
+    if cursor >= len(lines) or lines[cursor].strip() != name:
+        raise DataError(f"model file: expected block {name!r}")
+    cursor += 1
+    block = []
+    for _ in range(rows):
+        if cursor >= len(lines):
+            raise DataError(f"model file: truncated block {name!r}")
+        try:
+            row = [float(tok) for tok in lines[cursor].split()]
+        except ValueError:
+            raise DataError(
+                f"model file: non-numeric value in block {name!r}") from None
+        if len(row) != width:
+            raise DataError(
+                f"model file: block {name!r} row has {len(row)} values, "
+                f"expected {width}")
+        block.append(row)
+        cursor += 1
+    arr = np.asarray(block, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"model file: non-finite value in block {name!r}")
+    return arr, cursor
+
+
 def load_model(path) -> LstmParams:
-    """Read a model file; rejects unknown versions and bad shapes."""
+    """Read a v2 model file, or a v1 file whose recurrent and forget-gate
+    blocks are checked and dropped; rejects unknown versions, bad shapes
+    and non-finite values."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != MODEL_MAGIC:
-        found = lines[0].strip() if lines else "<empty>"
-        raise DataError(f"unsupported model version: {found!r}")
+    version = lines[0].strip() if lines else "<empty>"
+    if version not in _FILE_FIELDS:
+        raise DataError(f"unsupported model version: {version!r}")
     try:
         dims = dict(tok.split("=") for tok in lines[1].split())
         input_dim = int(dims["input_dim"])
@@ -332,50 +328,15 @@ def load_model(path) -> LstmParams:
     except (IndexError, KeyError, ValueError):
         raise DataError("malformed model dimension line") from None
 
-    h, k = hidden_dim, input_dim
-    shapes = {}
-    for gate in ("i", "f", "o", "g"):
-        shapes[f"W_{gate}"] = (h, k)
-        shapes[f"U_{gate}"] = (h, h)
-        shapes[f"b_{gate}"] = (h,)
-    shapes["w_y"] = (h,)
-
     cursor = 2
     fields = {}
-    for name in PARAM_FIELDS:
-        if cursor >= len(lines) or lines[cursor].strip() != name:
-            raise DataError(f"model file: expected block {name!r}")
-        cursor += 1
-        shape = shapes[name]
-        rows = 1 if len(shape) == 1 else shape[0]
-        width = shape[-1]
-        block = []
-        for _ in range(rows):
-            if cursor >= len(lines):
-                raise DataError(f"model file: truncated block {name!r}")
-            try:
-                row = [float(tok) for tok in lines[cursor].split()]
-            except ValueError:
-                raise DataError(
-                    f"model file: non-numeric value in block {name!r}") \
-                    from None
-            if len(row) != width:
-                raise DataError(
-                    f"model file: block {name!r} row has {len(row)} values, "
-                    f"expected {width}")
-            block.append(row)
-            cursor += 1
-        arr = np.asarray(block, dtype=np.float64)
-        fields[name] = arr[0] if len(shape) == 1 else arr
-    if cursor >= len(lines) or lines[cursor].strip() != "b_y":
-        raise DataError("model file: expected block 'b_y'")
-    cursor += 1
-    if cursor >= len(lines):
-        raise DataError("model file: truncated block 'b_y'")
-    try:
-        b_y = float(lines[cursor].strip())
-    except ValueError:
-        raise DataError("model file: non-numeric value in block 'b_y'") \
-            from None
+    for name in _FILE_FIELDS[version]:
+        matrix = name[0] in "WU"
+        arr, cursor = _read_block(
+            lines, cursor, name, hidden_dim if matrix else 1,
+            input_dim if name[0] == "W" else hidden_dim)
+        fields[name] = arr if matrix else arr[0]
+    b_y, cursor = _read_block(lines, cursor, "b_y", 1, 1)
     return LstmParams(input_dim=input_dim, hidden_dim=hidden_dim,
-                      **fields, b_y=b_y)
+                      **{name: fields[name] for name in PARAM_FIELDS},
+                      b_y=float(b_y[0, 0]))

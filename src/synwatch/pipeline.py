@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re as _re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -69,6 +70,8 @@ class TimeSeries:
             raise ValueError("step_duration must be positive")
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("packet counts must be finite")
         if np.any(self.values < 0):
             raise ValueError("packet counts cannot be negative")
 
@@ -459,9 +462,14 @@ def load_series(path):
             raise DataError(f"{path}: malformed row {row_no}")
         try:
             timestamps.append(_parse_timestamp(parts[1]))
-            values.append(float(parts[2]))
+            count = float(parts[2])
         except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: {exc}") from None
+        if not math.isfinite(count) or count < 0:
+            kind = "negative" if math.isfinite(count) else "non-finite"
+            raise DataError(
+                f"{path}: row {row_no}: {kind} count {parts[2].strip()!r}")
+        values.append(count)
         if labeled:
             token = parts[3].strip()
             if token not in ("normal", "attack"):

@@ -347,6 +347,25 @@ class TestDetect:
         assert result.exit_code == 3
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("count", ["nan", "-3"])
+    def test_bad_count_is_data_error(self, runner, workspace, tmp_path,
+                                     count):
+        from pathlib import Path
+        lines = Path(workspace["test"]).read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("100,"))
+        fields = lines[row].split(",")
+        fields[2] = count
+        lines[row] = ",".join(fields)
+        bad = tmp_path / "test-bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["detect", workspace["model"],
+                                      workspace["config"], str(bad),
+                                      "-o", str(out)])
+        assert result.exit_code == 3
+        assert "row 101" in result.output
+        assert not out.exists()
+
     def test_detect_deterministic_outputs(self, runner, workspace, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -6,9 +6,8 @@ import pytest
 from synwatch.detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
                                StepVerdict, WarmupError,
                                averaged_relative_error, danger_coefficient,
-                               detector_step, read_alarms, read_verdicts,
-                               relative_error, ring_push, segment_alarms,
-                               write_alarms, write_verdicts)
+                               read_alarms, read_verdicts, relative_error,
+                               segment_alarms, write_alarms, write_verdicts)
 from synwatch.errors import DataError
 
 
@@ -64,15 +63,6 @@ class TestErrorRing:
                 expected = history[-min(len(history), capacity):]
                 np.testing.assert_array_equal(
                     ring.values_oldest_to_newest(), expected)
-
-    def test_functional_push_leaves_input_untouched(self):
-        ring = ErrorRing(2)
-        ring.push(1.0)
-        pushed = ring_push(ring, 2.0)
-        assert ring.filled == 1
-        assert pushed.filled == 2
-        np.testing.assert_array_equal(pushed.values_oldest_to_newest(),
-                                      [1.0, 2.0])
 
 
 def full_ring(values):
@@ -205,18 +195,6 @@ class TestDetectorStep:
         with pytest.raises(ValueError):
             detector.step(4, 1.0, 1.0)
         detector.step(7, 1.0, 1.0)  # gaps are fine, regressions are not
-
-    def test_functional_form_matches_class(self):
-        config = DetectorConfig(ret=0.7, beta=0.5, mat=3, alpha=0.5)
-        ring = ErrorRing(3)
-        verdicts = []
-        last = None
-        for i, re in enumerate([0.9, 0.8, 0.9, 0.2]):
-            ring, verdict = detector_step(config, ring, i, 1.0, 1.0 - re, last)
-            verdicts.append(verdict)
-            last = i
-        expected = drive(Detector(config), [0.9, 0.8, 0.9, 0.2])
-        assert verdicts == expected
 
     def test_state_transfer_resumes_identically(self, rng):
         config = DetectorConfig(ret=0.4, beta=0.3, mat=5, alpha=0.5)

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from synwatch.errors import DataError, DivergenceError
-from synwatch.lstm import (PARAM_FIELDS, LstmParams, LstmState, TrainConfig,
+from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
                            bptt_gradients, finite_difference_gradient,
-                           forward_loss, forward_step, init_params, load_model,
-                           predict_window, predict_windows, save_model, train,
-                           zero_state)
+                           forward_loss, init_params, load_model,
+                           predict_window, predict_windows, save_model, train)
 from synwatch.pipeline import WindowSet
 
 from conftest import make_window_set
+
+#: Block order of an ``lstm-model v1`` file: the four-gate cell.
+V1_FIELDS = ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
+             "W_o", "U_o", "b_o", "W_g", "U_g", "b_g", "w_y")
+DEAD_FIELDS = ("U_i", "W_f", "U_f", "b_f", "U_o", "U_g")
 
 
 def max_rel_diff(a: LstmParams, b: LstmParams) -> float:
@@ -23,33 +27,69 @@ def max_rel_diff(a: LstmParams, b: LstmParams) -> float:
     return max(worst, abs(a.b_y - b.b_y) / max(abs(a.b_y), abs(b.b_y), 1e-8))
 
 
-def zero_params(input_dim, hidden_dim, forget_bias=1.0, b_y=0.0):
+def zero_params(input_dim, hidden_dim, b_y=0.0):
     h, k = hidden_dim, input_dim
     return LstmParams(
         input_dim=k, hidden_dim=h,
-        W_i=np.zeros((h, k)), U_i=np.zeros((h, h)), b_i=np.zeros(h),
-        W_f=np.zeros((h, k)), U_f=np.zeros((h, h)),
-        b_f=np.full(h, forget_bias),
-        W_o=np.zeros((h, k)), U_o=np.zeros((h, h)), b_o=np.zeros(h),
-        W_g=np.zeros((h, k)), U_g=np.zeros((h, h)), b_g=np.zeros(h),
+        W_i=np.zeros((h, k)), b_i=np.zeros(h),
+        W_o=np.zeros((h, k)), b_o=np.zeros(h),
+        W_g=np.zeros((h, k)), b_g=np.zeros(h),
         w_y=np.zeros(h), b_y=b_y)
+
+
+def random_v1_blocks(rng, k, h):
+    """Every block of a four-gate cell, dead ones included, non-zero."""
+    blocks = {name: rng.normal(0, 0.6, size=(h, k) if name[0] == "W"
+                               else (h, h) if name[0] == "U" else h)
+              for name in V1_FIELDS}
+    blocks["b_y"] = float(rng.normal())
+    return blocks
+
+
+def four_gate_cell(blocks, x, batch):
+    """The four-gate cell with the Gers et al. forget gate, one step from
+    h = c = 0, written out in full.  ``batch`` selects the (n, k) input
+    layout of the batch kernel; otherwise ``x`` is one window."""
+    h0 = c0 = np.zeros(len(blocks["b_i"]))
+
+    def pre(gate):
+        W = blocks[f"W_{gate}"]
+        wx = x @ W.T if batch else W @ x
+        return wx + blocks[f"U_{gate}"] @ h0 + blocks[f"b_{gate}"]
+
+    i, f, o = (1.0 / (1.0 + np.exp(-pre(gate))) for gate in "ifo")
+    g = np.tanh(pre("g"))
+    h = o * np.tanh(f * c0 + i * g)
+    if batch:
+        return h @ blocks["w_y"] + blocks["b_y"]
+    return float(blocks["w_y"] @ h + blocks["b_y"])
+
+
+def write_v1(path, blocks, k, h):
+    lines = ["lstm-model v1", f"input_dim={k} hidden_dim={h}"]
+    for name in V1_FIELDS + ("b_y",):
+        lines.append(name)
+        lines += [" ".join(f"{v:.17g}" for v in row)
+                  for row in np.atleast_2d(blocks[name])]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestInitParams:
     def test_shapes(self):
         p = init_params(3, 23, rng_seed=42)
-        for gate in "ifog":
+        for gate in "iog":
             assert getattr(p, f"W_{gate}").shape == (23, 3)
-            assert getattr(p, f"U_{gate}").shape == (23, 23)
             assert getattr(p, f"b_{gate}").shape == (23,)
         assert p.w_y.shape == (23,)
         assert p.b_y == 0.0
 
     def test_smallest_network_and_forget_bias(self):
+        # the zero-state cell has no forget gate, so every bias starts at 0
         p = init_params(1, 1, rng_seed=0)
         assert p.W_i.shape == (1, 1)
-        assert np.all(p.b_f == 1.0)
+        assert not hasattr(p, "b_f")
         assert np.all(p.b_i == 0.0) and np.all(p.b_o == 0.0)
+        assert np.all(p.b_g == 0.0)
 
     def test_deterministic_per_seed(self):
         a = init_params(3, 23, rng_seed=42)
@@ -58,6 +98,20 @@ class TestInitParams:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         c = init_params(3, 23, rng_seed=43)
         assert not np.array_equal(a.W_i, c.W_i)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_seed_keeps_four_gate_draw_order(self, seed):
+        # the four-gate cell drew W_i U_i W_f U_f W_o U_o W_g U_g w_y
+        k, h = 3, 23
+        rng = np.random.default_rng(seed)
+        r = 1.0 / np.sqrt(h)
+        drawn = {name: rng.uniform(-r, r, size=(h, k if name[0] == "W" else h))
+                 for name in ("W_i", "U_i", "W_f", "U_f",
+                              "W_o", "U_o", "W_g", "U_g")}
+        drawn["w_y"] = rng.uniform(-2.0, 2.0, size=h)
+        p = init_params(k, h, rng_seed=seed)
+        for name in ("W_i", "W_o", "W_g", "w_y"):
+            np.testing.assert_array_equal(getattr(p, name), drawn[name])
 
     @pytest.mark.parametrize("bad_k", [0, 4, -1])
     def test_rejects_bad_input_dim(self, bad_k):
@@ -74,67 +128,69 @@ class TestInitParams:
 
 
 class TestForwardStep:
-    def test_zero_weights_propagation(self):
-        # tanh(0) candidate zeroes the cell update, so only b_y survives
-        p = zero_params(2, 4, b_y=0.37)
-        state, pred = forward_step(p, zero_state(p), np.array([5.0, -3.0]))
-        assert pred == pytest.approx(0.37)
-        np.testing.assert_array_equal(state.hidden, np.zeros(4))
-        np.testing.assert_array_equal(state.cell, np.zeros(4))
+    """One cell step from the zero state, through predict_window."""
+
+    def test_zero_weights_propagation(self, rng):
+        # a tanh(0) candidate zeroes the cell, so only b_y survives
+        # whatever the input and output gates do
+        p = init_params(2, 4, rng_seed=3)
+        p.W_g[...] = 0.0
+        p.b_i[...] = rng.normal(size=4)
+        p.b_o[...] = rng.normal(size=4)
+        p.b_y = 0.37
+        for x in (np.array([5.0, -3.0]), rng.normal(size=2)):
+            assert predict_window(p, x) == 0.37
+        np.testing.assert_array_equal(
+            predict_windows(p, rng.normal(size=(6, 2))), 0.37)
 
     def test_purity(self, rng):
         p = init_params(3, 5, rng_seed=1)
-        state = LstmState(hidden=rng.normal(size=5) * 0.5,
-                          cell=rng.normal(size=5))
+        before = p.copy()
         x = rng.normal(size=3)
-        state_copy = LstmState(state.hidden.copy(), state.cell.copy())
-        out1 = forward_step(p, state, x)
-        out2 = forward_step(p, state, x)
-        np.testing.assert_array_equal(out1[0].hidden, out2[0].hidden)
-        np.testing.assert_array_equal(out1[0].cell, out2[0].cell)
-        assert out1[1] == out2[1]
-        np.testing.assert_array_equal(state.hidden, state_copy.hidden)
-        np.testing.assert_array_equal(state.cell, state_copy.cell)
+        x_copy = x.copy()
+        assert predict_window(p, x) == predict_window(p, x)
+        np.testing.assert_array_equal(x, x_copy)
+        for name in PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(p, name),
+                                          getattr(before, name))
+        assert p.b_y == before.b_y
 
     def test_dimension_mismatch_rejected(self):
         p = init_params(3, 5, rng_seed=1)
-        with pytest.raises(ValueError):
-            forward_step(p, zero_state(p), np.zeros(2))
-        bad_state = LstmState(hidden=np.zeros(4), cell=np.zeros(5))
-        with pytest.raises(ValueError):
-            forward_step(p, bad_state, np.zeros(3))
+        for bad in (np.zeros(2), np.zeros((1, 3)), np.zeros((3, 1)),
+                    np.float64(0.0)):
+            with pytest.raises(ValueError):
+                predict_window(p, bad)
 
     def test_hidden_strictly_inside_unit_interval(self, rng):
-        # output gate times tanh keeps every component in (-1, 1)
+        # output gate times tanh keeps every hidden component in (-1, 1),
+        # so the prediction stays strictly within sum|w_y| of b_y
         for trial in range(20):
             p = init_params(3, 6, rng_seed=trial)
-            state = LstmState(hidden=np.tanh(rng.normal(size=6)),
-                              cell=rng.normal(size=6) * 3)
+            p.b_y = float(rng.normal())
             x = rng.normal(size=3) * 10
-            new_state, _ = forward_step(p, state, x)
-            assert np.all(np.abs(new_state.hidden) < 1.0)
+            bound = float(np.sum(np.abs(p.w_y)))
+            assert abs(predict_window(p, x) - p.b_y) < bound
 
     def test_input_perturbation_matches_analytic_gradient(self, rng):
         # independent chain-rule oracle recomputed here from the raw params
         p = init_params(3, 4, rng_seed=8)
-        state = LstmState(hidden=rng.normal(size=4) * 0.3,
-                          cell=rng.normal(size=4) * 0.3)
+        p.b_i[...] = rng.normal(size=4) * 0.3
+        p.b_o[...] = rng.normal(size=4) * 0.3
+        p.b_g[...] = rng.normal(size=4) * 0.3
         x = rng.normal(size=3)
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        i = sig(p.W_i @ x + p.U_i @ state.hidden + p.b_i)
-        f = sig(p.W_f @ x + p.U_f @ state.hidden + p.b_f)
-        o = sig(p.W_o @ x + p.U_o @ state.hidden + p.b_o)
-        g = np.tanh(p.W_g @ x + p.U_g @ state.hidden + p.b_g)
-        c = f * state.cell + i * g
+        i = sig(p.W_i @ x + p.b_i)
+        o = sig(p.W_o @ x + p.b_o)
+        g = np.tanh(p.W_g @ x + p.b_g)
+        c = i * g
         di_dx = (i * (1 - i))[:, None] * p.W_i
-        df_dx = (f * (1 - f))[:, None] * p.W_f
         do_dx = (o * (1 - o))[:, None] * p.W_o
         dg_dx = (1 - g * g)[:, None] * p.W_g
-        dc_dx = state.cell[:, None] * df_dx + g[:, None] * di_dx \
-            + i[:, None] * dg_dx
+        dc_dx = g[:, None] * di_dx + i[:, None] * dg_dx
         dh_dx = np.tanh(c)[:, None] * do_dx \
             + (o * (1 - np.tanh(c) ** 2))[:, None] * dc_dx
         dpred_dx = p.w_y @ dh_dx
@@ -143,8 +199,8 @@ class TestForwardStep:
         for j in range(3):
             bump = np.zeros(3)
             bump[j] = eps
-            _, plus = forward_step(p, state, x + bump)
-            _, minus = forward_step(p, state, x - bump)
+            plus = predict_window(p, x + bump)
+            minus = predict_window(p, x - bump)
             fd = (plus - minus) / (2 * eps)
             assert fd == pytest.approx(dpred_dx[j], rel=1e-6, abs=1e-10)
 
@@ -198,11 +254,19 @@ class TestGradients:
             numeric = finite_difference_gradient(params, windows)
             assert max_rel_diff(analytic, numeric) <= 1e-4
 
-    def test_zero_state_keeps_recurrent_and_forget_gradients_zero(self, tiny_instance):
-        params, windows = tiny_instance
-        grads, _ = bptt_gradients(params, windows)
-        for name in ("U_i", "U_f", "U_o", "U_g", "W_f", "b_f"):
-            np.testing.assert_array_equal(getattr(grads, name), 0.0)
+    def test_zero_state_keeps_recurrent_and_forget_gradients_zero(self, rng):
+        # why the model holds three gates: from h = c = 0, moving any
+        # recurrent or forget-gate weight of the four-gate cell leaves
+        # every prediction bit-identical, so its gradient is exactly zero
+        blocks = random_v1_blocks(rng, 3, 4)
+        x = rng.normal(size=(7, 3))
+        base = four_gate_cell(blocks, x, batch=True)
+        for name in DEAD_FIELDS:
+            for step in (0.5, -2.0):
+                moved = dict(blocks)
+                moved[name] = blocks[name] + step
+                np.testing.assert_array_equal(
+                    four_gate_cell(moved, x, batch=True), base)
 
     def test_doubling_residuals_quadruples_loss(self, tiny_instance):
         params, windows = tiny_instance
@@ -365,15 +429,69 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         save_model(path, init_params(1, 2, rng_seed=0))
         lines = path.read_text().splitlines()
-        assert lines[0] == "lstm-model v1"
+        assert lines[0] == "lstm-model v2"
         assert lines[1] == "input_dim=1 hidden_dim=2"
+        assert [ln for ln in lines[2:] if ln[:1].isalpha()] == [
+            "W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y", "b_y"]
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(path, init_params(1, 2, rng_seed=0))
-        text = path.read_text().replace("lstm-model v1", "lstm-model v2")
+        text = path.read_text().replace("lstm-model v2", "lstm-model v3")
         path.write_text(text)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="unsupported model version"):
+            load_model(path)
+
+    def test_v1_file_predicts_like_four_gate_cell(self, tmp_path, rng):
+        # the dropped blocks are random and non-zero, yet both prediction
+        # paths equal the full four-gate cell from the zero state bit for bit
+        for k, h in ((1, 1), (3, 23), (2, 5)):
+            blocks = random_v1_blocks(rng, k, h)
+            path = tmp_path / "v1.txt"
+            write_v1(path, blocks, k, h)
+            params = load_model(path)
+            x = rng.uniform(-0.5, 1.5, size=(300, k))
+            np.testing.assert_array_equal(
+                predict_windows(params, x), four_gate_cell(blocks, x, True))
+            for window in x[:50]:
+                assert predict_window(params, window) == \
+                    four_gate_cell(blocks, window, False)
+
+    def test_v1_to_v2_keeps_live_lines(self, tmp_path, rng):
+        blocks = random_v1_blocks(rng, 3, 4)
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        write_v1(v1, blocks, 3, 4)
+        save_model(v2, load_model(v1))
+
+        def block_lines(path):
+            lines = path.read_text().splitlines()
+            starts = [i for i, ln in enumerate(lines) if ln[:1].isalpha()]
+            return {lines[i]: lines[i + 1:j] for i, j in
+                    zip(starts, starts[1:] + [len(lines)])}
+
+        old, new = block_lines(v1), block_lines(v2)
+        assert list(new) == ["lstm-model v2", "input_dim=3 hidden_dim=4",
+                             *PARAM_FIELDS, "b_y"]
+        for name in PARAM_FIELDS + ("b_y",):
+            assert new[name] == old[name]
+
+    @pytest.mark.parametrize("version, block", [
+        ("v2", "W_i"), ("v2", "w_y"), ("v2", "b_y"),
+        ("v1", "U_f"), ("v1", "b_f"), ("v1", "b_g")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, rng, version, block,
+                                        value):
+        path = tmp_path / "model.txt"
+        if version == "v1":
+            write_v1(path, random_v1_blocks(rng, 2, 3), 2, 3)
+        else:
+            save_model(path, init_params(2, 3, rng_seed=0))
+        lines = path.read_text().splitlines()
+        row = lines.index(block) + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"non-finite value in block "
+                                            f"'{block}'"):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):

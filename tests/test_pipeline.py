@@ -334,6 +334,26 @@ class TestSeriesFiles:
         with pytest.raises(DataError):
             load_series(path)
 
+    @pytest.mark.parametrize("count, kind", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("-3", "negative")])
+    def test_bad_count_rejected_with_row_number(self, tmp_path, count, kind):
+        series = TimeSeries(T0, 1.0, np.arange(5.0))
+        path = tmp_path / "series.csv"
+        save_series(path, series)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = count
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"row 3: {kind} count"):
+            load_series(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -3.0])
+    def test_time_series_rejects_bad_counts(self, bad):
+        with pytest.raises(ValueError):
+            TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
+
 
 class TestLabelHelpers:
     def test_round_trip(self):
