@@ -187,22 +187,34 @@ class ReplayTrace:
 
 
 def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
-    """Precompute stream statistics for a (step, actual, predicted) list."""
+    """Precompute stream statistics for (step, actual, predicted) rows.
+
+    ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
+    array, which is what ``calibrate`` and ``detect`` pass.  The statistics
+    are bit-identical to a streaming ``Detector`` fed the same rows.
+    """
     if epsilon_floor <= 0:
         raise ValueError("epsilon_floor must be positive")
-    rows = list(pairs)
-    if not rows:
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    table = np.asarray(pairs, dtype=np.float64)
+    if not table.size:
         raise ValueError("empty validation stream")
-    steps = np.array([r[0] for r in rows], dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("pairs must be (step, actual, predicted) rows")
+    steps = table[:, 0].astype(np.int64)
     if np.any(np.diff(steps) <= 0):
         raise ValueError("pairs must be step-ordered")
-    actual = np.array([r[1] for r in rows], dtype=np.float64)
-    predicted = np.array([r[2] for r in rows], dtype=np.float64)
-    finite = np.isfinite(actual) & np.isfinite(predicted)
+    actual, predicted = table[:, 1], table[:, 2]
+    # A non-finite actual or predicted value makes re non-finite too, as
+    # does an error too large for a float; both are rejected below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        re = (np.abs(actual - predicted)
+              / np.maximum(np.abs(actual), epsilon_floor))
+    finite = np.isfinite(re)
     if not np.all(finite):
-        raise DataError("non-finite actual or predicted value at step "
-                        f"{steps[np.argmin(finite)]}")
-    re = np.abs(actual - predicted) / np.maximum(np.abs(actual), epsilon_floor)
+        raise DataError("non-finite actual, predicted or relative error at "
+                        f"step {steps[np.argmin(finite)]}")
     n = len(re)
     are = np.zeros(n)
     warmup = np.ones(n, dtype=bool)
@@ -325,19 +337,26 @@ def default_grid(pairs, mat: int = 12,
                            beta_candidates=betas, mat=mat)
 
 
-def prediction_pairs(params: LstmParams, scaler: Scaler,
-                     series: TimeSeries) -> list[tuple[int, float, float]]:
-    """Predict every step of a raw-count series with a trained model.
+def _prediction_table(params: LstmParams, scaler: Scaler,
+                      series: TimeSeries) -> np.ndarray:
+    """Predict every step of a raw-count series with a trained model; one
+    (step, actual, predicted) row per step, as an (n, 3) array.
 
     Windows are normalized with the training scaler, predictions are
-    mapped back to raw counts, and each pair compares the prediction with
+    mapped back to raw counts, and each row compares the prediction with
     the real next value at its step.
     """
     windows = build_windows(series, params.input_dim)
     preds = scaler.invert(predict_windows(params, scaler.apply(windows.inputs)))
-    steps = windows.origin_steps + 1
-    return [(int(s), float(a), float(p))
-            for s, a, p in zip(steps, windows.targets, preds)]
+    return np.column_stack((windows.origin_steps + 1, windows.targets, preds))
+
+
+def prediction_pairs(params: LstmParams, scaler: Scaler,
+                     series: TimeSeries) -> list[tuple[int, float, float]]:
+    """The rows of ``_prediction_table`` as (step, actual, predicted)
+    tuples of Python numbers."""
+    return [(int(step), actual, predicted) for step, actual, predicted
+            in _prediction_table(params, scaler, series).tolist()]
 
 
 SWEEP_HEADER = "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"

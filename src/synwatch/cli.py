@@ -18,11 +18,12 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .calibration import (CalibrationGrid, default_grid, evaluate,
-                          prediction_pairs, sweep_beta, write_sweep)
+from .calibration import (CalibrationGrid, _prediction_table, default_grid,
+                          evaluate_events, replay_trace, sweep_beta,
+                          write_sweep)
 from .calibration import calibrate as run_calibration
-from .detector import Detector, DetectorConfig, segment_alarms, write_alarms, \
-    write_verdicts
+from .detector import DetectorConfig, StepVerdict, segment_alarms, \
+    write_alarms, write_verdicts
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
 from .pipeline import (LabeledTimeSeries, SynthConfig, _parse_timestamp,
@@ -295,7 +296,7 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     data = load_series(validation_path)
     if not isinstance(data, LabeledTimeSeries):
         raise DataError("validation series has no label column")
-    pairs = prediction_pairs(params, scaler, data.series)
+    pairs = _prediction_table(params, scaler, data.series)
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
     base = default_grid(pairs, mat=mat, epsilon_floor=epsilon_floor)
@@ -331,6 +332,23 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
                f"events_total={report.events_total}")
 
 
+def _replay_verdicts(trace, config: DetectorConfig) -> list[StepVerdict]:
+    """The verdicts a streaming ``Detector`` gives for the trace's rows.
+
+    The trace holds the Detector's relative errors and window means bit
+    for bit, and its danger coefficients count the same flags, so the
+    alarm rule applied column-wise gives the same verdicts.  Every field
+    is a plain Python number, as the Detector's are.
+    """
+    dc = trace.danger(config.ret)
+    alarm = ~trace.warmup & (dc > config.alpha) & (trace.are > config.beta)
+    return list(map(
+        StepVerdict, trace.steps.tolist(), trace.actual.tolist(),
+        trace.predicted.tolist(), trace.re.tolist(),
+        (trace.re > config.ret).tolist(), dc.tolist(), trace.are.tolist(),
+        alarm.tolist(), trace.warmup.tolist()))
+
+
 @main.command(name="detect")
 @click.argument("model_path", metavar="MODEL",
                 type=click.Path(exists=True, dir_okay=False))
@@ -362,13 +380,11 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
         click.echo("warning: series shorter than lag+mat; "
                    "all verdicts are warmup", err=True)
     if len(series) >= params.input_dim + 1:
-        pairs = prediction_pairs(params, scaler, series)
+        verdicts = _replay_verdicts(
+            replay_trace(_prediction_table(params, scaler, series),
+                         config.mat, config.epsilon_floor), config)
     else:
-        pairs = []
-
-    detector = Detector(config)
-    verdicts = [detector.step(step, actual, predicted)
-                for step, actual, predicted in pairs]
+        verdicts = []
     write_verdicts(output, verdicts)
     events = segment_alarms(verdicts)
     alarms_path = f"{output}.alarms.csv"
@@ -382,7 +398,7 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
                             "detector": config.to_text()})
     click.echo(f"wrote {len(verdicts)} verdicts, {len(events)} alarm events")
     if labeled:
-        report = evaluate(verdicts, data.attack_intervals)
+        report = evaluate_events(events, data.attack_intervals)
         click.echo(
             f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
             f"false_alarms={report.false_alarms} "

@@ -1,12 +1,17 @@
 """Streaming collective-anomaly decision engine.
 
 Each incoming (actual, predicted) pair yields a relative error; a
-fixed-capacity circular array keeps the most recent ``mat`` errors.  The
+fixed-capacity circular list keeps the most recent ``mat`` errors.  The
 step raises a collective alarm when both window statistics exceed their
 thresholds: the fraction of window errors above ``ret`` must exceed
 ``alpha`` and the window's mean error must exceed ``beta``.  All three
 comparisons are strict.  No alarm is possible before the window has
 filled once (warmup).
+
+``calibration.replay_trace`` computes the same per-step statistics for a
+whole stream with array operations, bit for bit equal to this streaming
+form; ``synwatch detect`` builds its verdicts from that trace, and
+``Detector`` is the online form of the same rule.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import math
 import re as _re
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DataError
 
@@ -68,18 +71,25 @@ class DetectorConfig:
 
 
 class ErrorRing:
-    """Fixed-capacity circular buffer of the most recent relative errors."""
+    """Fixed-capacity circular buffer of the most recent relative errors.
+
+    The slots are a plain list of floats: one push and both window
+    statistics stay in Python scalars, which is cheaper per step than
+    numpy calls on an array this small.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.slots = np.zeros(capacity)
+        self.slots = [0.0] * capacity
         self.write_index = 0
         self.filled = 0
 
     def push(self, re_value: float) -> None:
         """Store one error, evicting the oldest once full."""
+        if not math.isfinite(re_value):
+            raise DataError(f"non-finite relative error {re_value!r}")
         if re_value < 0:
             raise ValueError("relative errors are non-negative")
         self.slots[self.write_index] = re_value
@@ -91,16 +101,15 @@ class ErrorRing:
     def full(self) -> bool:
         return self.filled == self.capacity
 
-    def values_oldest_to_newest(self) -> np.ndarray:
+    def values_oldest_to_newest(self) -> list[float]:
         if not self.full:
             # before the first wrap, insertion order is slot order
-            return self.slots[:self.filled].copy()
-        return np.concatenate(
-            (self.slots[self.write_index:], self.slots[:self.write_index]))
+            return self.slots[:self.filled]
+        return self.slots[self.write_index:] + self.slots[:self.write_index]
 
     def copy(self) -> "ErrorRing":
         dup = ErrorRing(self.capacity)
-        dup.slots = self.slots.copy()
+        dup.slots = list(self.slots)
         dup.write_index = self.write_index
         dup.filled = self.filled
         return dup
@@ -120,13 +129,20 @@ def danger_coefficient(ring: ErrorRing, ret: float) -> float:
     ring has filled."""
     if not ring.full:
         raise WarmupError("ring not yet full")
-    n_anomalous = int(np.sum(ring.slots > ret))
+    n_anomalous = 0
+    for value in ring.slots:
+        if value > ret:
+            n_anomalous += 1
     return n_anomalous / ring.capacity
 
 
 def averaged_relative_error(ring: ErrorRing) -> float:
     """Mean of the ring's errors, summed oldest to newest so the result is
-    bit-identical to a plain running-suffix recomputation."""
+    bit-identical to a plain running-suffix recomputation.
+
+    The explicit ``+=`` loop fixes the order and precision of the sum:
+    the built-in ``sum`` of floats is compensated from Python 3.12 on and
+    would round differently."""
     if not ring.full:
         raise WarmupError("ring not yet full")
     total = 0.0
@@ -175,12 +191,19 @@ class Detector:
         return Detector(self.config, self.ring.copy(), self.last_step)
 
     def step(self, step: int, actual: float, predicted: float) -> StepVerdict:
+        """Verdict for one (actual, predicted) pair; rejects a step that
+        does not follow the previous one (ValueError) and a non-finite
+        value or relative error (DataError), leaving the state as it was."""
         if self.last_step is not None and step <= self.last_step:
             raise ValueError(
                 f"step {step} not after previous step {self.last_step}")
-        self.last_step = step
         cfg = self.config
         re_value = relative_error(actual, predicted, cfg.epsilon_floor)
+        # A non-finite actual or predicted value makes re non-finite too.
+        if not math.isfinite(re_value):
+            raise DataError("non-finite actual, predicted or relative error "
+                            f"at step {step}")
+        self.last_step = step
         self.ring.push(re_value)
         warmup = not self.ring.full
         if warmup:

@@ -314,8 +314,9 @@ def _read_block(lines: list[str], cursor: int, name: str, rows: int,
 
 def load_model(path) -> LstmParams:
     """Read a v2 model file, or a v1 file whose recurrent and forget-gate
-    blocks are checked and dropped; rejects unknown versions, bad shapes
-    and non-finite values."""
+    blocks are checked and dropped; rejects unknown versions, an input_dim
+    outside 1-3 or a hidden_dim below 1, bad shapes and non-finite
+    values."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     version = lines[0].strip() if lines else "<empty>"
@@ -327,6 +328,10 @@ def load_model(path) -> LstmParams:
         hidden_dim = int(dims["hidden_dim"])
     except (IndexError, KeyError, ValueError):
         raise DataError("malformed model dimension line") from None
+    if input_dim not in (1, 2, 3) or hidden_dim < 1:
+        raise DataError(
+            f"model dimensions input_dim={input_dim} hidden_dim={hidden_dim} "
+            "out of range: input_dim must be 1, 2 or 3 and hidden_dim >= 1")
 
     cursor = 2
     fields = {}

@@ -441,7 +441,11 @@ def save_series(path, data, seed: int | None = None) -> None:
 
 def load_series(path):
     """Read a series CSV back; returns LabeledTimeSeries when a label
-    column is present, TimeSeries otherwise."""
+    column is present, TimeSeries otherwise.
+
+    The cadence is the gap between the first two timestamps; every row
+    must sit on it and carry its 0-based position in the ``step`` column.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     while lines and lines[0].lstrip().startswith("#"):
@@ -453,7 +457,7 @@ def load_series(path):
         raise DataError(f"{path}: expected header step,timestamp,count[,label]")
     labeled = len(header) > 3 and header[3] == "label"
 
-    timestamps: list[datetime] = []
+    start = previous = delta = None
     values: list[float] = []
     labels: list[bool] = []
     for row_no, line in enumerate(lines[1:], start=1):
@@ -461,10 +465,27 @@ def load_series(path):
         if len(parts) < (4 if labeled else 3):
             raise DataError(f"{path}: malformed row {row_no}")
         try:
-            timestamps.append(_parse_timestamp(parts[1]))
+            step_no = int(parts[0])
+            timestamp = _parse_timestamp(parts[1])
             count = float(parts[2])
         except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: {exc}") from None
+        if step_no != row_no - 1:
+            raise DataError(
+                f"{path}: row {row_no}: step {step_no}, expected {row_no - 1}")
+        if previous is None:
+            start = timestamp
+        elif delta is None:
+            delta = timestamp - previous
+            if delta <= timedelta(0):
+                raise DataError(f"{path}: non-increasing timestamps")
+        elif timestamp - previous != delta:
+            # datetime arithmetic is exact: equal gaps are an exact cadence
+            expected = start + (row_no - 1) * delta
+            raise DataError(
+                f"{path}: row {row_no}: timestamp {timestamp.isoformat()} is "
+                f"off the cadence, expected {expected.isoformat()}")
+        previous = timestamp
         if not math.isfinite(count) or count < 0:
             kind = "negative" if math.isfinite(count) else "non-finite"
             raise DataError(
@@ -478,13 +499,8 @@ def load_series(path):
     if not values:
         raise DataError(f"{path}: no data rows")
 
-    if len(timestamps) >= 2:
-        step = (timestamps[1] - timestamps[0]).total_seconds()
-        if step <= 0:
-            raise DataError(f"{path}: non-increasing timestamps")
-    else:
-        step = 1.0
-    series = TimeSeries(start_time=timestamps[0], step_duration=step,
+    step = delta.total_seconds() if delta is not None else 1.0
+    series = TimeSeries(start_time=start, step_duration=step,
                         values=np.asarray(values))
     if not labeled:
         return series

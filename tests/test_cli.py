@@ -366,6 +366,42 @@ class TestDetect:
         assert "row 101" in result.output
         assert not out.exists()
 
+    def test_model_dimensions_out_of_range_is_data_error(self, runner,
+                                                         workspace, tmp_path):
+        # every block empty, as the dimensions allow: this used to load,
+        # and detect then died with a traceback and exit 1
+        model = tmp_path / "zero.txt"
+        model.write_text("lstm-model v2\ninput_dim=0 hidden_dim=0\n"
+                         "W_i\nb_i\n\nW_o\nb_o\n\nW_g\nb_g\n\nw_y\n\n"
+                         "b_y\n0.5\n")
+        (tmp_path / "zero.txt.scaler").write_text("offset=0 scale=1\n")
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["detect", str(model),
+                                      workspace["config"], workspace["test"],
+                                      "-o", str(out)])
+        assert result.exit_code == 3
+        assert "model dimensions input_dim=0 hidden_dim=0" in result.output
+        assert not out.exists()
+
+    def test_off_cadence_series_is_data_error(self, runner, workspace,
+                                              tmp_path):
+        from pathlib import Path
+        lines = Path(workspace["test"]).read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("100,"))
+        # swap the timestamps of steps 100 and 101
+        a, b = lines[row].split(","), lines[row + 1].split(",")
+        a[1], b[1] = b[1], a[1]
+        lines[row], lines[row + 1] = ",".join(a), ",".join(b)
+        bad = tmp_path / "test-swapped.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["detect", workspace["model"],
+                                      workspace["config"], str(bad),
+                                      "-o", str(out)])
+        assert result.exit_code == 3
+        assert "row 101: timestamp" in result.output
+        assert not out.exists()
+
     def test_detect_deterministic_outputs(self, runner, workspace, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

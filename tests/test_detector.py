@@ -51,6 +51,14 @@ class TestErrorRing:
         with pytest.raises(ValueError):
             ring.push(-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        ring = ErrorRing(2)
+        ring.push(0.5)
+        with pytest.raises(DataError, match="non-finite relative error"):
+            ring.push(bad)
+        assert ring.filled == 1 and ring.values_oldest_to_newest() == [0.5]
+
     def test_contents_match_full_history_suffix(self, rng):
         # oracle: plain list keeping everything, compare the suffix
         for capacity in (1, 3, 7, 12):
@@ -63,6 +71,15 @@ class TestErrorRing:
                 expected = history[-min(len(history), capacity):]
                 np.testing.assert_array_equal(
                     ring.values_oldest_to_newest(), expected)
+
+
+def left_to_right_sum(values):
+    # The ring's summation order.  The built-in sum() of floats is
+    # compensated from Python 3.12 on and rounds differently.
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def full_ring(values):
@@ -109,7 +126,8 @@ class TestWindowStatistics:
             ring.push(v)
             if idx >= 11:
                 window = values[idx - 11:idx + 1]
-                assert averaged_relative_error(ring) == sum(window) / 12
+                assert averaged_relative_error(ring) == \
+                    left_to_right_sum(window) / 12
 
     def test_ring_oracle_equivalence_bitwise(self, rng):
         # acceptance-grade property: DC and ARE equal a full-history-suffix
@@ -126,7 +144,7 @@ class TestWindowStatistics:
                 history.append(float(v))
             window = history[-mat:]
             dc_oracle = sum(1 for v in window if v > ret) / mat
-            are_oracle = sum(window) / mat
+            are_oracle = left_to_right_sum(window) / mat
             assert danger_coefficient(ring, ret) == dc_oracle
             assert averaged_relative_error(ring) == are_oracle
 
@@ -195,6 +213,22 @@ class TestDetectorStep:
         with pytest.raises(ValueError):
             detector.step(4, 1.0, 1.0)
         detector.step(7, 1.0, 1.0)  # gaps are fine, regressions are not
+
+    @pytest.mark.parametrize("actual, predicted", [
+        (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+        (1.0, float("-inf")),
+        (0.0, 1e308)])  # finite inputs whose error overflows the floor
+    def test_non_finite_rejected_and_state_kept(self, actual, predicted):
+        # a NaN actual used to make are NaN, and so silence every alarm,
+        # for the next mat steps
+        config = DetectorConfig(ret=0.5, beta=0.5, mat=4, alpha=0.5)
+        detector, reference = Detector(config), Detector(config)
+        drive(detector, [0.9, 0.9, 0.9])
+        drive(reference, [0.9, 0.9, 0.9])
+        with pytest.raises(DataError, match="non-finite .* at step 3"):
+            detector.step(3, actual, predicted)
+        assert detector.step(3, 1.0, 0.1) == reference.step(3, 1.0, 0.1)
+        assert detector.step(4, 1.0, 0.1).collective_alarm
 
     def test_state_transfer_resumes_identically(self, rng):
         config = DetectorConfig(ret=0.4, beta=0.3, mat=5, alpha=0.5)

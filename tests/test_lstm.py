@@ -494,6 +494,18 @@ class TestModelFile:
                                             f"'{block}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("dims", [
+        "input_dim=0 hidden_dim=0", "input_dim=4 hidden_dim=2",
+        "input_dim=1 hidden_dim=0", "input_dim=2 hidden_dim=-1"])
+    def test_dimensions_out_of_range_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.txt"
+        save_model(path, init_params(1, 2, rng_seed=0))
+        lines = path.read_text().splitlines()
+        lines[1] = dims
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"model dimensions {dims} "):
+            load_model(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(path, init_params(1, 2, rng_seed=0))

@@ -349,6 +349,49 @@ class TestSeriesFiles:
         with pytest.raises(DataError, match=f"row 3: {kind} count"):
             load_series(path)
 
+    @staticmethod
+    def write_rows(path, rows):
+        path.write_text("step,timestamp,count\n" + "".join(
+            f"{step},{(T0 + timedelta(seconds=sec)).isoformat()},1\n"
+            for step, sec in rows))
+
+    @pytest.mark.parametrize("seconds, row", [
+        ((0, 1, 5, 2), 3), ((0, 1, 5, 2, 3, 4), 3), ((0, 1, 2, 4, 5), 4),
+        ((0, 2, 4, 5), 4), ((0, 1, 2, 2), 4), ((0, 1, 2, 3, 1), 5)])
+    def test_off_cadence_timestamp_rejected(self, tmp_path, seconds, row):
+        path = tmp_path / "series.csv"
+        self.write_rows(path, enumerate(seconds))
+        expected = (T0 + timedelta(
+            seconds=(row - 1) * (seconds[1] - seconds[0]))).isoformat()
+        with pytest.raises(DataError, match=f"row {row}: timestamp .* off "
+                                            f"the cadence, expected "
+                                            f"{expected}"):
+            load_series(path)
+
+    @pytest.mark.parametrize("steps, row", [
+        ((1, 2, 3), 1), ((0, 1, 3, 3), 3), ((0, 1, 1), 3), ((0, 2), 2),
+        ((5,), 1)])
+    def test_step_column_must_count_rows(self, tmp_path, steps, row):
+        path = tmp_path / "series.csv"
+        self.write_rows(path, ((step, i) for i, step in enumerate(steps)))
+        with pytest.raises(DataError, match=f"row {row}: step "
+                                            f"{steps[row - 1]}, expected "
+                                            f"{row - 1}"):
+            load_series(path)
+
+    @pytest.mark.parametrize("token", ["1.0", "x", ""])
+    def test_non_integer_step_rejected(self, tmp_path, token):
+        path = tmp_path / "series.csv"
+        self.write_rows(path, [(0, 0), (token, 1)])
+        with pytest.raises(DataError, match="row 2:"):
+            load_series(path)
+
+    def test_repeated_first_timestamp_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        self.write_rows(path, [(0, 0), (1, 0), (2, 1)])
+        with pytest.raises(DataError, match="non-increasing"):
+            load_series(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -3.0])
     def test_time_series_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
