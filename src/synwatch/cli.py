@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -159,6 +160,15 @@ def ingest(packets, step_seconds, start_text, end_text, output):
                f"({int(series.values.sum())} packets) -> {output}")
 
 
+def _train_config(**fields) -> TrainConfig:
+    """TrainConfig from command flags; an invalid value (such as a
+    non-finite or non-positive --lr or --clip) is a usage error."""
+    try:
+        return TrainConfig(**fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _load_training_series(path):
     data = load_series(path)
     if isinstance(data, LabeledTimeSeries):
@@ -188,13 +198,11 @@ def _load_training_series(path):
 @_handle_errors
 def train_cmd(series_path, lag, hidden, lr, epochs, clip, seed, output):
     """Train the next-step predictor on a normal-only series."""
-    if lr <= 0:
-        raise click.UsageError("--lr must be positive")
+    config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
+                           lag=lag, rng_seed=seed, gradient_clip=clip)
     series = _load_training_series(series_path)
     scaler = fit_scaler(series)
     windows = scale_windows(build_windows(series, lag), scaler)
-    config = TrainConfig(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
-                         lag=lag, rng_seed=seed, gradient_clip=clip)
     params, report = train(config, windows)
     save_model(output, params)
     save_scaler(f"{output}.scaler", scaler)
@@ -230,16 +238,14 @@ main.add_command(train_cmd, name="train")
 @_handle_errors
 def compare_lags(series_path, hidden, lr, epochs, seed, output):
     """Train once per lag width (1, 2, 3) and tabulate loss and runtime."""
-    if lr <= 0:
-        raise click.UsageError("--lr must be positive")
+    config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
+                           rng_seed=seed)
     series = _load_training_series(series_path)
     scaler = fit_scaler(series)
     rows = []
     for lag in (1, 2, 3):
         windows = scale_windows(build_windows(series, lag), scaler)
-        config = TrainConfig(learning_rate=lr, epochs=epochs,
-                             hidden_dim=hidden, lag=lag, rng_seed=seed)
-        _, report = train(config, windows)
+        _, report = train(replace(config, lag=lag), windows)
         rows.append((lag, report.epoch_losses[-1], report.wall_seconds))
     lines = ["lag,final_loss,seconds"]
     lines += [f"{lag},{loss:.17g},{secs:.6f}" for lag, loss, secs in rows]

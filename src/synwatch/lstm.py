@@ -11,13 +11,14 @@ descent; 64-bit floats throughout.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DivergenceError
-from .kernels import loss_and_grads_numpy, predict_batch_numpy
+from .kernels import _GradWork, loss_and_grads_numpy, predict_batch_numpy
 from .pipeline import WindowSet
 
 #: Matrix/vector fields in canonical order (model file block order).
@@ -73,16 +74,21 @@ class TrainConfig:
     gradient_clip: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(
+                f"learning_rate must be finite and positive, "
+                f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lag not in (1, 2, 3):
             raise ValueError("lag must be 1, 2 or 3")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if self.gradient_clip is not None and self.gradient_clip <= 0:
-            raise ValueError("gradient_clip must be positive when set")
+        if self.gradient_clip is not None \
+                and not (0 < self.gradient_clip < math.inf):
+            raise ValueError(
+                f"gradient_clip must be finite and positive when set, "
+                f"got {self.gradient_clip}")
 
 
 @dataclass
@@ -231,7 +237,8 @@ def train(config: TrainConfig,
 
     Deterministic for a fixed seed.  Each epoch records the loss at the
     parameters before that epoch's update.  Non-finite parameters abort
-    with a DivergenceError naming the epoch.
+    with a DivergenceError naming the epoch.  The gradient kernel runs in
+    one set of work buffers for all epochs.
     """
     if windows.lag != config.lag:
         raise ValueError(
@@ -245,11 +252,12 @@ def train(config: TrainConfig,
     lr = config.learning_rate
     clip = config.gradient_clip
     losses = np.empty(config.epochs)
+    work = _GradWork(len(x), config.lag, config.hidden_dim)
 
     start = time.perf_counter()
     for epoch in range(config.epochs):
         losses[epoch], _, *grad_arrays, grad_b_y = loss_and_grads_numpy(
-            x, y, *param_arrays, params.b_y)
+            x, y, *param_arrays, params.b_y, work=work)
         if clip is not None:
             grad_arrays = tuple(np.clip(g, -clip, clip) for g in grad_arrays)
             grad_b_y = min(max(grad_b_y, -clip), clip)

@@ -183,6 +183,18 @@ class TestTrain:
         assert result.exit_code == 3
         assert "normal data" in result.output
 
+    @pytest.mark.parametrize("flag", ["--lr", "--clip"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_rate_or_clip_is_usage_error(self, runner, workspace,
+                                             tmp_path, flag, value):
+        model = tmp_path / "m.txt"
+        result = runner.invoke(main, ["train", workspace["train"],
+                                      "--epochs", "2", "--hidden", "2",
+                                      flag, value, "-o", str(model)])
+        assert result.exit_code == 2
+        assert "finite and positive" in result.output
+        assert not model.exists()
+
 
 class TestCompareLags:
     def test_table_shape_and_determinism(self, runner, workspace, tmp_path):
@@ -201,6 +213,17 @@ class TestCompareLags:
         assert [r.split(",")[1] for r in rows_a[1:]] == \
             [r.split(",")[1] for r in rows_b[1:]]
         assert all(float(r.split(",")[2]) > 0 for r in rows_a[1:])
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_rate_is_usage_error(self, runner, workspace, tmp_path,
+                                     value):
+        table = tmp_path / "t.csv"
+        result = runner.invoke(main, ["compare-lags", workspace["train"],
+                                      "--epochs", "2", "--hidden", "2",
+                                      "--lr", value, "-o", str(table)])
+        assert result.exit_code == 2
+        assert "finite and positive" in result.output
+        assert not table.exists()
 
 
 class TestCalibrate:

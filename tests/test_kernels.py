@@ -1,0 +1,230 @@
+"""The numpy kernels against the plain allocating formula, bit for bit, and
+the memory they allocate."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synwatch import lstm
+from synwatch.kernels import (_GradWork, loss_and_grads_numpy,
+                              predict_batch_numpy)
+from synwatch.lstm import (PARAM_FIELDS, TrainConfig, init_params,
+                           predict_windows, train)
+from synwatch.pipeline import WindowSet
+
+from conftest import make_window_set
+
+#: The train-default shape: windows of 2,000 steps at lag 3, hidden 23.
+N, LAG, HIDDEN = 1997, 3, 23
+NH_BYTES = N * HIDDEN * 8
+
+
+def reference_predict(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
+    """The cell formula with a fresh array for every intermediate."""
+    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + b_i)))
+    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + b_o)))
+    g = np.tanh(x @ W_g.T + b_g)
+    h = o * np.tanh(i * g)
+    return h @ w_y + b_y
+
+
+def reference_loss_and_grads(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
+    """Loss and gradients with a fresh array for every intermediate."""
+    n = x.shape[0]
+    i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + b_i)))
+    o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + b_o)))
+    g = np.tanh(x @ W_g.T + b_g)
+    c = i * g
+    tc = np.tanh(c)
+    h = o * tc
+    pred = h @ w_y + b_y
+
+    resid = pred - y
+    loss = np.mean(resid * resid)
+
+    dpred = (2.0 / n) * resid
+    dw_y = h.T @ dpred
+    db_y = np.sum(dpred)
+
+    dh = dpred.reshape(-1, 1) * w_y.reshape(1, -1)
+    do = dh * tc
+    dc = dh * o * (1.0 - tc * tc)
+    dpre_o = do * o * (1.0 - o)
+    dpre_i = (dc * g) * i * (1.0 - i)
+    dpre_g = (dc * i) * (1.0 - g * g)
+
+    return (loss, pred,
+            dpre_i.T @ x, np.sum(dpre_i, axis=0),
+            dpre_o.T @ x, np.sum(dpre_o, axis=0),
+            dpre_g.T @ x, np.sum(dpre_g, axis=0),
+            dw_y, db_y)
+
+
+def bits(values):
+    """Every value's bytes, so that equality is bit for bit (-0.0 and NaN
+    payloads included)."""
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+def random_case(seed, n, k, hidden, scale):
+    """Inputs, targets and the nine parameters, weights of size ``scale``."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, k))
+    y = rng.uniform(0.0, 1.0, size=n)
+    params = []
+    for _ in range(3):
+        params += [rng.uniform(-scale, scale, size=(hidden, k)),
+                   rng.uniform(-scale, scale, size=hidden)]
+    params += [rng.uniform(-2.0, 2.0, size=hidden), float(rng.normal())]
+    return x, y, params
+
+
+shapes = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+              k=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 30),
+              scale=st.sampled_from((0.1, 1.0, 4.0)))
+
+
+class TestKernelsMatchReference:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(**shapes)
+    def test_loss_and_grads_bit_identical(self, seed, n, k, hidden, scale):
+        x, y, params = random_case(seed, n, k, hidden, scale)
+        expected = bits(reference_loss_and_grads(x, y, *params))
+        assert bits(loss_and_grads_numpy(x, y, *params)) == expected
+        work = _GradWork(n, k, hidden)
+        assert bits(loss_and_grads_numpy(x, y, *params, work=work)) \
+            == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(**shapes)
+    def test_predict_batch_bit_identical(self, seed, n, k, hidden, scale):
+        x, _, params = random_case(seed, n, k, hidden, scale)
+        assert bits([predict_batch_numpy(x, *params)]) \
+            == bits([reference_predict(x, *params)])
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
+           n=st.integers(1, 200), k=st.sampled_from((1, 2, 3)),
+           hidden=st.integers(1, 30))
+    def test_reused_work_matches_fresh_calls(self, seeds, n, k, hidden):
+        # New parameters and targets on every call: nothing a call leaves
+        # in the buffers may reach the next call's results.
+        work = _GradWork(n, k, hidden)
+        for seed in seeds:
+            x, y, params = random_case(seed, n, k, hidden, 1.0)
+            assert bits(loss_and_grads_numpy(x, y, *params, work=work)) \
+                == bits(loss_and_grads_numpy(x, y, *params))
+
+    def test_outputs_are_views_into_work(self):
+        x, y, params = random_case(3, 10, 2, 4, 1.0)
+        work = _GradWork(10, 2, 4)
+        _, pred, dW_i, *_, dw_y, _ = loss_and_grads_numpy(
+            x, y, *params, work=work)
+        assert pred is work.pred
+        assert dW_i is work.dW_i
+        assert dw_y is work.dw_y
+
+
+def reference_train(config: TrainConfig, windows: WindowSet):
+    """Plain gradient descent through the allocating reference kernel."""
+    params = init_params(config.lag, config.hidden_dim, config.rng_seed)
+    x, y = windows.inputs, windows.targets
+    clip, lr = config.gradient_clip, config.learning_rate
+    losses = []
+    for _ in range(config.epochs):
+        loss, _, *grads, grad_b_y = reference_loss_and_grads(
+            x, y, *params.arrays(), params.b_y)
+        if clip is not None:
+            grads = [np.clip(grad, -clip, clip) for grad in grads]
+            grad_b_y = min(max(grad_b_y, -clip), clip)
+        for name, grad in zip(PARAM_FIELDS, grads):
+            setattr(params, name, getattr(params, name) - lr * grad)
+        params.b_y = params.b_y - lr * grad_b_y
+        losses.append(loss)
+    return params, np.array(losses)
+
+
+class TestTrainDeterminism:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           lag=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 12),
+           epochs=st.integers(1, 12),
+           learning_rate=st.sampled_from((0.01, 0.5)),
+           clip=st.sampled_from((None, 0.05, 1.0)))
+    def test_train_matches_reference_loop(self, seed, n, lag, hidden, epochs,
+                                          learning_rate, clip):
+        windows = make_window_set(np.random.default_rng(seed), lag, n)
+        config = TrainConfig(learning_rate=learning_rate, epochs=epochs,
+                             hidden_dim=hidden, lag=lag, rng_seed=seed,
+                             gradient_clip=clip)
+        params, report = train(config, windows)
+        expected, losses = reference_train(config, windows)
+        assert bits(report.epoch_losses) == bits(losses)
+        assert bits(params.arrays()) == bits(expected.arrays())
+        assert bits([params.b_y]) == bits([expected.b_y])
+
+
+def traced_peak(fn, *args):
+    """Traced bytes that ``fn(*args)`` allocated at its peak, above what was
+    allocated when it was called."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def default_windows():
+    return make_window_set(np.random.default_rng(0), LAG, N)
+
+
+class TestAllocation:
+    """Traced peaks at the train-default shape, in units of one (n, hidden)
+    float64 array (``NH_BYTES``).  The reference formulas above, which
+    allocate every intermediate, peak at about 14 such arrays in ``train``
+    and 5 in ``predict_windows``."""
+
+    def test_train_epochs_allocate_no_window_array(self, default_windows,
+                                                   monkeypatch):
+        # ``train`` calls the kernel by its module-global name; measure each
+        # call's traced peak above what was allocated when it began.
+        growth = []
+
+        def kernel(*args, **kwargs):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = loss_and_grads_numpy(*args, **kwargs)
+            growth.append(tracemalloc.get_traced_memory()[1] - base)
+            return result
+        monkeypatch.setattr(lstm, "loss_and_grads_numpy", kernel)
+        tracemalloc.start()
+        try:
+            train(TrainConfig(epochs=5), default_windows)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 5
+        assert max(growth) < NH_BYTES
+
+    def test_train_peak_is_bounded_and_flat_in_epochs(self, default_windows):
+        def run(epochs):
+            train(TrainConfig(epochs=epochs), default_windows)
+        short, long = traced_peak(run, 2), traced_peak(run, 100)
+        assert long < 8 * NH_BYTES
+        # Only the loss curve (8 bytes an epoch) and Python's small-object
+        # free lists grow with the epochs.
+        assert long - short < NH_BYTES // 4
+
+    def test_predict_windows_peak_is_bounded(self):
+        rng = np.random.default_rng(1)
+        n = 20000
+        x = rng.uniform(0.0, 1.0, size=(n, LAG))
+        params = init_params(LAG, HIDDEN, 0)
+        assert traced_peak(predict_windows, params, x) \
+            < 3 * n * HIDDEN * 8

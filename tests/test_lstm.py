@@ -1,7 +1,13 @@
 """Core predictor: initialization, forward pass, gradients, training, IO."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from synwatch.errors import DataError, DivergenceError
 from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
@@ -357,6 +363,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "gradient_clip"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_rate_and_clip_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TrainConfig(**{field: value})
+
     def test_lag_mismatch_rejected(self, rng):
         windows = make_window_set(rng, 2, 10)
         with pytest.raises(ValueError):
@@ -424,6 +436,32 @@ class TestModelFile:
         save_model(a, params)
         save_model(b, load_model(a))
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), input_dim=st.integers(1, 3),
+           hidden_dim=st.integers(1, 40))
+    def test_random_parameters_round_trip(self, data, input_dim, hidden_dim):
+        # Any finite float, with -0.0 and subnormals drawn often.
+        value = st.one_of(
+            st.sampled_from((-0.0, 5e-324, -1e-310, 2.2250738585072009e-308)),
+            st.floats(allow_nan=False, allow_infinity=False))
+        h, k = hidden_dim, input_dim
+        blocks = {name: data.draw(hnp.arrays(
+            np.float64, (h, k) if name[0] == "W" else h, elements=value))
+            for name in PARAM_FIELDS}
+        params = LstmParams(k, h, **blocks, b_y=data.draw(value))
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            save_model(a, params)
+            loaded = load_model(a)
+            save_model(b, loaded)
+            assert a.read_bytes() == b.read_bytes()
+        assert (loaded.input_dim, loaded.hidden_dim) == (k, h)
+        for name in PARAM_FIELDS:
+            assert getattr(loaded, name).tobytes() \
+                == getattr(params, name).tobytes()
+        assert np.float64(loaded.b_y).tobytes() \
+            == np.float64(params.b_y).tobytes()
 
     def test_header_and_version(self, tmp_path):
         path = tmp_path / "model.txt"
