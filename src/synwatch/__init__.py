@@ -17,9 +17,9 @@ from .errors import DataError, DivergenceError
 from .lstm import (LstmParams, TrainConfig, TrainReport, bptt_gradients,
                    finite_difference_gradient, init_params, load_model,
                    predict_window, predict_windows, save_model, train)
-from .pipeline import (LabeledTimeSeries, PacketRecord, Scaler, SynthConfig,
-                       TimeSeries, WindowSet, aggregate_counts, build_windows,
-                       fit_scaler, generate_synthetic, load_series,
-                       load_tshark_csv, save_series, split_protocol)
+from .pipeline import (LabeledTimeSeries, Scaler, SynthConfig, TimeSeries,
+                       WindowSet, aggregate_counts, build_windows, fit_scaler,
+                       generate_synthetic, load_series, load_tshark_csv,
+                       save_series, split_protocol)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,11 +27,11 @@ from .detector import DetectorConfig, StepVerdict, segment_alarms, \
     write_alarms, write_verdicts
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
-from .pipeline import (LabeledTimeSeries, SynthConfig, _parse_timestamp,
-                       aggregate_counts, build_windows, fit_scaler,
-                       generate_synthetic, load_scaler, load_series,
-                       load_tshark_csv, save_scaler, save_series,
-                       scale_windows, split_protocol)
+from .pipeline import (EPOCH, LabeledTimeSeries, SynthConfig,
+                       _parse_timestamp, _step_microseconds, aggregate_counts,
+                       build_windows, fit_scaler, generate_synthetic,
+                       load_scaler, load_series, load_tshark_csv, save_scaler,
+                       save_series, scale_windows, split_protocol)
 
 EXIT_DATA_ERROR = 3
 EXIT_DIVERGENCE = 4
@@ -115,6 +115,17 @@ def synth(length, attacks, baseline_mean, baseline_std, attack_min_len,
                f"attack intervals -> {output}")
 
 
+def _timestamp_flag(flag: str, text):
+    """A timestamp flag's value, or None when it is not given; a text
+    that is not a timestamp is a usage error."""
+    if text is None:
+        return None
+    try:
+        return _parse_timestamp(text)
+    except ValueError as exc:
+        raise click.UsageError(f"{flag}: {exc}")
+
+
 @main.command()
 @click.argument("packets", type=click.Path(exists=True, dir_okay=False))
 @click.option("--step-seconds", type=float, default=1.0, show_default=True,
@@ -127,28 +138,38 @@ def synth(length, attacks, baseline_mean, baseline_std, attack_min_len,
 @_handle_errors
 def ingest(packets, step_seconds, start_text, end_text, output):
     """Aggregate a tshark packet CSV into a per-step count series."""
-    if step_seconds <= 0:
-        raise click.UsageError("--step-seconds must be positive")
+    try:
+        _step_microseconds(step_seconds)
+    except ValueError as exc:
+        raise click.UsageError(f"--step-seconds: {exc}")
+    start = _timestamp_flag("--start", start_text)
+    end = _timestamp_flag("--end", end_text)
+    if start is not None and end is not None and start >= end:
+        raise click.UsageError("--start must precede --end")
+
     result = load_tshark_csv(packets)
-    click.echo(f"parsed {len(result.records)} records, "
+    stamps = result.timestamps_us
+    click.echo(f"parsed {len(stamps)} records, "
                f"rejected {len(result.rejected)} rows")
+    if result.rejected:
+        click.echo("rejected by reason: " + " ".join(
+            f"{reason}={count}"
+            for reason, count in result.rejected_by_reason.items()), err=True)
     for row_no, reason in result.rejected[:20]:
         click.echo(f"  rejected row {row_no}: {reason}", err=True)
 
-    if start_text is not None:
-        start = _parse_timestamp(start_text)
-    elif result.records:
-        start = result.records[0].timestamp
-    else:
-        raise DataError("no parseable records and no --start/--end given")
-    if end_text is not None:
-        end = _parse_timestamp(end_text)
-    elif result.records:
-        end = result.records[-1].timestamp + timedelta(microseconds=1)
-    else:
-        raise DataError("no parseable records and no --start/--end given")
+    if start is None or end is None:
+        if not len(stamps):
+            raise DataError("no parseable records and no --start/--end given")
+        if start is None:
+            start = EPOCH + timedelta(microseconds=int(stamps[0]))
+        if end is None:
+            end = EPOCH + timedelta(microseconds=int(stamps[-1]) + 1)
+        if start >= end:
+            raise DataError(f"range start {start.isoformat()} does not "
+                            f"precede range end {end.isoformat()}")
 
-    series = aggregate_counts(result.records, step_seconds, start, end)
+    series = aggregate_counts(stamps, step_seconds, start, end)
     save_series(output, series)
     _write_manifest(output, "ingest",
                     inputs={"packets": str(packets)},

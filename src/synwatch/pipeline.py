@@ -32,6 +32,15 @@ MIN_ATTACK_SEPARATION = 12
 
 DEFAULT_START_TIME = datetime(2000, 1, 1, 0, 0, 0)
 
+#: Zero of the int64 microsecond timestamps ``load_tshark_csv`` returns.
+EPOCH = datetime(1970, 1, 1)
+
+_MICROSECOND = timedelta(microseconds=1)
+
+#: Why ``load_tshark_csv`` rejects a row, in the order it checks.
+REJECT_REASONS = ("short_row", "bad_integer", "bad_timestamp",
+                  "negative_length")
+
 _MONTHS = {m: n for n, m in enumerate(
     ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"), start=1)}
@@ -43,18 +52,11 @@ _TSHARK_TIME_RE = _re.compile(
 
 
 @dataclass
-class PacketRecord:
-    frame_number: int
-    frame_len: int
-    timestamp: datetime
-    ip_proto: int
-
-
-@dataclass
 class IngestResult:
-    """Parsed packet records plus the rows that could not be parsed."""
-    records: list[PacketRecord]
+    """Accepted packet timestamps plus the rows that could not be parsed."""
+    timestamps_us: np.ndarray  # sorted int64 microseconds since EPOCH (UTC)
     rejected: list[tuple[int, str]]  # (1-based data row number, reason)
+    rejected_by_reason: dict[str, int]  # REJECT_REASONS -> rows
 
 
 @dataclass
@@ -119,8 +121,11 @@ class Scaler:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"scale must be finite and positive, got {self.scale!r}")
 
     def apply(self, x):
         return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
@@ -183,15 +188,21 @@ def _parse_timestamp(text: str) -> datetime:
 
     Fractions finer than microseconds are truncated; timezone names or
     offsets are dropped after normalizing to UTC when an offset is known.
+    A text whose offset takes it outside the datetime range is rejected.
     """
     text = text.strip()
     try:
         ts = datetime.fromisoformat(text)
-        if ts.tzinfo is not None:
-            ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-        return ts
     except ValueError:
         pass
+    else:
+        if ts.tzinfo is not None:
+            try:
+                ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+            except OverflowError:
+                raise ValueError(
+                    f"timestamp out of range in UTC: {text!r}") from None
+        return ts
     m = _TSHARK_TIME_RE.match(text)
     if m is None or m.group("mon") not in _MONTHS:
         raise ValueError(f"unrecognized timestamp: {text!r}")
@@ -201,13 +212,50 @@ def _parse_timestamp(text: str) -> datetime:
         int(m.group("h")), int(m.group("m")), int(m.group("s")), int(frac))
 
 
+def _timestamp_us_parser():
+    """A function from timestamp text to int microseconds since EPOCH that
+    accepts, rejects and values every text as ``_parse_timestamp`` does.
+
+    tshark's ``Mon DD, YYYY HH:MM:SS.f[ TZ]`` splits into the text up to
+    the whole second, the fraction digits and the zone suffix.  Within one
+    (prefix, suffix) key the fraction only adds its first six digits, so
+    the whole-second value is memoised; a key enters the memo only from a
+    full parse of a text that has it, so a bad text is still rejected with
+    the full parse's message.  Every other text, ISO-8601 included, takes
+    the full parse: ``datetime.fromisoformat`` reads an ISO text in less
+    time than the memo lookup takes.
+    """
+    tshark_shape = _re.compile(
+        r"([A-Z][a-z]{2} +\d{1,2}, +\d{4} +\d{1,2}:\d{2}:\d{2})\.(\d+)"
+        r"( +[A-Za-z_/+\-0-9]+)?", _re.ASCII).fullmatch
+    whole_seconds: dict[tuple, int] = {}
+
+    def to_us(text: str) -> int:
+        m = tshark_shape(text)
+        if m is None:
+            return (_parse_timestamp(text) - EPOCH) // _MICROSECOND
+        prefix, digits, suffix = m.groups()
+        frac = int(digits[:6].ljust(6, "0"))
+        whole = whole_seconds.get((prefix, suffix))
+        if whole is None:
+            whole = (_parse_timestamp(text) - EPOCH) // _MICROSECOND - frac
+            whole_seconds[prefix, suffix] = whole
+        return whole + frac
+    return to_us
+
+
 def load_tshark_csv(source) -> IngestResult:
-    """Parse a tshark field export into packet records.
+    """Parse a tshark field export into sorted packet timestamps.
 
     ``source`` may be a path or an open text/binary stream.  The header row
-    must name all four exported fields.  Malformed data rows are collected
-    in the result's ``rejected`` list with their 1-based row number instead
-    of being silently dropped.  Records come back sorted by timestamp.
+    must name all four exported fields.  A data row is accepted when it has
+    every field, integer ``frame.number``, ``frame.len`` and ``ip.proto``, a
+    non-negative ``frame.len`` and a timestamp ``_parse_timestamp`` reads.
+    Malformed rows are collected in the result's ``rejected`` list with
+    their 1-based row number instead of being silently dropped, and counted
+    per ``REJECT_REASONS`` entry.  Timestamps come back as one sorted int64
+    array of microseconds since ``EPOCH``, in UTC when the text had an
+    offset.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -223,60 +271,91 @@ def load_tshark_csv(source) -> IngestResult:
     except StopIteration:
         raise DataError("missing header: input file is empty") from None
     try:
-        cols = {name: header.index(name) for name in TSHARK_FIELDS}
+        cols = [header.index(name) for name in TSHARK_FIELDS]
     except ValueError:
         raise DataError(
             "missing header: expected columns "
             + ",".join(TSHARK_FIELDS) + f", got {','.join(header)}") from None
 
-    records: list[PacketRecord] = []
+    number_col, len_col, time_col, proto_col = cols
+    width = max(cols) + 1
+    to_us = _timestamp_us_parser()
+    stamps: list[int] = []
     rejected: list[tuple[int, str]] = []
-    width = max(cols.values()) + 1
+    by_reason = dict.fromkeys(REJECT_REASONS, 0)
+
+    def reject(row_no: int, reason: str, message: str) -> None:
+        rejected.append((row_no, message))
+        by_reason[reason] += 1
+
     for row_no, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) < width:
-            rejected.append((row_no, f"expected >= {width} fields, got {len(row)}"))
+            reject(row_no, "short_row",
+                   f"expected >= {width} fields, got {len(row)}")
             continue
         try:
-            records.append(PacketRecord(
-                frame_number=int(row[cols["frame.number"]].strip()),
-                frame_len=int(row[cols["frame.len"]].strip()),
-                timestamp=_parse_timestamp(row[cols["frame.time"]]),
-                ip_proto=int(row[cols["ip.proto"]].strip()),
-            ))
+            int(row[number_col].strip())
+            negative = int(row[len_col].strip()) < 0
         except ValueError as exc:
-            rejected.append((row_no, str(exc)))
+            reject(row_no, "bad_integer", str(exc))
             continue
-        if records[-1].frame_len < 0:
-            rejected.append((row_no, "negative frame.len"))
-            records.pop()
-    records.sort(key=lambda r: r.timestamp)
-    return IngestResult(records=records, rejected=rejected)
+        try:
+            us = to_us(row[time_col])
+        except ValueError as exc:
+            reject(row_no, "bad_timestamp", str(exc))
+            continue
+        try:
+            int(row[proto_col].strip())
+        except ValueError as exc:
+            reject(row_no, "bad_integer", str(exc))
+            continue
+        if negative:
+            reject(row_no, "negative_length", "negative frame.len")
+            continue
+        stamps.append(us)
+    timestamps_us = np.array(stamps, dtype=np.int64)
+    timestamps_us.sort()
+    return IngestResult(timestamps_us=timestamps_us, rejected=rejected,
+                        rejected_by_reason=by_reason)
 
 
-def aggregate_counts(records, step_duration: float,
-                     start: datetime, end: datetime) -> TimeSeries:
-    """Count records per step over [start, end).
-
-    Step ``i`` covers [start + i*step, start + (i+1)*step); records outside
-    [start, end) are ignored.  The series has ceil((end-start)/step) steps.
-    """
-    if step_duration <= 0:
-        raise ValueError("step_duration must be positive")
-    if start >= end:
-        raise ValueError("start must precede end")
-    step_us = round(step_duration * 1e6)
+def _step_microseconds(step_duration: float) -> int:
+    """A step duration in whole microseconds, the resolution of
+    ``aggregate_counts``; it must be finite and round to at least 1."""
+    scaled = step_duration * 1e6
+    if not 0 < scaled < math.inf:
+        raise ValueError(f"step_duration must be finite and positive, "
+                         f"got {step_duration!r}")
+    step_us = round(scaled)
     if step_us < 1:
         raise ValueError("step_duration below microsecond resolution")
-    total_us = (end - start) // timedelta(microseconds=1)
+    return step_us
+
+
+def aggregate_counts(timestamps_us, step_duration: float,
+                     start: datetime, end: datetime) -> TimeSeries:
+    """Count packet timestamps (int microseconds since ``EPOCH``) per step
+    over [start, end).
+
+    Step ``i`` covers [start + i*step, start + (i+1)*step); timestamps
+    outside [start, end) are ignored.  The series has
+    ceil((end-start)/step) steps.
+    """
+    step_us = _step_microseconds(step_duration)
+    if start >= end:
+        raise ValueError("start must precede end")
+    total_us = (end - start) // _MICROSECOND
     n_steps = -(-total_us // step_us)  # ceil
-    counts = np.zeros(n_steps, dtype=np.float64)
-    for record in records:
-        offset_us = (record.timestamp - start) // timedelta(microseconds=1)
-        if 0 <= offset_us < total_us:
-            counts[offset_us // step_us] += 1.0
-    return TimeSeries(start_time=start, step_duration=step_duration, values=counts)
+    offsets = (np.asarray(timestamps_us, dtype=np.int64)
+               - (start - EPOCH) // _MICROSECOND)
+    offsets = offsets[(offsets >= 0) & (offsets < total_us)]
+    # capped so that a step beyond int64 cannot overflow; a step longer
+    # than the range puts every offset in step 0 either way
+    counts = np.bincount(offsets // min(step_us, total_us), minlength=n_steps)
+    return TimeSeries(start_time=start, step_duration=step_duration,
+                      values=counts.astype(np.float64))
 
 
 def fit_scaler(series: TimeSeries) -> Scaler:
@@ -523,4 +602,7 @@ def load_scaler(path) -> Scaler:
     m = _re.fullmatch(r"offset=(\S+) scale=(\S+)", text)
     if m is None:
         raise DataError(f"{path}: not a scaler file")
-    return Scaler(offset=float(m.group(1)), scale=float(m.group(2)))
+    try:
+        return Scaler(offset=float(m.group(1)), scale=float(m.group(2)))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

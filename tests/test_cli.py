@@ -109,6 +109,7 @@ class TestIngest:
                                       "--step-seconds", "1", "-o", str(out)])
         assert result.exit_code == 0
         assert "parsed 1000 records, rejected 0 rows" in result.output
+        assert "rejected by reason" not in result.output
         series = load_series(out)
         assert series.values.sum() == 1000
 
@@ -138,6 +139,66 @@ class TestIngest:
                                       "-o", str(tmp_path / "out.csv")])
         assert result.exit_code == 3
         assert "frame.time" in result.output
+
+    def test_rejections_counted_by_reason(self, runner, tmp_path):
+        packets = self.make_packets(tmp_path, n=50, bad_rows=25)
+        lines = packets.read_text().splitlines()
+        lines[40] = "short,row"
+        lines[41] = lines[41].replace(",60,", ",-60,")
+        packets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), "-o", str(out)])
+        assert result.exit_code == 0
+        assert "parsed 48 records, rejected 27 rows" in result.output
+        assert ("rejected by reason: short_row=1 bad_integer=0 "
+                "bad_timestamp=25 negative_length=1") in result.output
+        assert result.output.count("  rejected row ") == 20
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--start", "garbage"],
+         "--start: unrecognized timestamp: 'garbage'"),
+        (["--end", "1999-13-01T00:00:00"], "--end: unrecognized timestamp"),
+        (["--start", "0001-01-01T00:00:00+01:00"], "--start: timestamp out"),
+        (["--start", "1999-03-11T08:00:10", "--end", "1999-03-11T08:00:10"],
+         "--start must precede --end"),
+        (["--start", "1999-03-11T08:00:11", "--end", "1999-03-11T08:00:10"],
+         "--start must precede --end"),
+        (["--step-seconds", "1e-7"], "below microsecond resolution"),
+        (["--step-seconds", "nan"], "finite and positive"),
+        (["--step-seconds", "inf"], "finite and positive"),
+        (["--step-seconds", "0"], "finite and positive"),
+        (["--step-seconds", "-1"], "finite and positive"),
+    ])
+    def test_bad_flag_is_usage_error(self, runner, tmp_path, flags, message):
+        # the capture has no header, so a flag checked only after reading
+        # it would exit 3
+        packets = tmp_path / "packets.csv"
+        packets.write_text("x,y\n1,2\n")
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), *flags,
+                                      "-o", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--start", "2005-01-01T00:00:00"),
+        ("--start", "1999-03-11T08:00:04.000001"),
+        ("--end", "1999-03-11T08:00:01"),
+        ("--end", "1999-03-11T07:00:00")])
+    def test_range_ending_before_it_starts_is_data_error(self, runner,
+                                                         tmp_path, flag,
+                                                         value):
+        # the other end comes from the packets, 08:00:01 to 08:00:04
+        packets = tmp_path / "packets.csv"
+        packets.write_text(TSHARK_HEADER + "\n" + "".join(
+            f"{i},60,1999-03-11T08:00:0{i},6\n" for i in range(1, 5)))
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), flag, value,
+                                      "-o", str(out)])
+        assert result.exit_code == 3
+        assert "does not precede range end" in result.output
+        assert not out.exists()
 
 
 class TestTrain:
@@ -359,6 +420,22 @@ class TestDetect:
                                       "-o", str(tmp_path / "v.csv")])
         assert result.exit_code == 3
         assert "scaler" in result.output
+
+    @pytest.mark.parametrize("text", [
+        "offset=0 scale=-1", "offset=x scale=1", "offset=nan scale=1",
+        "offset=0 scale=inf"])
+    def test_bad_scaler_is_data_error_naming_it(self, runner, workspace,
+                                                tmp_path, text):
+        scaler = tmp_path / "bad.scaler"
+        scaler.write_text(text + "\n")
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["detect", workspace["model"],
+                                      workspace["config"], workspace["test"],
+                                      "--scaler", str(scaler),
+                                      "-o", str(out)])
+        assert result.exit_code == 3
+        assert f"data error: {scaler}: " in result.output
+        assert not out.exists()
 
     def test_non_finite_config_is_data_error(self, runner, workspace,
                                              tmp_path):

@@ -1,14 +1,21 @@
 """Ingestion, aggregation, scaling, windowing, splitting, synthesis, IO."""
 
 import io
+import re
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synwatch.errors import DataError
-from synwatch.pipeline import (LabeledTimeSeries, Scaler, SynthConfig,
-                               TimeSeries, aggregate_counts, build_windows,
+from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
+                               TimeSeries, _parse_timestamp,
+                               _timestamp_us_parser, aggregate_counts,
+                               build_windows,
                                fit_scaler, generate_synthetic,
                                intervals_from_labels, labels_from_intervals,
                                load_scaler, load_series, load_tshark_csv,
@@ -24,6 +31,11 @@ def tshark_csv(rows):
     return TSHARK_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
+def us(when: datetime) -> int:
+    """Microseconds since the ingest epoch."""
+    return (when - EPOCH) // timedelta(microseconds=1)
+
+
 class TestLoadTsharkCsv:
     def test_three_valid_rows(self):
         text = tshark_csv([
@@ -32,19 +44,30 @@ class TestLoadTsharkCsv:
             '3,1500,"Mar 11, 1999 08:00:01.250000000 GMT",6',
         ])
         result = load_tshark_csv(io.StringIO(text))
-        assert len(result.records) == 3
         assert not result.rejected
-        assert result.records[0].timestamp == T0 + timedelta(microseconds=1)
-        assert result.records[2].frame_len == 1500
-        assert result.records[2].timestamp == T0 + timedelta(seconds=1.25)
+        assert result.timestamps_us.dtype == np.int64
+        np.testing.assert_array_equal(result.timestamps_us, [
+            us(T0) + 1, us(T0) + 500_000, us(T0) + 1_250_000])
 
     def test_iso_timestamps_accepted(self):
         text = tshark_csv(["1,60,1999-03-11T08:00:05.125,6",
-                           "2,70,1999-03-11 08:00:06,17"])
+                           "2,70,1999-03-11 08:00:06,17",
+                           "3,70,1999-03-11T10:00:07.5+02:00,17",
+                           "4,70,1999-03-11T08:00:08.25Z,17"])
         result = load_tshark_csv(io.StringIO(text))
-        assert len(result.records) == 2
-        assert result.records[0].timestamp == T0 + timedelta(seconds=5.125)
-        assert result.records[1].ip_proto == 17
+        assert not result.rejected
+        np.testing.assert_array_equal(result.timestamps_us, [
+            us(T0) + 5_125_000, us(T0) + 6_000_000, us(T0) + 7_500_000,
+            us(T0) + 8_250_000])
+
+    def test_fraction_truncated_to_microseconds(self):
+        text = tshark_csv(['1,60,"Mar 11, 1999 08:00:00.1234569 UTC",6',
+                           '2,60,"Mar 11, 1999 08:00:00.5",6',
+                           '3,60,"Mar 11, 1999 08:00:00",6',
+                           "4,60,1999-03-11T08:00:01.9999999,6"])
+        result = load_tshark_csv(io.StringIO(text))
+        np.testing.assert_array_equal(result.timestamps_us - us(T0),
+                                      [0, 123_456, 500_000, 1_999_999])
 
     def test_empty_file_is_missing_header(self):
         with pytest.raises(DataError, match="missing header"):
@@ -59,74 +82,221 @@ class TestLoadTsharkCsv:
                 for i in range(1, 10)]
         rows.insert(4, '99,60,"not a timestamp",6')
         result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
-        assert len(result.records) == 9
-        assert len(result.rejected) == 1
-        row_no, reason = result.rejected[0]
-        assert row_no == 5
-        assert "timestamp" in reason
+        assert len(result.timestamps_us) == 9
+        assert result.rejected == [
+            (5, "unrecognized timestamp: 'not a timestamp'")]
+        assert result.rejected_by_reason["bad_timestamp"] == 1
 
     def test_records_sorted_by_timestamp(self):
         text = tshark_csv(["2,60,1999-03-11T08:00:02,6",
-                           "1,60,1999-03-11T08:00:01,6",
-                           "3,60,1999-03-11T08:00:03,6"])
+                           '1,60,"Mar 11, 1999 08:00:01.000000000",6',
+                           "3,60,1999-03-11T08:00:03,6",
+                           "4,60,1999-03-11T08:00:01,6"])
         result = load_tshark_csv(io.StringIO(text))
-        stamps = [r.timestamp for r in result.records]
-        assert stamps == sorted(stamps)
+        np.testing.assert_array_equal(
+            result.timestamps_us - us(T0),
+            [1_000_000, 1_000_000, 2_000_000, 3_000_000])
 
     def test_accepts_bytes_and_path(self, tmp_path):
         text = tshark_csv(["1,60,1999-03-11T08:00:01,6"])
-        assert len(load_tshark_csv(text.encode()).records) == 1
+        assert len(load_tshark_csv(text.encode()).timestamps_us) == 1
         path = tmp_path / "packets.csv"
         path.write_text(text)
-        assert len(load_tshark_csv(path).records) == 1
+        assert len(load_tshark_csv(path).timestamps_us) == 1
 
     def test_short_row_rejected(self):
         text = tshark_csv(["1,60,1999-03-11T08:00:01,6", "2,60"])
         result = load_tshark_csv(io.StringIO(text))
-        assert len(result.records) == 1
-        assert len(result.rejected) == 1
+        assert len(result.timestamps_us) == 1
+        assert result.rejected == [(2, "expected >= 4 fields, got 2")]
+        assert result.rejected_by_reason["short_row"] == 1
+
+    def test_rejections_counted_by_reason(self):
+        good = "1999-03-11T08:00:01"
+        rows = [f"1,60,{good},6",
+                "2,60",                          # short row
+                f"x3,60,{good},6",               # bad frame.number
+                f"4, 6 0 ,{good},6",             # bad frame.len
+                f"5,60,{good},tcp",              # bad ip.proto
+                "6,60,1999-02-30T08:00:01,6",    # no such day
+                f"7,-60,{good},6",               # negative frame.len
+                "8,-60,bad,6",                   # the timestamp fails first
+                "x9,60,bad,6",                   # the integer fails first
+                f"10,-60,{good},udp",            # ip.proto fails first
+                "11,60,0001-01-01T00:00:00+01:00,6",
+                "",                              # blank lines are skipped
+                f"13,60,{good},6"]
+        result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
+        assert len(result.timestamps_us) == 2
+        assert result.rejected == [
+            (2, "expected >= 4 fields, got 2"),
+            (3, "invalid literal for int() with base 10: 'x3'"),
+            (4, "invalid literal for int() with base 10: '6 0'"),
+            (5, "invalid literal for int() with base 10: 'tcp'"),
+            (6, "unrecognized timestamp: '1999-02-30T08:00:01'"),
+            (7, "negative frame.len"),
+            (8, "unrecognized timestamp: 'bad'"),
+            (9, "invalid literal for int() with base 10: 'x9'"),
+            (10, "invalid literal for int() with base 10: 'udp'"),
+            (11, "timestamp out of range in UTC: "
+                 "'0001-01-01T00:00:00+01:00'"),
+        ]
+        assert result.rejected_by_reason == {
+            "short_row": 1, "bad_integer": 5, "bad_timestamp": 3,
+            "negative_length": 1}
+
+    def test_nothing_accepted_gives_empty_array(self):
+        result = load_tshark_csv(io.StringIO(tshark_csv(["1,60"])))
+        assert result.timestamps_us.dtype == np.int64
+        assert result.timestamps_us.shape == (0,)
 
 
-def make_records(offsets_seconds):
-    from synwatch.pipeline import PacketRecord
-    return [PacketRecord(frame_number=i + 1, frame_len=60,
-                         timestamp=T0 + timedelta(seconds=s), ip_proto=6)
-            for i, s in enumerate(offsets_seconds)]
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+          "Oct", "Nov", "Dec")
+
+
+@st.composite
+def timestamp_stems(draw):
+    """A timestamp text with a slot for its fraction: ISO-8601 or tshark's
+    frame.time, now and then with a field out of range or the seconds
+    left out, ``.`` or ``,`` before the fraction, and a zone suffix that is
+    empty, ``Z``, an offset (with seconds and a fraction, too) or a name."""
+    year = draw(st.sampled_from([1, 1969, 1970, 1999, 2000, 2024, 9999]))
+    fields = [draw(st.integers(1, 12)), draw(st.integers(1, 31)),
+              draw(st.integers(0, 23)), draw(st.integers(0, 59)),
+              draw(st.integers(0, 59))]
+    broken = draw(st.integers(0, 14))
+    if broken < len(fields):
+        fields[broken] = draw(st.sampled_from(([0, 13], [0, 32], [24],
+                                               [60], [60])[broken]))
+    month, day, hour, minute, second = fields
+    clock = f"{hour:02d}:{minute:02d}"
+    if draw(st.integers(0, 5)):
+        clock += f":{second:02d}"
+    if draw(st.booleans()):
+        sep = draw(st.sampled_from("T "))
+        head = f"{year:04d}-{month:02d}-{day:02d}{sep}{clock}"
+        zones = ["", "Z", "+02:00", "-05:30", "+23:59", "+24:00",
+                 "+02:00:00.5", "-01:00:30", " UTC"]
+    else:
+        name = MONTHS[month - 1] if 1 <= month <= 12 else "Foo"
+        head = f"{name} {day:2d}, {year:04d} {clock}"
+        zones = ["", " UTC", " GMT", " CEST", " America/New_York", " +0100",
+                 "Z", "+02:00"]
+    mark = draw(st.sampled_from("..,"))
+    return head, mark, draw(st.sampled_from(zones))
+
+
+class TestTimestampParser:
+    """The memoised path of ``load_tshark_csv`` against the full parse."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return f"error: {exc}"
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(stems=st.lists(timestamp_stems(), min_size=1, max_size=4),
+           picks=st.lists(st.tuples(st.integers(0, 3),
+                                    st.text("0123456789", max_size=13)),
+                          min_size=1, max_size=25))
+    def test_equals_full_parse(self, stems, picks):
+        # one parser over texts that share stems exercises its memo
+        fast = _timestamp_us_parser()
+        for index, digits in picks:
+            head, mark, zone = stems[index % len(stems)]
+            text = head + (mark + digits if digits else "") + zone
+            expected = self.outcome(
+                lambda t: us(_parse_timestamp(t)), text)
+            assert self.outcome(fast, text) == expected, text
+
+    def test_memo_keeps_each_second_and_zone_apart(self):
+        fast = _timestamp_us_parser()
+        texts = [f"Mar 11, 1999 08:00:{s:02d}.25{zone}"
+                 for s in (1, 2, 11, 1) for zone in ("", " UTC", " CET")]
+        assert [fast(t) for t in texts] == [
+            us(_parse_timestamp(t)) for t in texts]
+
+    def test_bad_text_with_a_known_prefix_is_still_rejected(self):
+        fast = _timestamp_us_parser()
+        assert fast("Mar 11, 1999 08:00:00.5 UTC") == us(T0) + 500_000
+        for text in ("Mar 11, 1999 08:00:00.5x UTC",
+                     "Mar 11, 1999 08:00:00. UTC"):
+            with pytest.raises(ValueError, match=f"unrecognized timestamp: "
+                                                 f"'{text}'"):
+                fast(text)
 
 
 class TestAggregateCounts:
+    @staticmethod
+    def stamps(offsets_seconds):
+        return np.array([us(T0 + timedelta(seconds=s))
+                         for s in offsets_seconds], dtype=np.int64)
+
     def test_no_records_gives_zeros(self):
-        series = aggregate_counts([], 1.0, T0, T0 + timedelta(seconds=10))
+        series = aggregate_counts(np.zeros(0, dtype=np.int64), 1.0,
+                                  T0, T0 + timedelta(seconds=10))
         np.testing.assert_array_equal(series.values, np.zeros(10))
 
     def test_counts_land_in_their_step(self):
-        records = make_records([2.1, 2.5, 2.9, 2.0, 2.999])
-        series = aggregate_counts(records, 1.0, T0, T0 + timedelta(seconds=4))
+        series = aggregate_counts(self.stamps([2.1, 2.5, 2.9, 2.0, 2.999]),
+                                  1.0, T0, T0 + timedelta(seconds=4))
         np.testing.assert_array_equal(series.values, [0, 0, 5, 0])
+        assert series.values.dtype == np.float64
 
     def test_conservation_on_uniform_fixture(self):
         rng = np.random.default_rng(100)
         offsets = rng.uniform(0, 100, size=1000)
-        series = aggregate_counts(make_records(offsets), 1.0,
+        series = aggregate_counts(self.stamps(offsets), 1.0,
                                   T0, T0 + timedelta(seconds=100))
         assert len(series) == 100
         assert series.values.sum() == 1000
 
     def test_out_of_range_records_ignored(self):
-        records = make_records([-0.5, 0.5, 9.5, 10.5])
-        series = aggregate_counts(records, 1.0, T0, T0 + timedelta(seconds=10))
-        assert series.values.sum() == 2
+        series = aggregate_counts(self.stamps([-0.5, 0.5, 9.5, 10.5]), 1.0,
+                                  T0, T0 + timedelta(seconds=10))
+        np.testing.assert_array_equal(series.values,
+                                      [1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+
+    def test_range_edges(self):
+        # start is inside the range and end is not, to the microsecond
+        start_us, end_us = us(T0), us(T0) + 3_000_000
+        stamps = np.array([start_us - 1, start_us, end_us - 1, end_us])
+        series = aggregate_counts(stamps, 1.0, T0,
+                                  T0 + timedelta(seconds=3))
+        np.testing.assert_array_equal(series.values, [1, 0, 1])
 
     def test_partial_last_step(self):
-        series = aggregate_counts(make_records([2.4]), 1.0,
+        series = aggregate_counts(self.stamps([2.4]), 1.0,
                                   T0, T0 + timedelta(seconds=2.5))
         assert len(series) == 3
         assert series.values[2] == 1
 
+    def test_step_longer_than_range(self):
+        series = aggregate_counts(self.stamps([0.5, 1.5]), 1e13,
+                                  T0, T0 + timedelta(seconds=2))
+        np.testing.assert_array_equal(series.values, [2])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(offsets=st.lists(st.integers(-5_000, 50_000), max_size=60),
+           step_us=st.integers(1, 7_000), total_us=st.integers(1, 40_000))
+    def test_equals_per_packet_count(self, offsets, step_us, total_us):
+        end = T0 + timedelta(microseconds=total_us)
+        series = aggregate_counts(np.array(offsets, dtype=np.int64) + us(T0),
+                                  step_us / 1e6, T0, end)
+        expected = np.zeros(-(-total_us // step_us))
+        for offset in offsets:
+            if 0 <= offset < total_us:
+                expected[offset // step_us] += 1
+        np.testing.assert_array_equal(series.values, expected)
+
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            aggregate_counts([], 0.0, T0, T0 + timedelta(seconds=1))
-        with pytest.raises(ValueError):
+        for step in (0.0, -1.0, 1e-7, np.nan, np.inf, 1e303):
+            with pytest.raises(ValueError, match="step_duration"):
+                aggregate_counts([], step, T0, T0 + timedelta(seconds=1))
+        with pytest.raises(ValueError, match="start must precede end"):
             aggregate_counts([], 1.0, T0, T0)
 
 
@@ -150,6 +320,22 @@ class TestScaler:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             Scaler(offset=0.0, scale=0.0)
+
+    @pytest.mark.parametrize("offset, scale", [
+        (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan),
+        (0.0, np.inf), (0.0, -1.0)])
+    def test_offset_and_scale_must_be_finite(self, offset, scale):
+        with pytest.raises(ValueError, match="must be finite"):
+            Scaler(offset=offset, scale=scale)
+
+    @pytest.mark.parametrize("text", [
+        "offset=0 scale=-1", "offset=0 scale=0", "offset=x scale=1",
+        "offset=nan scale=1", "offset=0 scale=inf", "offset=1 scale=nan"])
+    def test_bad_scaler_file_is_data_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "model.txt.scaler"
+        path.write_text(text + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            load_scaler(path)
 
     def test_file_round_trip(self, tmp_path):
         scaler = Scaler(offset=3.25, scale=197.125)
@@ -321,6 +507,37 @@ class TestSeriesFiles:
         np.testing.assert_array_equal(loaded.series.values, out.series.values)
         np.testing.assert_array_equal(loaded.labels, out.labels)
         assert loaded.attack_intervals == out.attack_intervals
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(values=st.lists(st.floats(min_value=0.0, allow_infinity=False)
+                           | st.just(-0.0), min_size=2, max_size=40),
+           start=st.datetimes(max_value=datetime(9000, 1, 1)),
+           step_us=st.integers(1, 10**9),
+           attack=st.none() | st.lists(st.booleans(), min_size=40,
+                                       max_size=40),
+           seed=st.none() | st.integers(0, 2**63))
+    def test_random_series_round_trip_bit_exact(self, values, start, step_us,
+                                                attack, seed):
+        step = timedelta(microseconds=step_us).total_seconds()
+        series = TimeSeries(start, step, values)
+        data = series
+        if attack is not None:
+            labels = np.array(attack[:len(values)])
+            data = LabeledTimeSeries(
+                series, labels, attack_intervals=intervals_from_labels(labels))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_series(path, data, seed=seed)
+            loaded = load_series(path)
+        assert type(loaded) is type(data)
+        if attack is not None:
+            np.testing.assert_array_equal(loaded.labels, data.labels)
+            assert loaded.attack_intervals == data.attack_intervals
+            loaded = loaded.series
+        np.testing.assert_array_equal(loaded.values.view(np.uint64),
+                                      series.values.view(np.uint64))
+        assert loaded.start_time == start
+        assert loaded.step_duration == step
 
     def test_fractional_step_round_trip(self, tmp_path):
         series = TimeSeries(T0, 0.5, np.arange(8.0))
