@@ -174,7 +174,7 @@ def ingest(packets, step_seconds, start_text, end_text, output):
     _write_manifest(output, "ingest",
                     inputs={"packets": str(packets)},
                     outputs={"series": str(output)},
-                    config={"step_seconds": step_seconds,
+                    config={"step_seconds": series.step_duration,
                             "start": start.isoformat(),
                             "end": end.isoformat()})
     click.echo(f"wrote {len(series)} steps "

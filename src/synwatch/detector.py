@@ -211,8 +211,19 @@ class Detector:
             are = 0.0
             alarm = False
         else:
-            dc = danger_coefficient(self.ring, cfg.ret)
-            are = averaged_relative_error(self.ring)
+            # danger_coefficient and averaged_relative_error in one pass
+            # over the slots, oldest to newest, with the same ``+=`` sum
+            ring = self.ring
+            slots, oldest = ring.slots, ring.write_index
+            ret = cfg.ret
+            total = 0.0
+            n_anomalous = 0
+            for value in slots[oldest:] + slots[:oldest]:
+                total += value
+                if value > ret:
+                    n_anomalous += 1
+            dc = n_anomalous / ring.capacity
+            are = total / ring.capacity
             alarm = dc > cfg.alpha and are > cfg.beta
         return StepVerdict(
             step=step, actual=actual, predicted=predicted, re=re_value,

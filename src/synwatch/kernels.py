@@ -10,8 +10,15 @@ zero cell, so the cell that is computed has three gates:
     h = o * tanh(i * g)
     prediction = h w_y + b_y
 
-Each gate keeps its own matmul: fusing the three weights into one matrix
-would change the reduction order and so the output bits.
+The weights are stored fused (``LstmParams.W`` is one (3 hidden, k)
+matrix, row blocks ``i, o, g``), but the batch kernels still multiply
+per gate, on the row-block views.  A product over the fused matrix is
+another BLAS call with its own blocking, and for some batch shapes its
+reduction order, and so its bits, differ from the per-gate products:
+the forward ``x @ W.T`` and, more often, the gradients ``dpre.T @ x``,
+which sum over the whole batch.  Only ``lstm.predict_window`` takes the
+fused product, which for one window equals the per-gate products bit for
+bit (see there).
 
 Both kernels compute into work buffers with ``out=`` and in-place ufuncs,
 in the same operations and association order as the plain formula, so
@@ -72,15 +79,21 @@ class _GradWork:
     Six, not fewer: with the association order fixed, ``do = dh * tc`` and
     ``dc = (dh * o) * (1 - tc * tc)`` both need ``o`` and ``tc`` while the
     other is built.
+
+    The gate gradients are laid out like ``LstmParams``: ``dW`` (3 hidden,
+    k) and ``db`` (3 hidden,) hold them fused, and ``dW_i``, ``db_i``, ...
+    are their row-block views, into which the kernel writes.
     """
 
     def __init__(self, n: int, k: int, hidden: int):
         (self.i, self.o, self.g, self.tc, self.h, self.do) = (
             np.empty((n, hidden)) for _ in range(6))
         self.pred, self.resid, self.dpred = (np.empty(n) for _ in range(3))
-        (self.dW_i, self.db_i, self.dW_o, self.db_o, self.dW_g, self.db_g,
-         self.dw_y) = (np.empty(shape) for shape in ((hidden, k), hidden) * 3
-                       + (hidden,))
+        self.dW = np.empty((3 * hidden, k))
+        self.db = np.empty(3 * hidden)
+        self.dW_i, self.dW_o, self.dW_g = np.split(self.dW, 3)
+        self.db_i, self.db_o, self.db_g = np.split(self.db, 3)
+        self.dw_y = np.empty(hidden)
 
 
 def loss_and_grads_numpy(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y, *,

@@ -7,6 +7,13 @@ and the forget gate of the Hochreiter & Schmidhuber / Gers et al. cell
 never reach an output, so the model holds only the input, output and
 candidate gates (see ``kernels``).  Training is full-batch gradient
 descent; 64-bit floats throughout.
+
+``LstmParams`` stores the three gates fused: one (3 hidden, k) weight
+matrix ``W`` and one (3 hidden,) bias ``b``, row blocks in the order
+``i, o, g``.  The per-gate names ``W_i, b_i, W_o, b_o, W_g, b_g`` are
+row-block views into that storage.  ``predict_window`` takes one
+product over it per window; training updates the three stored arrays
+``W``, ``b`` and ``w_y``.  The model file keeps its per-gate blocks.
 """
 
 from __future__ import annotations
@@ -36,31 +43,76 @@ _FILE_FIELDS = {
 }
 
 
-@dataclass
+class _GateBlock:
+    """Row block ``index`` (0 = i, 1 = o, 2 = g) of the fused array named
+    ``fused``: reading gives a view into the storage, assigning copies the
+    value into it."""
+
+    def __init__(self, fused: str, index: int):
+        self.fused = fused
+        self.index = index
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, params, owner=None):
+        if params is None:
+            return self
+        h = params.hidden_dim
+        return getattr(params, self.fused)[self.index * h:(self.index + 1) * h]
+
+    def __set__(self, params, value):
+        block = self.__get__(params)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != block.shape:
+            raise ValueError(f"{self.name} has shape {value.shape}, "
+                             f"expected {block.shape}")
+        block[...] = value
+
+
 class LstmParams:
     """Gate and projection weights; also reused as the gradient container
-    (same shapes, field for field)."""
-    input_dim: int
-    hidden_dim: int
-    W_i: np.ndarray
-    b_i: np.ndarray
-    W_o: np.ndarray
-    b_o: np.ndarray
-    W_g: np.ndarray
-    b_g: np.ndarray
-    w_y: np.ndarray
-    b_y: float
+    (same shapes, field for field).
+
+    The gate weights live in one C-contiguous (3 hidden, input_dim)
+    matrix ``W`` and the gate biases in one (3 hidden,) vector ``b``, row
+    blocks ordered ``i, o, g``.  ``W_i``, ``b_i``, ``W_o``, ``b_o``,
+    ``W_g`` and ``b_g`` are row-block views into them, so an in-place
+    update through either name reaches the same memory, and assigning a
+    block copies the value into the storage.  The constructor and
+    ``copy`` copy every array they are given: instances never share
+    storage.
+    """
+
+    W_i = _GateBlock("W", 0)
+    W_o = _GateBlock("W", 1)
+    W_g = _GateBlock("W", 2)
+    b_i = _GateBlock("b", 0)
+    b_o = _GateBlock("b", 1)
+    b_g = _GateBlock("b", 2)
+
+    def __init__(self, input_dim: int, hidden_dim: int, W_i, b_i, W_o, b_o,
+                 W_g, b_g, w_y, b_y: float):
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.W = np.empty((3 * hidden_dim, input_dim))
+        self.b = np.empty(3 * hidden_dim)
+        self.W_i, self.W_o, self.W_g = W_i, W_o, W_g
+        self.b_i, self.b_o, self.b_g = b_i, b_o, b_g
+        self.w_y = np.array(w_y, dtype=np.float64)
+        self.b_y = b_y
 
     def arrays(self) -> tuple[np.ndarray, ...]:
+        """The arrays in ``PARAM_FIELDS`` order, the gates as views."""
         return tuple(getattr(self, name) for name in PARAM_FIELDS)
 
     def copy(self) -> "LstmParams":
-        return LstmParams(
-            self.input_dim, self.hidden_dim,
-            *(arr.copy() for arr in self.arrays()), self.b_y)
+        return LstmParams(self.input_dim, self.hidden_dim, *self.arrays(),
+                          self.b_y)
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(arr)) for arr in self.arrays()) \
+        return all(np.all(np.isfinite(arr))
+                   for arr in (self.W, self.b, self.w_y)) \
             and np.isfinite(self.b_y)
 
 
@@ -131,10 +183,6 @@ def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def predict_window(params: LstmParams, window: np.ndarray) -> float:
     """Next-value prediction from one lag window (oldest value first),
     computed in a single cell step from the zero state.
@@ -142,16 +190,33 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
     Evaluates the cell formula one window at a time, independently of the
     batch kernel; the finite-difference oracle and online detection use
     it.  Pure: never mutates its arguments.
+
+    The three gate pre-activations come from one ``W @ x`` over the fused
+    storage, which equals the three per-gate products bit for bit, except
+    at ``hidden_dim == 1``: there numpy computes a (1, k) matrix times a
+    vector another way than a (3, k) one, so that size keeps the per-gate
+    products.  Every later operation is the per-gate formula's, in place.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(
             f"window has shape {x.shape}, expected ({params.input_dim},)")
-    i = _sigmoid(params.W_i @ x + params.b_i)
-    o = _sigmoid(params.W_o @ x + params.b_o)
-    g = np.tanh(params.W_g @ x + params.b_g)
-    h = o * np.tanh(i * g)
-    return float(params.w_y @ h + params.b_y)
+    h = params.hidden_dim
+    if h == 1:
+        z = np.concatenate((params.W_i @ x, params.W_o @ x, params.W_g @ x))
+    else:
+        z = params.W @ x
+    z += params.b
+    io, g = z[:2 * h], z[2 * h:]
+    np.negative(io, out=io)
+    np.exp(io, out=io)
+    io += 1.0
+    np.divide(1.0, io, out=io)            # i | o = sigmoid
+    np.tanh(g, out=g)
+    g *= io[:h]                           # c = i * g
+    np.tanh(g, out=g)
+    g *= io[h:]                           # h = o * tanh(c)
+    return float(params.w_y @ g + params.b_y)
 
 
 def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -249,19 +314,23 @@ def train(config: TrainConfig,
     x = np.ascontiguousarray(windows.inputs, dtype=np.float64)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
     param_arrays = params.arrays()
+    stored = (params.W, params.b, params.w_y)
     lr = config.learning_rate
     clip = config.gradient_clip
     losses = np.empty(config.epochs)
     work = _GradWork(len(x), config.lag, config.hidden_dim)
+    # the kernel writes the gate gradients into these fused arrays
+    fused_grads = (work.dW, work.db, work.dw_y)
 
     start = time.perf_counter()
     for epoch in range(config.epochs):
-        losses[epoch], _, *grad_arrays, grad_b_y = loss_and_grads_numpy(
+        losses[epoch], *_, grad_b_y = loss_and_grads_numpy(
             x, y, *param_arrays, params.b_y, work=work)
+        grad_arrays = fused_grads
         if clip is not None:
             grad_arrays = tuple(np.clip(g, -clip, clip) for g in grad_arrays)
             grad_b_y = min(max(grad_b_y, -clip), clip)
-        for target, grad in zip(param_arrays, grad_arrays):
+        for target, grad in zip(stored, grad_arrays):
             target -= lr * grad
         params.b_y -= lr * grad_b_y
         if not (params.all_finite() and np.isfinite(losses[epoch])):

@@ -131,6 +131,9 @@ class Scaler:
         return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
 
     def invert(self, y):
+        if isinstance(y, float):
+            # one online prediction: the same two IEEE operations, unboxed
+            return y * self.scale + self.offset
         return np.asarray(y, dtype=np.float64) * self.scale + self.offset
 
 
@@ -339,9 +342,10 @@ def aggregate_counts(timestamps_us, step_duration: float,
     """Count packet timestamps (int microseconds since ``EPOCH``) per step
     over [start, end).
 
-    Step ``i`` covers [start + i*step, start + (i+1)*step); timestamps
-    outside [start, end) are ignored.  The series has
-    ceil((end-start)/step) steps.
+    The step is rounded to whole microseconds (``_step_microseconds``),
+    and the series carries the rounded step.  Step ``i`` covers
+    [start + i*step, start + (i+1)*step); timestamps outside [start, end)
+    are ignored.  The series has ceil((end-start)/step) steps.
     """
     step_us = _step_microseconds(step_duration)
     if start >= end:
@@ -354,7 +358,7 @@ def aggregate_counts(timestamps_us, step_duration: float,
     # capped so that a step beyond int64 cannot overflow; a step longer
     # than the range puts every offset in step 0 either way
     counts = np.bincount(offsets // min(step_us, total_us), minlength=n_steps)
-    return TimeSeries(start_time=start, step_duration=step_duration,
+    return TimeSeries(start_time=start, step_duration=step_us / 10**6,
                       values=counts.astype(np.float64))
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from synwatch.lstm import init_params
 from synwatch.pipeline import WindowSet
+
+# Every property test draws the same examples on every run, however long
+# one example takes.
+settings.register_profile("synwatch", derandomize=True, deadline=None)
+settings.load_profile("synwatch")
 
 
 def make_window_set(rng, lag, n):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, calibrate,
@@ -78,7 +78,6 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="inverted"):
             evaluate_events([AlarmEvent(5, 3, 1.0, 1.0)], [(0, 10)])
 
-    @settings(derandomize=True, deadline=None)
     @given(spans=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)),
                           max_size=12),
            cuts=st.lists(st.integers(0, 70), max_size=10, unique=True))
@@ -347,7 +346,6 @@ def assert_row_matches(row, report):
 
 
 class TestSweepMatchesStreamingReference:
-    @settings(derandomize=True, deadline=None)
     @given(case=sweep_cases())
     def test_sweep_beta_rows(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
@@ -358,7 +356,6 @@ class TestSweepMatchesStreamingReference:
             assert_row_matches(row, streaming_row(
                 pairs, intervals, row.ret, row.alpha, row.beta, mat))
 
-    @settings(derandomize=True, deadline=None)
     @given(case=sweep_cases())
     def test_calibrate_rows(self, case):
         pairs, intervals, rets, alphas, betas, mat = case

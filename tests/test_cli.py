@@ -10,7 +10,8 @@ from synwatch.cli import main
 from synwatch.detector import DetectorConfig, read_alarms, read_verdicts, \
     segment_alarms
 from synwatch.lstm import load_model, save_model
-from synwatch.pipeline import load_series
+from synwatch.pipeline import (_parse_timestamp, aggregate_counts,
+                               load_series, load_tshark_csv)
 
 TSHARK_HEADER = "frame.number,frame.len,frame.time,ip.proto"
 
@@ -153,6 +154,28 @@ class TestIngest:
         assert ("rejected by reason: short_row=1 bad_integer=0 "
                 "bad_timestamp=25 negative_length=1") in result.output
         assert result.output.count("  rejected row ") == 20
+
+    def test_step_rounded_to_microseconds_everywhere(self, runner, tmp_path):
+        # 1.5 µs counts in 2 µs steps, so every record of the step says 2 µs
+        packets = self.make_packets(tmp_path, n=50)
+        out = tmp_path / "series.csv"
+        start, end = "1999-03-11T08:00:00", "1999-03-11T08:00:00.000020"
+        result = runner.invoke(main, [
+            "ingest", str(packets), "--step-seconds", "0.0000015",
+            "--start", start, "--end", end, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads(
+            (tmp_path / "series.csv.manifest.json").read_text())
+        assert manifest["config"]["step_seconds"] == 2e-06
+        series = load_series(out)
+        assert series.step_duration == 2e-06
+        assert len(series) == 10
+        stamps = load_tshark_csv(packets).timestamps_us
+        returned = aggregate_counts(stamps, 0.0000015,
+                                    _parse_timestamp(start),
+                                    _parse_timestamp(end))
+        assert returned.step_duration == 2e-06
+        np.testing.assert_array_equal(returned.values, series.values)
 
     @pytest.mark.parametrize("flags, message", [
         (["--start", "garbage"],

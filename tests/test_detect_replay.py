@@ -97,7 +97,7 @@ def detect_cases(draw):
 
 
 class TestDetectMatchesStreamingDetector:
-    @settings(derandomize=True, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(case=detect_cases())
     def test_random_streams(self, case):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,11 @@
 """Ring semantics, window statistics, alarm rule, segmentation, IO."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synwatch.detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
                                StepVerdict, WarmupError,
@@ -256,6 +260,141 @@ class TestDetectorStep:
             dcs[ret] = [v.dc for v in verdicts]
         assert all(a >= b >= c for a, b, c in
                    zip(dcs[0.3], dcs[0.5], dcs[0.8]))
+
+
+def two_loop_verdict(config, ring, step, actual, predicted):
+    """Oracle for Detector.step: push into ``ring``, then the window mean
+    by a left-to-right ``+=`` over the ring's values and the danger
+    coefficient by a separate count of the slots above ``ret``."""
+    re_value = relative_error(actual, predicted, config.epsilon_floor)
+    ring.push(re_value)
+    dc = are = 0.0
+    if ring.full:
+        total = 0.0
+        for value in ring.values_oldest_to_newest():
+            total += value
+        are = total / config.mat
+        dc = sum(1 for value in ring.slots if value > config.ret) / config.mat
+    return StepVerdict(
+        step=step, actual=actual, predicted=predicted, re=re_value,
+        point_anomaly=re_value > config.ret, dc=dc, are=are,
+        collective_alarm=ring.full and dc > config.alpha
+        and are > config.beta, warmup=not ring.full)
+
+
+# counts with zero traffic and repeated values, so errors tie often
+COUNTS = st.one_of(st.sampled_from((0.0, 1.0, 2.0, 10.0)),
+                   st.floats(0.0, 200.0))
+
+
+@st.composite
+def detector_runs(draw):
+    mat = draw(st.integers(1, 20))
+    pairs = draw(st.lists(st.tuples(COUNTS, COUNTS), min_size=1,
+                          max_size=60))
+    epsilon_floor = draw(st.sampled_from((1e-6, 0.5, 3.0)))
+    errors = [relative_error(a, p, epsilon_floor) for a, p in pairs]
+    positive = [e for e in errors if e > 0]
+    # ret and beta equal to an error of the stream test the strict '>'
+    ret = draw(st.sampled_from(positive) if positive and draw(st.booleans())
+               else st.floats(1e-3, 3.0))
+    beta = draw(st.sampled_from(errors) if draw(st.booleans())
+                else st.floats(0.0, 3.0))
+    alpha = draw(st.sampled_from([k / mat for k in range(mat + 1)])
+                 | st.floats(0.0, 1.0))
+    config = DetectorConfig(ret=ret, beta=beta, mat=mat, alpha=alpha,
+                            epsilon_floor=epsilon_floor)
+    prefill = draw(st.lists(st.sampled_from(errors) | st.floats(0.0, 3.0),
+                            max_size=mat - 1))
+    split = draw(st.integers(0, len(pairs)))
+    return config, pairs, prefill, split
+
+
+class TestSinglePassStep:
+    """Detector.step's one pass over the ring against the two-loop form."""
+
+    @settings(max_examples=300)
+    @given(run=detector_runs())
+    def test_equals_two_loop_oracle(self, run):
+        config, pairs, prefill, split = run
+        ring, oracle_ring = ErrorRing(config.mat), ErrorRing(config.mat)
+        for value in prefill:
+            ring.push(value)
+            oracle_ring.push(value)
+        detector = Detector(config, ring=ring)
+        verdicts = [detector.step(t, a, p)
+                    for t, (a, p) in enumerate(pairs[:split])]
+        resumed = detector.copy()
+        verdicts += [resumed.step(t, a, p)
+                     for t, (a, p) in enumerate(pairs[split:], start=split)]
+        expected = [two_loop_verdict(config, oracle_ring, t, a, p)
+                    for t, (a, p) in enumerate(pairs)]
+        assert verdicts == expected
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+# every finite float, with -0.0 and subnormals drawn often
+FINITE = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200)
+    @given(ret=st.floats(0.0, exclude_min=True, allow_infinity=False)
+           | st.sampled_from((5e-324, 1e-310)),
+           beta=st.floats(0.0, allow_infinity=False)
+           | st.sampled_from((-0.0, 5e-324)),
+           alpha=st.floats(0.0, 1.0) | st.sampled_from((-0.0, 5e-324)),
+           mat=st.integers(1, 10**6))
+    def test_detector_config_text(self, ret, beta, alpha, mat):
+        config = DetectorConfig(ret=ret, beta=beta, mat=mat, alpha=alpha)
+        parsed = DetectorConfig.from_text(config.to_text())
+        assert parsed.mat == mat
+        for name in ("ret", "beta", "alpha", "epsilon_floor"):
+            assert float_bits(getattr(parsed, name)) \
+                == float_bits(getattr(config, name))
+
+    @settings(max_examples=100)
+    @given(rows=st.lists(st.tuples(
+        st.integers(0, 10**12), FINITE, FINITE, FINITE, FINITE, FINITE,
+        st.booleans(), st.booleans(), st.booleans()), max_size=20))
+    def test_verdict_file(self, tmp_path_factory, rows):
+        verdicts = [StepVerdict(step=step, actual=a, predicted=p, re=r,
+                                point_anomaly=point, dc=dc, are=are,
+                                collective_alarm=alarm, warmup=warmup)
+                    for step, a, p, r, dc, are, point, warmup, alarm in rows]
+        path = tmp_path_factory.mktemp("verdicts") / "v.csv"
+        write_verdicts(path, verdicts)
+        read = read_verdicts(path)
+        assert len(read) == len(verdicts)
+        for got, want in zip(read, verdicts):
+            assert (got.step, got.point_anomaly, got.warmup,
+                    got.collective_alarm) == (want.step, want.point_anomaly,
+                                              want.warmup,
+                                              want.collective_alarm)
+            for name in ("actual", "predicted", "re", "dc", "are"):
+                assert float_bits(getattr(got, name)) \
+                    == float_bits(getattr(want, name))
+
+    @settings(max_examples=100)
+    @given(rows=st.lists(st.tuples(st.integers(0, 10**12),
+                                   st.integers(0, 10**12), FINITE, FINITE),
+                         max_size=20))
+    def test_alarm_file(self, tmp_path_factory, rows):
+        events = [AlarmEvent(*row) for row in rows]
+        path = tmp_path_factory.mktemp("alarms") / "a.csv"
+        write_alarms(path, events)
+        read = read_alarms(path)
+        assert [(e.start_step, e.end_step) for e in read] \
+            == [(e.start_step, e.end_step) for e in events]
+        for got, want in zip(read, events):
+            assert float_bits(got.peak_dc) == float_bits(want.peak_dc)
+            assert float_bits(got.peak_are) == float_bits(want.peak_are)
 
 
 class TestDetectorConfig:

@@ -88,7 +88,7 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
 
 
 class TestKernelsMatchReference:
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(**shapes)
     def test_loss_and_grads_bit_identical(self, seed, n, k, hidden, scale):
         x, y, params = random_case(seed, n, k, hidden, scale)
@@ -98,14 +98,14 @@ class TestKernelsMatchReference:
         assert bits(loss_and_grads_numpy(x, y, *params, work=work)) \
             == expected
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(**shapes)
     def test_predict_batch_bit_identical(self, seed, n, k, hidden, scale):
         x, _, params = random_case(seed, n, k, hidden, scale)
         assert bits([predict_batch_numpy(x, *params)]) \
             == bits([reference_predict(x, *params)])
 
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
            n=st.integers(1, 200), k=st.sampled_from((1, 2, 3)),
            hidden=st.integers(1, 30))
@@ -148,7 +148,7 @@ def reference_train(config: TrainConfig, windows: WindowSet):
 
 
 class TestTrainDeterminism:
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            lag=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 12),
            epochs=st.integers(1, 12),

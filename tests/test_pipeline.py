@@ -197,7 +197,7 @@ class TestTimestampParser:
         except ValueError as exc:
             return f"error: {exc}"
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(stems=st.lists(timestamp_stems(), min_size=1, max_size=4),
            picks=st.lists(st.tuples(st.integers(0, 3),
                                     st.text("0123456789", max_size=13)),
@@ -279,7 +279,7 @@ class TestAggregateCounts:
                                   T0, T0 + timedelta(seconds=2))
         np.testing.assert_array_equal(series.values, [2])
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(offsets=st.lists(st.integers(-5_000, 50_000), max_size=60),
            step_us=st.integers(1, 7_000), total_us=st.integers(1, 40_000))
     def test_equals_per_packet_count(self, offsets, step_us, total_us):
@@ -316,6 +316,16 @@ class TestScaler:
         scaler = fit_scaler(TimeSeries(T0, 1.0, values))
         back = scaler.invert(scaler.apply(values))
         np.testing.assert_allclose(back, values, rtol=1e-12)
+
+    @settings(max_examples=200)
+    @given(y=st.floats(-1e6, 1e6), offset=st.floats(-1e6, 1e6),
+           scale=st.floats(1e-300, 1e6))
+    def test_scalar_invert_equals_array_path(self, y, offset, scale):
+        scaler = Scaler(offset=offset, scale=scale)
+        scalar = scaler.invert(y)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() \
+            == scaler.invert(np.array([y]))[0].tobytes()
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -508,7 +518,7 @@ class TestSeriesFiles:
         np.testing.assert_array_equal(loaded.labels, out.labels)
         assert loaded.attack_intervals == out.attack_intervals
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(values=st.lists(st.floats(min_value=0.0, allow_infinity=False)
                            | st.just(-0.0), min_size=2, max_size=40),
            start=st.datetimes(max_value=datetime(9000, 1, 1)),
