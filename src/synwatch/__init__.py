@@ -15,8 +15,8 @@ from .detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
                        danger_coefficient, relative_error, segment_alarms)
 from .errors import DataError, DivergenceError
 from .lstm import (LstmParams, TrainConfig, TrainReport, bptt_gradients,
-                   finite_difference_gradient, init_params, load_model,
-                   predict_window, predict_windows, save_model, train)
+                   init_params, load_model, predict_window, predict_windows,
+                   save_model, train)
 from .pipeline import (LabeledTimeSeries, Scaler, SynthConfig, TimeSeries,
                        WindowSet, aggregate_counts, build_windows, fit_scaler,
                        generate_synthetic, load_series, load_tshark_csv,

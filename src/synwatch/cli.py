@@ -190,14 +190,20 @@ def _train_config(**fields) -> TrainConfig:
         raise click.UsageError(str(exc))
 
 
-def _load_training_series(path):
+def _load_training_series(path, lag: int):
+    """The normal-only series at ``path``, long enough for one window at
+    ``lag``."""
     data = load_series(path)
     if isinstance(data, LabeledTimeSeries):
         if data.labels.any():
             raise DataError(
                 "training series contains attack-labeled steps; "
                 "train on normal data only")
-        return data.series
+        data = data.series
+    if len(data) < lag + 1:
+        raise DataError(
+            f"training series has {len(data)} values; lag {lag} needs at "
+            f"least {lag + 1}")
     return data
 
 
@@ -221,7 +227,7 @@ def train_cmd(series_path, lag, hidden, lr, epochs, clip, seed, output):
     """Train the next-step predictor on a normal-only series."""
     config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
                            lag=lag, rng_seed=seed, gradient_clip=clip)
-    series = _load_training_series(series_path)
+    series = _load_training_series(series_path, lag)
     scaler = fit_scaler(series)
     windows = scale_windows(build_windows(series, lag), scaler)
     params, report = train(config, windows)
@@ -261,10 +267,11 @@ def compare_lags(series_path, hidden, lr, epochs, seed, output):
     """Train once per lag width (1, 2, 3) and tabulate loss and runtime."""
     config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
                            rng_seed=seed)
-    series = _load_training_series(series_path)
+    lags = (1, 2, 3)
+    series = _load_training_series(series_path, max(lags))
     scaler = fit_scaler(series)
     rows = []
-    for lag in (1, 2, 3):
+    for lag in lags:
         windows = scale_windows(build_windows(series, lag), scaler)
         _, report = train(replace(config, lag=lag), windows)
         rows.append((lag, report.epoch_losses[-1], report.wall_seconds))

@@ -10,23 +10,40 @@ zero cell, so the cell that is computed has three gates:
     h = o * tanh(i * g)
     prediction = h w_y + b_y
 
-The weights are stored fused (``LstmParams.W`` is one (3 hidden, k)
-matrix, row blocks ``i, o, g``), but the batch kernels still multiply
-per gate, on the row-block views.  A product over the fused matrix is
-another BLAS call with its own blocking, and for some batch shapes its
-reduction order, and so its bits, differ from the per-gate products:
-the forward ``x @ W.T`` and, more often, the gradients ``dpre.T @ x``,
-which sum over the whole batch.  Only ``lstm.predict_window`` takes the
-fused product, which for one window equals the per-gate products bit for
-bit (see there).
+The two kernels lay their work out differently, for different reasons.
+
+``loss_and_grads_numpy`` computes training gradients.  Only the trained
+weights depend on its bits, so it is laid out for speed.  It takes the gate
+matrix augmented with the biases, ``Wb = [W | b]`` of shape (3 hidden,
+k + 1), and the inputs with a column of ones, ``xa`` of shape (n, k + 1).
+One product ``Wb @ xa.T`` gives every pre-activation, bias included, as
+a transposed (3 hidden, n) block; the sigmoid runs once over the
+contiguous ``i | o`` rows and ``tanh`` over the ``g`` rows.  Backward,
+the three gates' ``dpre`` land in one (3 hidden, n) block, and one
+product ``dpre @ xa`` gives every weight gradient and, in its last
+column, every bias gradient.  The sums in these products run in another
+order than the per-gate products and separate bias sums it replaced, so
+its results differ from theirs by a few units in the last place: the
+tests bound the difference on random batches, and trained losses and
+weights on a fixed series (see the README).
+
+``predict_batch_numpy`` serves ``calibrate`` and ``detect``, whose
+outputs must stay byte-identical for a given model, so it keeps one
+product per gate on the (n, hidden) row-block views, with the bias added
+after it.  A product over the fused matrix is another BLAS call with its
+own blocking, and for some batch shapes its reduction order, and so its
+bits, would differ.  Only ``lstm.predict_window`` takes the fused
+product, which for one window equals the per-gate products bit for bit
+(see there).
 
 Both kernels compute into work buffers with ``out=`` and in-place ufuncs,
-in the same operations and association order as the plain formula, so
-every output is bit-identical to it.  ``loss_and_grads_numpy`` takes its
-buffers from a ``_GradWork`` that training allocates once for all
-epochs.  Fresh (n, hidden) temporaries on every call cost more than
-their arithmetic: glibc trims the freed top of the heap after each call,
-so every epoch faults the same pages back in.
+in the same operations and association order as a plain allocating
+formula, so every output is bit-identical to that formula.
+``loss_and_grads_numpy`` takes its buffers from a ``_GradWork`` that
+training allocates once for all epochs.  Fresh (n, hidden) temporaries
+on every call cost more than their arithmetic: glibc trims the freed top
+of the heap after each call, so every epoch faults the same pages back
+in.
 """
 
 from __future__ import annotations
@@ -73,54 +90,58 @@ def predict_batch_numpy(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
 
 class _GradWork:
     """Work buffers of ``loss_and_grads_numpy`` for one (n, k, hidden)
-    shape: six (n, hidden) arrays, the n-vectors ``pred``, ``resid`` and
-    ``dpred``, and the gradient outputs.
+    shape: one (6 hidden, n) array, the n-vectors ``pred``, ``resid`` and
+    ``dpred``, and the gradient outputs ``dWb`` (3 hidden, k + 1) and
+    ``dw_y`` (hidden,).
 
-    Six, not fewer: with the association order fixed, ``do = dh * tc`` and
+    ``gates`` is the top (3 hidden, n) half of the array and ``dpre`` the
+    bottom half, row blocks ``i, o, g`` in each, so that one product over
+    each half serves all three gates.  Six (hidden, n) blocks, not fewer:
+    with the association order fixed, ``do = dh * tc`` and
     ``dc = (dh * o) * (1 - tc * tc)`` both need ``o`` and ``tc`` while the
     other is built.
-
-    The gate gradients are laid out like ``LstmParams``: ``dW`` (3 hidden,
-    k) and ``db`` (3 hidden,) hold them fused, and ``dW_i``, ``db_i``, ...
-    are their row-block views, into which the kernel writes.
     """
 
     def __init__(self, n: int, k: int, hidden: int):
-        (self.i, self.o, self.g, self.tc, self.h, self.do) = (
-            np.empty((n, hidden)) for _ in range(6))
+        self.block = np.empty((6 * hidden, n))
+        self.gates, self.dpre = np.split(self.block, 2)
+        self.blocks = np.split(self.block, 6)
         self.pred, self.resid, self.dpred = (np.empty(n) for _ in range(3))
-        self.dW = np.empty((3 * hidden, k))
-        self.db = np.empty(3 * hidden)
-        self.dW_i, self.dW_o, self.dW_g = np.split(self.dW, 3)
-        self.db_i, self.db_o, self.db_g = np.split(self.db, 3)
+        self.dWb = np.empty((3 * hidden, k + 1))
         self.dw_y = np.empty(hidden)
 
 
-def loss_and_grads_numpy(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y, *,
-                         work=None):
+def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
     """Mean-squared-error loss over the batch plus exact parameter
-    gradients: ``(loss, pred, dW_i, db_i, dW_o, db_o, dW_g, db_g, dw_y,
-    db_y)``.
+    gradients: ``(loss, pred, dWb, dw_y, db_y)``.
 
+    ``xa`` is the (n, k + 1) input with a last column of ones and ``Wb``
+    the (3 hidden, k + 1) gate matrix ``[W | b]``, so ``dWb`` holds the
+    weight gradients and, in its last column, the bias gradients.
     ``work`` is a ``_GradWork`` of this call's shape, reused across calls;
-    without it the call builds its own.  ``pred`` and the gradient arrays
-    are views into ``work``, valid until its next call.
+    without it the call builds its own.  ``pred``, ``dWb`` and ``dw_y``
+    are arrays of ``work``, valid until its next call.
 
     Defined under this name (not aliased): ``perfbench/spans.py`` traces
     the kernel by it.
     """
-    n, k = x.shape
+    n = xa.shape[0]
+    hidden = w_y.shape[0]
     if work is None:
-        work = _GradWork(n, k, W_i.shape[0])
-    i, o, g, tc, h, do = work.i, work.o, work.g, work.tc, work.h, work.do
+        work = _GradWork(n, xa.shape[1] - 1, hidden)
+    i, o, g, tc, h, dh = work.blocks
 
-    _sigmoid_into(i, x, W_i, b_i)
-    _sigmoid_into(o, x, W_o, b_o)
-    _tanh_into(g, x, W_g, b_g)
+    z = np.matmul(Wb, xa.T, out=work.gates)   # every pre-activation
+    io = z[:2 * hidden]
+    np.negative(io, out=io)
+    np.exp(io, out=io)
+    io += 1.0
+    np.divide(1.0, io, out=io)            # i | o = sigmoid
+    np.tanh(g, out=g)
     np.multiply(i, g, out=tc)             # c
     np.tanh(tc, out=tc)
     np.multiply(o, tc, out=h)
-    pred = np.matmul(h, w_y, out=work.pred)
+    pred = np.matmul(w_y, h, out=work.pred)
     pred += b_y
 
     resid = np.subtract(pred, y, out=work.resid)
@@ -128,11 +149,13 @@ def loss_and_grads_numpy(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y, *,
     loss = np.mean(dpred)
 
     np.multiply(resid, 2.0 / n, out=dpred)
-    dw_y = np.matmul(h.T, dpred, out=work.dw_y)
+    dw_y = np.matmul(h, dpred, out=work.dw_y)
     db_y = np.sum(dpred)
 
-    dh = np.multiply(dpred.reshape(-1, 1), w_y.reshape(1, -1), out=h)
-    np.multiply(dh, tc, out=do)
+    # the outer product w_y dpred^T: one product per entry, as a K=1 matmul
+    # would give, and faster here than one
+    np.multiply(w_y.reshape(-1, 1), dpred.reshape(1, -1), out=dh)
+    do = np.multiply(dh, tc, out=h)
     dc = dh
     dc *= o                               # dh * o
     tc *= tc
@@ -152,11 +175,5 @@ def loss_and_grads_numpy(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y, *,
     np.subtract(1.0, g, out=g)
     dpre_g *= g                           # (dc * i) * (1 - g * g)
 
-    return (loss, pred,
-            np.matmul(dpre_i.T, x, out=work.dW_i),
-            np.sum(dpre_i, axis=0, out=work.db_i),
-            np.matmul(dpre_o.T, x, out=work.dW_o),
-            np.sum(dpre_o, axis=0, out=work.db_o),
-            np.matmul(dpre_g.T, x, out=work.dW_g),
-            np.sum(dpre_g, axis=0, out=work.db_g),
-            dw_y, db_y)
+    # dpre_i | dpre_o | dpre_g are the rows of work.dpre
+    return (loss, pred, np.matmul(work.dpre, xa, out=work.dWb), dw_y, db_y)

@@ -12,8 +12,12 @@ descent; 64-bit floats throughout.
 matrix ``W`` and one (3 hidden,) bias ``b``, row blocks in the order
 ``i, o, g``.  The per-gate names ``W_i, b_i, W_o, b_o, W_g, b_g`` are
 row-block views into that storage.  ``predict_window`` takes one
-product over it per window; training updates the three stored arrays
-``W``, ``b`` and ``w_y``.  The model file keeps its per-gate blocks.
+product over it per window, and batch prediction one per gate, the
+products whose bits ``calibrate`` and ``detect`` have always given (see
+``kernels``).  Training instead updates one augmented matrix
+``[W | b]`` of shape (3 hidden, k + 1), with ``w_y`` and ``b_y``, and
+writes ``W`` and ``b`` back when it ends.  The model file keeps its
+per-gate blocks.
 """
 
 from __future__ import annotations
@@ -79,7 +83,9 @@ class LstmParams:
     blocks ordered ``i, o, g``.  ``W_i``, ``b_i``, ``W_o``, ``b_o``,
     ``W_g`` and ``b_g`` are row-block views into them, so an in-place
     update through either name reaches the same memory, and assigning a
-    block copies the value into the storage.  The constructor and
+    block copies the value into the storage.  Training works on a copy
+    with the biases as a last column, ``[W | b]``, which its gradient
+    kernel multiplies in one product.  The constructor and
     ``copy`` copy every array they are given: instances never share
     storage.
     """
@@ -188,8 +194,8 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
     computed in a single cell step from the zero state.
 
     Evaluates the cell formula one window at a time, independently of the
-    batch kernel; the finite-difference oracle and online detection use
-    it.  Pure: never mutates its arguments.
+    batch kernel; online detection uses it.  Pure: never mutates its
+    arguments.
 
     The three gate pre-activations come from one ``W @ x`` over the fused
     storage, which equals the three per-gate products bit for bit, except
@@ -236,6 +242,21 @@ def _check_windows(params: LstmParams, windows: WindowSet) -> None:
             f"model expects {params.input_dim}")
 
 
+def _with_ones(inputs) -> np.ndarray:
+    """The (n, k) inputs as a C-contiguous (n, k + 1) array whose last
+    column is ones, the training kernel's ``xa``."""
+    n, k = inputs.shape
+    xa = np.empty((n, k + 1))
+    xa[:, :k] = inputs
+    xa[:, k] = 1.0
+    return xa
+
+
+def _augmented(params: LstmParams) -> np.ndarray:
+    """A fresh (3 hidden, input_dim + 1) gate matrix ``[W | b]``."""
+    return np.concatenate((params.W, params.b[:, None]), axis=1)
+
+
 def bptt_gradients(params: LstmParams,
                    windows: WindowSet) -> tuple[LstmParams, float]:
     """Exact gradients of the mean squared error over a window set.
@@ -243,57 +264,16 @@ def bptt_gradients(params: LstmParams,
     Returns (gradients, loss); the gradient container mirrors LstmParams.
     """
     _check_windows(params, windows)
-    x = np.ascontiguousarray(windows.inputs, dtype=np.float64)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
-    loss, _, *grad_arrays, grad_b_y = loss_and_grads_numpy(
-        x, y, *params.arrays(), params.b_y)
-    grads = LstmParams(params.input_dim, params.hidden_dim,
-                       *grad_arrays, float(grad_b_y))
+    loss, _, dWb, dw_y, db_y = loss_and_grads_numpy(
+        _with_ones(windows.inputs), y, _augmented(params), params.w_y,
+        params.b_y)
+    grads = params.copy()
+    grads.W[...] = dWb[:, :-1]
+    grads.b[...] = dWb[:, -1]
+    grads.w_y[...] = dw_y
+    grads.b_y = float(db_y)
     return grads, float(loss)
-
-
-def forward_loss(params: LstmParams, windows: WindowSet) -> float:
-    """MSE via per-window forward steps only (no backward pass); this is
-    the evaluation route used by the finite-difference oracle."""
-    _check_windows(params, windows)
-    total = 0.0
-    for window, target in zip(windows.inputs, windows.targets):
-        residual = predict_window(params, window) - target
-        total += residual * residual
-    return total / len(windows)
-
-
-def finite_difference_gradient(params: LstmParams, windows: WindowSet,
-                               epsilon: float = 1e-5) -> LstmParams:
-    """Central-difference gradient of the window-set loss, one parameter
-    at a time: (L(p + eps) - L(p - eps)) / (2 eps)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_windows(params, windows)
-    work = params.copy()
-    grads = LstmParams(params.input_dim, params.hidden_dim,
-                       *(np.zeros_like(a) for a in params.arrays()), 0.0)
-    for name in PARAM_FIELDS:
-        arr = getattr(work, name)
-        grad_arr = getattr(grads, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = arr[idx]
-            arr[idx] = original + epsilon
-            loss_plus = forward_loss(work, windows)
-            arr[idx] = original - epsilon
-            loss_minus = forward_loss(work, windows)
-            arr[idx] = original
-            grad_arr[idx] = (loss_plus - loss_minus) / (2.0 * epsilon)
-    original = work.b_y
-    work.b_y = original + epsilon
-    loss_plus = forward_loss(work, windows)
-    work.b_y = original - epsilon
-    loss_minus = forward_loss(work, windows)
-    work.b_y = original
-    grads.b_y = (loss_plus - loss_minus) / (2.0 * epsilon)
-    return grads
 
 
 def train(config: TrainConfig,
@@ -303,7 +283,8 @@ def train(config: TrainConfig,
     Deterministic for a fixed seed.  Each epoch records the loss at the
     parameters before that epoch's update.  Non-finite parameters abort
     with a DivergenceError naming the epoch.  The gradient kernel runs in
-    one set of work buffers for all epochs.
+    one set of work buffers for all epochs, on the augmented gate matrix
+    ``[W | b]``, which is written back into the returned parameters.
     """
     if windows.lag != config.lag:
         raise ValueError(
@@ -311,31 +292,32 @@ def train(config: TrainConfig,
     if len(windows) == 0:
         raise ValueError("window set is empty")
     params = init_params(config.lag, config.hidden_dim, config.rng_seed)
-    x = np.ascontiguousarray(windows.inputs, dtype=np.float64)
+    xa = _with_ones(windows.inputs)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
-    param_arrays = params.arrays()
-    stored = (params.W, params.b, params.w_y)
+    Wb, w_y, b_y = _augmented(params), params.w_y, params.b_y
     lr = config.learning_rate
     clip = config.gradient_clip
     losses = np.empty(config.epochs)
-    work = _GradWork(len(x), config.lag, config.hidden_dim)
-    # the kernel writes the gate gradients into these fused arrays
-    fused_grads = (work.dW, work.db, work.dw_y)
+    work = _GradWork(len(xa), config.lag, config.hidden_dim)
 
     start = time.perf_counter()
     for epoch in range(config.epochs):
-        losses[epoch], *_, grad_b_y = loss_and_grads_numpy(
-            x, y, *param_arrays, params.b_y, work=work)
-        grad_arrays = fused_grads
+        losses[epoch], _, dWb, dw_y, db_y = loss_and_grads_numpy(
+            xa, y, Wb, w_y, b_y, work=work)
         if clip is not None:
-            grad_arrays = tuple(np.clip(g, -clip, clip) for g in grad_arrays)
-            grad_b_y = min(max(grad_b_y, -clip), clip)
-        for target, grad in zip(stored, grad_arrays):
-            target -= lr * grad
-        params.b_y -= lr * grad_b_y
-        if not (params.all_finite() and np.isfinite(losses[epoch])):
+            dWb = np.clip(dWb, -clip, clip)
+            dw_y = np.clip(dw_y, -clip, clip)
+            db_y = min(max(db_y, -clip), clip)
+        Wb -= lr * dWb
+        w_y -= lr * dw_y
+        b_y -= lr * db_y
+        if not (np.isfinite(Wb).all() and np.isfinite(w_y).all()
+                and np.isfinite(b_y) and np.isfinite(losses[epoch])):
             raise DivergenceError(epoch + 1)
     wall = time.perf_counter() - start
+    params.W[...] = Wb[:, :-1]
+    params.b[...] = Wb[:, -1]
+    params.b_y = b_y
     return params, TrainReport(epoch_losses=losses, wall_seconds=wall)
 
 

@@ -16,10 +16,12 @@ from synwatch.cli import main as cli_main
 from synwatch.detector import Detector, DetectorConfig, ErrorRing, \
     averaged_relative_error, danger_coefficient
 from synwatch.lstm import (PARAM_FIELDS, TrainConfig, bptt_gradients,
-                           finite_difference_gradient, init_params, train)
+                           init_params, train)
 from synwatch.pipeline import (SynthConfig, TimeSeries, WindowSet,
                                build_windows, fit_scaler, generate_synthetic,
                                scale_windows)
+
+from fd_oracle import finite_difference_gradient
 
 START_OF_DAY = __import__("datetime").datetime(2000, 1, 1)
 

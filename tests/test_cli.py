@@ -280,6 +280,45 @@ class TestTrain:
         assert not model.exists()
 
 
+def short_series(runner, tmp_path, length):
+    path = tmp_path / f"short{length}.csv"
+    result = runner.invoke(main, ["synth", "--length", str(length),
+                                  "--seed", "4", "-o", str(path)])
+    assert result.exit_code == 0
+    return str(path)
+
+
+class TestTrainShortSeries:
+    @pytest.mark.parametrize("lag", (1, 2, 3))
+    def test_too_short_for_one_window_is_data_error(self, runner, tmp_path,
+                                                    lag):
+        model = tmp_path / "m.txt"
+        result = runner.invoke(main, ["train", short_series(runner, tmp_path,
+                                                            lag),
+                                      "--lag", str(lag), "--epochs", "2",
+                                      "-o", str(model)])
+        assert result.exit_code == 3
+        assert f"lag {lag} needs at least {lag + 1}" in result.output
+        assert not model.exists()
+
+    @pytest.mark.parametrize("lag", (1, 2, 3))
+    def test_one_window_trains(self, runner, tmp_path, lag):
+        result = runner.invoke(main, ["train", short_series(runner, tmp_path,
+                                                            lag + 1),
+                                      "--lag", str(lag), "--epochs", "2",
+                                      "-o", str(tmp_path / "m.txt")])
+        assert result.exit_code == 0, result.output
+
+    def test_compare_lags_needs_a_window_at_lag_3(self, runner, tmp_path):
+        table = tmp_path / "t.csv"
+        result = runner.invoke(main, ["compare-lags",
+                                      short_series(runner, tmp_path, 3),
+                                      "--epochs", "2", "-o", str(table)])
+        assert result.exit_code == 3
+        assert "lag 3 needs at least 4" in result.output
+        assert not table.exists()
+
+
 class TestCompareLags:
     def test_table_shape_and_determinism(self, runner, workspace, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

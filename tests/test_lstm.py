@@ -11,12 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from synwatch.errors import DataError, DivergenceError
 from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
-                           bptt_gradients, finite_difference_gradient,
-                           forward_loss, init_params, load_model,
+                           bptt_gradients, init_params, load_model,
                            predict_window, predict_windows, save_model, train)
 from synwatch.pipeline import WindowSet
 
 from conftest import make_window_set
+from fd_oracle import finite_difference_gradient, forward_loss
 
 #: Block order of an ``lstm-model v1`` file: the four-gate cell.
 V1_FIELDS = ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
