@@ -11,7 +11,11 @@ Each (ret, alpha) cell scores its whole beta column at once with array
 operations over the steps whose danger coefficient exceeds alpha: the
 begin and end marks of the alarmed runs give every event of every beta,
 and one searchsorted pass over the sorted intervals scores them with the
-same overlap rule as ``evaluate_events``.
+same overlap rule as ``evaluate_events``.  A column's counts depend only
+on which steps are candidates, not on the ret and alpha that picked them,
+so within one ``calibrate`` call the cells with equal candidate steps
+(alphas between the same ``k/mat`` levels, or no candidates at all) share
+one scoring.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class EvalReport:
     detected_intervals: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     ret: float
     alpha: float
@@ -232,19 +236,19 @@ def _normal_step_count(trace: ReplayTrace, intervals) -> int:
     return len(trace.steps) - int(np.sum(in_attack))
 
 
-def _score_column(trace: ReplayTrace, dc: np.ndarray, ret: float,
-                  alpha: float, betas, intervals) -> list[SweepRow]:
-    """Sweep rows of one (ret, alpha) cell, one per beta, in beta order.
+def _column_counts(trace: ReplayTrace, idx: np.ndarray, betas,
+                   intervals) -> list[tuple[float, int, int, int, int]]:
+    """Scores of one column of candidate steps ``idx``, one per beta in
+    beta order: the trailing SweepRow fields (detection rate, false
+    alarms, events, detected and total intervals).
 
-    Works on the candidate steps (past warmup, dc above alpha) only: a
-    candidate is alarmed for one beta when its window mean exceeds that
+    A candidate is alarmed for one beta when its window mean exceeds that
     beta, and consecutive alarmed candidates at adjacent steps form one
     event, exactly as ``segment_alarms`` joins streaming verdicts.  So an
     event begins at an alarmed candidate whose adjacent predecessor's
     mean does not exceed beta (-inf stands for no adjacent predecessor),
     and ends likewise at the successor side.
     """
-    idx = np.flatnonzero(~trace.warmup & (dc > alpha))
     steps, are = trace.steps[idx], trace.are[idx]
     adjacent = np.diff(steps) == 1
     before = np.full(len(idx), -np.inf)
@@ -259,15 +263,17 @@ def _score_column(trace: ReplayTrace, dc: np.ndarray, ret: float,
     detected, false_alarms = _score_spans(
         row, steps[first], steps[last], intervals, len(betas))
     events = np.bincount(row, minlength=len(betas))
-    return [SweepRow(ret=ret, alpha=alpha, beta=beta,
-                     detection_rate_pct=_detection_rate(n_detected,
-                                                        len(intervals)),
-                     false_alarms=n_false, events_total=n_events,
-                     detected_intervals=n_detected,
-                     intervals_total=len(intervals))
-            for beta, n_detected, n_false, n_events in zip(
-                betas, detected.tolist(), false_alarms.tolist(),
-                events.tolist())]
+    total = len(intervals)
+    return [(_detection_rate(n_detected, total), n_false, n_events,
+             n_detected, total)
+            for n_detected, n_false, n_events in zip(
+                detected.tolist(), false_alarms.tolist(), events.tolist())]
+
+
+def _candidates(trace: ReplayTrace, dc: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """Steps past warmup whose danger coefficient exceeds alpha."""
+    return np.flatnonzero(~trace.warmup & (dc > alpha))
 
 
 def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
@@ -287,12 +293,21 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
         raise DataError(
             f"validation stream needs at least {grid.mat} normal steps")
 
+    betas = grid.beta_candidates
+    # Column counts by candidate steps: ret and alpha only label a column.
+    scored: dict[bytes, list] = {}
     rows: list[SweepRow] = []
     for ret in grid.ret_candidates:
         dc = trace.danger(ret)
         for alpha in grid.alpha_candidates:
-            rows += _score_column(trace, dc, ret, alpha,
-                                  grid.beta_candidates, intervals)
+            idx = _candidates(trace, dc, alpha)
+            key = idx.tobytes()
+            counts = scored.get(key)
+            if counts is None:
+                counts = scored[key] = _column_counts(trace, idx, betas,
+                                                      intervals)
+            rows += [SweepRow(ret, alpha, beta, *scores)
+                     for beta, scores in zip(betas, counts)]
 
     best = max(rows, key=lambda r: (r.detection_rate_pct, -r.false_alarms,
                                     r.beta, r.alpha, r.ret))
@@ -315,8 +330,35 @@ def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
         raise ValueError("beta_list must be non-empty")
     intervals = _check_intervals(attack_intervals)
     trace = replay_trace(pairs, config_base.mat, config_base.epsilon_floor)
-    return _score_column(trace, trace.danger(config_base.ret),
-                         config_base.ret, config_base.alpha, betas, intervals)
+    ret, alpha = config_base.ret, config_base.alpha
+    idx = _candidates(trace, trace.danger(ret), alpha)
+    counts = _column_counts(trace, idx, betas, intervals)
+    return [SweepRow(ret, alpha, beta, *scores)
+            for beta, scores in zip(betas, counts)]
+
+
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile`` with its default linear rule, bit for bit, of the
+    values sorted in ``ordered``; ``q`` lies in [0, 1].
+
+    The first ``np.quantile`` call in a process imports ``numpy.ma``,
+    which costs more than the whole grid.  Past the last index numpy
+    interpolates from the last value to itself with weight ``v + 1``,
+    which turns a trailing -0.0 into 0.0; this keeps that too.  With both
+    0.0 and -0.0 in the input, the sign of a zero result from numpy
+    depends on the input order, so only its value is matched there.
+    """
+    last = len(ordered) - 1
+    v = last * q
+    if v >= last:
+        a = b = float(ordered[-1])
+        t = v + 1
+    else:
+        lower = math.floor(v)
+        a, b = float(ordered[lower]), float(ordered[lower + 1])
+        t = v - lower
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def default_grid(pairs, mat: int = 12,
@@ -327,8 +369,9 @@ def default_grid(pairs, mat: int = 12,
     trace = replay_trace(pairs, mat, epsilon_floor)
     if np.all(trace.warmup):
         raise DataError(f"validation stream shorter than mat={mat}")
-    lo = max(float(np.quantile(trace.re, 0.5)), 1e-9)
-    hi = max(float(np.quantile(trace.re, 0.999)), lo * (1 + 1e-9))
+    ordered = np.sort(trace.re)
+    lo = max(_quantile(ordered, 0.5), 1e-9)
+    hi = max(_quantile(ordered, 0.999), lo * (1 + 1e-9))
     rets = tuple(np.geomspace(lo, hi, 20))
     ares = trace.are[~trace.warmup]
     betas = tuple(np.linspace(float(np.min(ares)), float(np.max(ares)), 20))
@@ -363,9 +406,22 @@ SWEEP_HEADER = "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"
 
 
 def write_sweep(path, rows) -> None:
+    # ret, alpha, beta and the rate repeat across a grid's rows, so each
+    # distinct value is formatted once.  Zeros are not kept: 0.0 and -0.0
+    # are one dict key but print differently.
+    formatted: dict[float, str] = {}
+
+    def text(value: float) -> str:
+        out = formatted.get(value)
+        if out is None:
+            out = f"{value:.17g}"
+            if value:
+                formatted[value] = out
+        return out
+
     lines = [SWEEP_HEADER]
     for r in rows:
-        lines.append(f"{r.ret:.17g},{r.alpha:.17g},{r.beta:.17g},"
-                     f"{r.detection_rate_pct:.17g},{r.false_alarms},"
+        lines.append(f"{text(r.ret)},{text(r.alpha)},{text(r.beta)},"
+                     f"{text(r.detection_rate_pct)},{r.false_alarms},"
                      f"{r.events_total}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import timedelta
@@ -39,6 +40,17 @@ EXIT_DIVERGENCE = 4
 _seed_option = click.option(
     "--seed", type=int, default=0, show_default=True, envvar="CLD_SEED",
     help="RNG seed (falls back to the CLD_SEED environment variable).")
+
+
+def _check_epsilon_floor(ctx, param, value):
+    if not 0 < value < math.inf:
+        raise click.BadParameter("must be finite and positive")
+    return value
+
+
+_epsilon_floor_option = click.option(
+    "--epsilon-floor", type=float, default=1e-6, show_default=True,
+    callback=_check_epsilon_floor)
 
 
 def _handle_errors(fn):
@@ -312,7 +324,7 @@ def _parse_beta_list(text: str) -> list[float]:
               help="Comma-separated betas; sweep table restricts to these.")
 @click.option("--ret", type=float, default=None,
               help="Pin the per-step error threshold (else grid search).")
-@click.option("--epsilon-floor", type=float, default=1e-6, show_default=True)
+@_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
@@ -321,8 +333,6 @@ def _parse_beta_list(text: str) -> list[float]:
 def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
                   ret, epsilon_floor, scaler_path, output):
     """Pick detection thresholds from a labeled validation series."""
-    if epsilon_floor <= 0:
-        raise click.UsageError("--epsilon-floor must be positive")
     if beta is not None and beta_list is not None:
         raise click.UsageError("--beta and --beta-list are mutually exclusive")
     params = load_model(model_path)
@@ -330,6 +340,11 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     data = load_series(validation_path)
     if not isinstance(data, LabeledTimeSeries):
         raise DataError("validation series has no label column")
+    lag = params.input_dim
+    if len(data.series) < lag + 1:
+        raise DataError(
+            f"validation series has {len(data.series)} values; lag {lag} "
+            f"needs at least {lag + 1}")
     pairs = _prediction_table(params, scaler, data.series)
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
@@ -390,7 +405,7 @@ def _replay_verdicts(trace, config: DetectorConfig) -> list[StepVerdict]:
                 type=click.Path(exists=True, dir_okay=False))
 @click.argument("test_path", metavar="TEST",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--epsilon-floor", type=float, default=1e-6, show_default=True)
+@_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
@@ -399,8 +414,6 @@ def _replay_verdicts(trace, config: DetectorConfig) -> list[StepVerdict]:
 def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
                output):
     """Stream a series through the detector; report alarms and metrics."""
-    if epsilon_floor <= 0:
-        raise click.UsageError("--epsilon-floor must be positive")
     params = load_model(model_path)
     scaler = load_scaler(scaler_path or f"{model_path}.scaler")
     config = DetectorConfig.from_text(

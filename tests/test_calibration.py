@@ -1,13 +1,20 @@
 """Evaluation metrics, grid sweep, replay/streaming equivalence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, calibrate,
-                                  default_grid, evaluate, evaluate_events,
-                                  replay_trace, sweep_beta, write_sweep)
+import synwatch
+from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, SweepRow,
+                                  _quantile, calibrate, default_grid,
+                                  evaluate, evaluate_events, replay_trace,
+                                  sweep_beta, write_sweep)
 from synwatch.detector import AlarmEvent, Detector, DetectorConfig
 from synwatch.errors import DataError
 
@@ -298,7 +305,9 @@ def sweep_cases(draw):
     Steps may skip (gaps of 1-3), actuals may be zero, ``mat`` may exceed
     the stream, every prediction may be exact (no step can alarm) or off
     (every step past warmup alarms at the smallest thresholds), and the
-    intervals may reach past either end of the stream.
+    intervals may reach past either end of the stream.  A ret may exceed
+    every error, and the alphas come from a ladder finer than any
+    ``k/mat`` step, so cells often share their candidate steps.
     """
     n = draw(st.integers(1, 40))
     gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -319,10 +328,10 @@ def sweep_cases(draw):
     for start, following in zip(points, points[1:] + [hi + 1]):
         if draw(st.booleans()):
             intervals.append((start, draw(st.integers(start, following - 1))))
-    thresholds = st.sampled_from([1e-9, 0.1, 0.3, 0.5, 1.0, 2.0])
-    rets = sorted(draw(st.lists(thresholds, min_size=1, max_size=2)))
-    alphas = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
-                                  min_size=1, max_size=2)))
+    thresholds = st.sampled_from([1e-9, 0.1, 0.3, 0.5, 1.0, 2.0, 1e9])
+    rets = sorted(draw(st.lists(thresholds, min_size=1, max_size=3)))
+    ladder = st.sampled_from([k / 20 for k in range(21)])
+    alphas = sorted(draw(st.lists(ladder, min_size=1, max_size=4)))
     betas = draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0, 1e9]),
                           min_size=1, max_size=4))
     mat = draw(st.integers(1, 8))
@@ -357,6 +366,11 @@ class TestSweepMatchesStreamingReference:
                 pairs, intervals, row.ret, row.alpha, row.beta, mat))
 
     @given(case=sweep_cases())
+    # Cells (0.1, 0.5) and (0.3, 0.0) each have nine candidate steps, but
+    # not the same nine, and they score differently.
+    @example(case=([(s, 4.0, p) for s, p in enumerate(
+        [4.0, 2.0, 2.0, 4.0, 3.0, 2.0, 4.0, 4.0, 4.0, 3.0, 3.0, 2.0, 3.0,
+         3.0])], [(7, 8)], [0.1, 0.3], [0.0, 0.5], [0.0], 3))
     def test_calibrate_rows(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
         grid = CalibrationGrid(rets, alphas, sorted(betas), mat=mat)
@@ -392,15 +406,62 @@ class TestDefaultGrid:
         pairs, _ = synthetic_pairs(rng)
         trace = replay_trace(pairs, 12)
         grid = default_grid(pairs)
-        assert grid.ret_candidates[0] == \
-            pytest.approx(float(np.quantile(trace.re, 0.5)))
-        assert grid.ret_candidates[-1] == \
-            pytest.approx(float(np.quantile(trace.re, 0.999)))
+        assert grid.ret_candidates[0] == float(np.quantile(trace.re, 0.5))
+        assert grid.ret_candidates[-1] == float(np.quantile(trace.re, 0.999))
 
     def test_stream_shorter_than_mat_rejected(self):
         pairs = [(s, 1.0, 0.9) for s in range(5)]
         with pytest.raises(DataError):
             default_grid(pairs, mat=12)
+
+    def test_calibrate_does_not_import_numpy_ma(self):
+        # np.quantile's first call imports numpy.ma, which costs more than
+        # the whole grid; a fresh interpreter shows whether any call does.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from synwatch.calibration import calibrate, default_grid\n"
+            "rng = np.random.default_rng(5)\n"
+            "re = rng.uniform(0.0, 0.2, 200)\n"
+            "re[80:100] += 0.8\n"
+            "pairs = np.column_stack((np.arange(200), np.ones(200), 1 - re))\n"
+            "calibrate(pairs, [(80, 99)], default_grid(pairs))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(synwatch.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+class TestQuantile:
+    values = st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+                      min_size=1, max_size=3000)
+    fractions = st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0]),
+                          st.floats(0.0, 1.0))
+
+    @given(values=values, q=fractions)
+    @example(values=[-0.0], q=1.0)
+    @example(values=[-1.0, -0.0], q=1.0)   # numpy gives 0.0 here
+    @example(values=[-0.0, -0.0, 3.0], q=0.25)
+    def test_equals_numpy_quantile_bit_for_bit(self, values, q):
+        x = np.array(values)
+        expected = float(np.quantile(x, q))
+        got = _quantile(np.sort(x), q)
+        zeros = np.signbit(x[x == 0])
+        if expected == 0 and zeros.any() and not zeros.all():
+            # 0.0 and -0.0 tie, so where a sort or numpy's partition puts
+            # each depends on the input order, and so may the sign of a
+            # zero quantile: np.quantile of a permutation can differ too.
+            assert got == 0
+        else:
+            assert np.float64(got).tobytes() == \
+                np.float64(expected).tobytes()
 
 
 def test_write_sweep_format(tmp_path, rng):
@@ -413,3 +474,14 @@ def test_write_sweep_format(tmp_path, rng):
     assert lines[0] == "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"
     assert len(lines) == 3
     assert lines[1].startswith("0.4")
+    # A grid's rows repeat their values; each still prints in full, and
+    # 0.0 and -0.0 keep their signs.
+    _, _, rows = calibrate(pairs, intervals, default_grid(pairs))
+    rows += [SweepRow(1.0, -0.0, 0.0, 0.0, 1, 1, 0, 2),
+             SweepRow(1.0, 0.0, -0.0, 0.0, 1, 1, 0, 2)]
+    write_sweep(path, rows)
+    lines = path.read_text().splitlines()[1:]
+    assert lines == [f"{r.ret:.17g},{r.alpha:.17g},{r.beta:.17g},"
+                     f"{r.detection_rate_pct:.17g},{r.false_alarms},"
+                     f"{r.events_total}" for r in rows]
+    assert lines[-2:] == ["1,-0,0,0,1,1", "1,0,-0,0,1,1"]

@@ -407,6 +407,17 @@ class TestCalibrate:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    def test_too_short_for_one_window_is_data_error(self, runner, workspace,
+                                                    tmp_path):
+        out = tmp_path / "cfg.txt"
+        result = runner.invoke(main, [
+            "calibrate", workspace["model"], short_series(runner, tmp_path, 3),
+            "-o", str(out)])
+        assert result.exit_code == 3
+        assert "validation series has 3 values; lag 3 needs at least 4" \
+            in result.output
+        assert not out.exists()
+
     def test_non_finite_count_is_data_error(self, runner, workspace,
                                             tmp_path):
         from pathlib import Path
@@ -605,6 +616,21 @@ class TestSplitCommand:
                                       "--validation-fraction", "0.1",
                                       "-o", str(tmp_path / "part")])
         assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilon_floor_is_usage_error(runner, workspace, tmp_path,
+                                                 command, value):
+    out = tmp_path / "out.txt"
+    inputs = ([workspace["val"]] if command == "calibrate"
+              else [workspace["config"], workspace["test"]])
+    result = runner.invoke(main, [command, workspace["model"], *inputs,
+                                  "--epsilon-floor", value, "-o", str(out)])
+    assert result.exit_code == 2
+    assert "--epsilon-floor" in result.output
+    assert "finite and positive" in result.output
+    assert not out.exists()
 
 
 def test_usage_error_exit_code_distinct(runner, tmp_path):
