@@ -2,7 +2,7 @@
 
 Trains a small LSTM on normal per-step packet counts, predicts each next
 value, and flags sustained floods by thresholding the density and mean of
-recent prediction errors held in a fixed-size circular window.
+the last few prediction errors.
 """
 
 __version__ = "0.1.0"
@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .calibration import (CalibrationGrid, EvalReport, SweepRow, calibrate,
                           default_grid, evaluate, prediction_pairs,
                           replay_trace, sweep_beta)
-from .detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
-                       StepVerdict, WarmupError, averaged_relative_error,
-                       danger_coefficient, relative_error, segment_alarms)
+from .detector import (AlarmEvent, Detector, DetectorConfig, StepVerdict,
+                       relative_error, segment_alarms)
 from .errors import DataError, DivergenceError
 from .lstm import (LstmParams, TrainConfig, TrainReport, bptt_gradients,
                    init_params, load_model, predict_window, predict_windows,

@@ -2,8 +2,8 @@
 
 The grid sweep replays the detector's window statistics in vectorized
 form.  The replay is constructed to be bit-identical to the streaming
-detector: window means accumulate oldest-to-newest exactly like the ring
-does, and anomalous-point counts are integer-exact, so a selected
+detector: window means accumulate oldest-to-newest exactly like
+``Detector.step`` does, and anomalous-point counts are integer-exact, so a selected
 configuration re-run through the streaming engine reproduces its sweep
 metrics without tolerance.
 
@@ -161,8 +161,8 @@ def evaluate(verdicts, attack_intervals) -> EvalReport:
 
 
 def _rolling_sum(values: np.ndarray, width: int) -> np.ndarray:
-    # Accumulates window elements oldest-to-newest, matching the ring's
-    # summation order element for element.
+    # Accumulates window elements oldest-to-newest, matching
+    # Detector.step's summation order element for element.
     out_len = len(values) - width + 1
     acc = values[:out_len].copy()
     for j in range(1, width):

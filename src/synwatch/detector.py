@@ -1,31 +1,29 @@
 """Streaming collective-anomaly decision engine.
 
-Each incoming (actual, predicted) pair yields a relative error; a
-fixed-capacity circular list keeps the most recent ``mat`` errors.  The
-step raises a collective alarm when both window statistics exceed their
-thresholds: the fraction of window errors above ``ret`` must exceed
-``alpha`` and the window's mean error must exceed ``beta``.  All three
-comparisons are strict.  No alarm is possible before the window has
-filled once (warmup).
+Each incoming (actual, predicted) pair yields a relative error, and the
+detector keeps the last ``mat`` of them.  A step raises a collective
+alarm when both window statistics exceed their thresholds: the danger
+coefficient ``dc``, the fraction of window errors above ``ret``, must
+exceed ``alpha`` and the window's mean error ``are`` must exceed
+``beta``.  All three comparisons are strict.  No alarm is possible
+before the window has filled once (warmup).
 
+``Detector.step`` is the one scalar form of this rule.
 ``calibration.replay_trace`` computes the same per-step statistics for a
-whole stream with array operations, bit for bit equal to this streaming
-form; ``synwatch detect`` builds its verdicts from that trace, and
-``Detector`` is the online form of the same rule.
+whole stream with array operations, bit for bit equal to it; ``synwatch
+detect`` builds its verdicts from that trace.
 """
 
 from __future__ import annotations
 
 import math
 import re as _re
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-
-
-class WarmupError(Exception):
-    """Raised when a window statistic is requested before the ring fills."""
 
 
 @dataclass
@@ -70,51 +68,6 @@ class DetectorConfig:
                 f"bad detector config {text.strip()!r}: {exc}") from None
 
 
-class ErrorRing:
-    """Fixed-capacity circular buffer of the most recent relative errors.
-
-    The slots are a plain list of floats: one push and both window
-    statistics stay in Python scalars, which is cheaper per step than
-    numpy calls on an array this small.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.slots = [0.0] * capacity
-        self.write_index = 0
-        self.filled = 0
-
-    def push(self, re_value: float) -> None:
-        """Store one error, evicting the oldest once full."""
-        if not math.isfinite(re_value):
-            raise DataError(f"non-finite relative error {re_value!r}")
-        if re_value < 0:
-            raise ValueError("relative errors are non-negative")
-        self.slots[self.write_index] = re_value
-        self.write_index = (self.write_index + 1) % self.capacity
-        if self.filled < self.capacity:
-            self.filled += 1
-
-    @property
-    def full(self) -> bool:
-        return self.filled == self.capacity
-
-    def values_oldest_to_newest(self) -> list[float]:
-        if not self.full:
-            # before the first wrap, insertion order is slot order
-            return self.slots[:self.filled]
-        return self.slots[self.write_index:] + self.slots[:self.write_index]
-
-    def copy(self) -> "ErrorRing":
-        dup = ErrorRing(self.capacity)
-        dup.slots = list(self.slots)
-        dup.write_index = self.write_index
-        dup.filled = self.filled
-        return dup
-
-
 def relative_error(actual: float, predicted: float,
                    epsilon_floor: float = 1e-6) -> float:
     """|actual - predicted| scaled by the actual value's magnitude, with a
@@ -122,33 +75,6 @@ def relative_error(actual: float, predicted: float,
     if epsilon_floor <= 0:
         raise ValueError("epsilon_floor must be positive")
     return abs(actual - predicted) / max(abs(actual), epsilon_floor)
-
-
-def danger_coefficient(ring: ErrorRing, ret: float) -> float:
-    """Fraction of ring entries strictly above ret; defined only once the
-    ring has filled."""
-    if not ring.full:
-        raise WarmupError("ring not yet full")
-    n_anomalous = 0
-    for value in ring.slots:
-        if value > ret:
-            n_anomalous += 1
-    return n_anomalous / ring.capacity
-
-
-def averaged_relative_error(ring: ErrorRing) -> float:
-    """Mean of the ring's errors, summed oldest to newest so the result is
-    bit-identical to a plain running-suffix recomputation.
-
-    The explicit ``+=`` loop fixes the order and precision of the sum:
-    the built-in ``sum`` of floats is compensated from Python 3.12 on and
-    would round differently."""
-    if not ring.full:
-        raise WarmupError("ring not yet full")
-    total = 0.0
-    for value in ring.values_oldest_to_newest():
-        total += value
-    return total / ring.capacity
 
 
 @dataclass
@@ -175,20 +101,26 @@ class AlarmEvent:
 class Detector:
     """Sequential state machine over one verdict stream.
 
-    State is exactly (ring, last step index); instances are independent
-    and a copied instance resumes identically.
+    State is exactly the last ``mat`` relative errors, oldest first, and
+    the last step index; instances are independent and a copied instance
+    resumes identically.  ``errors`` seeds the window with prior errors,
+    oldest first, of which the last ``mat`` are kept.
     """
 
-    def __init__(self, config: DetectorConfig, ring: ErrorRing | None = None,
+    def __init__(self, config: DetectorConfig, errors: Iterable[float] = (),
                  last_step: int | None = None):
         self.config = config
-        self.ring = ring if ring is not None else ErrorRing(config.mat)
-        if self.ring.capacity != config.mat:
-            raise ValueError("ring capacity must equal config.mat")
+        self.errors: deque[float] = deque(maxlen=config.mat)
+        for value in errors:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite relative error {value!r}")
+            if value < 0:
+                raise ValueError("relative errors are non-negative")
+            self.errors.append(value)
         self.last_step = last_step
 
     def copy(self) -> "Detector":
-        return Detector(self.config, self.ring.copy(), self.last_step)
+        return Detector(self.config, self.errors, self.last_step)
 
     def step(self, step: int, actual: float, predicted: float) -> StepVerdict:
         """Verdict for one (actual, predicted) pair; rejects a step that
@@ -204,26 +136,27 @@ class Detector:
             raise DataError("non-finite actual, predicted or relative error "
                             f"at step {step}")
         self.last_step = step
-        self.ring.push(re_value)
-        warmup = not self.ring.full
+        errors = self.errors
+        errors.append(re_value)
+        mat = cfg.mat
+        warmup = len(errors) < mat
         if warmup:
             dc = 0.0
             are = 0.0
             alarm = False
         else:
-            # danger_coefficient and averaged_relative_error in one pass
-            # over the slots, oldest to newest, with the same ``+=`` sum
-            ring = self.ring
-            slots, oldest = ring.slots, ring.write_index
+            # dc and are in one pass, oldest to newest; the explicit ``+=``
+            # fixes the order and precision of the sum (the built-in
+            # ``sum`` of floats is compensated from Python 3.12 on)
             ret = cfg.ret
             total = 0.0
             n_anomalous = 0
-            for value in slots[oldest:] + slots[:oldest]:
+            for value in errors:
                 total += value
                 if value > ret:
                     n_anomalous += 1
-            dc = n_anomalous / ring.capacity
-            are = total / ring.capacity
+            dc = n_anomalous / mat
+            are = total / mat
             alarm = dc > cfg.alpha and are > cfg.beta
         return StepVerdict(
             step=step, actual=actual, predicted=predicted, re=re_value,

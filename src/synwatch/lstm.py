@@ -116,11 +116,6 @@ class LstmParams:
         return LstmParams(self.input_dim, self.hidden_dim, *self.arrays(),
                           self.b_y)
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(arr))
-                   for arr in (self.W, self.b, self.w_y)) \
-            and np.isfinite(self.b_y)
-
 
 @dataclass
 class TrainConfig:

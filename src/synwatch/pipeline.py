@@ -13,7 +13,6 @@ columns do not carry flags.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re as _re
 from dataclasses import dataclass, field
@@ -151,6 +150,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be >= 1")
+        for name in ("baseline_mean", "baseline_std", "attack_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.baseline_mean < 0 or self.baseline_std < 0:
             raise ValueError("baseline mean/std must be non-negative")
         if self.attack_count < 0:
@@ -159,6 +161,10 @@ class SynthConfig:
             raise ValueError("need 1 <= attack_min_len <= attack_max_len")
         if self.attack_multiplier <= 1:
             raise ValueError("attack_multiplier must exceed 1")
+        if self.attack_count and not math.isfinite(
+                self.baseline_mean * self.attack_multiplier):
+            raise ValueError("attack mean baseline_mean * attack_multiplier "
+                             "must be finite")
 
 
 def intervals_from_labels(labels) -> list[tuple[int, int]]:
@@ -250,7 +256,7 @@ def _timestamp_us_parser():
 def load_tshark_csv(source) -> IngestResult:
     """Parse a tshark field export into sorted packet timestamps.
 
-    ``source`` may be a path or an open text/binary stream.  The header row
+    ``source`` may be a path or an open text stream.  The header row
     must name all four exported fields.  A data row is accepted when it has
     every field, integer ``frame.number``, ``frame.len`` and ``ip.proto``, a
     non-negative ``frame.len`` and a timestamp ``_parse_timestamp`` reads.
@@ -263,10 +269,6 @@ def load_tshark_csv(source) -> IngestResult:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_tshark_csv(fh)
-    if isinstance(source, (bytes, bytearray)):
-        return load_tshark_csv(io.StringIO(source.decode("utf-8")))
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
     reader = csv.reader(source)
     try:
@@ -413,6 +415,9 @@ def split_protocol(labeled: LabeledTimeSeries, train_fraction: float,
     The training segment must be all-normal; an attack-labeled step inside
     it raises rather than being silently included.
     """
+    if not (math.isfinite(train_fraction)
+            and math.isfinite(validation_fraction)):
+        raise ValueError("fractions must be finite")
     if train_fraction <= 0 or validation_fraction <= 0:
         raise ValueError("fractions must be positive")
     if train_fraction + validation_fraction >= 1:

@@ -13,8 +13,7 @@ from click.testing import CliRunner
 from synwatch.calibration import (calibrate, default_grid, evaluate,
                                   prediction_pairs, sweep_beta)
 from synwatch.cli import main as cli_main
-from synwatch.detector import Detector, DetectorConfig, ErrorRing, \
-    averaged_relative_error, danger_coefficient
+from synwatch.detector import Detector, DetectorConfig
 from synwatch.lstm import (PARAM_FIELDS, TrainConfig, bptt_gradients,
                            init_params, train)
 from synwatch.pipeline import (SynthConfig, TimeSeries, WindowSet,
@@ -100,30 +99,32 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_ring_oracle_equivalence():
-    with criterion(2, "ring DC/ARE equal full-history-suffix recomputation "
-                      "over 1000 random push sequences"):
+    with criterion(2, "Detector.step's DC/ARE equal full-history-suffix "
+                      "recomputation over 1000 random streams"):
         rng = np.random.default_rng(99)
         for _ in range(1000):
             mat = int(rng.integers(1, 20))
             length = int(rng.integers(mat, mat + 40))
             ret = float(rng.uniform(0.05, 1.5))
-            ring = ErrorRing(mat)
+            detector = Detector(DetectorConfig(ret=ret, beta=0.0, mat=mat))
             history = []
-            for value in rng.uniform(0, 2, size=length):
-                ring.push(float(value))
-                history.append(float(value))
-            suffix = history[-mat:]
-            dc_oracle = sum(1 for v in suffix if v > ret) / mat
-            # left to right, as the ring sums: the built-in sum() of
-            # floats is compensated from Python 3.12 on
-            are_oracle = 0.0
-            for value in suffix:
-                are_oracle += value
-            are_oracle /= mat
-            assert danger_coefficient(ring, ret) == dc_oracle
-            are = averaged_relative_error(ring)
-            # same summation order: bitwise equality
-            assert are == are_oracle
+            for step, value in enumerate(rng.uniform(0, 2, size=length)):
+                verdict = detector.step(step, 1.0, 1.0 - float(value))
+                history.append(verdict.re)
+                if verdict.warmup:
+                    continue
+                suffix = history[-mat:]
+                dc_oracle = sum(1 for v in suffix if v > ret) / mat
+                # left to right, as Detector.step sums: the built-in sum()
+                # of floats is compensated from Python 3.12 on
+                are_oracle = 0.0
+                for v in suffix:
+                    are_oracle += v
+                are_oracle /= mat
+                assert verdict.dc == dc_oracle
+                # same summation order: bitwise equality
+                assert verdict.are == are_oracle
+            assert not verdict.warmup  # the window filled at least once
 
 
 def test_criterion_3_table_tradeoff_structure():

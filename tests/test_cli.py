@@ -81,6 +81,24 @@ class TestSynth:
         assert result.exit_code == 3
         assert "cannot place" in result.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["--baseline-mean", "nan"], "baseline_mean must be finite"),
+        (["--baseline-std", "inf"], "baseline_std must be finite"),
+        (["--attack-multiplier", "nan", "--attacks", "1"],
+         "attack_multiplier must be finite"),
+        (["--attack-multiplier", "inf", "--attacks", "1"],
+         "attack_multiplier must be finite"),
+        (["--baseline-mean", "1e308", "--attacks", "1"],
+         "baseline_mean * attack_multiplier must be finite")])
+    def test_non_finite_values_are_usage_errors(self, runner, tmp_path, args,
+                                                message):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["synth", "--length", "100", *args,
+                                      "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
     def test_seed_env_fallback(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         runner.invoke(main, ["synth", "--length", "50", "-o", str(a)],
@@ -617,6 +635,17 @@ class TestSplitCommand:
                                       "-o", str(tmp_path / "part")])
         assert result.exit_code == 3
 
+    def test_non_finite_fraction_is_usage_error(self, runner, tmp_path):
+        src = tmp_path / "all.csv"
+        runner.invoke(main, ["synth", "--length", "100", "--seed", "13",
+                             "-o", str(src)])
+        result = runner.invoke(main, ["split", str(src),
+                                      "--train-fraction", "nan",
+                                      "-o", str(tmp_path / "part")])
+        assert result.exit_code == 2
+        assert "fractions must be finite" in result.output
+        assert not (tmp_path / "part.train.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["calibrate", "detect"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -643,3 +672,20 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "synwatch" in result.output
+
+
+def test_public_names_pinned():
+    # a change to the package's public surface must show in this list
+    import synwatch
+    assert sorted(synwatch.__all__) == [
+        "AlarmEvent", "CalibrationGrid", "DataError", "Detector",
+        "DetectorConfig", "DivergenceError", "EvalReport",
+        "LabeledTimeSeries", "LstmParams", "Scaler", "StepVerdict",
+        "SweepRow", "SynthConfig", "TimeSeries", "TrainConfig", "TrainReport",
+        "WindowSet", "aggregate_counts", "bptt_gradients", "build_windows",
+        "calibrate", "calibration", "default_grid", "detector", "errors",
+        "evaluate", "fit_scaler", "generate_synthetic", "init_params",
+        "kernels", "load_model", "load_series", "load_tshark_csv", "lstm",
+        "pipeline", "predict_window", "predict_windows", "prediction_pairs",
+        "relative_error", "replay_trace", "save_model", "save_series",
+        "segment_alarms", "split_protocol", "sweep_beta", "train"]

@@ -1,17 +1,15 @@
-"""Ring semantics, window statistics, alarm rule, segmentation, IO."""
+"""Error window, window statistics, alarm rule, segmentation, IO."""
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch.detector import (AlarmEvent, Detector, DetectorConfig, ErrorRing,
-                               StepVerdict, WarmupError,
-                               averaged_relative_error, danger_coefficient,
-                               read_alarms, read_verdicts, relative_error,
-                               segment_alarms, write_alarms, write_verdicts)
+from synwatch.detector import (AlarmEvent, Detector, DetectorConfig,
+                               StepVerdict, read_alarms, read_verdicts,
+                               relative_error, segment_alarms, write_alarms,
+                               write_verdicts)
 from synwatch.errors import DataError
 
 
@@ -34,51 +32,55 @@ class TestRelativeError:
         assert relative_error(4.0, 2.0) == pytest.approx(0.5)
 
 
-class TestErrorRing:
+def drive(detector, re_values, start_step=0):
+    # actual=1 and predicted=1-re makes each relative error re, up to the
+    # rounding of 1-re; oracles read the verdicts' own ``re``
+    return [detector.step(start_step + i, 1.0, 1.0 - re)
+            for i, re in enumerate(re_values)]
+
+
+def window_config(mat, ret=0.5):
+    return DetectorConfig(ret=ret, beta=0.0, mat=mat, alpha=0.5)
+
+
+class TestErrorWindow:
     def test_overwrite_oldest(self):
-        ring = ErrorRing(3)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            ring.push(v)
-        np.testing.assert_array_equal(ring.values_oldest_to_newest(),
-                                      [2.0, 3.0, 4.0])
+        detector = Detector(window_config(3), errors=[1.0, 2.0, 3.0, 4.0])
+        assert list(detector.errors) == [2.0, 3.0, 4.0]
+        drive(detector, [1.5])
+        assert list(detector.errors) == [3.0, 4.0, 1.5]
 
     def test_fill_counter(self):
-        ring = ErrorRing(5)
-        ring.push(0.5)
-        assert ring.filled == 1 and not ring.full
-        for _ in range(10):
-            ring.push(0.1)
-        assert ring.filled == 5 and ring.full
+        detector = Detector(window_config(5))
+        first, = drive(detector, [0.5])
+        assert len(detector.errors) == 1 and first.warmup
+        verdicts = drive(detector, [0.75] * 10, start_step=1)
+        assert len(detector.errors) == 5
+        assert [v.warmup for v in verdicts] == [True] * 3 + [False] * 7
 
     def test_negative_rejected(self):
-        ring = ErrorRing(2)
-        with pytest.raises(ValueError):
-            ring.push(-0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            Detector(window_config(2), errors=[0.5, -0.1])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, bad):
-        ring = ErrorRing(2)
-        ring.push(0.5)
-        with pytest.raises(DataError, match="non-finite relative error"):
-            ring.push(bad)
-        assert ring.filled == 1 and ring.values_oldest_to_newest() == [0.5]
+        with pytest.raises(ValueError, match="non-finite relative error"):
+            Detector(window_config(2), errors=[0.5, bad])
 
     def test_contents_match_full_history_suffix(self, rng):
         # oracle: plain list keeping everything, compare the suffix
         for capacity in (1, 3, 7, 12):
-            ring = ErrorRing(capacity)
+            detector = Detector(window_config(capacity))
             history = []
-            for _ in range(100):
-                value = float(rng.uniform(0, 2))
-                ring.push(value)
-                history.append(value)
-                expected = history[-min(len(history), capacity):]
-                np.testing.assert_array_equal(
-                    ring.values_oldest_to_newest(), expected)
+            for step in range(100):
+                verdict = detector.step(step, 1.0,
+                                        1.0 - float(rng.uniform(0, 2)))
+                history.append(verdict.re)
+                assert list(detector.errors) == history[-capacity:]
 
 
 def left_to_right_sum(values):
-    # The ring's summation order.  The built-in sum() of floats is
+    # Detector.step's summation order.  The built-in sum() of floats is
     # compensated from Python 3.12 on and rounds differently.
     total = 0.0
     for value in values:
@@ -86,77 +88,61 @@ def left_to_right_sum(values):
     return total
 
 
-def full_ring(values):
-    ring = ErrorRing(len(values))
-    for v in values:
-        ring.push(v)
-    return ring
+def window_verdict(values, ret=0.5):
+    """The verdict of the step that fills a window of ``len(values)``."""
+    return drive(Detector(window_config(len(values), ret)), values)[-1]
 
 
 class TestWindowStatistics:
-    def test_danger_coefficient_eight_of_twelve(self):
-        ring = full_ring([0.9] * 8 + [0.1] * 4)
-        assert danger_coefficient(ring, 0.5) == pytest.approx(8 / 12)
+    def test_dc_eight_of_twelve(self):
+        verdict = window_verdict([0.9] * 8 + [0.1] * 4)
+        assert verdict.dc == pytest.approx(8 / 12)
 
-    def test_danger_coefficient_bounds(self):
-        ring = full_ring([0.1] * 12)
-        assert danger_coefficient(ring, 0.5) == 0.0
-        ring = full_ring([0.9] * 12)
-        assert danger_coefficient(ring, 0.5) == 1.0
+    def test_dc_bounds(self):
+        assert window_verdict([0.1] * 12).dc == 0.0
+        assert window_verdict([0.9] * 12).dc == 1.0
 
     def test_strict_threshold(self):
-        ring = full_ring([0.5] * 4)
-        assert danger_coefficient(ring, 0.5) == 0.0
+        verdicts = drive(Detector(window_config(4)), [0.5] * 4)
+        assert all(v.re == 0.5 for v in verdicts)
+        assert verdicts[-1].dc == 0.0
 
     def test_warmup_signalled(self):
-        ring = ErrorRing(4)
-        ring.push(1.0)
-        with pytest.raises(WarmupError):
-            danger_coefficient(ring, 0.5)
-        with pytest.raises(WarmupError):
-            averaged_relative_error(ring)
+        verdict, = drive(Detector(window_config(4, ret=0.01)), [1.0])
+        assert verdict.warmup
+        assert verdict.dc == 0.0 and verdict.are == 0.0
+        assert not verdict.collective_alarm
 
     def test_are_constant(self):
-        assert averaged_relative_error(full_ring([0.5] * 12)) == \
-            pytest.approx(0.5)
+        assert window_verdict([0.5] * 12).are == pytest.approx(0.5)
 
     def test_are_zero(self):
-        assert averaged_relative_error(full_ring([0.0] * 12)) == 0.0
+        assert window_verdict([0.0] * 12).are == 0.0
 
     def test_are_matches_list_oracle(self, rng):
-        values = [float(v) for v in rng.uniform(0, 3, size=30)]
-        ring = ErrorRing(12)
-        for idx, v in enumerate(values):
-            ring.push(v)
-            if idx >= 11:
-                window = values[idx - 11:idx + 1]
-                assert averaged_relative_error(ring) == \
-                    left_to_right_sum(window) / 12
+        verdicts = drive(Detector(window_config(12)),
+                         [float(v) for v in rng.uniform(0, 3, size=30)])
+        errors = [v.re for v in verdicts]
+        for idx in range(11, 30):
+            assert verdicts[idx].are == \
+                left_to_right_sum(errors[idx - 11:idx + 1]) / 12
 
     def test_ring_oracle_equivalence_bitwise(self, rng):
-        # acceptance-grade property: DC and ARE equal a full-history-suffix
-        # recomputation exactly, over many random push sequences
+        # acceptance-grade property: every verdict's dc and are equal a
+        # recomputation over the full history's last mat errors, exactly,
+        # over many random streams
         for trial in range(200):
             mat = int(rng.integers(1, 15))
             length = int(rng.integers(mat, 60))
             ret = float(rng.uniform(0.1, 1.5))
-            values = rng.uniform(0, 2, size=length)
-            ring = ErrorRing(mat)
-            history = []
-            for v in values:
-                ring.push(float(v))
-                history.append(float(v))
-            window = history[-mat:]
-            dc_oracle = sum(1 for v in window if v > ret) / mat
-            are_oracle = left_to_right_sum(window) / mat
-            assert danger_coefficient(ring, ret) == dc_oracle
-            assert averaged_relative_error(ring) == are_oracle
-
-
-def drive(detector, re_values, start_step=0):
-    # actual=1 and predicted=1-re makes each relative error exactly re
-    return [detector.step(start_step + i, 1.0, 1.0 - re)
-            for i, re in enumerate(re_values)]
+            values = [float(v) for v in rng.uniform(0, 2, size=length)]
+            verdicts = drive(Detector(window_config(mat, ret)), values)
+            history = [v.re for v in verdicts]
+            for idx in range(mat - 1, length):
+                window = history[idx + 1 - mat:idx + 1]
+                assert verdicts[idx].dc == \
+                    sum(1 for v in window if v > ret) / mat
+                assert verdicts[idx].are == left_to_right_sum(window) / mat
 
 
 class TestDetectorStep:
@@ -243,6 +229,9 @@ class TestDetectorStep:
         resumed = detector.copy()
         rest = drive(resumed, stream[17:], start_step=17)
         assert first + rest == straight
+        # the copy owns its errors: stepping it left the original as it was
+        assert list(detector.errors) == [v.re for v in first[-5:]]
+        assert detector.last_step == 16
 
     def test_monotonicity_in_beta_and_ret(self, rng):
         stream = [float(v) for v in rng.uniform(0, 1.5, size=80)]
@@ -262,24 +251,27 @@ class TestDetectorStep:
                    zip(dcs[0.3], dcs[0.5], dcs[0.8]))
 
 
-def two_loop_verdict(config, ring, step, actual, predicted):
-    """Oracle for Detector.step: push into ``ring``, then the window mean
-    by a left-to-right ``+=`` over the ring's values and the danger
-    coefficient by a separate count of the slots above ``ret``."""
+def two_loop_verdict(config, history, step, actual, predicted):
+    """Oracle for Detector.step: append the error to the plain list
+    ``history``, then the window mean by a left-to-right ``+=`` over its
+    last ``mat`` values and the danger coefficient by a separate count of
+    those above ``ret``."""
     re_value = relative_error(actual, predicted, config.epsilon_floor)
-    ring.push(re_value)
+    history.append(re_value)
+    full = len(history) >= config.mat
     dc = are = 0.0
-    if ring.full:
+    if full:
+        window = history[-config.mat:]
         total = 0.0
-        for value in ring.values_oldest_to_newest():
+        for value in window:
             total += value
         are = total / config.mat
-        dc = sum(1 for value in ring.slots if value > config.ret) / config.mat
+        dc = sum(1 for value in window if value > config.ret) / config.mat
     return StepVerdict(
         step=step, actual=actual, predicted=predicted, re=re_value,
         point_anomaly=re_value > config.ret, dc=dc, are=are,
-        collective_alarm=ring.full and dc > config.alpha
-        and are > config.beta, warmup=not ring.full)
+        collective_alarm=full and dc > config.alpha and are > config.beta,
+        warmup=not full)
 
 
 # counts with zero traffic and repeated values, so errors tie often
@@ -311,23 +303,20 @@ def detector_runs(draw):
 
 
 class TestSinglePassStep:
-    """Detector.step's one pass over the ring against the two-loop form."""
+    """Detector.step's one pass over its errors against the two-loop form."""
 
     @settings(max_examples=300)
     @given(run=detector_runs())
     def test_equals_two_loop_oracle(self, run):
         config, pairs, prefill, split = run
-        ring, oracle_ring = ErrorRing(config.mat), ErrorRing(config.mat)
-        for value in prefill:
-            ring.push(value)
-            oracle_ring.push(value)
-        detector = Detector(config, ring=ring)
+        detector = Detector(config, errors=prefill)
         verdicts = [detector.step(t, a, p)
                     for t, (a, p) in enumerate(pairs[:split])]
         resumed = detector.copy()
         verdicts += [resumed.step(t, a, p)
                      for t, (a, p) in enumerate(pairs[split:], start=split)]
-        expected = [two_loop_verdict(config, oracle_ring, t, a, p)
+        history = list(prefill)
+        expected = [two_loop_verdict(config, history, t, a, p)
                     for t, (a, p) in enumerate(pairs)]
         assert verdicts == expected
 

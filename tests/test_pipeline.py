@@ -97,9 +97,9 @@ class TestLoadTsharkCsv:
             result.timestamps_us - us(T0),
             [1_000_000, 1_000_000, 2_000_000, 3_000_000])
 
-    def test_accepts_bytes_and_path(self, tmp_path):
+    def test_accepts_text_stream_and_path(self, tmp_path):
         text = tshark_csv(["1,60,1999-03-11T08:00:01,6"])
-        assert len(load_tshark_csv(text.encode()).timestamps_us) == 1
+        assert len(load_tshark_csv(io.StringIO(text)).timestamps_us) == 1
         path = tmp_path / "packets.csv"
         path.write_text(text)
         assert len(load_tshark_csv(path).timestamps_us) == 1
@@ -440,6 +440,13 @@ class TestSplitProtocol:
             with pytest.raises(ValueError):
                 split_protocol(data, tf, vf)
 
+    @pytest.mark.parametrize("tf, vf", [
+        (float("nan"), 0.2), (0.4, float("nan")), (float("-inf"), 0.2)])
+    def test_non_finite_fractions_rejected(self, tf, vf):
+        data = labeled_series(np.arange(10.0) + 1, [])
+        with pytest.raises(ValueError, match="fractions must be finite"):
+            split_protocol(data, tf, vf)
+
 
 class TestGenerateSynthetic:
     def test_no_attacks_all_normal(self):
@@ -492,6 +499,11 @@ class TestGenerateSynthetic:
             SynthConfig(length=10, attack_multiplier=1.0)
         with pytest.raises(ValueError):
             SynthConfig(length=10, attack_min_len=5, attack_max_len=4)
+
+    def test_attack_mean_overflow_checked_only_with_attacks(self):
+        with pytest.raises(ValueError, match="attack mean"):
+            SynthConfig(length=10, baseline_mean=1e308, attack_count=1)
+        SynthConfig(length=10, baseline_mean=1e308)  # no attack drawn
 
 
 class TestSeriesFiles:
