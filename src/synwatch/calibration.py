@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorConfig, segment_alarms
+from .detector import DetectorConfig, StepVerdict, segment_alarms
 from .errors import DataError
 from .lstm import LstmParams, predict_windows
 from .pipeline import Scaler, TimeSeries, build_windows
@@ -189,6 +189,27 @@ class ReplayTrace:
             dc[self.mat - 1:] = _rolling_sum(flags, self.mat) / self.mat
         return dc
 
+    def candidates(self, dc: np.ndarray, alpha: float) -> np.ndarray:
+        """Mask of the steps past warmup whose danger coefficient ``dc``
+        exceeds alpha: the alarm rule short of its beta test."""
+        return ~self.warmup & (dc > alpha)
+
+    def verdicts(self, config: DetectorConfig) -> list[StepVerdict]:
+        """The verdicts a streaming ``Detector`` gives for these rows.
+
+        The trace holds the Detector's relative errors and window means bit
+        for bit, and its danger coefficients count the same flags, so the
+        alarm rule applied column-wise gives the same verdicts.  Every
+        field is a plain Python number, as the Detector's are.
+        """
+        dc = self.danger(config.ret)
+        alarm = self.candidates(dc, config.alpha) & (self.are > config.beta)
+        return list(map(
+            StepVerdict, self.steps.tolist(), self.actual.tolist(),
+            self.predicted.tolist(), self.re.tolist(),
+            (self.re > config.ret).tolist(), dc.tolist(), self.are.tolist(),
+            alarm.tolist(), self.warmup.tolist()))
+
 
 def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
     """Precompute stream statistics for (step, actual, predicted) rows.
@@ -270,12 +291,6 @@ def _column_counts(trace: ReplayTrace, idx: np.ndarray, betas,
                 detected.tolist(), false_alarms.tolist(), events.tolist())]
 
 
-def _candidates(trace: ReplayTrace, dc: np.ndarray,
-                alpha: float) -> np.ndarray:
-    """Steps past warmup whose danger coefficient exceeds alpha."""
-    return np.flatnonzero(~trace.warmup & (dc > alpha))
-
-
 def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
               epsilon_floor: float = 1e-6):
     """Exhaustive sweep over the grid; returns the winning configuration,
@@ -300,7 +315,7 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
     for ret in grid.ret_candidates:
         dc = trace.danger(ret)
         for alpha in grid.alpha_candidates:
-            idx = _candidates(trace, dc, alpha)
+            idx = np.flatnonzero(trace.candidates(dc, alpha))
             key = idx.tobytes()
             counts = scored.get(key)
             if counts is None:
@@ -331,7 +346,7 @@ def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
     intervals = _check_intervals(attack_intervals)
     trace = replay_trace(pairs, config_base.mat, config_base.epsilon_floor)
     ret, alpha = config_base.ret, config_base.alpha
-    idx = _candidates(trace, trace.danger(ret), alpha)
+    idx = np.flatnonzero(trace.candidates(trace.danger(ret), alpha))
     counts = _column_counts(trace, idx, betas, intervals)
     return [SweepRow(ret, alpha, beta, *scores)
             for beta, scores in zip(betas, counts)]

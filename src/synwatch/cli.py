@@ -24,15 +24,16 @@ from .calibration import (CalibrationGrid, _prediction_table, default_grid,
                           evaluate_events, replay_trace, sweep_beta,
                           write_sweep)
 from .calibration import calibrate as run_calibration
-from .detector import DetectorConfig, StepVerdict, segment_alarms, \
-    write_alarms, write_verdicts
+from .detector import DetectorConfig, segment_alarms, write_alarms, \
+    write_verdicts
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
 from .pipeline import (EPOCH, LabeledTimeSeries, SynthConfig,
-                       _parse_timestamp, _step_microseconds, aggregate_counts,
-                       build_windows, fit_scaler, generate_synthetic,
-                       load_scaler, load_series, load_tshark_csv, save_scaler,
-                       save_series, scale_windows, split_protocol)
+                       _parse_timestamp, _step_microseconds, _utf8_errors,
+                       aggregate_counts, build_windows, fit_scaler,
+                       generate_synthetic, load_scaler, load_series,
+                       load_tshark_csv, save_scaler, save_series,
+                       scale_windows, split_protocol)
 
 EXIT_DATA_ERROR = 3
 EXIT_DIVERGENCE = 4
@@ -51,6 +52,20 @@ def _check_epsilon_floor(ctx, param, value):
 _epsilon_floor_option = click.option(
     "--epsilon-floor", type=float, default=1e-6, show_default=True,
     callback=_check_epsilon_floor)
+
+
+def _check_output_dir(ctx, param, value):
+    """An output path in a directory that does not exist is a usage error,
+    found before any work."""
+    parent = Path(value).parent
+    if not parent.is_dir():
+        raise click.BadParameter(f"directory {str(parent)!r} does not exist")
+    return value
+
+
+def _output_option(help=None):
+    return click.option("-o", "--output", type=click.Path(dir_okay=False),
+                        required=True, callback=_check_output_dir, help=help)
 
 
 def _handle_errors(fn):
@@ -99,7 +114,7 @@ def main():
               show_default=True)
 @click.option("--attack-multiplier", type=float, default=8.0, show_default=True)
 @_seed_option
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
+@_output_option()
 @_handle_errors
 def synth(length, attacks, baseline_mean, baseline_std, attack_min_len,
           attack_max_len, attack_multiplier, seed, output):
@@ -146,7 +161,7 @@ def _timestamp_flag(flag: str, text):
               help="Range start (default: first record's timestamp).")
 @click.option("--end", "end_text", type=str, default=None,
               help="Range end, exclusive (default: just past the last record).")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
+@_output_option()
 @_handle_errors
 def ingest(packets, step_seconds, start_text, end_text, output):
     """Aggregate a tshark packet CSV into a per-step count series."""
@@ -232,8 +247,7 @@ def _load_training_series(path, lag: int):
 @click.option("--clip", type=float, default=None,
               help="Optional element-wise gradient clip.")
 @_seed_option
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
-              help="Model file path; scaler and loss curve land next to it.")
+@_output_option("Model file path; scaler and loss curve land next to it.")
 @_handle_errors
 def train_cmd(series_path, lag, hidden, lr, epochs, clip, seed, output):
     """Train the next-step predictor on a normal-only series."""
@@ -273,7 +287,7 @@ main.add_command(train_cmd, name="train")
 @click.option("--epochs", type=click.IntRange(min=1), default=1500,
               show_default=True)
 @_seed_option
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
+@_output_option()
 @_handle_errors
 def compare_lags(series_path, hidden, lr, epochs, seed, output):
     """Train once per lag width (1, 2, 3) and tabulate loss and runtime."""
@@ -327,8 +341,7 @@ def _parse_beta_list(text: str) -> list[float]:
 @_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
-              help="Selected config path; sweep CSV lands next to it.")
+@_output_option("Selected config path; sweep CSV lands next to it.")
 @_handle_errors
 def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
                   ret, epsilon_floor, scaler_path, output):
@@ -381,23 +394,6 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
                f"events_total={report.events_total}")
 
 
-def _replay_verdicts(trace, config: DetectorConfig) -> list[StepVerdict]:
-    """The verdicts a streaming ``Detector`` gives for the trace's rows.
-
-    The trace holds the Detector's relative errors and window means bit
-    for bit, and its danger coefficients count the same flags, so the
-    alarm rule applied column-wise gives the same verdicts.  Every field
-    is a plain Python number, as the Detector's are.
-    """
-    dc = trace.danger(config.ret)
-    alarm = ~trace.warmup & (dc > config.alpha) & (trace.are > config.beta)
-    return list(map(
-        StepVerdict, trace.steps.tolist(), trace.actual.tolist(),
-        trace.predicted.tolist(), trace.re.tolist(),
-        (trace.re > config.ret).tolist(), dc.tolist(), trace.are.tolist(),
-        alarm.tolist(), trace.warmup.tolist()))
-
-
 @main.command(name="detect")
 @click.argument("model_path", metavar="MODEL",
                 type=click.Path(exists=True, dir_okay=False))
@@ -408,17 +404,16 @@ def _replay_verdicts(trace, config: DetectorConfig) -> list[StepVerdict]:
 @_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
-              help="Verdict CSV path; alarm log lands next to it.")
+@_output_option("Verdict CSV path; alarm log lands next to it.")
 @_handle_errors
 def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
                output):
     """Stream a series through the detector; report alarms and metrics."""
     params = load_model(model_path)
     scaler = load_scaler(scaler_path or f"{model_path}.scaler")
-    config = DetectorConfig.from_text(
-        Path(config_path).read_text(encoding="utf-8"),
-        epsilon_floor=epsilon_floor)
+    with _utf8_errors(config_path):
+        text = Path(config_path).read_text(encoding="utf-8")
+    config = DetectorConfig.from_text(text, epsilon_floor=epsilon_floor)
     data = load_series(test_path)
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
@@ -427,9 +422,9 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
         click.echo("warning: series shorter than lag+mat; "
                    "all verdicts are warmup", err=True)
     if len(series) >= params.input_dim + 1:
-        verdicts = _replay_verdicts(
-            replay_trace(_prediction_table(params, scaler, series),
-                         config.mat, config.epsilon_floor), config)
+        trace = replay_trace(_prediction_table(params, scaler, series),
+                             config.mat, config.epsilon_floor)
+        verdicts = trace.verdicts(config)
     else:
         verdicts = []
     write_verdicts(output, verdicts)
@@ -458,8 +453,7 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
 @click.option("--train-fraction", type=float, default=0.4, show_default=True)
 @click.option("--validation-fraction", type=float, default=0.2,
               show_default=True)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
-              help="Prefix; writes <prefix>.train.csv/.validation.csv/.test.csv")
+@_output_option("Prefix; writes <prefix>.train.csv/.validation.csv/.test.csv")
 @_handle_errors
 def split_cmd(series_path, train_fraction, validation_fraction, output):
     """Chronologically split a labeled series (training part must be normal)."""

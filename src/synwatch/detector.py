@@ -196,13 +196,14 @@ VERDICT_HEADER = ("step,actual,predicted,re,dc,are,"
 
 
 def write_verdicts(path, verdicts) -> None:
-    lines = [VERDICT_HEADER]
-    for v in verdicts:
-        lines.append(
+    # Line by line: joining the lines first holds the whole file in memory
+    # three times over (the join, its final newline and its encoding).
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(VERDICT_HEADER + "\n")
+        fh.writelines(
             f"{v.step},{v.actual:.17g},{v.predicted:.17g},{v.re:.17g},"
             f"{v.dc:.17g},{v.are:.17g},{int(v.point_anomaly)},"
-            f"{int(v.warmup)},{int(v.collective_alarm)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            f"{int(v.warmup)},{int(v.collective_alarm)}\n" for v in verdicts)
 
 
 def read_verdicts(path) -> list[StepVerdict]:

@@ -10,8 +10,6 @@ zero cell, so the cell that is computed has three gates:
     h = o * tanh(i * g)
     prediction = h w_y + b_y
 
-The two kernels lay their work out differently, for different reasons.
-
 ``loss_and_grads_numpy`` computes training gradients.  Only the trained
 weights depend on its bits, so it is laid out for speed.  It takes the gate
 matrix augmented with the biases, ``Wb = [W | b]`` of shape (3 hidden,
@@ -27,23 +25,23 @@ its results differ from theirs by a few units in the last place: the
 tests bound the difference on random batches, and trained losses and
 weights on a fixed series (see the README).
 
-``predict_batch_numpy`` serves ``calibrate`` and ``detect``, whose
-outputs must stay byte-identical for a given model, so it keeps one
-product per gate on the (n, hidden) row-block views, with the bias added
-after it.  A product over the fused matrix is another BLAS call with its
-own blocking, and for some batch shapes its reduction order, and so its
-bits, would differ.  Only ``lstm.predict_window`` takes the fused
-product, which for one window equals the per-gate products bit for bit
-(see there).
+``predict_batch_numpy`` serves ``calibrate`` and ``detect``.  It gives
+every window the BLAS calls that ``lstm.predict_window``, the online path,
+makes for it: one gemv ``W @ x`` over the fused (3 hidden, k) matrix, as a
+stacked ``np.matmul``, and one dot ``w_y @ h``; between them, the same
+in-place ufuncs over contiguous rows.  So on a given numpy and BLAS build
+every batch prediction equals ``predict_window``'s bit for bit, whatever
+the batch, and ``detect`` equals a live per-step run.  Against the
+per-gate products, whose sums run in another order, predictions differ by
+a few units in the last place; the tests bound that too.
 
-Both kernels compute into work buffers with ``out=`` and in-place ufuncs,
-in the same operations and association order as a plain allocating
-formula, so every output is bit-identical to that formula.
-``loss_and_grads_numpy`` takes its buffers from a ``_GradWork`` that
-training allocates once for all epochs.  Fresh (n, hidden) temporaries
-on every call cost more than their arithmetic: glibc trims the freed top
-of the heap after each call, so every epoch faults the same pages back
-in.
+``loss_and_grads_numpy`` computes into work buffers with ``out=`` and
+in-place ufuncs, in the same operations and association order as a plain
+allocating formula, so every output is bit-identical to that formula.  It
+takes its buffers from a ``_GradWork`` that training allocates once for
+all epochs.  Fresh (n, hidden) temporaries on every call cost more than
+their arithmetic: glibc trims the freed top of the heap after each call,
+so every epoch faults the same pages back in.
 """
 
 from __future__ import annotations
@@ -51,39 +49,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sigmoid_into(out, x, W, b):
-    """``out = 1.0 / (1.0 + exp(-(x @ W.T + b)))``, in place."""
-    np.matmul(x, W.T, out=out)
-    out += b
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
+#: Windows per pass of ``predict_batch_numpy``, which bounds its work
+#: arrays.  No window's bits depend on it.
+_CHUNK = 512
 
 
-def _tanh_into(out, x, W, b):
-    """``out = tanh(x @ W.T + b)``, in place."""
-    np.matmul(x, W.T, out=out)
-    out += b
-    np.tanh(out, out=out)
+def predict_batch_numpy(x, W, b, w_y, b_y):
+    """``lstm.predict_window`` of every row of a C-contiguous (n, input_dim)
+    batch, given the fused gate matrix ``W`` and bias ``b``.
 
-
-def predict_batch_numpy(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
-    """Predictions for an (n, input_dim) batch of windows, through two
-    (n, hidden) work arrays.
+    Per chunk of windows, the gate ufuncs run on a transposed (3 hidden,
+    chunk) copy of the ``W @ x`` products plus bias, and the hidden
+    vectors are transposed back for the dots.
 
     Defined under this name (not aliased): ``perfbench/spans.py`` traces
     the kernel by it.
     """
-    a = np.empty((x.shape[0], W_i.shape[0]))
-    b = np.empty_like(a)
-    _sigmoid_into(a, x, W_i, b_i)         # i
-    _tanh_into(b, x, W_g, b_g)            # g
-    a *= b                                # c = i * g
-    np.tanh(a, out=a)                     # tanh(c)
-    _sigmoid_into(b, x, W_o, b_o)         # o
-    b *= a                                # h = o * tanh(c)
-    pred = b @ w_y
+    n, hidden = x.shape[0], w_y.shape[0]
+    m = min(n, _CHUNK)
+    wx = np.empty((m, 3 * hidden, 1))
+    gates = np.empty((3 * hidden, m))
+    hs = np.empty((m, hidden, 1))
+    pred = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, min(start + _CHUNK, n))
+        c = rows.stop - start
+        np.matmul(W, x[rows, :, None], out=wx[:c])   # one gemv per window
+        z = gates[:, :c]
+        np.add(wx[:c, :, 0].T, b[:, None], out=z)
+        io, g = z[:2 * hidden], z[2 * hidden:]
+        np.negative(io, out=io)
+        np.exp(io, out=io)
+        io += 1.0
+        np.divide(1.0, io, out=io)            # i | o = sigmoid
+        np.tanh(g, out=g)
+        g *= io[:hidden]                      # c = i * g
+        np.tanh(g, out=g)
+        g *= io[hidden:]                      # h = o * tanh(c)
+        hs[:c, :, 0] = g.T
+        np.matmul(w_y, hs[:c], out=pred[rows, None])  # one dot per window
     pred += b_y
     return pred
 

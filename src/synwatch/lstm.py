@@ -11,13 +11,12 @@ descent; 64-bit floats throughout.
 ``LstmParams`` stores the three gates fused: one (3 hidden, k) weight
 matrix ``W`` and one (3 hidden,) bias ``b``, row blocks in the order
 ``i, o, g``.  The per-gate names ``W_i, b_i, W_o, b_o, W_g, b_g`` are
-row-block views into that storage.  ``predict_window`` takes one
-product over it per window, and batch prediction one per gate, the
-products whose bits ``calibrate`` and ``detect`` have always given (see
-``kernels``).  Training instead updates one augmented matrix
-``[W | b]`` of shape (3 hidden, k + 1), with ``w_y`` and ``b_y``, and
-writes ``W`` and ``b`` back when it ends.  The model file keeps its
-per-gate blocks.
+row-block views into that storage.  Every prediction, one window or a
+batch, takes one product over it per window, so batch and online
+predictions are equal bit for bit (see ``kernels``).  Training instead
+updates one augmented matrix ``[W | b]`` of shape (3 hidden, k + 1), with
+``w_y`` and ``b_y``, and writes ``W`` and ``b`` back when it ends.  The
+model file keeps its per-gate blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, DivergenceError
 from .kernels import _GradWork, loss_and_grads_numpy, predict_batch_numpy
-from .pipeline import WindowSet
+from .pipeline import WindowSet, _utf8_errors
 
 #: Matrix/vector fields in canonical order (model file block order).
 PARAM_FIELDS = ("W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y")
@@ -186,27 +185,20 @@ def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
 
 def predict_window(params: LstmParams, window: np.ndarray) -> float:
     """Next-value prediction from one lag window (oldest value first),
-    computed in a single cell step from the zero state.
+    computed in a single cell step from the zero state.  Pure: never
+    mutates its arguments.
 
-    Evaluates the cell formula one window at a time, independently of the
-    batch kernel; online detection uses it.  Pure: never mutates its
-    arguments.
-
-    The three gate pre-activations come from one ``W @ x`` over the fused
-    storage, which equals the three per-gate products bit for bit, except
-    at ``hidden_dim == 1``: there numpy computes a (1, k) matrix times a
-    vector another way than a (3, k) one, so that size keeps the per-gate
-    products.  Every later operation is the per-gate formula's, in place.
+    One gemv ``W @ x`` over the fused storage, in-place gate ufuncs and
+    one dot ``w_y @ h``: the calls ``predict_windows`` makes for every
+    window of a batch, so online and batch predictions agree bit for bit
+    (see ``kernels``).
     """
     x = np.asarray(window, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(
             f"window has shape {x.shape}, expected ({params.input_dim},)")
     h = params.hidden_dim
-    if h == 1:
-        z = np.concatenate((params.W_i @ x, params.W_o @ x, params.W_g @ x))
-    else:
-        z = params.W @ x
+    z = params.W @ x
     z += params.b
     io, g = z[:2 * h], z[2 * h:]
     np.negative(io, out=io)
@@ -221,11 +213,13 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
 
 
 def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized predict_window over an (n, input_dim) batch."""
+    """``predict_window`` of every row of an (n, input_dim) batch, bit for
+    bit."""
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.input_dim:
         raise ValueError("inputs must have shape (n, input_dim)")
-    return predict_batch_numpy(inputs, *params.arrays(), params.b_y)
+    return predict_batch_numpy(inputs, params.W, params.b, params.w_y,
+                               params.b_y)
 
 
 def _check_windows(params: LstmParams, windows: WindowSet) -> None:
@@ -371,7 +365,7 @@ def load_model(path) -> LstmParams:
     blocks are checked and dropped; rejects unknown versions, an input_dim
     outside 1-3 or a hidden_dim below 1, bad shapes and non-finite
     values."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _utf8_errors(path):
         lines = [ln.rstrip("\n") for ln in fh]
     version = lines[0].strip() if lines else "<empty>"
     if version not in _FILE_FIELDS:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import re as _re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -35,6 +36,25 @@ DEFAULT_START_TIME = datetime(2000, 1, 1, 0, 0, 0)
 EPOCH = datetime(1970, 1, 1)
 
 _MICROSECOND = timedelta(microseconds=1)
+
+
+@contextmanager
+def _utf8_errors(path):
+    """Turn a ``UnicodeDecodeError`` while the block reads the file at
+    ``path`` into a DataError that names the file and the offset of its
+    first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte "
+                            f"0x{data[exc.start]:02x} at offset {exc.start}"
+                            ) from None
+        raise DataError(f"{path}: not UTF-8 text") from None
+
 
 #: Why ``load_tshark_csv`` rejects a row, in the order it checks.
 REJECT_REASONS = ("short_row", "bad_integer", "bad_timestamp",
@@ -267,7 +287,8 @@ def load_tshark_csv(source) -> IngestResult:
     offset.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh, \
+                _utf8_errors(source):
             return load_tshark_csv(fh)
 
     reader = csv.reader(source)
@@ -465,7 +486,8 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
     least MIN_ATTACK_SEPARATION normal steps (and offset from the series
     start by the same margin), with values drawn around
     baseline_mean * attack_multiplier.  Values are rounded to whole packet
-    counts.  Fully deterministic for a given seed.
+    counts.  Fully deterministic for a given seed.  Parameters whose draws
+    overflow to non-finite counts are a DataError.
     """
     rng = np.random.default_rng(config.rng_seed)
     values = np.rint(np.maximum(
@@ -496,6 +518,12 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
             intervals.append((start, end))
             cursor += int(lengths[k]) + gap
 
+    if not np.all(np.isfinite(values)):
+        # finite parameters still overflow a draw near the float limit
+        raise DataError(
+            f"baseline mean {config.baseline_mean!r}, std "
+            f"{config.baseline_std!r} and attack multiplier "
+            f"{config.attack_multiplier!r} draw non-finite packet counts")
     series = TimeSeries(start_time=DEFAULT_START_TIME, step_duration=1.0,
                         values=values)
     return LabeledTimeSeries(series=series, labels=labels,
@@ -534,7 +562,8 @@ def load_series(path):
     The cadence is the gap between the first two timestamps; every row
     must sit on it and carry its 0-based position in the ``step`` column.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with _utf8_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     while lines and lines[0].lstrip().startswith("#"):
         lines.pop(0)
@@ -605,7 +634,8 @@ def save_scaler(path, scaler: Scaler) -> None:
 
 def load_scaler(path) -> Scaler:
     try:
-        text = Path(path).read_text(encoding="utf-8").strip()
+        with _utf8_errors(path):
+            text = Path(path).read_text(encoding="utf-8").strip()
     except FileNotFoundError:
         raise DataError(f"scaler file not found: {path}") from None
     m = _re.fullmatch(r"offset=(\S+) scale=(\S+)", text)

@@ -99,6 +99,19 @@ class TestSynth:
         assert message in result.output
         assert not out.exists()
 
+    def test_overflowing_draws_are_data_errors(self, runner, tmp_path):
+        # each value is finite, but a normal draw of mean and std 1e308
+        # overflows to inf
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["synth", "--length", "100",
+                                      "--baseline-mean", "1e308",
+                                      "--baseline-std", "1e308",
+                                      "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "baseline mean 1e+308, std 1e+308" in result.output
+        assert "non-finite packet counts" in result.output
+        assert not out.exists()
+
     def test_seed_env_fallback(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         runner.invoke(main, ["synth", "--length", "50", "-o", str(a)],
@@ -659,6 +672,67 @@ def test_non_finite_epsilon_floor_is_usage_error(runner, workspace, tmp_path,
     assert result.exit_code == 2
     assert "--epsilon-floor" in result.output
     assert "finite and positive" in result.output
+    assert not out.exists()
+
+
+def command_args(workspace, tmp_path, command):
+    """The arguments of ``command`` but for ``-o``, on the workspace's
+    files."""
+    packets = tmp_path / "packets.csv"
+    packets.write_text(f'{TSHARK_HEADER}\n1,60,"1999-03-11 08:00:01",6\n')
+    return {"synth": ["synth", "--length", "50"],
+            "ingest": ["ingest", str(packets)],
+            "train": ["train", workspace["train"], "--epochs", "1"],
+            "compare-lags": ["compare-lags", workspace["train"],
+                             "--epochs", "1"],
+            "calibrate": ["calibrate", workspace["model"], workspace["val"]],
+            "detect": ["detect", workspace["model"], workspace["config"],
+                       workspace["test"]],
+            "split": ["split", workspace["val"]]}[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "train",
+                                     "compare-lags", "calibrate", "detect",
+                                     "split"])
+def test_output_in_missing_directory_is_usage_error(runner, workspace,
+                                                     tmp_path, command):
+    missing = tmp_path / "missing"
+    result = runner.invoke(main, [*command_args(workspace, tmp_path, command),
+                                  "-o", str(missing / "out.txt")])
+    assert result.exit_code == 2, result.output
+    assert f"directory {str(missing)!r} does not exist" in result.output
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("reader", ["series", "packets", "model", "scaler",
+                                    "config"])
+def test_file_that_is_not_utf8_is_data_error(runner, workspace, tmp_path,
+                                             reader):
+    # one byte 0xff, which no UTF-8 text holds, at offset 10 of a valid file
+    sources = {"series": workspace["train"], "model": workspace["model"],
+               "scaler": workspace["model"] + ".scaler",
+               "config": workspace["config"]}
+    bad = tmp_path / f"bad.{reader}"
+    if reader == "packets":
+        good = command_args(workspace, tmp_path, "ingest")[1]
+    else:
+        good = sources[reader]
+    data = open(good, "rb").read()
+    bad.write_bytes(data[:10] + b"\xff" + data[10:])
+    args = {"series": ["train", str(bad), "--epochs", "1"],
+            "packets": ["ingest", str(bad)],
+            "model": ["detect", str(bad), workspace["config"],
+                      workspace["test"], "--scaler",
+                      workspace["model"] + ".scaler"],
+            "scaler": ["detect", workspace["model"], workspace["config"],
+                       workspace["test"], "--scaler", str(bad)],
+            "config": ["detect", workspace["model"], str(bad),
+                       workspace["test"]]}[reader]
+    out = tmp_path / "out.txt"
+    result = runner.invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    assert (f"data error: {bad}: not UTF-8 text: byte 0xff at offset 10"
+            in result.output)
     assert not out.exists()
 
 

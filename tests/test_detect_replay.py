@@ -1,5 +1,7 @@
-"""``synwatch detect`` builds its verdicts from the batch replay trace; they
-must equal, byte for byte, what the streaming ``Detector`` writes."""
+"""``synwatch detect`` builds its verdicts from batch predictions and the
+batch replay trace; they must equal, byte for byte, what a live per-step
+run writes: each window predicted alone by ``predict_window``, then fed to
+``Detector.step``."""
 
 import dataclasses
 import tempfile
@@ -12,11 +14,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch.calibration import evaluate, prediction_pairs
+from synwatch.calibration import evaluate
 from synwatch.cli import main
 from synwatch.detector import (Detector, DetectorConfig, read_verdicts,
                                segment_alarms, write_alarms, write_verdicts)
-from synwatch.lstm import init_params, save_model
+from synwatch.lstm import init_params, predict_window, save_model
 from synwatch.pipeline import (LabeledTimeSeries, Scaler, TimeSeries,
                                intervals_from_labels, save_scaler, save_series)
 
@@ -25,11 +27,17 @@ T0 = datetime(2000, 1, 1)
 
 
 def streaming_verdicts(params, series: TimeSeries, config: DetectorConfig):
-    """The streaming reference: batch predictions fed one at a time."""
-    pairs = (prediction_pairs(params, SCALER, series)
-             if len(series) > params.input_dim else [])
+    """The live reference: at each step, the scaled window of the counts
+    before it, predicted alone and mapped back to a count, goes to
+    ``Detector.step``."""
+    counts, lag = series.values, params.input_dim
     detector = Detector(config)
-    return [detector.step(*pair) for pair in pairs]
+    verdicts = []
+    for t in range(lag, len(counts)):
+        window = SCALER.apply(counts[t - lag:t])
+        predicted = float(SCALER.invert(predict_window(params, window)))
+        verdicts.append(detector.step(t, float(counts[t]), predicted))
+    return verdicts
 
 
 def run_both(directory: Path, lag: int, model_seed: int, counts, labels,

@@ -1,6 +1,7 @@
-"""The numpy kernels against the plain allocating formula, bit for bit; the
-fused training kernel against the per-gate formula, within a stated bound;
-and the memory the kernels allocate."""
+"""The numpy kernels against the plain allocating formula, bit for bit; both
+against the per-gate formula, within a stated bound; batch prediction
+against ``predict_window``, bit for bit; and the memory the kernels
+allocate."""
 
 import tracemalloc
 from datetime import datetime
@@ -11,22 +12,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synwatch import lstm
-from synwatch.kernels import (_GradWork, loss_and_grads_numpy,
+from synwatch.kernels import (_CHUNK, _GradWork, loss_and_grads_numpy,
                               predict_batch_numpy)
-from synwatch.lstm import (PARAM_FIELDS, TrainConfig, init_params,
-                           predict_windows, train)
+from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
+                           init_params, predict_window, predict_windows,
+                           train)
 from synwatch.pipeline import (TimeSeries, WindowSet, build_windows,
                                fit_scaler, scale_windows)
 
-from conftest import make_window_set
+from conftest import (EPS, PER_GATE_ULPS, assert_within_per_gate_bound,
+                      make_window_set)
 
 #: The train-default shape: windows of 2,000 steps at lag 3, hidden 23.
 N, LAG, HIDDEN = 1997, 3, 23
 NH_BYTES = N * HIDDEN * 8
 
 
-def reference_predict(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
-    """The cell formula with a fresh array for every intermediate."""
+def reference_predict(x, W, b, w_y, b_y):
+    """The cell formula window by window, with a fresh array for every
+    intermediate: one ``W @ x`` and one ``w_y @ h`` per window."""
+    hidden = w_y.shape[0]
+    preds = []
+    for window in x:
+        z = W @ window + b
+        io = 1.0 / (1.0 + np.exp(-z[:2 * hidden]))
+        h = io[hidden:] * np.tanh(io[:hidden] * np.tanh(z[2 * hidden:]))
+        preds.append(w_y @ h + b_y)
+    return np.array(preds)
+
+
+def per_gate_predict(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
+    """Batch prediction as it was before the gates were fused:
+    one product per gate on (n, hidden) arrays."""
     i = 1.0 / (1.0 + np.exp(-(x @ W_i.T + b_i)))
     o = 1.0 / (1.0 + np.exp(-(x @ W_o.T + b_o)))
     g = np.tanh(x @ W_g.T + b_g)
@@ -141,15 +158,6 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
               scale=st.sampled_from((0.1, 1.0, 4.0)))
 
 
-#: The fused kernel against the per-gate formula: every entry of every
-#: output within this many units of float64 rounding (``EPS``) of the
-#: per-gate value, scaled by the largest magnitude in that output or by 1,
-#: whichever is larger.  The two differ only in the order of the sums in
-#: their products; the largest seen is about 6.5.
-PER_GATE_ULPS = 32
-EPS = np.finfo(np.float64).eps
-
-
 class TestKernelsMatchReference:
     @settings(max_examples=60)
     @given(**shapes)
@@ -179,8 +187,29 @@ class TestKernelsMatchReference:
     @given(**shapes)
     def test_predict_batch_bit_identical(self, seed, n, k, hidden, scale):
         x, _, params = random_case(seed, n, k, hidden, scale)
-        assert bits([predict_batch_numpy(x, *params)]) \
-            == bits([reference_predict(x, *params)])
+        W, b = np.vstack(params[0:6:2]), np.concatenate(params[1:6:2])
+        pred = predict_batch_numpy(x, W, b, *params[6:])
+        assert bits([pred]) == bits([reference_predict(x, W, b, *params[6:])])
+        assert_within_per_gate_bound(pred, per_gate_predict(x, *params))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.one_of(st.integers(1, 40), st.integers(1, 2 * _CHUNK + 60),
+                       st.integers(2 * _CHUNK + 1, 2 * _CHUNK + 60)),
+           k=st.integers(1, 3), hidden=st.integers(1, 64),
+           scale=st.sampled_from((0.01, 0.3, 1.0, 5.0)), data=st.data())
+    def test_predict_windows_equal_predict_window(self, seed, n, k, hidden,
+                                                  scale, data):
+        # every window, whatever the batch it is in: the whole batch, any
+        # split of it into parts, and one window at a time
+        x, _, params = random_case(seed, n, k, hidden, scale)
+        model = LstmParams(k, hidden, *params)
+        singles = np.array([predict_window(model, window) for window in x])
+        assert bits([predict_windows(model, x)]) == bits([singles])
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+        parts = [predict_windows(model, part) for part in np.split(x, cuts)]
+        assert bits([np.concatenate(parts)]) == bits([singles])
+        assert_within_per_gate_bound(singles, per_gate_predict(x, *params))
 
     @settings(max_examples=30)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
