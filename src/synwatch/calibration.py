@@ -7,15 +7,22 @@ detector: window means accumulate oldest-to-newest exactly like
 configuration re-run through the streaming engine reproduces its sweep
 metrics without tolerance.
 
-Each (ret, alpha) cell scores its whole beta column at once with array
-operations over the steps whose danger coefficient exceeds alpha: the
-begin and end marks of the alarmed runs give every event of every beta,
-and one searchsorted pass over the sorted intervals scores them with the
-same overlap rule as ``evaluate_events``.  A column's counts depend only
-on which steps are candidates, not on the ret and alpha that picked them,
-so within one ``calibrate`` call the cells with equal candidate steps
-(alphas between the same ``k/mat`` levels, or no candidates at all) share
-one scoring.
+The sweep scores cells by counting, not by listing events.  A step
+alarms in cell ``(ret, alpha, beta)`` exactly when two integers reach
+two levels: ``K``, its count of window errors above ret, reaches
+``kappa(alpha)``, the smallest ``k`` with ``k / mat > alpha``; and
+``B``, the number of grid betas below its window mean, reaches
+``r(beta)``, the number of grid betas up to beta.  ``B`` is found once
+per stream and ``K`` once per ret.  Events are alarmed steps less the
+alarmed adjacent pairs that join them; false alarms are the runs of
+alarmed normal steps less those joined to an alarmed attack step.  Both
+are sums of tests ``K >= k and B >= r`` over steps, pairs and runs, so a
+few ``bincount`` histograms of ``(K, B)`` keys, summed from the top
+along both axes (summed-area tables), give them for every ``(alpha,
+beta)`` cell of a ret at once.  An interval is detected when one of its
+steps alarms, that is when the largest ``B`` among its steps with
+``K >= k`` reaches ``r``; one such maximum per interval and ``k`` gives
+that count for every cell too.  Each ret costs time linear in the stream.
 """
 
 from __future__ import annotations
@@ -181,18 +188,17 @@ class ReplayTrace:
     warmup: np.ndarray   # bool
     mat: int
 
+    def anomalous_counts(self, ret: float) -> np.ndarray:
+        """Window errors above ret per step, as integers; 0 where warmup."""
+        flags = (self.re > ret).astype(np.int64)
+        counts = np.zeros(len(self.re), dtype=np.int64)
+        if len(flags) >= self.mat:
+            counts[self.mat - 1:] = _rolling_sum(flags, self.mat)
+        return counts
+
     def danger(self, ret: float) -> np.ndarray:
         """Anomalous-point fraction per step for one ret; 0 where warmup."""
-        flags = (self.re > ret).astype(np.int64)
-        dc = np.zeros(len(self.re))
-        if len(flags) >= self.mat:
-            dc[self.mat - 1:] = _rolling_sum(flags, self.mat) / self.mat
-        return dc
-
-    def candidates(self, dc: np.ndarray, alpha: float) -> np.ndarray:
-        """Mask of the steps past warmup whose danger coefficient ``dc``
-        exceeds alpha: the alarm rule short of its beta test."""
-        return ~self.warmup & (dc > alpha)
+        return self.anomalous_counts(ret) / self.mat
 
     def verdicts(self, config: DetectorConfig) -> list[StepVerdict]:
         """The verdicts a streaming ``Detector`` gives for these rows.
@@ -203,7 +209,7 @@ class ReplayTrace:
         field is a plain Python number, as the Detector's are.
         """
         dc = self.danger(config.ret)
-        alarm = self.candidates(dc, config.alpha) & (self.are > config.beta)
+        alarm = ~self.warmup & (dc > config.alpha) & (self.are > config.beta)
         return list(map(
             StepVerdict, self.steps.tolist(), self.actual.tolist(),
             self.predicted.tolist(), self.re.tolist(),
@@ -250,45 +256,134 @@ def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
                        re=re, are=are, warmup=warmup, mat=mat)
 
 
-def _normal_step_count(trace: ReplayTrace, intervals) -> int:
-    starts, ends = _bounds(intervals)
-    in_attack = (np.searchsorted(trace.steps, ends, side="right")
-                 - np.searchsorted(trace.steps, starts, side="left"))
-    return len(trace.steps) - int(np.sum(in_attack))
+def _suffix_sums(table: np.ndarray) -> np.ndarray:
+    """``out[..., k, r]`` is the sum of ``table[..., k', r']`` over every
+    ``k' >= k`` and ``r' >= r``."""
+    return table[..., ::-1, ::-1].cumsum(-2).cumsum(-1)[..., ::-1, ::-1]
 
 
-def _column_counts(trace: ReplayTrace, idx: np.ndarray, betas,
-                   intervals) -> list[tuple[float, int, int, int, int]]:
-    """Scores of one column of candidate steps ``idx``, one per beta in
-    beta order: the trailing SweepRow fields (detection rate, false
-    alarms, events, detected and total intervals).
+class _CellCounts:
+    """Events, false alarms and detected intervals of every cell of a
+    grid with ascending ``betas``, as ``(k, r)`` tables built once per ret.
 
-    A candidate is alarmed for one beta when its window mean exceeds that
-    beta, and consecutive alarmed candidates at adjacent steps form one
-    event, exactly as ``segment_alarms`` joins streaming verdicts.  So an
-    event begins at an alarmed candidate whose adjacent predecessor's
-    mean does not exceed beta (-inf stands for no adjacent predecessor),
-    and ends likewise at the successor side.
+    A step alarms in a cell when its count ``K`` of window errors above
+    ret is at least ``k`` and its count ``B`` of betas below its window
+    mean is at least ``r`` (warmup steps have ``K = 0``, and every cell
+    needs ``k >= 1``).  Events and false alarms are sums of such quadrant
+    tests, so histograms of ``(K, B)`` keys with suffix sums over both
+    axes give them for every cell at once.
     """
-    steps, are = trace.steps[idx], trace.are[idx]
-    adjacent = np.diff(steps) == 1
-    before = np.full(len(idx), -np.inf)
-    before[1:][adjacent] = are[:-1][adjacent]
-    after = np.full(len(idx), -np.inf)
-    after[:-1][adjacent] = are[1:][adjacent]
-    column = np.asarray(betas, dtype=np.float64)[:, None]
-    alarmed = are > column
-    # Row-major order pairs the k-th begin of a row with its k-th end.
-    row, first = np.nonzero(alarmed & (before <= column))
-    last = np.nonzero(alarmed & (after <= column))[1]
-    detected, false_alarms = _score_spans(
-        row, steps[first], steps[last], intervals, len(betas))
-    events = np.bincount(row, minlength=len(betas))
-    total = len(intervals)
-    return [(_detection_rate(n_detected, total), n_false, n_events,
-             n_detected, total)
-            for n_detected, n_false, n_events in zip(
-                detected.tolist(), false_alarms.tolist(), events.tolist())]
+
+    def __init__(self, trace: ReplayTrace, intervals, betas: np.ndarray):
+        steps = trace.steps
+        self.trace = trace
+        self.n_k = trace.mat + 2       # K <= mat; row mat + 1 stays empty
+        self.n_r = len(betas) + 1
+        size = self.n_k * self.n_r
+        b = np.searchsorted(betas, trace.are, side="left")
+        # The interval a step lies in is the first one not ending before it.
+        starts, ends = _bounds(intervals)
+        first = np.searchsorted(ends, steps, side="left")
+        attack = first < np.searchsorted(starts, steps, side="right")
+        self.normal_steps = len(steps) - int(np.count_nonzero(attack))
+        self.step_code = attack * size + b
+
+        # Pairs of neighbouring rows, by kind: 0 normal-normal, 1
+        # normal-attack, 2 attack-normal, 3 attack-attack for rows at
+        # adjacent steps, 4 for a step gap.  An adjacent pair alarms when
+        # both its steps do, so its key takes the smaller K and B.
+        kind = np.where(np.diff(steps) == 1, 2 * attack[:-1] + attack[1:], 4)
+        pair_b = np.minimum(b[:-1], b[1:])
+        self.pair_code = kind * size + pair_b
+
+        # A bridge is a run of adjacent normal steps with an adjacent
+        # attack step at each end: one attack-normal pair, any number of
+        # normal-normal pairs, then one normal-attack pair.  Each pair of
+        # kind 2 or more opens a segment, so a segment holding an
+        # attack-normal and a normal-attack pair is exactly one bridge, and
+        # it alarms when all its pairs do.
+        segment = np.cumsum(kind >= 2)
+        n_seg = int(segment[-1]) + 1 if len(segment) else 0
+        bridge = ((np.bincount(segment, kind == 2, minlength=n_seg) > 0)
+                  & (np.bincount(segment, kind == 1, minlength=n_seg) > 0))
+        self.bridge_pair = bridge[segment]
+        self.bridge_of = (np.cumsum(bridge) - 1)[segment[self.bridge_pair]]
+        self.n_bridges = int(np.count_nonzero(bridge))
+        self.bridge_b = self._bridge_min(pair_b[self.bridge_pair])
+
+        # Attack steps by interval, numbered among the intervals that hold
+        # any step (an interval with none is never detected).
+        interval = first[attack]
+        self.attack = attack
+        self.attack_b = b[attack]
+        self.attack_row = (np.cumsum(np.diff(interval, prepend=-1) != 0)
+                           - 1) * self.n_k
+        self.n_hit = (int(self.attack_row[-1]) // self.n_k + 1
+                      if len(interval) else 0)
+
+    def _bridge_min(self, values: np.ndarray) -> np.ndarray:
+        out = np.full(self.n_bridges, np.iinfo(np.int64).max)
+        np.minimum.at(out, self.bridge_of, values)
+        return out
+
+    def tables(self, ret: float):
+        """``(events, false_alarms, detected)``, each an ``(n_k, n_r)``
+        array indexed by the cell's ``(k, r)``."""
+        n_k, n_r = self.n_k, self.n_r
+        size = n_k * n_r
+        k = self.trace.anomalous_counts(ret)
+        pair_k = np.minimum(k[:-1], k[1:])
+        steps = np.bincount(k * n_r + self.step_code,
+                            minlength=2 * size).reshape(2, n_k, n_r)
+        pairs = np.bincount(pair_k * n_r + self.pair_code,
+                            minlength=5 * size).reshape(5, n_k, n_r)[:4]
+        bridges = np.bincount(
+            self._bridge_min(pair_k[self.bridge_pair]) * n_r + self.bridge_b,
+            minlength=size).reshape(n_k, n_r)
+        # Events: alarmed steps less the alarmed pairs that join them.
+        # False alarms: runs of alarmed normal steps, less those attached
+        # to an alarmed attack step on the left or on the right, counting
+        # back the runs attached on both sides once.
+        events, false_alarms = _suffix_sums(np.stack((
+            steps.sum(axis=0) - pairs.sum(axis=0),
+            steps[0] - pairs[0] - pairs[1] - pairs[2] + bridges)))
+
+        # An interval is detected in a cell when one of its steps alarms:
+        # the largest B among its steps with K >= k reaches r.
+        best = np.full(self.n_hit * n_k, -1)
+        np.maximum.at(best, self.attack_row + k[self.attack], self.attack_b)
+        best = np.maximum.accumulate(
+            best.reshape(self.n_hit, n_k)[:, ::-1], axis=1)[:, ::-1]
+        reached = np.bincount(
+            (np.arange(n_k) * (n_r + 1) + best + 1).ravel(),
+            minlength=n_k * (n_r + 1)).reshape(n_k, n_r + 1)
+        detected = reached[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+        return events, false_alarms, detected
+
+
+def _danger_levels(alphas, mat: int) -> np.ndarray:
+    """For each alpha, the smallest anomalous count ``k`` whose danger
+    coefficient ``k / mat`` exceeds it (``mat + 1`` if none does), with
+    the division ``ReplayTrace.danger`` makes."""
+    return np.searchsorted(np.arange(mat + 1) / mat,
+                           np.asarray(alphas, dtype=np.float64),
+                           side="right")
+
+
+def _sweep_rows(counts: _CellCounts, ret: float, alphas, betas,
+                kappa: np.ndarray, r: np.ndarray,
+                intervals_total: int) -> list[SweepRow]:
+    """One row per (alpha, beta), alpha-major, for one ret; ``kappa`` and
+    ``r`` are the table indices of the alphas and the betas."""
+    rates = [_detection_rate(d, intervals_total)
+             for d in range(intervals_total + 1)]
+    events, false_alarms, detected = (
+        table[np.ix_(kappa, r)].ravel().tolist()
+        for table in counts.tables(ret))
+    cells = [(alpha, beta) for alpha in alphas for beta in betas]
+    return [SweepRow(ret, alpha, beta, rates[d], f, e, d, intervals_total)
+            for (alpha, beta), e, f, d in zip(cells, events, false_alarms,
+                                              detected)]
 
 
 def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
@@ -304,28 +399,22 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
     if not intervals:
         raise DataError("validation stream has no labeled attack intervals")
     trace = replay_trace(pairs, grid.mat, epsilon_floor)
-    if _normal_step_count(trace, intervals) < grid.mat:
+    betas = np.array(grid.beta_candidates)
+    counts = _CellCounts(trace, intervals, betas)
+    if counts.normal_steps < grid.mat:
         raise DataError(
             f"validation stream needs at least {grid.mat} normal steps")
 
-    betas = grid.beta_candidates
-    # Column counts by candidate steps: ret and alpha only label a column.
-    scored: dict[bytes, list] = {}
+    kappa = _danger_levels(grid.alpha_candidates, grid.mat)
+    r = np.searchsorted(betas, betas, side="right")
     rows: list[SweepRow] = []
     for ret in grid.ret_candidates:
-        dc = trace.danger(ret)
-        for alpha in grid.alpha_candidates:
-            idx = np.flatnonzero(trace.candidates(dc, alpha))
-            key = idx.tobytes()
-            counts = scored.get(key)
-            if counts is None:
-                counts = scored[key] = _column_counts(trace, idx, betas,
-                                                      intervals)
-            rows += [SweepRow(ret, alpha, beta, *scores)
-                     for beta, scores in zip(betas, counts)]
+        rows += _sweep_rows(counts, ret, grid.alpha_candidates,
+                            grid.beta_candidates, kappa, r, len(intervals))
 
-    best = max(rows, key=lambda r: (r.detection_rate_pct, -r.false_alarms,
-                                    r.beta, r.alpha, r.ret))
+    best = max(rows, key=lambda row: (row.detection_rate_pct,
+                                      -row.false_alarms, row.beta, row.alpha,
+                                      row.ret))
     config = DetectorConfig(ret=best.ret, beta=best.beta, mat=grid.mat,
                             alpha=best.alpha, epsilon_floor=epsilon_floor)
     report = EvalReport(
@@ -345,11 +434,12 @@ def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
         raise ValueError("beta_list must be non-empty")
     intervals = _check_intervals(attack_intervals)
     trace = replay_trace(pairs, config_base.mat, config_base.epsilon_floor)
-    ret, alpha = config_base.ret, config_base.alpha
-    idx = np.flatnonzero(trace.candidates(trace.danger(ret), alpha))
-    counts = _column_counts(trace, idx, betas, intervals)
-    return [SweepRow(ret, alpha, beta, *scores)
-            for beta, scores in zip(betas, counts)]
+    ordered = np.sort(betas)
+    counts = _CellCounts(trace, intervals, ordered)
+    return _sweep_rows(counts, config_base.ret, [config_base.alpha], betas,
+                       _danger_levels([config_base.alpha], config_base.mat),
+                       np.searchsorted(ordered, betas, side="right"),
+                       len(intervals))
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:

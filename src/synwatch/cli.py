@@ -1,6 +1,7 @@
 """Command-line surface binding the full pipeline.
 
-Every command is deterministic given its flags and seed, and writes a
+Every command is deterministic given its flags and seed, for a fixed
+numpy and BLAS build and BLAS thread count, and writes a
 ``<output>.manifest.json`` recording the resolved configuration so a run
 can be replayed exactly.
 

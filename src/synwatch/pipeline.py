@@ -147,7 +147,11 @@ class Scaler:
                 f"scale must be finite and positive, got {self.scale!r}")
 
     def apply(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
+        # One temporary: the difference is made as float64 and divided in
+        # place, with the same two roundings as the plain expression.
+        out = np.subtract(x, self.offset, dtype=np.float64)
+        out /= self.scale
+        return out
 
     def invert(self, y):
         if isinstance(y, float):
@@ -296,6 +300,8 @@ def load_tshark_csv(source) -> IngestResult:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise DataError("missing header: input file is empty") from None
+    except csv.Error as exc:
+        raise DataError(f"header: {exc}") from None
     try:
         cols = [header.index(name) for name in TSHARK_FIELDS]
     except ValueError:
@@ -314,33 +320,39 @@ def load_tshark_csv(source) -> IngestResult:
         rejected.append((row_no, message))
         by_reason[reason] += 1
 
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) < width:
-            reject(row_no, "short_row",
-                   f"expected >= {width} fields, got {len(row)}")
-            continue
-        try:
-            int(row[number_col].strip())
-            negative = int(row[len_col].strip()) < 0
-        except ValueError as exc:
-            reject(row_no, "bad_integer", str(exc))
-            continue
-        try:
-            us = to_us(row[time_col])
-        except ValueError as exc:
-            reject(row_no, "bad_timestamp", str(exc))
-            continue
-        try:
-            int(row[proto_col].strip())
-        except ValueError as exc:
-            reject(row_no, "bad_integer", str(exc))
-            continue
-        if negative:
-            reject(row_no, "negative_length", "negative frame.len")
-            continue
-        stamps.append(us)
+    # A row the csv module cannot split (a field past its size limit, say)
+    # ends the read; the try block costs nothing per row.
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) < width:
+                reject(row_no, "short_row",
+                       f"expected >= {width} fields, got {len(row)}")
+                continue
+            try:
+                int(row[number_col].strip())
+                negative = int(row[len_col].strip()) < 0
+            except ValueError as exc:
+                reject(row_no, "bad_integer", str(exc))
+                continue
+            try:
+                us = to_us(row[time_col])
+            except ValueError as exc:
+                reject(row_no, "bad_timestamp", str(exc))
+                continue
+            try:
+                int(row[proto_col].strip())
+            except ValueError as exc:
+                reject(row_no, "bad_integer", str(exc))
+                continue
+            if negative:
+                reject(row_no, "negative_length", "negative frame.len")
+                continue
+            stamps.append(us)
+    except csv.Error as exc:
+        raise DataError(f"row {row_no + 1}: {exc}") from None
     timestamps_us = np.array(stamps, dtype=np.int64)
     timestamps_us.sort()
     return IngestResult(timestamps_us=timestamps_us, rejected=rejected,

@@ -1,6 +1,8 @@
 """Evaluation metrics, grid sweep, replay/streaming equivalence."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -354,8 +356,42 @@ def assert_row_matches(row, report):
     assert row.intervals_total == report.intervals_total
 
 
+def _errors_at(steps, erroneous):
+    """Rows at ``steps`` with relative error 0.5 at the steps in
+    ``erroneous`` and 0 elsewhere."""
+    return [(s, 4.0, 2.0 if s in erroneous else 4.0) for s in steps]
+
+
+# Streams on which the sweep's counts have a case of their own to get
+# right; each is checked against the streaming reference like any other.
+COUNTING_CASES = [
+    # Normal steps 8-9 join intervals (5, 7) and (10, 12) into one event.
+    (_errors_at(range(18), range(4, 14)), [(5, 7), (10, 12)],
+     [0.1], [0.0, 0.5], [0.0, 0.2], 2),
+    # An alarm run starts inside (5, 8) and runs past its end.
+    (_errors_at(range(18), range(6, 13)), [(5, 8)],
+     [0.1], [0.0, 0.5], [0.0], 2),
+    # Steps 8-12 are normal between (5, 7) and (13, 15), but step 10 is
+    # missing, so the alarmed run there splits into two events.
+    (_errors_at([s for s in range(22) if s != 10], range(4, 18)),
+     [(5, 7), (13, 15)], [0.1], [0.0, 0.5], [0.0], 2),
+    # Interval (11, 13) holds no step of the stream.
+    (_errors_at([s for s in range(25) if not 10 <= s <= 14], range(2, 19)),
+     [(3, 4), (11, 13)], [0.1], [0.0], [0.0, 0.2], 2),
+    # mat exceeds the stream, so every step is warmup.
+    (_errors_at(range(5), range(5)), [(1, 2)], [0.1], [0.0], [0.0], 8),
+]
+
+
+def with_counting_cases(test):
+    for case in COUNTING_CASES:
+        test = example(case=case)(test)
+    return test
+
+
 class TestSweepMatchesStreamingReference:
     @given(case=sweep_cases())
+    @with_counting_cases
     def test_sweep_beta_rows(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
         base = DetectorConfig(ret=rets[0], beta=0.0, mat=mat, alpha=alphas[0])
@@ -366,6 +402,7 @@ class TestSweepMatchesStreamingReference:
                 pairs, intervals, row.ret, row.alpha, row.beta, mat))
 
     @given(case=sweep_cases())
+    @with_counting_cases
     # Cells (0.1, 0.5) and (0.3, 0.0) each have nine candidate steps, but
     # not the same nine, and they score differently.
     @example(case=([(s, 4.0, p) for s, p in enumerate(
@@ -485,3 +522,43 @@ def test_write_sweep_format(tmp_path, rng):
                      f"{r.detection_rate_pct:.17g},{r.false_alarms},"
                      f"{r.events_total}" for r in rows]
     assert lines[-2:] == ["1,-0,0,0,1,1", "1,0,-0,0,1,1"]
+
+
+def pinned_stream():
+    """2,000 rows from Python's own generator, so no LSTM, BLAS or numpy
+    random stream is involved: noise of up to 6% off the actual count, up
+    to 30% inside most attack steps, and a one-step gap now and then.  Two
+    of the eight intervals touch."""
+    gen = random.Random(20)
+    intervals = [(150, 179), (400, 415), (416, 440), (700, 712), (905, 909),
+                 (1203, 1260), (1500, 1530), (1777, 1790)]
+    pairs, step = [], 0
+    while len(pairs) < 2000:
+        step += 2 if gen.random() < 0.01 else 1
+        actual = float(80 + int(gen.random() * 40))
+        attack = any(s <= step <= e for s, e in intervals)
+        spread = 0.6 if attack and gen.random() < 0.7 else 0.12
+        pairs.append((step, actual,
+                      actual * (1 + spread * (gen.random() - 0.5))))
+    return pairs, intervals
+
+
+def test_sweep_files_are_pinned(tmp_path):
+    # Both files' sha256 are pinned on every machine: any change to a
+    # count, a row's order or a value's digits shows here.
+    pairs, intervals = pinned_stream()
+    grid = CalibrationGrid((0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
+                           DEFAULT_ALPHAS,
+                           (0.0, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2))
+    config, report, rows = calibrate(pairs, intervals, grid)
+    assert config.to_text() == ("ret=0.01 mat=12 alpha=0.71999999999999997 "
+                                "beta=0.050000000000000003")
+    assert (report.detected_intervals, report.false_alarms,
+            report.events_total) == (8, 3, 11)
+    write_sweep(tmp_path / "grid.csv", rows)
+    write_sweep(tmp_path / "betas.csv", sweep_beta(
+        config, pairs, intervals, [0.05, 0.0, 0.12, 0.05, 0.3]))
+    assert hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest() \
+        == "c01fde70dd79db166e48990b423b0f0689ef3bc2a6f5eb7301fd0de7e53dd4d9"
+    assert hashlib.sha256((tmp_path / "betas.csv").read_bytes()).hexdigest() \
+        == "3cc09e293594fff734621ce8f975e93fdfe492737c66a302257689dfb46263ac"

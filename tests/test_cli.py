@@ -172,6 +172,20 @@ class TestIngest:
         assert result.exit_code == 3
         assert "frame.time" in result.output
 
+    def test_field_past_csv_size_limit_is_data_error_naming_row(
+            self, runner, tmp_path):
+        packets = self.make_packets(tmp_path, n=10)
+        lines = packets.read_text().splitlines()
+        lines[4] = f'4,60,"{"9" * 200_000}",6'
+        packets.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["ingest", str(packets),
+                                      "-o", str(tmp_path / "series.csv")])
+        assert result.exit_code == 3, result.output
+        assert "data error: row 4: field larger than field limit" \
+            in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "series.csv").exists()
+
     def test_rejections_counted_by_reason(self, runner, tmp_path):
         packets = self.make_packets(tmp_path, n=50, bad_rows=25)
         lines = packets.read_text().splitlines()

@@ -73,6 +73,14 @@ class TestLoadTsharkCsv:
         with pytest.raises(DataError, match="missing header"):
             load_tshark_csv(io.StringIO(""))
 
+    @pytest.mark.parametrize("text, where", [
+        (tshark_csv(["1,60,1999-03-11T08:00:05,6",
+                     f'2,60,"{"x" * 200_000}",6']), "row 2: "),
+        ('"' + "x" * 200_000 + '"\n', "header: ")])
+    def test_field_past_csv_size_limit_is_data_error(self, text, where):
+        with pytest.raises(DataError, match=where + "field larger"):
+            load_tshark_csv(io.StringIO(text))
+
     def test_wrong_header_rejected(self):
         with pytest.raises(DataError, match="missing header"):
             load_tshark_csv(io.StringIO("a,b,c\n1,2,3\n"))
@@ -326,6 +334,23 @@ class TestScaler:
         assert type(scalar) is float
         assert np.float64(scalar).tobytes() \
             == scaler.invert(np.array([y]))[0].tobytes()
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, 3.5, -7.25, 1e300, 5e-324]),
+        np.array([[1.0, 2.0], [3.0, 4.0]]), np.arange(6),
+        np.array([1.5], dtype=np.float32), np.float64(2.75), np.array(9.0),
+        [1, 2, 3], [0.1, 0.2, 0.3], [], 7, 2**60 + 1, 0.3, -0.0])
+    @pytest.mark.parametrize("offset, scale", [
+        (3.25, 197.125), (-0.1, 0.3), (0.0, 1.0), (1e-300, 1e300)])
+    def test_apply_equals_plain_expression_bit_for_bit(self, x, offset,
+                                                       scale):
+        got = Scaler(offset=offset, scale=scale).apply(x)
+        want = (np.asarray(x, dtype=np.float64) - offset) / scale
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim:
+            assert got is not x
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
