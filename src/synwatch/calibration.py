@@ -109,30 +109,6 @@ def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:, 0], bounds[:, 1]
 
 
-def _score_spans(row: np.ndarray, first_step: np.ndarray,
-                 last_step: np.ndarray, intervals,
-                 n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Detected intervals and false alarms per row of a batch of events.
-
-    Event ``i`` belongs to row ``row[i]`` and spans the steps
-    ``[first_step[i], last_step[i]]``; ``intervals`` are checked.
-    """
-    starts, ends = _bounds(intervals)
-    # The intervals are disjoint and sorted, so those an event overlaps
-    # are the contiguous index range [first, stop).
-    first = np.searchsorted(ends, first_step, side="left")
-    stop = np.searchsorted(starts, last_step, side="right")
-    hit = first < stop
-    width = len(starts) + 1
-    cover = (np.bincount(row[hit] * width + first[hit],
-                         minlength=n_rows * width)
-             - np.bincount(row[hit] * width + stop[hit],
-                           minlength=n_rows * width))
-    covered = np.cumsum(cover.reshape(n_rows, width), axis=1)[:, :-1]
-    return (np.count_nonzero(covered, axis=1),
-            np.bincount(row[~hit], minlength=n_rows))
-
-
 def _detection_rate(detected: int, intervals_total: int) -> float:
     if intervals_total:
         return 100.0 * detected / intervals_total
@@ -153,13 +129,21 @@ def evaluate_events(events, attack_intervals) -> EvalReport:
     if np.any(inverted):
         s, e = spans[np.argmax(inverted)]
         raise ValueError(f"alarm event [{s}, {e}] is inverted")
-    (detected,), (false_alarms,) = _score_spans(
-        np.zeros(len(spans), dtype=np.int64), spans[:, 0], spans[:, 1],
-        intervals, 1)
+    starts, ends = _bounds(intervals)
+    # The intervals are disjoint and sorted, so those an event overlaps
+    # are the contiguous index range [first, stop).
+    first = np.searchsorted(ends, spans[:, 0], side="left")
+    stop = np.searchsorted(starts, spans[:, 1], side="right")
+    hit = first < stop
+    width = len(starts) + 1
+    covered = np.cumsum(np.bincount(first[hit], minlength=width)
+                        - np.bincount(stop[hit], minlength=width))[:-1]
+    detected = int(np.count_nonzero(covered))
+    false_alarms = int(np.count_nonzero(~hit))
     return EvalReport(
-        detection_rate_pct=_detection_rate(int(detected), len(intervals)),
-        false_alarms=int(false_alarms), events_total=len(spans),
-        intervals_total=len(intervals), detected_intervals=int(detected))
+        detection_rate_pct=_detection_rate(detected, len(intervals)),
+        false_alarms=false_alarms, events_total=len(spans),
+        intervals_total=len(intervals), detected_intervals=detected)
 
 
 def evaluate(verdicts, attack_intervals) -> EvalReport:

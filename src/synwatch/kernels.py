@@ -2,13 +2,14 @@
 
 Every window is one cell step from the zero state ``h = c = 0``.  There
 the recurrent terms ``U @ h`` vanish and the forget gate multiplies a
-zero cell, so the cell that is computed has three gates:
+zero cell, so the cell that is computed has three gates.  Their weights
+are the row blocks ``i, o, g`` of one (3 hidden, k) matrix ``W`` and one
+(3 hidden,) bias ``b``:
 
-    i = sigmoid(x W_i^T + b_i)
-    o = sigmoid(x W_o^T + b_o)
-    g = tanh(x W_g^T + b_g)
+    z = W x + b,  rows i | o | g
+    i, o = sigmoid(z_i), sigmoid(z_o);  g = tanh(z_g)
     h = o * tanh(i * g)
-    prediction = h w_y + b_y
+    prediction = w_y . h + b_y
 
 ``loss_and_grads_numpy`` computes training gradients.  Only the trained
 weights depend on its bits, so it is laid out for speed.  It takes the gate
@@ -27,13 +28,14 @@ weights on a fixed series (see the README).
 
 ``predict_batch_numpy`` serves ``calibrate`` and ``detect``.  It gives
 every window the BLAS calls that ``lstm.predict_window``, the online path,
-makes for it: one gemv ``W @ x`` over the fused (3 hidden, k) matrix, as a
-stacked ``np.matmul``, and one dot ``w_y @ h``; between them, the same
-in-place ufuncs over contiguous rows.  So on a given numpy and BLAS build
-every batch prediction equals ``predict_window``'s bit for bit, whatever
-the batch, and ``detect`` equals a live per-step run.  Against the
-per-gate products, whose sums run in another order, predictions differ by
-a few units in the last place; the tests bound that too.
+makes for it: one gemv ``W @ x``, as a stacked ``np.matmul``, and one dot
+``w_y @ h``.  Between them both call ``_hidden``, the one copy of the
+in-place gate sequence, on a pre-activation vector or a block of them.
+So on a given numpy and BLAS build every batch prediction equals
+``predict_window``'s bit for bit, whatever the batch, and ``detect``
+equals a live per-step run.  Against the per-gate products, whose sums
+run in another order, predictions differ by a few units in the last
+place; the tests bound that too.
 
 ``loss_and_grads_numpy`` computes into work buffers with ``out=`` and
 in-place ufuncs, in the same operations and association order as a plain
@@ -54,11 +56,27 @@ import numpy as np
 _CHUNK = 512
 
 
+def _hidden(z, hidden):
+    """The hidden state from the pre-activations ``z``, a (3 hidden,)
+    vector or a (3 hidden, m) block with rows ``i | o | g``: computed in
+    place in ``z``, and returned as its last ``hidden`` rows."""
+    io, g = z[:2 * hidden], z[2 * hidden:]
+    np.negative(io, out=io)
+    np.exp(io, out=io)
+    io += 1.0
+    np.divide(1.0, io, out=io)            # i | o = sigmoid
+    np.tanh(g, out=g)
+    g *= io[:hidden]                      # c = i * g
+    np.tanh(g, out=g)
+    g *= io[hidden:]                      # h = o * tanh(c)
+    return g
+
+
 def predict_batch_numpy(x, W, b, w_y, b_y):
     """``lstm.predict_window`` of every row of a C-contiguous (n, input_dim)
     batch, given the fused gate matrix ``W`` and bias ``b``.
 
-    Per chunk of windows, the gate ufuncs run on a transposed (3 hidden,
+    Per chunk of windows, ``_hidden`` runs on a transposed (3 hidden,
     chunk) copy of the ``W @ x`` products plus bias, and the hidden
     vectors are transposed back for the dots.
 
@@ -77,16 +95,7 @@ def predict_batch_numpy(x, W, b, w_y, b_y):
         np.matmul(W, x[rows, :, None], out=wx[:c])   # one gemv per window
         z = gates[:, :c]
         np.add(wx[:c, :, 0].T, b[:, None], out=z)
-        io, g = z[:2 * hidden], z[2 * hidden:]
-        np.negative(io, out=io)
-        np.exp(io, out=io)
-        io += 1.0
-        np.divide(1.0, io, out=io)            # i | o = sigmoid
-        np.tanh(g, out=g)
-        g *= io[:hidden]                      # c = i * g
-        np.tanh(g, out=g)
-        g *= io[hidden:]                      # h = o * tanh(c)
-        hs[:c, :, 0] = g.T
+        hs[:c, :, 0] = _hidden(z, hidden).T
         np.matmul(w_y, hs[:c], out=pred[rows, None])  # one dot per window
     pred += b_y
     return pred

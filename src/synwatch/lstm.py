@@ -8,15 +8,16 @@ never reach an output, so the model holds only the input, output and
 candidate gates (see ``kernels``).  Training is full-batch gradient
 descent; 64-bit floats throughout.
 
-``LstmParams`` stores the three gates fused: one (3 hidden, k) weight
-matrix ``W`` and one (3 hidden,) bias ``b``, row blocks in the order
-``i, o, g``.  The per-gate names ``W_i, b_i, W_o, b_o, W_g, b_g`` are
-row-block views into that storage.  Every prediction, one window or a
-batch, takes one product over it per window, so batch and online
-predictions are equal bit for bit (see ``kernels``).  Training instead
-updates one augmented matrix ``[W | b]`` of shape (3 hidden, k + 1), with
-``w_y`` and ``b_y``, and writes ``W`` and ``b`` back when it ends.  The
-model file keeps its per-gate blocks.
+``LstmParams`` holds the three gates in one (3 hidden, k) weight matrix
+``W`` and one (3 hidden,) bias ``b``, row blocks in the order ``i, o,
+g``; it has no per-gate views.  Every prediction, one window or a batch,
+takes one product over ``W`` per window and the gate sequence of
+``kernels._hidden``, so batch and online predictions are equal bit for
+bit (see ``kernels``).  Training instead updates one augmented matrix
+``[W | b]`` of shape (3 hidden, k + 1), with ``w_y`` and ``b_y``, and
+builds its result from it when it ends.  Per-gate blocks exist only in
+the model file (``_FILE_FIELDS``): its writer slices ``W`` and ``b`` into
+them and its reader stacks them.
 """
 
 from __future__ import annotations
@@ -28,92 +29,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DivergenceError
-from .kernels import _GradWork, loss_and_grads_numpy, predict_batch_numpy
+from .kernels import (_GradWork, _hidden, loss_and_grads_numpy,
+                      predict_batch_numpy)
 from .pipeline import WindowSet, _utf8_errors
-
-#: Matrix/vector fields in canonical order (model file block order).
-PARAM_FIELDS = ("W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y")
 
 MODEL_MAGIC = "lstm-model v2"
 
-#: Block order of each readable model file version.  A v1 file also holds
-#: the recurrent matrices and the forget gate of the four-gate cell; they
-#: are read, checked and dropped.
+#: Block order of each readable model file version.  The gate blocks
+#: ``W_i b_i W_o b_o W_g b_g`` exist only in the file: they are the row
+#: blocks ``i, o, g`` of ``W`` and ``b``.  A v1 file also holds the
+#: recurrent matrices and the forget gate of the four-gate cell; they are
+#: read, checked and dropped.
 _FILE_FIELDS = {
     "lstm-model v1": ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
                       "W_o", "U_o", "b_o", "W_g", "U_g", "b_g", "w_y"),
-    MODEL_MAGIC: PARAM_FIELDS,
+    MODEL_MAGIC: ("W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y"),
 }
 
 
-class _GateBlock:
-    """Row block ``index`` (0 = i, 1 = o, 2 = g) of the fused array named
-    ``fused``: reading gives a view into the storage, assigning copies the
-    value into it."""
-
-    def __init__(self, fused: str, index: int):
-        self.fused = fused
-        self.index = index
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, params, owner=None):
-        if params is None:
-            return self
-        h = params.hidden_dim
-        return getattr(params, self.fused)[self.index * h:(self.index + 1) * h]
-
-    def __set__(self, params, value):
-        block = self.__get__(params)
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != block.shape:
-            raise ValueError(f"{self.name} has shape {value.shape}, "
-                             f"expected {block.shape}")
-        block[...] = value
-
-
 class LstmParams:
-    """Gate and projection weights; also reused as the gradient container
-    (same shapes, field for field).
+    """Gate and projection weights; also the gradient container (same
+    shapes, field for field).
 
-    The gate weights live in one C-contiguous (3 hidden, input_dim)
-    matrix ``W`` and the gate biases in one (3 hidden,) vector ``b``, row
-    blocks ordered ``i, o, g``.  ``W_i``, ``b_i``, ``W_o``, ``b_o``,
-    ``W_g`` and ``b_g`` are row-block views into them, so an in-place
-    update through either name reaches the same memory, and assigning a
-    block copies the value into the storage.  Training works on a copy
-    with the biases as a last column, ``[W | b]``, which its gradient
-    kernel multiplies in one product.  The constructor and
-    ``copy`` copy every array they are given: instances never share
-    storage.
+    ``W`` is the C-contiguous (3 hidden, input_dim) gate matrix and ``b``
+    the (3 hidden,) gate bias, row blocks ordered ``i, o, g``; ``w_y``
+    (hidden,) and the scalar ``b_y`` are the output projection.
+    ``input_dim`` and ``hidden_dim`` follow from the shapes.  The
+    constructor copies every array it is given, so instances never share
+    storage, and raises ``ValueError`` when the shapes do not fit one gate
+    matrix.
     """
 
-    W_i = _GateBlock("W", 0)
-    W_o = _GateBlock("W", 1)
-    W_g = _GateBlock("W", 2)
-    b_i = _GateBlock("b", 0)
-    b_o = _GateBlock("b", 1)
-    b_g = _GateBlock("b", 2)
-
-    def __init__(self, input_dim: int, hidden_dim: int, W_i, b_i, W_o, b_o,
-                 W_g, b_g, w_y, b_y: float):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.W = np.empty((3 * hidden_dim, input_dim))
-        self.b = np.empty(3 * hidden_dim)
-        self.W_i, self.W_o, self.W_g = W_i, W_o, W_g
-        self.b_i, self.b_o, self.b_g = b_i, b_o, b_g
+    def __init__(self, W, b, w_y, b_y: float):
+        self.W = np.array(W, dtype=np.float64, order="C")
+        self.b = np.array(b, dtype=np.float64)
         self.w_y = np.array(w_y, dtype=np.float64)
         self.b_y = b_y
+        if self.W.ndim != 2 or self.w_y.ndim != 1 \
+                or self.W.shape[0] != 3 * len(self.w_y) \
+                or self.b.shape != (self.W.shape[0],):
+            raise ValueError(
+                f"W {self.W.shape}, b {self.b.shape} and w_y "
+                f"{self.w_y.shape} do not fit one (3 hidden, k) gate matrix")
+        self.hidden_dim, self.input_dim = len(self.w_y), self.W.shape[1]
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """The arrays in ``PARAM_FIELDS`` order, the gates as views."""
-        return tuple(getattr(self, name) for name in PARAM_FIELDS)
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.input_dim, self.hidden_dim, *self.arrays(),
-                          self.b_y)
+        """``(W, b, w_y)``."""
+        return self.W, self.b, self.w_y
 
 
 @dataclass
@@ -168,19 +130,13 @@ def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     rng = np.random.default_rng(rng_seed)
     r = 1.0 / np.sqrt(hidden_dim)
     h, k = hidden_dim, input_dim
-    # Draw in the four-gate order W_i U_i W_f U_f W_o U_o W_g U_g and drop
-    # the recurrent and forget blocks, so a seed still gives the weights
-    # it gave the four-gate cell.
-    W_i, _, _, _, W_o, _, W_g, _ = (
-        rng.uniform(-r, r, size=(h, cols)) for cols in (k, h) * 4)
+    # Draw the input and recurrent blocks of the four-gate cell in its
+    # order i, f, o, g and keep the input blocks of i, o and g, so a seed
+    # still gives the weights it gave the four-gate cell.
+    draws = [rng.uniform(-r, r, size=(h, cols)) for cols in (k, h) * 4]
     return LstmParams(
-        input_dim=k, hidden_dim=h,
-        W_i=W_i, b_i=np.zeros(h),
-        W_o=W_o, b_o=np.zeros(h),
-        W_g=W_g, b_g=np.zeros(h),
-        w_y=rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, size=h),
-        b_y=0.0,
-    )
+        np.vstack([draws[j] for j in (0, 4, 6)]), np.zeros(3 * h),
+        rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, size=h), 0.0)
 
 
 def predict_window(params: LstmParams, window: np.ndarray) -> float:
@@ -188,8 +144,8 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
     computed in a single cell step from the zero state.  Pure: never
     mutates its arguments.
 
-    One gemv ``W @ x`` over the fused storage, in-place gate ufuncs and
-    one dot ``w_y @ h``: the calls ``predict_windows`` makes for every
+    One gemv ``W @ x``, the in-place gate ufuncs of ``kernels._hidden``
+    and one dot ``w_y @ h``: the calls ``predict_windows`` makes for every
     window of a batch, so online and batch predictions agree bit for bit
     (see ``kernels``).
     """
@@ -197,19 +153,9 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
     if x.shape != (params.input_dim,):
         raise ValueError(
             f"window has shape {x.shape}, expected ({params.input_dim},)")
-    h = params.hidden_dim
     z = params.W @ x
     z += params.b
-    io, g = z[:2 * h], z[2 * h:]
-    np.negative(io, out=io)
-    np.exp(io, out=io)
-    io += 1.0
-    np.divide(1.0, io, out=io)            # i | o = sigmoid
-    np.tanh(g, out=g)
-    g *= io[:h]                           # c = i * g
-    np.tanh(g, out=g)
-    g *= io[h:]                           # h = o * tanh(c)
-    return float(params.w_y @ g + params.b_y)
+    return float(params.w_y @ _hidden(z, params.hidden_dim) + params.b_y)
 
 
 def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -257,12 +203,7 @@ def bptt_gradients(params: LstmParams,
     loss, _, dWb, dw_y, db_y = loss_and_grads_numpy(
         _with_ones(windows.inputs), y, _augmented(params), params.w_y,
         params.b_y)
-    grads = params.copy()
-    grads.W[...] = dWb[:, :-1]
-    grads.b[...] = dWb[:, -1]
-    grads.w_y[...] = dw_y
-    grads.b_y = float(db_y)
-    return grads, float(loss)
+    return LstmParams(dWb[:, :-1], dWb[:, -1], dw_y, float(db_y)), float(loss)
 
 
 def train(config: TrainConfig,
@@ -273,17 +214,17 @@ def train(config: TrainConfig,
     parameters before that epoch's update.  Non-finite parameters abort
     with a DivergenceError naming the epoch.  The gradient kernel runs in
     one set of work buffers for all epochs, on the augmented gate matrix
-    ``[W | b]``, which is written back into the returned parameters.
+    ``[W | b]``, from which the returned parameters are built.
     """
     if windows.lag != config.lag:
         raise ValueError(
             f"window set lag {windows.lag} != config lag {config.lag}")
     if len(windows) == 0:
         raise ValueError("window set is empty")
-    params = init_params(config.lag, config.hidden_dim, config.rng_seed)
+    init = init_params(config.lag, config.hidden_dim, config.rng_seed)
     xa = _with_ones(windows.inputs)
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
-    Wb, w_y, b_y = _augmented(params), params.w_y, params.b_y
+    Wb, w_y, b_y = _augmented(init), init.w_y, init.b_y
     lr = config.learning_rate
     clip = config.gradient_clip
     losses = np.empty(config.epochs)
@@ -304,10 +245,8 @@ def train(config: TrainConfig,
                 and np.isfinite(b_y) and np.isfinite(losses[epoch])):
             raise DivergenceError(epoch + 1)
     wall = time.perf_counter() - start
-    params.W[...] = Wb[:, :-1]
-    params.b[...] = Wb[:, -1]
-    params.b_y = b_y
-    return params, TrainReport(epoch_losses=losses, wall_seconds=wall)
+    return (LstmParams(Wb[:, :-1], Wb[:, -1], w_y, b_y),
+            TrainReport(epoch_losses=losses, wall_seconds=wall))
 
 
 def _format(v: float) -> str:
@@ -315,19 +254,19 @@ def _format(v: float) -> str:
 
 
 def save_model(path, params: LstmParams) -> None:
-    """Write the line-oriented model file (round-trip exact floats)."""
+    """Write the line-oriented model file (round-trip exact floats), the
+    gates as per-gate row blocks of ``W`` and ``b``."""
     lines = [MODEL_MAGIC,
              f"input_dim={params.input_dim} hidden_dim={params.hidden_dim}"]
-    for name in PARAM_FIELDS:
-        arr = getattr(params, name)
+    h = params.hidden_dim
+    blocks = {"w_y": params.w_y[None]}
+    for j, gate in enumerate("iog"):
+        blocks[f"W_{gate}"] = params.W[j * h:(j + 1) * h]
+        blocks[f"b_{gate}"] = params.b[None, j * h:(j + 1) * h]
+    for name in _FILE_FIELDS[MODEL_MAGIC]:
         lines.append(name)
-        if arr.ndim == 1:
-            lines.append(" ".join(_format(v) for v in arr))
-        else:
-            for row in arr:
-                lines.append(" ".join(_format(v) for v in row))
-    lines.append("b_y")
-    lines.append(_format(params.b_y))
+        lines += (" ".join(_format(v) for v in row) for row in blocks[name])
+    lines += ["b_y", _format(params.b_y)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -384,12 +323,10 @@ def load_model(path) -> LstmParams:
     cursor = 2
     fields = {}
     for name in _FILE_FIELDS[version]:
-        matrix = name[0] in "WU"
-        arr, cursor = _read_block(
-            lines, cursor, name, hidden_dim if matrix else 1,
+        fields[name], cursor = _read_block(
+            lines, cursor, name, hidden_dim if name[0] in "WU" else 1,
             input_dim if name[0] == "W" else hidden_dim)
-        fields[name] = arr if matrix else arr[0]
     b_y, cursor = _read_block(lines, cursor, "b_y", 1, 1)
-    return LstmParams(input_dim=input_dim, hidden_dim=hidden_dim,
-                      **{name: fields[name] for name in PARAM_FIELDS},
-                      b_y=float(b_y[0, 0]))
+    return LstmParams(np.vstack([fields["W_" + gate] for gate in "iog"]),
+                      np.hstack([fields["b_" + gate] for gate in "iog"])[0],
+                      fields["w_y"][0], float(b_y[0, 0]))

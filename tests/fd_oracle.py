@@ -6,16 +6,19 @@ cell formula, so that it shares no code with the kernels it checks.
 
 import numpy as np
 
-from synwatch.lstm import PARAM_FIELDS, LstmParams
+from synwatch.lstm import LstmParams
 from synwatch.pipeline import WindowSet
 
 
 def window_prediction(params: LstmParams, window) -> float:
-    """The three-gate cell from the zero state on one lag window."""
+    """The three-gate cell from the zero state on one lag window, gate by
+    gate from the row blocks ``i, o, g`` of ``W`` and ``b``."""
     x = np.asarray(window, dtype=np.float64)
-    i = 1.0 / (1.0 + np.exp(-(params.W_i @ x + params.b_i)))
-    o = 1.0 / (1.0 + np.exp(-(params.W_o @ x + params.b_o)))
-    g = np.tanh(params.W_g @ x + params.b_g)
+    W_i, W_o, W_g = np.split(params.W, 3)
+    b_i, b_o, b_g = np.split(params.b, 3)
+    i = 1.0 / (1.0 + np.exp(-(W_i @ x + b_i)))
+    o = 1.0 / (1.0 + np.exp(-(W_o @ x + b_o)))
+    g = np.tanh(W_g @ x + b_g)
     return float(params.w_y @ (o * np.tanh(i * g)) + params.b_y)
 
 
@@ -38,11 +41,9 @@ def finite_difference_gradient(params: LstmParams, windows: WindowSet,
         raise ValueError("epsilon must be positive")
     if len(windows) == 0:
         raise ValueError("window set is empty")
-    work = params.copy()
-    grads = LstmParams(params.input_dim, params.hidden_dim,
-                       *(np.zeros_like(a) for a in params.arrays()), 0.0)
-    for name in PARAM_FIELDS:
-        arr, grad_arr = getattr(work, name), getattr(grads, name)
+    work = LstmParams(*params.arrays(), params.b_y)
+    grads = LstmParams(*(np.zeros_like(a) for a in params.arrays()), 0.0)
+    for arr, grad_arr in zip(work.arrays(), grads.arrays()):
         for idx in np.ndindex(arr.shape):
             original = arr[idx]
             arr[idx] = original + epsilon

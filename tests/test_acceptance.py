@@ -14,8 +14,7 @@ from synwatch.calibration import (calibrate, default_grid, evaluate,
                                   prediction_pairs, sweep_beta)
 from synwatch.cli import main as cli_main
 from synwatch.detector import Detector, DetectorConfig
-from synwatch.lstm import (PARAM_FIELDS, TrainConfig, bptt_gradients,
-                           init_params, train)
+from synwatch.lstm import TrainConfig, bptt_gradients, init_params, train
 from synwatch.pipeline import (SynthConfig, TimeSeries, WindowSet,
                                build_windows, fit_scaler, generate_synthetic,
                                scale_windows)
@@ -87,8 +86,7 @@ def test_criterion_1_gradient_correctness():
                 origin_steps=np.arange(lag - 1, lag - 1 + n))
             analytic, _ = bptt_gradients(params, windows)
             numeric = finite_difference_gradient(params, windows)
-            for name in PARAM_FIELDS:
-                a, b = getattr(analytic, name), getattr(numeric, name)
+            for a, b in zip(analytic.arrays(), numeric.arrays()):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
                 worst = max(worst, float(np.max(np.abs(a - b) / denom)))
             worst = max(worst, abs(analytic.b_y - numeric.b_y)

@@ -1,10 +1,13 @@
 """End-to-end command behavior through click's test runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synwatch.cli import main
 from synwatch.detector import DetectorConfig, read_alarms, read_verdicts, \
@@ -748,6 +751,68 @@ def test_file_that_is_not_utf8_is_data_error(runner, workspace, tmp_path,
     assert (f"data error: {bad}: not UTF-8 text: byte 0xff at offset 10"
             in result.output)
     assert not out.exists()
+
+
+FIXTURE = Path(__file__).parent.parent / "perfbench/fixture"
+
+
+@pytest.fixture(scope="module")
+def detect_inputs(tmp_path_factory):
+    """The perfbench model (v1) and its v2 form, scaler and detector
+    config as bytes, a 300-step test series, and a directory for the
+    mutated files."""
+    root = tmp_path_factory.mktemp("mutate")
+    test = root / "test.csv"
+    result = CliRunner().invoke(main, ["synth", "--length", "300",
+                                       "--attacks", "1", "--seed", "5",
+                                       "-o", str(test)])
+    assert result.exit_code == 0, result.output
+    save_model(root / "v2.txt", load_model(FIXTURE / "model.txt"))
+    files = {"model-v1": (FIXTURE / "model.txt").read_bytes(),
+             "model-v2": (root / "v2.txt").read_bytes(),
+             "scaler": (FIXTURE / "model.txt.scaler").read_bytes(),
+             "config": (FIXTURE / "detector.cfg").read_bytes()}
+    return root, test, files
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """``data`` with one bit flipped, truncated, with a NUL, 0xff or
+    newline inserted, or with one byte deleted."""
+    kind = draw(st.sampled_from(("flip", "truncate", "insert", "delete")))
+    if kind == "insert":
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from((b"\0", b"\xff", b"\n")))
+        return data[:pos] + byte + data[pos:]
+    pos = draw(st.integers(0, len(data) - 1))
+    if kind == "flip":
+        flipped = data[pos] ^ (1 << draw(st.integers(0, 7)))
+        return data[:pos] + bytes([flipped]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    return data[:pos] + data[pos + 1:]
+
+
+@pytest.mark.parametrize("target", ["model-v1", "model-v2", "scaler",
+                                    "config"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_detect_input_never_crashes(runner, detect_inputs, target,
+                                            data):
+    # whatever one byte-level change does to one file detect reads, detect
+    # succeeds or fails with a usage or data error, never a traceback
+    root, test, files = detect_inputs
+    mutated = data.draw(mutations(files[target]))
+    model, scaler, config = (root / "model.txt", root / "model.scaler",
+                             root / "detector.cfg")
+    model.write_bytes(mutated if target.startswith("model")
+                      else files["model-v2"])
+    scaler.write_bytes(mutated if target == "scaler" else files["scaler"])
+    config.write_bytes(mutated if target == "config" else files["config"])
+    result = runner.invoke(main, ["detect", str(model), str(config),
+                                  str(test), "--scaler", str(scaler),
+                                  "-o", str(root / "v.csv")])
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)
 
 
 def test_usage_error_exit_code_distinct(runner, tmp_path):

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from synwatch import lstm
 from synwatch.kernels import (_CHUNK, _GradWork, loss_and_grads_numpy,
                               predict_batch_numpy)
-from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
-                           init_params, predict_window, predict_windows,
-                           train)
+from synwatch.lstm import (LstmParams, TrainConfig, init_params,
+                           predict_window, predict_windows, train)
 from synwatch.pipeline import (TimeSeries, WindowSet, build_windows,
                                fit_scaler, scale_windows)
 
@@ -146,6 +145,12 @@ def fused(x, params):
     return xa, Wb, params[6], params[7]
 
 
+def fused_params(params):
+    """An ``LstmParams`` from ``random_case``'s per-gate values."""
+    return LstmParams(np.vstack(params[0:6:2]),
+                      np.concatenate(params[1:6:2]), *params[6:])
+
+
 def per_gate_view(dWb):
     """The training kernel's ``dWb`` as per-gate ``(dW_i, db_i, dW_o, db_o,
     dW_g, db_g)``."""
@@ -203,7 +208,7 @@ class TestKernelsMatchReference:
         # every window, whatever the batch it is in: the whole batch, any
         # split of it into parts, and one window at a time
         x, _, params = random_case(seed, n, k, hidden, scale)
-        model = LstmParams(k, hidden, *params)
+        model = fused_params(params)
         singles = np.array([predict_window(model, window) for window in x])
         assert bits([predict_windows(model, x)]) == bits([singles])
         cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
@@ -256,25 +261,23 @@ def reference_train(config: TrainConfig, windows: WindowSet):
             db_y = min(max(db_y, -clip), clip)
         Wb, w_y, b_y = Wb - lr * dWb, w_y - lr * dw_y, b_y - lr * db_y
         losses.append(loss)
-    params.W[...], params.b[...] = Wb[:, :-1], Wb[:, -1]
-    params.w_y, params.b_y = w_y, b_y
-    return params, np.array(losses)
+    return LstmParams(Wb[:, :-1], Wb[:, -1], w_y, b_y), np.array(losses)
 
 
 def per_gate_train(config: TrainConfig, windows: WindowSet):
     """Plain gradient descent through the per-gate formula (no clip)."""
-    params = init_params(config.lag, config.hidden_dim, config.rng_seed)
+    init = init_params(config.lag, config.hidden_dim, config.rng_seed)
+    (W_i, W_o, W_g), (b_i, b_o, b_g) = (np.split(init.W, 3),
+                                        np.split(init.b, 3))
+    params = [W_i, b_i, W_o, b_o, W_g, b_g, init.w_y, init.b_y]
     x, y = windows.inputs, windows.targets
     lr = config.learning_rate
     losses = []
     for _ in range(config.epochs):
-        loss, _, *grads, grad_b_y = per_gate_loss_and_grads(
-            x, y, *params.arrays(), params.b_y)
-        for name, grad in zip(PARAM_FIELDS, grads):
-            setattr(params, name, getattr(params, name) - lr * grad)
-        params.b_y = params.b_y - lr * grad_b_y
+        loss, _, *grads = per_gate_loss_and_grads(x, y, *params)
+        params = [value - lr * grad for value, grad in zip(params, grads)]
         losses.append(loss)
-    return params, np.array(losses)
+    return fused_params(params), np.array(losses)
 
 
 class TestTrainDeterminism:

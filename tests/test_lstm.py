@@ -1,5 +1,6 @@
 """Core predictor: initialization, forward pass, gradients, training, IO."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synwatch.errors import DataError, DivergenceError
-from synwatch.lstm import (PARAM_FIELDS, LstmParams, TrainConfig,
-                           bptt_gradients, init_params, load_model,
-                           predict_window, predict_windows, save_model, train)
+from synwatch.lstm import (LstmParams, TrainConfig, bptt_gradients,
+                           init_params, load_model, predict_window,
+                           predict_windows, save_model, train)
 from synwatch.pipeline import WindowSet
 
 from conftest import assert_within_per_gate_bound, make_window_set
@@ -24,16 +25,31 @@ def params_finite(params):
         and np.isfinite(params.b_y)
 
 
-#: Block order of an ``lstm-model v1`` file: the four-gate cell.
+#: Block order of an ``lstm-model v2`` file, the three-gate cell, and of
+#: an ``lstm-model v1`` file, the four-gate cell.
+V2_FIELDS = ("W_i", "b_i", "W_o", "b_o", "W_g", "b_g", "w_y")
 V1_FIELDS = ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
              "W_o", "U_o", "b_o", "W_g", "U_g", "b_g", "w_y")
 DEAD_FIELDS = ("U_i", "W_f", "U_f", "b_f", "U_o", "U_g")
 
+#: The perfbench model, an ``lstm-model v1`` file, and the sha256 of the
+#: v2 file that ``save_model`` writes for it.
+FIXTURE_MODEL = Path(__file__).parent.parent / "perfbench/fixture/model.txt"
+FIXTURE_V2_SHA256 = \
+    "97ace04126120c7110fb2371f1f23722611d6b354e22405bfcfc8053feece827"
+
+
+def from_blocks(blocks):
+    """An ``LstmParams`` from per-gate ``W_i b_i W_o b_o W_g b_g w_y`` and
+    ``b_y`` blocks."""
+    return LstmParams(np.vstack([blocks["W_" + gate] for gate in "iog"]),
+                      np.concatenate([blocks["b_" + gate] for gate in "iog"]),
+                      blocks["w_y"], blocks["b_y"])
+
 
 def max_rel_diff(a: LstmParams, b: LstmParams) -> float:
     worst = 0.0
-    for name in PARAM_FIELDS:
-        ga, gb = getattr(a, name), getattr(b, name)
+    for ga, gb in zip(a.arrays(), b.arrays()):
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gb)), 1e-8)
         worst = max(worst, float(np.max(np.abs(ga - gb) / denom)))
     return max(worst, abs(a.b_y - b.b_y) / max(abs(a.b_y), abs(b.b_y), 1e-8))
@@ -41,12 +57,7 @@ def max_rel_diff(a: LstmParams, b: LstmParams) -> float:
 
 def zero_params(input_dim, hidden_dim, b_y=0.0):
     h, k = hidden_dim, input_dim
-    return LstmParams(
-        input_dim=k, hidden_dim=h,
-        W_i=np.zeros((h, k)), b_i=np.zeros(h),
-        W_o=np.zeros((h, k)), b_o=np.zeros(h),
-        W_g=np.zeros((h, k)), b_g=np.zeros(h),
-        w_y=np.zeros(h), b_y=b_y)
+    return LstmParams(np.zeros((3 * h, k)), np.zeros(3 * h), np.zeros(h), b_y)
 
 
 def random_v1_blocks(rng, k, h):
@@ -86,27 +97,25 @@ def write_v1(path, blocks, k, h):
 class TestInitParams:
     def test_shapes(self):
         p = init_params(3, 23, rng_seed=42)
-        for gate in "iog":
-            assert getattr(p, f"W_{gate}").shape == (23, 3)
-            assert getattr(p, f"b_{gate}").shape == (23,)
+        assert (p.input_dim, p.hidden_dim) == (3, 23)
+        assert p.W.shape == (69, 3) and p.b.shape == (69,)
         assert p.w_y.shape == (23,)
         assert p.b_y == 0.0
 
     def test_smallest_network_and_forget_bias(self):
         # the zero-state cell has no forget gate, so every bias starts at 0
         p = init_params(1, 1, rng_seed=0)
-        assert p.W_i.shape == (1, 1)
+        assert p.W.shape == (3, 1)
         assert not hasattr(p, "b_f")
-        assert np.all(p.b_i == 0.0) and np.all(p.b_o == 0.0)
-        assert np.all(p.b_g == 0.0)
+        assert np.all(p.b == 0.0)
 
     def test_deterministic_per_seed(self):
         a = init_params(3, 23, rng_seed=42)
         b = init_params(3, 23, rng_seed=42)
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for got, want in zip(a.arrays(), b.arrays()):
+            np.testing.assert_array_equal(got, want)
         c = init_params(3, 23, rng_seed=43)
-        assert not np.array_equal(a.W_i, c.W_i)
+        assert not np.array_equal(a.W, c.W)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_seed_keeps_four_gate_draw_order(self, seed):
@@ -119,8 +128,9 @@ class TestInitParams:
                               "W_o", "U_o", "W_g", "U_g")}
         drawn["w_y"] = rng.uniform(-2.0, 2.0, size=h)
         p = init_params(k, h, rng_seed=seed)
-        for name in ("W_i", "W_o", "W_g", "w_y"):
-            np.testing.assert_array_equal(getattr(p, name), drawn[name])
+        np.testing.assert_array_equal(
+            p.W, np.vstack([drawn["W_" + gate] for gate in "iog"]))
+        np.testing.assert_array_equal(p.w_y, drawn["w_y"])
 
     @pytest.mark.parametrize("bad_k", [0, 4, -1])
     def test_rejects_bad_input_dim(self, bad_k):
@@ -142,9 +152,8 @@ class TestForwardStep:
         # a tanh(0) candidate zeroes the cell, so only b_y survives
         # whatever the input and output gates do
         p = init_params(2, 4, rng_seed=3)
-        p.W_g[...] = 0.0
-        p.b_i[...] = rng.normal(size=4)
-        p.b_o[...] = rng.normal(size=4)
+        p.W[8:] = 0.0                        # the g rows
+        p.b[:8] = rng.normal(size=8)         # the i and o rows
         p.b_y = 0.37
         for x in (np.array([5.0, -3.0]), rng.normal(size=2)):
             assert predict_window(p, x) == 0.37
@@ -153,14 +162,13 @@ class TestForwardStep:
 
     def test_purity(self, rng):
         p = init_params(3, 5, rng_seed=1)
-        before = p.copy()
+        before = LstmParams(*p.arrays(), p.b_y)
         x = rng.normal(size=3)
         x_copy = x.copy()
         assert predict_window(p, x) == predict_window(p, x)
         np.testing.assert_array_equal(x, x_copy)
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(p, name),
-                                          getattr(before, name))
+        for got, want in zip(p.arrays(), before.arrays()):
+            np.testing.assert_array_equal(got, want)
         assert p.b_y == before.b_y
 
     def test_dimension_mismatch_rejected(self):
@@ -183,21 +191,21 @@ class TestForwardStep:
     def test_input_perturbation_matches_analytic_gradient(self, rng):
         # independent chain-rule oracle recomputed here from the raw params
         p = init_params(3, 4, rng_seed=8)
-        p.b_i[...] = rng.normal(size=4) * 0.3
-        p.b_o[...] = rng.normal(size=4) * 0.3
-        p.b_g[...] = rng.normal(size=4) * 0.3
+        p.b[...] = rng.normal(size=12) * 0.3
         x = rng.normal(size=3)
+        W_i, W_o, W_g = np.split(p.W, 3)
+        b_i, b_o, b_g = np.split(p.b, 3)
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        i = sig(p.W_i @ x + p.b_i)
-        o = sig(p.W_o @ x + p.b_o)
-        g = np.tanh(p.W_g @ x + p.b_g)
+        i = sig(W_i @ x + b_i)
+        o = sig(W_o @ x + b_o)
+        g = np.tanh(W_g @ x + b_g)
         c = i * g
-        di_dx = (i * (1 - i))[:, None] * p.W_i
-        do_dx = (o * (1 - o))[:, None] * p.W_o
-        dg_dx = (1 - g * g)[:, None] * p.W_g
+        di_dx = (i * (1 - i))[:, None] * W_i
+        do_dx = (o * (1 - o))[:, None] * W_o
+        dg_dx = (1 - g * g)[:, None] * W_g
         dc_dx = g[:, None] * di_dx + i[:, None] * dg_dx
         dh_dx = np.tanh(c)[:, None] * do_dx \
             + (o * (1 - np.tanh(c) ** 2))[:, None] * dc_dx
@@ -245,8 +253,9 @@ def per_gate_prediction(params, x):
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    W_i, b_i, W_o, b_o, W_g, b_g, w_y = (
-        np.array(arr) for arr in params.arrays())
+    W_i, W_o, W_g = (np.array(W) for W in np.split(params.W, 3))
+    b_i, b_o, b_g = (np.array(b) for b in np.split(params.b, 3))
+    w_y = params.w_y
     i = sigmoid(W_i @ x + b_i)
     o = sigmoid(W_o @ x + b_o)
     g = np.tanh(W_g @ x + b_g)
@@ -261,9 +270,10 @@ def params_and_windows(draw):
     h = draw(st.integers(1, 64))
     scale = draw(st.sampled_from((0.01, 0.3, 1.0, 5.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = LstmParams(
-        k, h, *(rng.normal(0.0, scale, size=(h, k) if name[0] == "W" else h)
-                for name in PARAM_FIELDS), float(rng.normal()))
+    blocks = {name: rng.normal(0.0, scale, size=(h, k) if name[0] == "W"
+                               else h) for name in V2_FIELDS}
+    blocks["b_y"] = float(rng.normal())
+    params = from_blocks(blocks)
     value = st.floats(-10.0, 10.0)
     windows = draw(st.lists(
         hnp.arrays(np.float64, k, elements=value), min_size=1, max_size=8))
@@ -271,43 +281,44 @@ def params_and_windows(draw):
 
 
 class TestFusedStorage:
-    """The gates live in one (3h, k) matrix and one (3h,) bias; the
-    per-gate names are row-block views into them."""
+    """The gates live in one (3h, k) matrix and one (3h,) bias, and the
+    constructor copies and checks what it is given."""
 
     def test_layout(self):
         p = init_params(3, 5, rng_seed=1)
         assert p.W.shape == (15, 3) and p.b.shape == (15,)
         assert p.W.flags.c_contiguous
-        for j, gate in enumerate("iog"):
-            W, b = getattr(p, f"W_{gate}"), getattr(p, f"b_{gate}")
-            assert np.shares_memory(W, p.W) and np.shares_memory(b, p.b)
-            np.testing.assert_array_equal(W, p.W[5 * j:5 * (j + 1)])
-            np.testing.assert_array_equal(b, p.b[5 * j:5 * (j + 1)])
+        assert (p.input_dim, p.hidden_dim) == (3, 5)
+        assert [arr.shape for arr in p.arrays()] == [(15, 3), (15,), (5,)]
+        # a Fortran-ordered matrix is stored C-contiguous all the same
+        assert LstmParams(np.asfortranarray(p.W), p.b, p.w_y,
+                          0.0).W.flags.c_contiguous
 
-    def test_block_assignment_checks_shape(self):
-        p = init_params(2, 4, rng_seed=1)
-        with pytest.raises(ValueError, match="W_o has shape"):
-            p.W_o = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="b_g has shape"):
-            p.b_g = 0.0
+    @pytest.mark.parametrize("W, b, w_y", [
+        (np.zeros((12, 2)), np.zeros(12), np.zeros(5)),    # W rows != 3h
+        (np.zeros((15, 2)), np.zeros(12), np.zeros(5)),    # b not (3h,)
+        (np.zeros((15, 2)), np.zeros((15, 1)), np.zeros(5)),
+        (np.zeros(15), np.zeros(15), np.zeros(5)),         # W not 2-D
+        (np.zeros((15, 2, 1)), np.zeros(15), np.zeros(5)),
+        (np.zeros((15, 2)), np.zeros(15), np.zeros((5, 1))),
+    ])
+    def test_rejects_shapes_that_do_not_fit(self, W, b, w_y):
+        with pytest.raises(ValueError, match="do not fit"):
+            LstmParams(W, b, w_y, 0.0)
 
     @settings(max_examples=100)
     @given(case=params_and_windows(), data=st.data())
-    def test_updates_through_views_reach_the_prediction(self, case, data):
+    def test_updates_to_W_and_b_reach_the_prediction(self, case, data):
         params, windows = case
         h, k = params.hidden_dim, params.input_dim
         r, c = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, k - 1))
         d = data.draw(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0))
         expected = params.W[r, c] + d
-        params.W_i[r, c] += d
+        params.W[r, c] += d
         assert params.W[r, c] == expected
         new = data.draw(hnp.arrays(np.float64, h, elements=st.floats(-3, 3)))
-        params.b_g = new
-        assert params.b[2 * h:].tobytes() == new.tobytes()
-        new[...] = 7.0                       # the storage holds a copy
-        assert not np.any(params.b[2 * h:] == 7.0)
-        fresh = LstmParams(k, h, *(np.array(arr) for arr in params.arrays()),
-                           params.b_y)
+        params.b[2 * h:] = new
+        fresh = LstmParams(*params.arrays(), params.b_y)
         # windows up to 10 in size and weights of std up to 5: bound the
         # gap by the size of the terms summed, |w_y| (|W| |x| + |b|)
         W_size = np.abs(params.W).reshape(3, h, k).sum(axis=0)
@@ -321,16 +332,21 @@ class TestFusedStorage:
 
     @settings(max_examples=50)
     @given(case=params_and_windows())
-    def test_copy_has_independent_storage(self, case):
+    def test_constructor_copies_its_arrays(self, case):
         params, windows = case
-        dup = params.copy()
-        for name in ("W", "b", "w_y"):
-            assert not np.shares_memory(getattr(dup, name),
-                                        getattr(params, name))
+        W, b, w_y = (arr.copy() for arr in params.arrays())
+        dup = LstmParams(W, b, w_y, params.b_y)
+        for got, given_arr, other in zip(dup.arrays(), (W, b, w_y),
+                                         params.arrays()):
+            assert not np.shares_memory(got, given_arr)
+            assert not np.shares_memory(got, other)
         before = [predict_window(params, x) for x in windows]
         assert [predict_window(dup, x) for x in windows] == before
-        dup.W_o += 1.0
-        dup.b_i[0] -= 1.0
+        W += 1.0                             # the caller's arrays ...
+        b[0] -= 1.0
+        w_y *= 2.0
+        assert [predict_window(dup, x) for x in windows] == before
+        dup.W[params.hidden_dim:] += 1.0     # ... and the copy's own
         dup.w_y *= 2.0
         assert [predict_window(params, x) for x in windows] == before
 
@@ -343,8 +359,8 @@ class TestGradients:
                             origin_steps=np.arange(1, 6))
         grads, loss = bptt_gradients(p, windows)
         assert loss == 0.0
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(grads, name), 0.0)
+        for grad in grads.arrays():
+            np.testing.assert_array_equal(grad, 0.0)
         assert grads.b_y == 0.0
 
     def test_matches_finite_differences_on_random_instances(self):
@@ -401,8 +417,8 @@ class TestGradients:
             windows = make_window_set(rng, k, int(rng.integers(2, 9)))
             grads, loss_before = bptt_gradients(params, windows)
             lr = 1e-4
-            for name in PARAM_FIELDS:
-                getattr(params, name)[...] -= lr * getattr(grads, name)
+            for arr, grad in zip(params.arrays(), grads.arrays()):
+                arr -= lr * grad
             params.b_y -= lr * grads.b_y
             _, loss_after = bptt_gradients(params, windows)
             assert loss_after <= loss_before + 1e-15
@@ -416,8 +432,8 @@ class TestFiniteDifferenceOracle:
                             targets=np.full(4, 0.4),
                             origin_steps=np.arange(1, 5))
         grads = finite_difference_gradient(p, windows)
-        for name in PARAM_FIELDS:
-            assert np.all(np.abs(getattr(grads, name)) < 1e-8)
+        for grad in grads.arrays():
+            assert np.all(np.abs(grad) < 1e-8)
         assert abs(grads.b_y) < 1e-8
 
     def test_epsilon_must_be_positive(self, tiny_instance):
@@ -434,8 +450,8 @@ class TestFiniteDifferenceOracle:
         for eps in (1e-2, 5e-3):
             fd = finite_difference_gradient(params, windows, epsilon=eps)
             err[eps] = max(
-                float(np.max(np.abs(getattr(fd, n) - getattr(exact, n))))
-                for n in PARAM_FIELDS)
+                float(np.max(np.abs(got - want)))
+                for got, want in zip(fd.arrays(), exact.arrays()))
         # quartering within slack; roundoff keeps this from being exact
         assert err[5e-3] <= err[1e-2] / 2.5
 
@@ -478,8 +494,8 @@ class TestTrain:
         config = TrainConfig(epochs=25, rng_seed=9)
         p1, r1 = train(config, windows)
         p2, r2 = train(config, windows)
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
+        for a, b in zip(p1.arrays(), p2.arrays()):
+            np.testing.assert_array_equal(a, b)
         assert p1.b_y == p2.b_y
         np.testing.assert_array_equal(r1.epoch_losses, r2.epoch_losses)
 
@@ -523,9 +539,8 @@ class TestModelFile:
         save_model(path, params)
         loaded = load_model(path)
         assert loaded.input_dim == 3 and loaded.hidden_dim == 23
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(loaded, name),
-                                          getattr(params, name))
+        for got, want in zip(loaded.arrays(), params.arrays()):
+            np.testing.assert_array_equal(got, want)
         assert loaded.b_y == params.b_y
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
@@ -535,6 +550,16 @@ class TestModelFile:
         save_model(a, params)
         save_model(b, load_model(a))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_fixture_model_bytes_pinned(self, tmp_path):
+        # the v1 fixture saved as v2 gives fixed bytes, and loading and
+        # saving that v2 file gives the same bytes again
+        v2, again = tmp_path / "v2.txt", tmp_path / "again.txt"
+        save_model(v2, load_model(FIXTURE_MODEL))
+        assert hashlib.sha256(v2.read_bytes()).hexdigest() \
+            == FIXTURE_V2_SHA256
+        save_model(again, load_model(v2))
+        assert again.read_bytes() == v2.read_bytes()
 
     @settings(max_examples=60)
     @given(data=st.data(), input_dim=st.integers(1, 3),
@@ -547,8 +572,9 @@ class TestModelFile:
         h, k = hidden_dim, input_dim
         blocks = {name: data.draw(hnp.arrays(
             np.float64, (h, k) if name[0] == "W" else h, elements=value))
-            for name in PARAM_FIELDS}
-        params = LstmParams(k, h, **blocks, b_y=data.draw(value))
+            for name in V2_FIELDS}
+        blocks["b_y"] = data.draw(value)
+        params = from_blocks(blocks)
         with tempfile.TemporaryDirectory() as tmp:
             a, b = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
             save_model(a, params)
@@ -556,9 +582,8 @@ class TestModelFile:
             save_model(b, loaded)
             assert a.read_bytes() == b.read_bytes()
         assert (loaded.input_dim, loaded.hidden_dim) == (k, h)
-        for name in PARAM_FIELDS:
-            assert getattr(loaded, name).tobytes() \
-                == getattr(params, name).tobytes()
+        for got, want in zip(loaded.arrays(), params.arrays()):
+            assert got.tobytes() == want.tobytes()
         assert np.float64(loaded.b_y).tobytes() \
             == np.float64(params.b_y).tobytes()
 
@@ -608,8 +633,8 @@ class TestModelFile:
 
         old, new = block_lines(v1), block_lines(v2)
         assert list(new) == ["lstm-model v2", "input_dim=3 hidden_dim=4",
-                             *PARAM_FIELDS, "b_y"]
-        for name in PARAM_FIELDS + ("b_y",):
+                             *V2_FIELDS, "b_y"]
+        for name in V2_FIELDS + ("b_y",):
             assert new[name] == old[name]
 
     @pytest.mark.parametrize("version, block", [
