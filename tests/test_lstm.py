@@ -295,12 +295,18 @@ class TestFusedStorage:
                           0.0).W.flags.c_contiguous
 
     @pytest.mark.parametrize("W, b, w_y", [
-        (np.zeros((12, 2)), np.zeros(12), np.zeros(5)),    # W rows != 3h
-        (np.zeros((15, 2)), np.zeros(12), np.zeros(5)),    # b not (3h,)
-        (np.zeros((15, 2)), np.zeros((15, 1)), np.zeros(5)),
-        (np.zeros(15), np.zeros(15), np.zeros(5)),         # W not 2-D
-        (np.zeros((15, 2, 1)), np.zeros(15), np.zeros(5)),
-        (np.zeros((15, 2)), np.zeros(15), np.zeros((5, 1))),
+        pytest.param(np.zeros((12, 2)), np.zeros(12), np.zeros(5),
+                     id="W_rows_not_3h"),
+        pytest.param(np.zeros((15, 2)), np.zeros(12), np.zeros(5),
+                     id="b_length_not_3h"),
+        pytest.param(np.zeros((15, 2)), np.zeros((15, 1)), np.zeros(5),
+                     id="b_not_1d"),
+        pytest.param(np.zeros(15), np.zeros(15), np.zeros(5),
+                     id="W_1d"),
+        pytest.param(np.zeros((15, 2, 1)), np.zeros(15), np.zeros(5),
+                     id="W_3d"),
+        pytest.param(np.zeros((15, 2)), np.zeros(15), np.zeros((5, 1)),
+                     id="w_y_not_1d"),
     ])
     def test_rejects_shapes_that_do_not_fit(self, W, b, w_y):
         with pytest.raises(ValueError, match="do not fit"):
