@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import click
@@ -192,7 +192,11 @@ def ingest(packets, step_seconds, start_text, end_text, output):
         if start is None:
             start = EPOCH + timedelta(microseconds=int(stamps[0]))
         if end is None:
-            end = EPOCH + timedelta(microseconds=int(stamps[-1]) + 1)
+            last = EPOCH + timedelta(microseconds=int(stamps[-1]))
+            if last == datetime.max:
+                raise DataError(f"no range end follows the last record, "
+                                f"{last.isoformat()}: give --end")
+            end = last + timedelta(microseconds=1)
         if start >= end:
             raise DataError(f"range start {start.isoformat()} does not "
                             f"precede range end {end.isoformat()}")

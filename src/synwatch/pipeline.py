@@ -18,6 +18,8 @@ import re as _re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -245,36 +247,9 @@ def _parse_timestamp(text: str) -> datetime:
         int(m.group("h")), int(m.group("m")), int(m.group("s")), int(frac))
 
 
-def _timestamp_us_parser():
-    """A function from timestamp text to int microseconds since EPOCH that
-    accepts, rejects and values every text as ``_parse_timestamp`` does.
-
-    tshark's ``Mon DD, YYYY HH:MM:SS.f[ TZ]`` splits into the text up to
-    the whole second, the fraction digits and the zone suffix.  Within one
-    (prefix, suffix) key the fraction only adds its first six digits, so
-    the whole-second value is memoised; a key enters the memo only from a
-    full parse of a text that has it, so a bad text is still rejected with
-    the full parse's message.  Every other text, ISO-8601 included, takes
-    the full parse: ``datetime.fromisoformat`` reads an ISO text in less
-    time than the memo lookup takes.
-    """
-    tshark_shape = _re.compile(
-        r"([A-Z][a-z]{2} +\d{1,2}, +\d{4} +\d{1,2}:\d{2}:\d{2})\.(\d+)"
-        r"( +[A-Za-z_/+\-0-9]+)?", _re.ASCII).fullmatch
-    whole_seconds: dict[tuple, int] = {}
-
-    def to_us(text: str) -> int:
-        m = tshark_shape(text)
-        if m is None:
-            return (_parse_timestamp(text) - EPOCH) // _MICROSECOND
-        prefix, digits, suffix = m.groups()
-        frac = int(digits[:6].ljust(6, "0"))
-        whole = whole_seconds.get((prefix, suffix))
-        if whole is None:
-            whole = (_parse_timestamp(text) - EPOCH) // _MICROSECOND - frac
-            whole_seconds[prefix, suffix] = whole
-        return whole + frac
-    return to_us
+#: Rows that ``load_tshark_csv`` reads and classifies as one block.  No
+#: output depends on it.
+_BLOCK_ROWS = 4096
 
 
 def load_tshark_csv(source) -> IngestResult:
@@ -289,6 +264,15 @@ def load_tshark_csv(source) -> IngestResult:
     per ``REJECT_REASONS`` entry.  Timestamps come back as one sorted int64
     array of microseconds since ``EPOCH``, in UTC when the text had an
     offset.
+
+    Rows are read ``_BLOCK_ROWS`` at a time and checked column by column.
+    A row takes the bulk path (``_bulk``) when its three integers are 1 to
+    18 decimal digits and its timestamp is ISO ``YYYY-MM-DDTHH:MM:SS``
+    with or without ``.ffffff``, or tshark's ``Mmm DD, YYYY
+    HH:MM:SS.fffffffff`` with or without a zone, in ASCII; such a row
+    always passes the per-row checks, with the same value.  Every other
+    row goes through the per-row checks in row order, so acceptance,
+    values and messages are exactly per row, whatever the block size.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh, \
@@ -309,9 +293,14 @@ def load_tshark_csv(source) -> IngestResult:
             "missing header: expected columns "
             + ",".join(TSHARK_FIELDS) + f", got {','.join(header)}") from None
 
+    # imported here, so that only the commands that read a capture load it
+    from . import _bulk
+
     number_col, len_col, time_col, proto_col = cols
     width = max(cols) + 1
-    to_us = _timestamp_us_parser()
+    columns = [itemgetter(col) for col in cols]
+    blank = [""] * width
+    parts: list[np.ndarray] = []
     stamps: list[int] = []
     rejected: list[tuple[int, str]] = []
     by_reason = dict.fromkeys(REJECT_REASONS, 0)
@@ -320,11 +309,33 @@ def load_tshark_csv(source) -> IngestResult:
         rejected.append((row_no, message))
         by_reason[reason] += 1
 
-    # A row the csv module cannot split (a field past its size limit, say)
-    # ends the read; the try block costs nothing per row.
-    row_no = 0
-    try:
-        for row_no, row in enumerate(reader, start=1):
+    done = 0  # rows before this block
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            # a row the csv module cannot split (a field past its size
+            # limit, say) ends the read
+            raise DataError(f"row {done + len(block) + 1}: {exc}") from None
+        if not block:
+            break
+        full = block
+        short = np.fromiter(map(len, block), np.intp, len(block)) < width
+        if short.any():
+            # rows without every field take the per-row path
+            full = block.copy()
+            for i in np.flatnonzero(short).tolist():
+                full[i] = blank
+        numbers, frame_lens, times, protos = (list(map(get, full))
+                                              for get in columns)
+        bulk, us = _bulk.timestamps(times)
+        bulk &= _bulk.integers(numbers)
+        bulk &= _bulk.integers(frame_lens)
+        bulk &= _bulk.integers(protos)
+        parts.append(us[bulk])
+        for i in np.flatnonzero(~bulk).tolist():
+            row_no, row = done + i + 1, block[i]
             if not row:
                 continue
             if len(row) < width:
@@ -338,7 +349,7 @@ def load_tshark_csv(source) -> IngestResult:
                 reject(row_no, "bad_integer", str(exc))
                 continue
             try:
-                us = to_us(row[time_col])
+                offset = _parse_timestamp(row[time_col]) - EPOCH
             except ValueError as exc:
                 reject(row_no, "bad_timestamp", str(exc))
                 continue
@@ -350,10 +361,10 @@ def load_tshark_csv(source) -> IngestResult:
             if negative:
                 reject(row_no, "negative_length", "negative frame.len")
                 continue
-            stamps.append(us)
-    except csv.Error as exc:
-        raise DataError(f"row {row_no + 1}: {exc}") from None
-    timestamps_us = np.array(stamps, dtype=np.int64)
+            stamps.append(offset // _MICROSECOND)
+        done += len(block)
+    parts.append(np.array(stamps, dtype=np.int64))
+    timestamps_us = np.concatenate(parts)
     timestamps_us.sort()
     return IngestResult(timestamps_us=timestamps_us, rejected=rejected,
                         rejected_by_reason=by_reason)

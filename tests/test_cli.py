@@ -1,6 +1,12 @@
 """End-to-end command behavior through click's test runner."""
 
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synwatch
 from synwatch.cli import main
 from synwatch.detector import DetectorConfig, read_alarms, read_verdicts, \
     segment_alarms
@@ -122,6 +129,54 @@ class TestSynth:
         runner.invoke(main, ["synth", "--length", "50", "--seed", "31",
                              "-o", str(b)])
         assert a.read_text().replace("a.csv", "b.csv") == b.read_text()
+
+
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+          "Oct", "Nov", "Dec")
+
+
+def mixed_capture(rng: random.Random, rows: int) -> str:
+    """A tshark export (``-E quote=d``) of ``rows`` packets drawn from
+    ``rng``.  Timestamps are ISO, with and without a fraction, or tshark's
+    with no zone or ``UTC``, ``CET`` or ``America/New_York``; about 1% of
+    the rows step back in time.  About 2% of the rows are odd: short,
+    with a bad integer, a bad or out-of-range timestamp, a negative
+    length or a timestamp with a newline inside its quotes (all
+    rejected), or with a signed or spaced integer or an unpadded day
+    (accepted).  Blank lines come between some rows."""
+    when = datetime(2021, 3, 28, 0, 59, 58)
+    lines = ['"frame.number","frame.len","frame.time","ip.proto"']
+    for number in range(1, rows + 1):
+        when += timedelta(microseconds=rng.randrange(0, 2_000_000)
+                          if rng.random() < 0.99 else -3_000_000)
+        if rng.random() < 0.1:
+            when = when.replace(microsecond=0)
+        if rng.random() < 0.5:
+            stamp = when.isoformat()
+        else:
+            zone = rng.choice(["", " UTC", " CET", " America/New_York"])
+            stamp = (f"{MONTHS[when.month - 1]} {when.day:2d}, {when.year} "
+                     f"{when:%H:%M:%S}.{when.microsecond:06d}"
+                     f"{rng.randrange(1000):03d}{zone}")
+        fields = [str(number), str(rng.randrange(54, 1515)), stamp,
+                  rng.choice(["6", "17", "1"])]
+        odd = rng.randrange(400)
+        if odd < 9:
+            fields = [
+                fields[:2], [fields[0], "x" + fields[1]] + fields[2:],
+                fields[:2] + ["not a time", fields[3]],
+                fields[:2] + ["9999-12-31T23:59:59-01:00", fields[3]],
+                fields[:3] + ["tcp"],
+                [fields[0], "-" + fields[1]] + fields[2:],
+                fields[:2] + [stamp[:7] + "\n" + stamp[7:], fields[3]],
+                ["+" + fields[0], " " + fields[1]] + fields[2:],
+                fields[:2] + [f"{MONTHS[when.month - 1]} {when.day}, "
+                              f"{when.year} {when:%H:%M:%S}", fields[3]],
+            ][odd]
+        elif odd == 9:
+            lines.append("")
+        lines.append(",".join(f'"{field}"' for field in fields))
+    return "\n".join(lines) + "\n"
 
 
 class TestIngest:
@@ -270,6 +325,48 @@ class TestIngest:
         assert result.exit_code == 3
         assert "does not precede range end" in result.output
         assert not out.exists()
+
+    def test_last_record_at_datetime_max_is_data_error(self, runner,
+                                                       tmp_path):
+        # no time follows it, so it cannot end the default range
+        packets = tmp_path / "packets.csv"
+        packets.write_text(TSHARK_HEADER + "\n1,60,9999-12-31T23:59:58,6\n"
+                           '2,60,"Dec 31, 9999 23:59:59.999999999 UTC",6\n')
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert ("data error: no range end follows the last record, "
+                "9999-12-31T23:59:59.999999: give --end") in result.output
+        assert not out.exists()
+        result = runner.invoke(main, ["ingest", str(packets), "--end",
+                                      "9999-12-31T23:59:59.999999",
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_series(out).values.sum() == 1
+
+    def test_output_pinned(self, tmp_path):
+        # the series and what the command prints, for a capture with both
+        # timestamp forms and every reject reason; the digests are those
+        # of the row-by-row reader that the bulk path must match
+        (tmp_path / "capture.csv").write_text(
+            mixed_capture(random.Random(14), 3000), encoding="utf-8")
+        src = str(Path(synwatch.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "synwatch.cli", "ingest", "capture.csv",
+             "--step-seconds", "0.25", "-o", "series.csv"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()
+        assert [digest((tmp_path / "series.csv").read_bytes()),
+                digest(result.stdout), digest(result.stderr)] == [
+            "c829969cf30dec38d15787bd1d7f215373272ac77c4fd0bf6c1976644cfb17ac",
+            "167b2e140c0c1ffb08de1b2f8c752333043fcbbc101a6f92ff7b5b17144d5f90",
+            "ae6ba091a2bf83af08e7c3acf7089a77a8c34657e28e7baae02473e77ca38858"]
 
 
 class TestTrain:
@@ -812,6 +909,51 @@ def test_mutated_detect_input_never_crashes(runner, detect_inputs, target,
     result = runner.invoke(main, ["detect", str(model), str(config),
                                   str(test), "--scaler", str(scaler),
                                   "-o", str(root / "v.csv")])
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+
+
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    """The CSV files the commands read, as bytes: a tshark capture, a
+    normal training series and labeled validation and test series, and a
+    directory for the mutated files."""
+    root = tmp_path_factory.mktemp("mutate-csv")
+    files = {"capture": mixed_capture(random.Random(3), 40).encode()}
+    for name, attacks, seed in (("train", 0, 6), ("validation", 1, 7),
+                                ("test", 1, 8)):
+        path = root / f"{name}.csv"
+        result = CliRunner().invoke(main, ["synth", "--length", "120",
+                                           "--attacks", str(attacks),
+                                           "--seed", str(seed),
+                                           "-o", str(path)])
+        assert result.exit_code == 0, result.output
+        files[name] = path.read_bytes()
+    return root, files
+
+
+@pytest.mark.parametrize("target", ["capture", "train", "validation",
+                                    "test"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_csv_input_never_crashes(runner, csv_inputs, target, data):
+    # whatever one byte-level change does to the capture ingest reads or
+    # the series train, calibrate or detect reads, the command succeeds
+    # or fails with a usage or data error, never a traceback
+    root, files = csv_inputs
+    mutated = root / "mutated.csv"
+    mutated.write_bytes(data.draw(mutations(files[target])))
+    model = str(FIXTURE / "model.txt")
+    scaler = model + ".scaler"
+    # ingest gets a range: without one, a record moved years away by a
+    # flipped digit asks for a count for every second in between
+    args = {"capture": ["ingest", str(mutated), "--start",
+                        "2021-03-28T00:59:00", "--end", "2021-03-28T01:02:00"],
+            "train": ["train", str(mutated), "--epochs", "2", "--hidden", "2"],
+            "validation": ["calibrate", model, str(mutated),
+                           "--scaler", scaler],
+            "test": ["detect", model, str(FIXTURE / "detector.cfg"),
+                     str(mutated), "--scaler", scaler]}[target]
+    result = runner.invoke(main, [*args, "-o", str(root / "out.txt")])
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
 
 

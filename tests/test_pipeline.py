@@ -1,20 +1,24 @@
 """Ingestion, aggregation, scaling, windowing, splitting, synthesis, IO."""
 
+import csv
 import io
 import re
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingest_oracle import load_tshark_csv_per_row
+from synwatch import pipeline
+from synwatch._bulk import timestamps as bulk_timestamps
 from synwatch.errors import DataError
 from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
-                               TimeSeries, _parse_timestamp,
-                               _timestamp_us_parser, aggregate_counts,
+                               TimeSeries, _parse_timestamp, aggregate_counts,
                                build_windows,
                                fit_scaler, generate_synthetic,
                                intervals_from_labels, labels_from_intervals,
@@ -195,15 +199,26 @@ def timestamp_stems(draw):
     return head, mark, draw(st.sampled_from(zones))
 
 
-class TestTimestampParser:
-    """The memoised path of ``load_tshark_csv`` against the full parse."""
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"error: {exc}"
 
-    @staticmethod
-    def outcome(parse, text):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            return f"error: {exc}"
+
+def bulk(text):
+    """The bulk path's microseconds for one text, or None when it leaves
+    the text to ``_parse_timestamp``."""
+    read, stamps = bulk_timestamps([text])
+    return int(stamps[0]) if read[0] else None
+
+
+def full(text):
+    return us(_parse_timestamp(text))
+
+
+class TestTimestampParser:
+    """The bulk timestamp path against the full parse."""
 
     @settings(max_examples=500)
     @given(stems=st.lists(timestamp_stems(), min_size=1, max_size=4),
@@ -211,30 +226,224 @@ class TestTimestampParser:
                                     st.text("0123456789", max_size=13)),
                           min_size=1, max_size=25))
     def test_equals_full_parse(self, stems, picks):
-        # one parser over texts that share stems exercises its memo
-        fast = _timestamp_us_parser()
+        # one block of texts, read together as the loader reads them
+        texts = []
         for index, digits in picks:
             head, mark, zone = stems[index % len(stems)]
-            text = head + (mark + digits if digits else "") + zone
-            expected = self.outcome(
-                lambda t: us(_parse_timestamp(t)), text)
-            assert self.outcome(fast, text) == expected, text
+            texts.append(head + (mark + digits if digits else "") + zone)
+        read, stamps = bulk_timestamps(texts)
+        for text, was_read, stamp in zip(texts, read, stamps):
+            if was_read:
+                assert int(stamp) == outcome(full, text), text
 
-    def test_memo_keeps_each_second_and_zone_apart(self):
-        fast = _timestamp_us_parser()
-        texts = [f"Mar 11, 1999 08:00:{s:02d}.25{zone}"
+    @pytest.mark.parametrize("text", [
+        "1999-03-11T08:00:01", "1999-03-11T08:00:01.250000",
+        "0001-01-01T00:00:00", "9999-12-31T23:59:59.999999",
+        "2000-02-29T00:00:00", "2004-02-29T23:59:59.000001",
+        "Mar 11, 1999 08:00:01.250000999", "Mar  1, 1999 08:00:01.000000000",
+        "Mar 01, 1999 08:00:01.000000000 UTC",
+        "Dec 31, 9999 23:59:59.999999999",
+        "Jan  1, 0001 00:00:00.000000000 CET", "Feb 29, 2000 12:00:00.5000000"
+        "00 America/New_York", "Oct 30, 2022 01:30:00.000000000 +0100",
+        "Oct 30, 2022 01:30:00.000000000 Etc/GMT-5"])
+    def test_reads_the_common_forms(self, text):
+        assert bulk(text) == full(text)
+
+    def test_seconds_and_zones_read_apart(self):
+        texts = [f"Mar 11, 1999 08:00:{s:02d}.250000000{zone}"
                  for s in (1, 2, 11, 1) for zone in ("", " UTC", " CET")]
-        assert [fast(t) for t in texts] == [
-            us(_parse_timestamp(t)) for t in texts]
+        read, stamps = bulk_timestamps(texts)
+        assert read.all()
+        assert stamps.tolist() == [full(t) for t in texts]
+
+    @pytest.mark.parametrize("text", [
+        # valid, but not in a fixed-width form
+        "Mar 11, 1999 08:00:01.25", "Mar 1, 1999 08:00:01.000000000",
+        "Mar  1, 1999 8:00:01.000000000", "1999-03-11 08:00:01",
+        "1999-03-11T08:00:01.25", "1999-03-11T08:00:01Z",
+        " 1999-03-11T08:00:01", "1999-03-11T08:00:01\n",
+        "Mar  1, 1999 08:00:01.000000000  UTC",
+        "Mar  ٣, 1999 08:00:01.000000000",
+        # invalid
+        "١٩٩٩-03-11T08:00:01",
+        "Mar 11, 1999 08:00:00.5x UTC", "Mar 11, 1999 08:00:00. UTC",
+        "Mar 11, 1999 08:00:00.000000000 U!C", "1999-02-30T08:00:01",
+        "1900-02-29T00:00:00", "Feb 29, 1900 00:00:00.000000000",
+        "Feb 30, 2004 00:00:00.000000000", "0000-01-01T00:00:00",
+        "Jan  1, 0000 00:00:00.000000000", "1999-03-11T24:00:00",
+        "1999-03-11T23:59:60", "Mar 11, 1999 24:00:00.000000000",
+        "Mar 11, 1999 23:60:00.000000000", "jan 11, 1999 08:00:00.000000000",
+        "Mar  0, 1999 08:00:00.000000000", "1999-00-11T08:00:00",
+        "1999-13-11T08:00:00", "Mar 11, 1999 08:00:0\x00.000000000",
+        "1999-03-11T08:00:0\x00", "1999-03-1１T08:00:00",
+        "1999-03-1²T08:00:00"])
+    def test_leaves_other_texts_to_the_parser(self, text):
+        assert bulk(text) is None
 
     def test_bad_text_with_a_known_prefix_is_still_rejected(self):
-        fast = _timestamp_us_parser()
-        assert fast("Mar 11, 1999 08:00:00.5 UTC") == us(T0) + 500_000
-        for text in ("Mar 11, 1999 08:00:00.5x UTC",
-                     "Mar 11, 1999 08:00:00. UTC"):
-            with pytest.raises(ValueError, match=f"unrecognized timestamp: "
-                                                 f"'{text}'"):
-                fast(text)
+        rows = ['1,60,"Mar 11, 1999 08:00:00.500000000 UTC",6',
+                '2,60,"Mar 11, 1999 08:00:00.5x UTC",6',
+                '3,60,"Mar 11, 1999 08:00:00. UTC",6']
+        result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
+        assert result.timestamps_us.tolist() == [us(T0) + 500_000]
+        assert result.rejected == [
+            (2, "unrecognized timestamp: 'Mar 11, 1999 08:00:00.5x UTC'"),
+            (3, "unrecognized timestamp: 'Mar 11, 1999 08:00:00. UTC'")]
+
+
+#: Fields the bulk integer check must leave to ``int()``: a sign, spaces,
+#: an underscore, non-ASCII digits (``int`` takes the first two), a digit
+#: that is not decimal, a NUL, nothing, and lengths at and past its limits.
+ODD_INTEGERS = ["+5", " 5", "5 ", "5_0", "-5", "٣", "１", "²", "\x00", "",
+                "x7", "9" * 18, "9" * 19, "1" * 4301]
+
+#: Timestamps on the edges of the bulk forms' checks.
+ODD_TIMESTAMPS = [
+    "1900-02-29T00:00:00", "2000-02-29T00:00:00", "2004-02-29T00:00:00",
+    "2004-02-30T00:00:00", "Feb 29, 1900 00:00:00.000000000 UTC",
+    "Feb 29, 2000 00:00:00.000000000", "Feb 29, 2004 00:00:00.000000000 CET",
+    "Feb 30, 2004 00:00:00.000000000", "0000-01-01T00:00:00",
+    "0001-01-01T00:00:00", "9999-12-31T23:59:59.999999",
+    "Jan  1, 0000 00:00:00.000000000", "Jan  1, 0001 00:00:00.000000000",
+    "Dec 31, 9999 23:59:59.999999999 UTC", "2024-01-01T24:00:00",
+    "2024-01-01T23:59:60", "Jan  1, 2024 24:00:00.000000000",
+    "Jan  1, 2024 23:59:60.000000000 UTC", "jan  1, 2024 00:00:00.000000000",
+    "Jan 1, 2024 00:00:00.000000000", "Jan 1, 2024 00:00:00.000000000 UTC",
+    "0001-01-01T00:00:00+01:00"]
+
+
+def with_char_at_digit(text, char, nth):
+    """``text`` with its ``nth`` ASCII digit (mod their count) replaced."""
+    digits = [i for i, c in enumerate(text) if c in "0123456789"]
+    at = digits[nth % len(digits)]
+    return text[:at] + char + text[at + 1:]
+
+
+ODD_TIMESTAMPS += [with_char_at_digit(base, char, nth)
+                   for base in ("2024-03-05T06:07:08.123456",
+                                "Mar  5, 2024 06:07:08.123456789 UTC")
+                   for char in ("\x00", "٣", "１", "²")
+                   for nth in (0, 5, 7, 13)]
+
+
+@st.composite
+def timestamp_fields(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        head, mark, zone = draw(timestamp_stems())
+        digits = draw(st.text("0123456789", max_size=10))
+        return head + (mark + digits if digits else "") + zone
+    if kind == 1:
+        return draw(st.sampled_from(ODD_TIMESTAMPS))
+    when = EPOCH + timedelta(microseconds=draw(st.integers(
+        us(datetime(1, 1, 1)), us(datetime(9999, 12, 31, 23, 59, 59)))))
+    if kind == 2:
+        return when.isoformat()
+    zone = draw(st.sampled_from(["", " UTC", " CET", " America/New_York",
+                                 " +0100", " Etc/GMT-5"]))
+    return (f"{MONTHS[when.month - 1]} {when.day:2d}, {when.year:04d} "
+            f"{when:%H:%M:%S}.{when.microsecond:06d}"
+            f"{draw(st.text('0123456789', min_size=3, max_size=3))}{zone}")
+
+
+integer_fields = st.one_of(st.integers(0, 99_999).map(str),
+                           st.sampled_from(ODD_INTEGERS))
+
+
+@st.composite
+def captures(draw):
+    """A tshark export as text: the four fields in any order, maybe with
+    another column, and rows that are blank, short, odd in any field or
+    with a field past the csv module's size limit."""
+    names = draw(st.permutations(pipeline.TSHARK_FIELDS + ("ip.src",)))
+    if draw(st.booleans()):
+        names = [name for name in names if name != "ip.src"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(
+        ["\n", "\r\n"])))
+    writer.writerow(names)
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 40))
+        if kind == 0:
+            writer.writerow([])
+        elif kind == 1:
+            writer.writerow(["1"] * draw(st.integers(1, len(names) - 1)))
+        elif kind == 2:
+            out.write('"' + "9" * 131_073 + '"\n')
+        else:
+            fields = {"frame.number": draw(integer_fields),
+                      "frame.len": draw(integer_fields),
+                      "frame.time": draw(timestamp_fields()),
+                      "ip.proto": draw(integer_fields),
+                      "ip.src": "10.0.0.1"}
+            writer.writerow([fields[name] for name in names])
+    return out.getvalue()
+
+
+def loaded(load, text):
+    try:
+        result = load(io.StringIO(text, newline=""))
+    except DataError as exc:
+        return f"data error: {exc}"
+    assert result.timestamps_us.dtype == np.int64
+    return (result.timestamps_us.tolist(), result.rejected,
+            result.rejected_by_reason)
+
+
+BLOCK_SIZES = [1, 2, 7, pipeline._BLOCK_ROWS]
+
+
+class TestBulkMatchesPerRowReader:
+    """``load_tshark_csv`` against ``ingest_oracle``'s per-row reader:
+    the same timestamps, rejected rows, messages and counts by reason,
+    whatever the block size."""
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @settings(max_examples=100)
+    @given(text=captures())
+    def test_random_captures(self, block, text):
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
+            assert loaded(load_tshark_csv, text) == loaded(
+                load_tshark_csv_per_row, text)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_listed_rows(self, block):
+        good = "2024-03-05T06:07:08.123456"
+        rows = [["1", "60", ts, "6"] for ts in ODD_TIMESTAMPS]
+        for odd in ODD_INTEGERS:
+            rows += [[odd, "60", good, "6"], ["1", odd, good, "6"],
+                     ["1", "60", good, odd], []]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [list(pipeline.TSHARK_FIELDS)] + rows)
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
+            got = loaded(load_tshark_csv, out.getvalue())
+        assert got == loaded(load_tshark_csv_per_row, out.getvalue())
+        stamps, rejected, by_reason = got
+        assert len(stamps) == len(rows) - len(ODD_INTEGERS) - len(rejected)
+        # in each integer column: "²", NUL, "", "x7" and 4,301 digits
+        assert by_reason["bad_integer"] == 15
+        assert by_reason["negative_length"] == 1  # frame.len "-5"
+        messages = dict(rejected)
+        # 29 February exists in 2000 and 2004 only, in either form
+        assert [row in messages for row in range(1, 9)] == [
+            True, False, False, True, True, False, False, True]
+        # the 4,301-digit frame.number fails int()'s digit limit
+        assert "Exceeds the limit (4300 digits)" in messages[
+            len(ODD_TIMESTAMPS) + 4 * (len(ODD_INTEGERS) - 1) + 1]
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("bad_row", [1, 2, 3, 7, 8, 9])
+    def test_csv_error_names_its_row(self, block, bad_row):
+        rows = ['1,60,2024-03-05T06:07:08,6'] * 9
+        rows[bad_row - 1] = '1,60,"' + "9" * 131_073 + '",6'
+        text = tshark_csv(rows[:4] + [""] + rows[4:])
+        row_no = bad_row + (bad_row > 4)
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
+            got = loaded(load_tshark_csv, text)
+        assert got == loaded(load_tshark_csv_per_row, text) == (
+            f"data error: row {row_no}: field larger than field limit "
+            "(131072)")
 
 
 class TestAggregateCounts:
