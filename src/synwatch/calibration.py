@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorConfig, StepVerdict, segment_alarms
+from .detector import (EPSILON_FLOOR, DetectorConfig, StepVerdict,
+                       segment_alarms)
 from .errors import DataError
 from .lstm import LstmParams, predict_windows
 from .pipeline import Scaler, TimeSeries, build_windows
@@ -201,15 +202,13 @@ class ReplayTrace:
             alarm.tolist(), self.warmup.tolist()))
 
 
-def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
+def replay_trace(pairs, mat: int) -> ReplayTrace:
     """Precompute stream statistics for (step, actual, predicted) rows.
 
     ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
     array, which is what ``calibrate`` and ``detect`` pass.  The statistics
     are bit-identical to a streaming ``Detector`` fed the same rows.
     """
-    if epsilon_floor <= 0:
-        raise ValueError("epsilon_floor must be positive")
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
     table = np.asarray(pairs, dtype=np.float64)
@@ -225,7 +224,7 @@ def replay_trace(pairs, mat: int, epsilon_floor: float = 1e-6) -> ReplayTrace:
     # does an error too large for a float; both are rejected below.
     with np.errstate(invalid="ignore", over="ignore"):
         re = (np.abs(actual - predicted)
-              / np.maximum(np.abs(actual), epsilon_floor))
+              / np.maximum(np.abs(actual), EPSILON_FLOOR))
     finite = np.isfinite(re)
     if not np.all(finite):
         raise DataError("non-finite actual, predicted or relative error at "
@@ -370,8 +369,7 @@ def _sweep_rows(counts: _CellCounts, ret: float, alphas, betas,
                                               detected)]
 
 
-def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
-              epsilon_floor: float = 1e-6):
+def calibrate(pairs, attack_intervals, grid: CalibrationGrid):
     """Exhaustive sweep over the grid; returns the winning configuration,
     its evaluation, and every sweep row.
 
@@ -382,7 +380,7 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
     intervals = _check_intervals(attack_intervals)
     if not intervals:
         raise DataError("validation stream has no labeled attack intervals")
-    trace = replay_trace(pairs, grid.mat, epsilon_floor)
+    trace = replay_trace(pairs, grid.mat)
     betas = np.array(grid.beta_candidates)
     counts = _CellCounts(trace, intervals, betas)
     if counts.normal_steps < grid.mat:
@@ -400,7 +398,7 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid,
                                       -row.false_alarms, row.beta, row.alpha,
                                       row.ret))
     config = DetectorConfig(ret=best.ret, beta=best.beta, mat=grid.mat,
-                            alpha=best.alpha, epsilon_floor=epsilon_floor)
+                            alpha=best.alpha)
     report = EvalReport(
         detection_rate_pct=best.detection_rate_pct,
         false_alarms=best.false_alarms, events_total=best.events_total,
@@ -417,7 +415,7 @@ def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
     if not betas:
         raise ValueError("beta_list must be non-empty")
     intervals = _check_intervals(attack_intervals)
-    trace = replay_trace(pairs, config_base.mat, config_base.epsilon_floor)
+    trace = replay_trace(pairs, config_base.mat)
     ordered = np.sort(betas)
     counts = _CellCounts(trace, intervals, ordered)
     return _sweep_rows(counts, config_base.ret, [config_base.alpha], betas,
@@ -450,12 +448,11 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def default_grid(pairs, mat: int = 12,
-                 epsilon_floor: float = 1e-6) -> CalibrationGrid:
+def default_grid(pairs, mat: int = 12) -> CalibrationGrid:
     """Data-driven candidate grid: ret spans the stream's per-step error
     quantiles [0.5, 0.999] (20 log-spaced points), beta spans the observed
     window-mean range (20 points), alpha uses a fixed 12-value ladder."""
-    trace = replay_trace(pairs, mat, epsilon_floor)
+    trace = replay_trace(pairs, mat)
     if np.all(trace.warmup):
         raise DataError(f"validation stream shorter than mat={mat}")
     ordered = np.sort(trace.re)

@@ -1,9 +1,12 @@
 """Command-line surface binding the full pipeline.
 
-Every command is deterministic given its flags and seed, for a fixed
-numpy and BLAS build and BLAS thread count, and writes a
-``<output>.manifest.json`` recording the resolved configuration so a run
-can be replayed exactly.
+Every command is deterministic given its flags and input files, for a
+fixed numpy and BLAS build and BLAS thread count; the seed comes from
+``--seed`` alone.  Each writes a ``<output>.manifest.json`` recording the
+resolved configuration and the files it read, the scaler included, so a
+run can be replayed exactly.  No flag sets the relative error's floor
+(``detector.EPSILON_FLOOR``), so ``detect`` with the config ``calibrate``
+wrote gives calibrate's metrics on the same stream.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -39,20 +41,16 @@ from .pipeline import (EPOCH, LabeledTimeSeries, SynthConfig,
 EXIT_DATA_ERROR = 3
 EXIT_DIVERGENCE = 4
 
-_seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, envvar="CLD_SEED",
-    help="RNG seed (falls back to the CLD_SEED environment variable).")
+#: The most steps ``ingest`` counts: ten times the longest series the
+#: pipeline is measured on (100,000 steps), or about 11.6 days of 1-second
+#: steps.  Writing a series that long takes about 4.4 s and 170 MB on a
+#: 2-CPU host, growing linearly with the steps.  A longer range is most
+#: often a stray timestamp, such as a year digit flipped from 2021 to 3021,
+#: which would ask for 31,556,908,819 counts.
+MAX_INGEST_STEPS = 1_000_000
 
-
-def _check_epsilon_floor(ctx, param, value):
-    if not 0 < value < math.inf:
-        raise click.BadParameter("must be finite and positive")
-    return value
-
-
-_epsilon_floor_option = click.option(
-    "--epsilon-floor", type=float, default=1e-6, show_default=True,
-    callback=_check_epsilon_floor)
+_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                            help="RNG seed.")
 
 
 def _check_output_dir(ctx, param, value):
@@ -167,7 +165,7 @@ def _timestamp_flag(flag: str, text):
 def ingest(packets, step_seconds, start_text, end_text, output):
     """Aggregate a tshark packet CSV into a per-step count series."""
     try:
-        _step_microseconds(step_seconds)
+        step_us = _step_microseconds(step_seconds)
     except ValueError as exc:
         raise click.UsageError(f"--step-seconds: {exc}")
     start = _timestamp_flag("--start", start_text)
@@ -200,6 +198,12 @@ def ingest(packets, step_seconds, start_text, end_text, output):
         if start >= end:
             raise DataError(f"range start {start.isoformat()} does not "
                             f"precede range end {end.isoformat()}")
+    steps = -(-((end - start) // timedelta(microseconds=1)) // step_us)
+    if steps > MAX_INGEST_STEPS:
+        raise DataError(
+            f"range {start.isoformat()} to {end.isoformat()} holds {steps} "
+            f"steps, more than the limit of {MAX_INGEST_STEPS}: narrow it "
+            f"with --start/--end or give a larger --step-seconds")
 
     series = aggregate_counts(stamps, step_seconds, start, end)
     save_series(output, series)
@@ -215,7 +219,7 @@ def ingest(packets, step_seconds, start_text, end_text, output):
 
 def _train_config(**fields) -> TrainConfig:
     """TrainConfig from command flags; an invalid value (such as a
-    non-finite or non-positive --lr or --clip) is a usage error."""
+    non-finite or non-positive --lr) is a usage error."""
     try:
         return TrainConfig(**fields)
     except ValueError as exc:
@@ -249,15 +253,13 @@ def _load_training_series(path, lag: int):
 @click.option("--lr", type=float, default=0.01, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=1500,
               show_default=True)
-@click.option("--clip", type=float, default=None,
-              help="Optional element-wise gradient clip.")
 @_seed_option
 @_output_option("Model file path; scaler and loss curve land next to it.")
 @_handle_errors
-def train_cmd(series_path, lag, hidden, lr, epochs, clip, seed, output):
+def train_cmd(series_path, lag, hidden, lr, epochs, seed, output):
     """Train the next-step predictor on a normal-only series."""
     config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
-                           lag=lag, rng_seed=seed, gradient_clip=clip)
+                           lag=lag, rng_seed=seed)
     series = _load_training_series(series_path, lag)
     scaler = fit_scaler(series)
     windows = scale_windows(build_windows(series, lag), scaler)
@@ -275,7 +277,7 @@ def train_cmd(series_path, lag, hidden, lr, epochs, clip, seed, output):
                              "scaler": f"{output}.scaler",
                              "curve": curve_path},
                     config={"lag": lag, "hidden": hidden, "lr": lr,
-                            "epochs": epochs, "clip": clip, "seed": seed})
+                            "epochs": epochs, "seed": seed})
     click.echo(f"final_loss={report.epoch_losses[-1]:.17g} "
                f"wall_seconds={report.wall_seconds:.3f} -> {output}")
 
@@ -343,18 +345,18 @@ def _parse_beta_list(text: str) -> list[float]:
               help="Comma-separated betas; sweep table restricts to these.")
 @click.option("--ret", type=float, default=None,
               help="Pin the per-step error threshold (else grid search).")
-@_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
 @_output_option("Selected config path; sweep CSV lands next to it.")
 @_handle_errors
 def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
-                  ret, epsilon_floor, scaler_path, output):
+                  ret, scaler_path, output):
     """Pick detection thresholds from a labeled validation series."""
     if beta is not None and beta_list is not None:
         raise click.UsageError("--beta and --beta-list are mutually exclusive")
     params = load_model(model_path)
-    scaler = load_scaler(scaler_path or f"{model_path}.scaler")
+    scaler_path = scaler_path or f"{model_path}.scaler"
+    scaler = load_scaler(scaler_path)
     data = load_series(validation_path)
     if not isinstance(data, LabeledTimeSeries):
         raise DataError("validation series has no label column")
@@ -366,7 +368,7 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     pairs = _prediction_table(params, scaler, data.series)
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
-    base = default_grid(pairs, mat=mat, epsilon_floor=epsilon_floor)
+    base = default_grid(pairs, mat=mat)
     try:
         grid = CalibrationGrid(
             ret_candidates=(ret,) if ret is not None else base.ret_candidates,
@@ -378,8 +380,7 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    config, report, rows = run_calibration(
-        pairs, data.attack_intervals, grid, epsilon_floor=epsilon_floor)
+    config, report, rows = run_calibration(pairs, data.attack_intervals, grid)
     if betas is not None:
         rows = sweep_beta(config, pairs, data.attack_intervals, betas)
 
@@ -388,11 +389,11 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     write_sweep(sweep_path, rows)
     _write_manifest(output, "calibrate",
                     inputs={"model": str(model_path),
+                            "scaler": str(scaler_path),
                             "validation": str(validation_path)},
                     outputs={"config": str(output), "sweep": sweep_path},
                     config={"mat": mat, "alpha": alpha, "beta": beta,
-                            "beta_list": beta_list, "ret": ret,
-                            "epsilon_floor": epsilon_floor})
+                            "beta_list": beta_list, "ret": ret})
     click.echo(f"selected {config.to_text()}")
     click.echo(f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
                f"false_alarms={report.false_alarms} "
@@ -406,19 +407,18 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
                 type=click.Path(exists=True, dir_okay=False))
 @click.argument("test_path", metavar="TEST",
                 type=click.Path(exists=True, dir_okay=False))
-@_epsilon_floor_option
 @click.option("--scaler", "scaler_path", type=click.Path(exists=True),
               default=None, help="Scaler file (default: MODEL.scaler).")
 @_output_option("Verdict CSV path; alarm log lands next to it.")
 @_handle_errors
-def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
-               output):
+def detect_cmd(model_path, config_path, test_path, scaler_path, output):
     """Stream a series through the detector; report alarms and metrics."""
     params = load_model(model_path)
-    scaler = load_scaler(scaler_path or f"{model_path}.scaler")
+    scaler_path = scaler_path or f"{model_path}.scaler"
+    scaler = load_scaler(scaler_path)
     with _utf8_errors(config_path):
         text = Path(config_path).read_text(encoding="utf-8")
-    config = DetectorConfig.from_text(text, epsilon_floor=epsilon_floor)
+    config = DetectorConfig.from_text(text)
     data = load_series(test_path)
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
@@ -428,7 +428,7 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
                    "all verdicts are warmup", err=True)
     if len(series) >= params.input_dim + 1:
         trace = replay_trace(_prediction_table(params, scaler, series),
-                             config.mat, config.epsilon_floor)
+                             config.mat)
         verdicts = trace.verdicts(config)
     else:
         verdicts = []
@@ -438,11 +438,11 @@ def detect_cmd(model_path, config_path, test_path, epsilon_floor, scaler_path,
     write_alarms(alarms_path, events)
     _write_manifest(output, "detect",
                     inputs={"model": str(model_path),
+                            "scaler": str(scaler_path),
                             "config": str(config_path),
                             "test": str(test_path)},
                     outputs={"verdicts": str(output), "alarms": alarms_path},
-                    config={"epsilon_floor": epsilon_floor,
-                            "detector": config.to_text()})
+                    config={"detector": config.to_text()})
     click.echo(f"wrote {len(verdicts)} verdicts, {len(events)} alarm events")
     if labeled:
         report = evaluate_events(events, data.attack_intervals)

@@ -8,7 +8,9 @@ exceed ``alpha`` and the window's mean error ``are`` must exceed
 ``beta``.  All three comparisons are strict.  No alarm is possible
 before the window has filled once (warmup).
 
-``Detector.step`` is the one scalar form of this rule.
+A step's relative error is ``|actual - predicted|`` over ``|actual|``,
+or over the fixed ``EPSILON_FLOOR`` when that is smaller, so zero-traffic
+steps stay finite.  ``Detector.step`` is the one scalar form of this rule.
 ``calibration.replay_trace`` computes the same per-step statistics for a
 whole stream with array operations, bit for bit equal to it; ``synwatch
 detect`` builds its verdicts from that trace.
@@ -25,17 +27,22 @@ from pathlib import Path
 
 from .errors import DataError
 
+#: The smallest denominator of a relative error: a zero-count step's
+#: error is ``|predicted| / EPSILON_FLOOR``.
+EPSILON_FLOOR = 1e-6
+
 
 @dataclass
 class DetectorConfig:
-    ret: float                   # per-step relative error threshold
-    beta: float                  # mean-error threshold
-    mat: int = 12                # window capacity (minimum attack steps)
-    alpha: float = 0.66          # anomalous-fraction threshold
-    epsilon_floor: float = 1e-6  # division guard for zero-traffic steps
+    """The detector's thresholds, as a ``detector.cfg`` line holds them."""
+
+    ret: float           # per-step relative error threshold
+    beta: float          # mean-error threshold
+    mat: int = 12        # window capacity (minimum attack steps)
+    alpha: float = 0.66  # anomalous-fraction threshold
 
     def __post_init__(self):
-        for name in ("ret", "beta", "alpha", "epsilon_floor"):
+        for name in ("ret", "beta", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.ret <= 0:
@@ -46,35 +53,29 @@ class DetectorConfig:
             raise ValueError("mat must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be positive")
 
     def to_text(self) -> str:
         return (f"ret={self.ret:.17g} mat={self.mat} "
                 f"alpha={self.alpha:.17g} beta={self.beta:.17g}")
 
     @classmethod
-    def from_text(cls, text: str, epsilon_floor: float = 1e-6) -> "DetectorConfig":
+    def from_text(cls, text: str) -> "DetectorConfig":
         m = _re.fullmatch(
             r"ret=(\S+) mat=(\d+) alpha=(\S+) beta=(\S+)", text.strip())
         if m is None:
             raise DataError(f"not a detector config line: {text.strip()!r}")
         try:
             return cls(ret=float(m.group(1)), mat=int(m.group(2)),
-                       alpha=float(m.group(3)), beta=float(m.group(4)),
-                       epsilon_floor=epsilon_floor)
+                       alpha=float(m.group(3)), beta=float(m.group(4)))
         except ValueError as exc:
             raise DataError(
                 f"bad detector config {text.strip()!r}: {exc}") from None
 
 
-def relative_error(actual: float, predicted: float,
-                   epsilon_floor: float = 1e-6) -> float:
-    """|actual - predicted| scaled by the actual value's magnitude, with a
-    floor on the denominator so zero-traffic steps stay finite."""
-    if epsilon_floor <= 0:
-        raise ValueError("epsilon_floor must be positive")
-    return abs(actual - predicted) / max(abs(actual), epsilon_floor)
+def relative_error(actual: float, predicted: float) -> float:
+    """|actual - predicted| scaled by the actual value's magnitude, with
+    ``EPSILON_FLOOR`` as the smallest denominator."""
+    return abs(actual - predicted) / max(abs(actual), EPSILON_FLOOR)
 
 
 @dataclass
@@ -130,7 +131,7 @@ class Detector:
             raise ValueError(
                 f"step {step} not after previous step {self.last_step}")
         cfg = self.config
-        re_value = relative_error(actual, predicted, cfg.epsilon_floor)
+        re_value = relative_error(actual, predicted)
         # A non-finite actual or predicted value makes re non-finite too.
         if not math.isfinite(re_value):
             raise DataError("non-finite actual, predicted or relative error "

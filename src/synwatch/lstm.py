@@ -85,7 +85,6 @@ class TrainConfig:
     hidden_dim: int = 23
     lag: int = 3
     rng_seed: int = 0
-    gradient_clip: float | None = None
 
     def __post_init__(self):
         if not (0 < self.learning_rate < math.inf):
@@ -98,11 +97,6 @@ class TrainConfig:
             raise ValueError("lag must be 1, 2 or 3")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if self.gradient_clip is not None \
-                and not (0 < self.gradient_clip < math.inf):
-            raise ValueError(
-                f"gradient_clip must be finite and positive when set, "
-                f"got {self.gradient_clip}")
 
 
 @dataclass
@@ -226,7 +220,6 @@ def train(config: TrainConfig,
     y = np.ascontiguousarray(windows.targets, dtype=np.float64)
     Wb, w_y, b_y = _augmented(init), init.w_y, init.b_y
     lr = config.learning_rate
-    clip = config.gradient_clip
     losses = np.empty(config.epochs)
     work = _GradWork(len(xa), config.lag, config.hidden_dim)
 
@@ -234,10 +227,6 @@ def train(config: TrainConfig,
     for epoch in range(config.epochs):
         losses[epoch], _, dWb, dw_y, db_y = loss_and_grads_numpy(
             xa, y, Wb, w_y, b_y, work=work)
-        if clip is not None:
-            dWb = np.clip(dWb, -clip, clip)
-            dw_y = np.clip(dw_y, -clip, clip)
-            db_y = min(max(db_y, -clip), clip)
         Wb -= lr * dWb
         w_y -= lr * dw_y
         b_y -= lr * db_y

@@ -136,7 +136,7 @@ class TestReplayStreamingEquivalence:
             detector = Detector(config)
             verdicts = [detector.step(*p) for p in pairs]
 
-            trace = replay_trace(pairs, mat, config.epsilon_floor)
+            trace = replay_trace(pairs, mat)
             dc = trace.danger(config.ret)
             for i, v in enumerate(verdicts):
                 assert v.re == trace.re[i]

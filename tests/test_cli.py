@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -122,13 +123,14 @@ class TestSynth:
         assert "non-finite packet counts" in result.output
         assert not out.exists()
 
-    def test_seed_env_fallback(self, runner, tmp_path):
+    def test_seed_environment_variable_ignored(self, runner, tmp_path):
+        # the seed comes from --seed alone, never from the environment
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         runner.invoke(main, ["synth", "--length", "50", "-o", str(a)],
                       env={"CLD_SEED": "31"})
-        runner.invoke(main, ["synth", "--length", "50", "--seed", "31",
-                             "-o", str(b)])
-        assert a.read_text().replace("a.csv", "b.csv") == b.read_text()
+        runner.invoke(main, ["synth", "--length", "50", "-o", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        assert "# seed=0\n" in a.read_text()
 
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
@@ -344,6 +346,40 @@ class TestIngest:
         assert result.exit_code == 0, result.output
         assert load_series(out).values.sum() == 1
 
+    def test_range_over_the_step_limit_is_data_error(self, runner, tmp_path):
+        # one year digit flipped, 2021 to 3021: the default range would
+        # ask for a count for every second of a thousand years
+        packets = tmp_path / "packets.csv"
+        packets.write_text(TSHARK_HEADER + "\n1,60,2021-03-28T00:59:58,6\n"
+                           "2,60,3021-03-28T01:00:03,6\n")
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert ("data error: range 2021-03-28T00:59:58 to "
+                "3021-03-28T01:00:03.000001 holds 31556908806 steps, more "
+                "than the limit of 1000000: narrow it with --start/--end or "
+                "give a larger --step-seconds") in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end, step, ok", [
+        ("2005-01-01T00:00:10", "1", True),
+        ("2005-01-01T00:00:10.000001", "1", False),  # a partial 11th step
+        ("2005-01-01T00:00:20", "2", True),
+        ("2005-01-01T00:00:20", "1", False)])
+    def test_step_limit_counts_every_step_of_the_range(
+            self, runner, tmp_path, monkeypatch, end, step, ok):
+        monkeypatch.setattr("synwatch.cli.MAX_INGEST_STEPS", 10)
+        packets = self.make_packets(tmp_path, n=5)
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), "--start",
+                                      "2005-01-01T00:00:00", "--end", end,
+                                      "--step-seconds", step, "-o", str(out)])
+        assert result.exit_code == (0 if ok else 3), result.output
+        assert out.exists() == ok
+        if ok:
+            assert len(load_series(out)) == 10
+
     def test_output_pinned(self, tmp_path):
         # the series and what the command prints, for a capture with both
         # timestamp forms and every reject reason; the digests are those
@@ -416,12 +452,15 @@ class TestTrain:
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_rate_or_clip_is_usage_error(self, runner, workspace,
                                              tmp_path, flag, value):
+        # training has no gradient clip, so any --clip is unknown
+        message = {"--lr": "finite and positive",
+                   "--clip": "No such option '--clip'"}[flag]
         model = tmp_path / "m.txt"
         result = runner.invoke(main, ["train", workspace["train"],
                                       "--epochs", "2", "--hidden", "2",
                                       flag, value, "-o", str(model)])
         assert result.exit_code == 2
-        assert "finite and positive" in result.output
+        assert message in result.output
         assert not model.exists()
 
 
@@ -778,15 +817,56 @@ class TestSplitCommand:
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_epsilon_floor_is_usage_error(runner, workspace, tmp_path,
                                                  command, value):
+    # the floor is the constant EPSILON_FLOOR, so any --epsilon-floor is
+    # unknown
     out = tmp_path / "out.txt"
     inputs = ([workspace["val"]] if command == "calibrate"
               else [workspace["config"], workspace["test"]])
     result = runner.invoke(main, [command, workspace["model"], *inputs,
                                   "--epsilon-floor", value, "-o", str(out)])
     assert result.exit_code == 2
-    assert "--epsilon-floor" in result.output
-    assert "finite and positive" in result.output
+    assert "No such option '--epsilon-floor'" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+@pytest.mark.parametrize("own_scaler", [False, True],
+                         ids=["default-scaler", "scaler-flag"])
+def test_manifest_names_the_scaler(runner, workspace, tmp_path, command,
+                                   own_scaler):
+    scaler = workspace["model"] + ".scaler"
+    flags = []
+    if own_scaler:
+        scaler = str(tmp_path / "own.scaler")
+        shutil.copyfile(workspace["model"] + ".scaler", scaler)
+        flags = ["--scaler", scaler]
+    inputs = ([workspace["val"]] if command == "calibrate"
+              else [workspace["config"], workspace["test"]])
+    out = tmp_path / "out.txt"
+    result = runner.invoke(main, [command, workspace["model"], *inputs,
+                                  *flags, "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["inputs"]["scaler"] == scaler
+
+
+def test_detect_reproduces_calibrate_metrics(runner, workspace, tmp_path):
+    # detect with the config calibrate wrote, on calibrate's own labeled
+    # stream, reports the selected cell's metrics
+    config = tmp_path / "detector.cfg"
+    calibrated = runner.invoke(main, ["calibrate", workspace["model"],
+                                      workspace["val"], "-o", str(config)])
+    assert calibrated.exit_code == 0, calibrated.output
+    detected = runner.invoke(main, ["detect", workspace["model"],
+                                    str(config), workspace["val"],
+                                    "-o", str(tmp_path / "v.csv")])
+    assert detected.exit_code == 0, detected.output
+    metrics = [[ln for ln in result.output.splitlines()
+                if ln.startswith("metrics:")]
+               for result in (calibrated, detected)]
+    assert len(metrics[0]) == 1
+    assert metrics[1] == metrics[0]
+    assert "detection_rate_pct=100 " in metrics[0][0]
 
 
 def command_args(workspace, tmp_path, command):
@@ -944,10 +1024,9 @@ def test_mutated_csv_input_never_crashes(runner, csv_inputs, target, data):
     mutated.write_bytes(data.draw(mutations(files[target])))
     model = str(FIXTURE / "model.txt")
     scaler = model + ".scaler"
-    # ingest gets a range: without one, a record moved years away by a
-    # flipped digit asks for a count for every second in between
-    args = {"capture": ["ingest", str(mutated), "--start",
-                        "2021-03-28T00:59:00", "--end", "2021-03-28T01:02:00"],
+    # a record moved years away by a flipped digit makes a range over
+    # ingest's step limit, a data error
+    args = {"capture": ["ingest", str(mutated)],
             "train": ["train", str(mutated), "--epochs", "2", "--hidden", "2"],
             "validation": ["calibrate", model, str(mutated),
                            "--scaler", scaler],
@@ -967,6 +1046,32 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "synwatch" in result.output
+
+
+def test_command_options_pinned():
+    # a new flag, or one taken away, must show in this list; no option
+    # reads an environment variable
+    options = {name: [param.opts[-1] for param in command.params]
+               for name, command in main.commands.items()}
+    assert options == {
+        "synth": ["--length", "--attacks", "--baseline-mean",
+                  "--baseline-std", "--attack-min-len", "--attack-max-len",
+                  "--attack-multiplier", "--seed", "--output"],
+        "ingest": ["packets", "--step-seconds", "--start", "--end",
+                   "--output"],
+        "train": ["series_path", "--lag", "--hidden", "--lr", "--epochs",
+                  "--seed", "--output"],
+        "compare-lags": ["series_path", "--hidden", "--lr", "--epochs",
+                         "--seed", "--output"],
+        "calibrate": ["model_path", "validation_path", "--mat", "--alpha",
+                      "--beta", "--beta-list", "--ret", "--scaler",
+                      "--output"],
+        "detect": ["model_path", "config_path", "test_path", "--scaler",
+                   "--output"],
+        "split": ["series_path", "--train-fraction", "--validation-fraction",
+                  "--output"]}
+    assert all(param.envvar is None for command in main.commands.values()
+               for param in command.params)
 
 
 def test_public_names_pinned():

@@ -3,7 +3,6 @@ batch replay trace; they must equal, byte for byte, what a live per-step
 run writes: each window predicted alone by ``predict_window``, then fed to
 ``Detector.step``."""
 
-import dataclasses
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -41,7 +40,7 @@ def streaming_verdicts(params, series: TimeSeries, config: DetectorConfig):
 
 
 def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
-             config: DetectorConfig, epsilon_floor: float | None):
+             config: DetectorConfig):
     """Run ``synwatch detect`` and the streaming reference on one stream.
 
     Returns (detect verdict CSV, detect alarm log, detect stdout) and the
@@ -62,15 +61,11 @@ def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
     out = directory / "verdicts.csv"
     args = ["detect", str(model), str(directory / "detector.cfg"),
             str(directory / "test.csv"), "-o", str(out)]
-    if epsilon_floor is not None:
-        args += ["--epsilon-floor", repr(epsilon_floor)]
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     printed = [ln for ln in result.output.splitlines()
                if not ln.startswith("warning:")]
 
-    if epsilon_floor is not None:
-        config = dataclasses.replace(config, epsilon_floor=epsilon_floor)
     verdicts = streaming_verdicts(params, series, config)
     events = segment_alarms(verdicts)
     ref = directory / "reference.csv"
@@ -89,8 +84,8 @@ def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
 
 @st.composite
 def detect_cases(draw):
-    """A random stream and config: counts may be zero (the epsilon floor
-    decides their error), the stream may be shorter than lag + 1 or than
+    """A random stream and config: counts may be zero (their error divides
+    by the fixed floor), the stream may be shorter than lag + 1 or than
     lag + mat, and thresholds range from alarm-everywhere to never."""
     n = draw(st.integers(1, 70))
     counts = draw(st.lists(st.one_of(st.just(0), st.integers(0, 400)),
@@ -101,7 +96,7 @@ def detect_cases(draw):
         alpha=draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0])),
         beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))))
     return (draw(st.integers(1, 3)), draw(st.integers(0, 5)), counts, labels,
-            config, draw(st.sampled_from([None, 0.5, 1e-3])))
+            config)
 
 
 class TestDetectMatchesStreamingDetector:
@@ -116,7 +111,7 @@ class TestDetectMatchesStreamingDetector:
         counts = [0, 120, 0, 0, 95, 0, 110, 0, 0, 0, 130, 100, 0, 90, 80]
         config = DetectorConfig(ret=0.5, beta=1.0, mat=3, alpha=0.5)
         detect, reference = run_both(tmp_path, 2, 1, counts,
-                                     [False] * len(counts), config, None)
+                                     [False] * len(counts), config)
         assert detect == reference
         verdicts = read_verdicts(tmp_path / "verdicts.csv")
         zero = [v for v in verdicts if v.actual == 0.0]
@@ -127,7 +122,7 @@ class TestDetectMatchesStreamingDetector:
     def test_shorter_than_lag_plus_one(self, tmp_path, n):
         config = DetectorConfig(ret=0.1, beta=0.0, mat=2, alpha=0.0)
         detect, reference = run_both(tmp_path, 3, 0, [100] * n, [False] * n,
-                                     config, None)
+                                     config)
         assert detect == reference
         assert detect[0] == b"step,actual,predicted,re,dc,are," \
                             b"point_anomaly,warmup,collective_alarm\n"
@@ -136,7 +131,7 @@ class TestDetectMatchesStreamingDetector:
     def test_shorter_than_lag_plus_mat(self, tmp_path, n):
         config = DetectorConfig(ret=0.01, beta=0.0, mat=8, alpha=0.0)
         detect, reference = run_both(tmp_path, 3, 0, [0, 300] * (n // 2),
-                                     [True] * n, config, None)
+                                     [True] * n, config)
         assert detect == reference
         assert all(v.warmup for v in read_verdicts(tmp_path / "verdicts.csv"))
 
@@ -146,7 +141,7 @@ class TestDetectMatchesStreamingDetector:
         counts = [0, 300, 0, 300, 0, 300, 0, 300, 0, 300, 0, 300]
         config = DetectorConfig(ret=0.01, beta=0.0, mat=3, alpha=0.0)
         detect, reference = run_both(tmp_path, 2, 3, counts,
-                                     [False] * 2 + [True] * 10, config, None)
+                                     [False] * 2 + [True] * 10, config)
         assert detect == reference
         assert detect[1].split(b"\n")[1].split(b",")[:2] == [b"4", b"11"]
 
@@ -167,7 +162,7 @@ class TestDetectMatchesStreamingDetector:
         beta = next(v.are for v in probe if v.collective_alarm)
         config = DetectorConfig(ret=ret, beta=beta, mat=3, alpha=0.0)
         detect, reference = run_both(tmp_path, lag, seed, counts,
-                                     [False] * len(counts), config, None)
+                                     [False] * len(counts), config)
         assert detect == reference
         verdicts = read_verdicts(tmp_path / "verdicts.csv")
         assert any(v.re == ret and not v.point_anomaly for v in verdicts)

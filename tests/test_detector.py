@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch.detector import (AlarmEvent, Detector, DetectorConfig,
-                               StepVerdict, read_alarms, read_verdicts,
-                               relative_error, segment_alarms, write_alarms,
-                               write_verdicts)
+from synwatch.detector import (EPSILON_FLOOR, AlarmEvent, Detector,
+                               DetectorConfig, StepVerdict, read_alarms,
+                               read_verdicts, relative_error, segment_alarms,
+                               write_alarms, write_verdicts)
 from synwatch.errors import DataError
 
 
@@ -21,11 +21,10 @@ class TestRelativeError:
         assert relative_error(4.0, 5.0) == pytest.approx(0.25)
 
     def test_zero_actual_hits_floor(self):
-        assert relative_error(0.0, 3.0, epsilon_floor=1e-6) == pytest.approx(3e6)
-
-    def test_floor_validated(self):
-        with pytest.raises(ValueError):
-            relative_error(1.0, 2.0, epsilon_floor=0.0)
+        assert EPSILON_FLOOR == 1e-6
+        assert relative_error(0.0, 3.0) == 3.0 / EPSILON_FLOOR
+        # an actual value below the floor divides by the floor too
+        assert relative_error(-1e-7, 3.0) == (3.0 + 1e-7) / EPSILON_FLOOR
 
     def test_denominator_is_actual_not_predicted(self):
         assert relative_error(2.0, 4.0) == pytest.approx(1.0)
@@ -256,7 +255,7 @@ def two_loop_verdict(config, history, step, actual, predicted):
     ``history``, then the window mean by a left-to-right ``+=`` over its
     last ``mat`` values and the danger coefficient by a separate count of
     those above ``ret``."""
-    re_value = relative_error(actual, predicted, config.epsilon_floor)
+    re_value = relative_error(actual, predicted)
     history.append(re_value)
     full = len(history) >= config.mat
     dc = are = 0.0
@@ -284,8 +283,7 @@ def detector_runs(draw):
     mat = draw(st.integers(1, 20))
     pairs = draw(st.lists(st.tuples(COUNTS, COUNTS), min_size=1,
                           max_size=60))
-    epsilon_floor = draw(st.sampled_from((1e-6, 0.5, 3.0)))
-    errors = [relative_error(a, p, epsilon_floor) for a, p in pairs]
+    errors = [relative_error(a, p) for a, p in pairs]
     positive = [e for e in errors if e > 0]
     # ret and beta equal to an error of the stream test the strict '>'
     ret = draw(st.sampled_from(positive) if positive and draw(st.booleans())
@@ -294,8 +292,7 @@ def detector_runs(draw):
                 else st.floats(0.0, 3.0))
     alpha = draw(st.sampled_from([k / mat for k in range(mat + 1)])
                  | st.floats(0.0, 1.0))
-    config = DetectorConfig(ret=ret, beta=beta, mat=mat, alpha=alpha,
-                            epsilon_floor=epsilon_floor)
+    config = DetectorConfig(ret=ret, beta=beta, mat=mat, alpha=alpha)
     prefill = draw(st.lists(st.sampled_from(errors) | st.floats(0.0, 3.0),
                             max_size=mat - 1))
     split = draw(st.integers(0, len(pairs)))
@@ -344,7 +341,7 @@ class TestRoundTripProperties:
         config = DetectorConfig(ret=ret, beta=beta, mat=mat, alpha=alpha)
         parsed = DetectorConfig.from_text(config.to_text())
         assert parsed.mat == mat
-        for name in ("ret", "beta", "alpha", "epsilon_floor"):
+        for name in ("ret", "beta", "alpha"):
             assert float_bits(getattr(parsed, name)) \
                 == float_bits(getattr(config, name))
 
@@ -407,11 +404,10 @@ class TestDetectorConfig:
         with pytest.raises(DataError):
             DetectorConfig.from_text("ret=1.0 alpha=0.5")
 
-    @pytest.mark.parametrize("field", ["ret", "beta", "alpha",
-                                       "epsilon_floor"])
+    @pytest.mark.parametrize("field", ["ret", "beta", "alpha"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, bad):
-        values = dict(ret=0.5, beta=0.5, alpha=0.5, epsilon_floor=1e-6)
+        values = dict(ret=0.5, beta=0.5, alpha=0.5)
         values[field] = bad
         with pytest.raises(ValueError, match="finite"):
             DetectorConfig(**values)

@@ -251,21 +251,18 @@ def reference_train(config: TrainConfig, windows: WindowSet):
     xa = np.hstack((x, np.ones((len(x), 1))))
     Wb = np.hstack((params.W, params.b[:, None]))
     w_y, b_y = params.w_y, params.b_y
-    clip, lr = config.gradient_clip, config.learning_rate
+    lr = config.learning_rate
     losses = []
     for _ in range(config.epochs):
         loss, _, dWb, dw_y, db_y = reference_loss_and_grads(
             xa, y, Wb, w_y, b_y)
-        if clip is not None:
-            dWb, dw_y = np.clip(dWb, -clip, clip), np.clip(dw_y, -clip, clip)
-            db_y = min(max(db_y, -clip), clip)
         Wb, w_y, b_y = Wb - lr * dWb, w_y - lr * dw_y, b_y - lr * db_y
         losses.append(loss)
     return LstmParams(Wb[:, :-1], Wb[:, -1], w_y, b_y), np.array(losses)
 
 
 def per_gate_train(config: TrainConfig, windows: WindowSet):
-    """Plain gradient descent through the per-gate formula (no clip)."""
+    """Plain gradient descent through the per-gate formula."""
     init = init_params(config.lag, config.hidden_dim, config.rng_seed)
     (W_i, W_o, W_g), (b_i, b_o, b_g) = (np.split(init.W, 3),
                                         np.split(init.b, 3))
@@ -285,14 +282,12 @@ class TestTrainDeterminism:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            lag=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 12),
            epochs=st.integers(1, 12),
-           learning_rate=st.sampled_from((0.01, 0.5)),
-           clip=st.sampled_from((None, 0.05, 1.0)))
+           learning_rate=st.sampled_from((0.01, 0.5)))
     def test_train_matches_reference_loop(self, seed, n, lag, hidden, epochs,
-                                          learning_rate, clip):
+                                          learning_rate):
         windows = make_window_set(np.random.default_rng(seed), lag, n)
         config = TrainConfig(learning_rate=learning_rate, epochs=epochs,
-                             hidden_dim=hidden, lag=lag, rng_seed=seed,
-                             gradient_clip=clip)
+                             hidden_dim=hidden, lag=lag, rng_seed=seed)
         params, report = train(config, windows)
         expected, losses = reference_train(config, windows)
         assert bits(report.epoch_losses) == bits(losses)

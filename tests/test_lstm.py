@@ -484,11 +484,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
-    @pytest.mark.parametrize("field", ["learning_rate", "gradient_clip"])
     @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
-    def test_rate_and_clip_must_be_finite_and_positive(self, field, value):
+    def test_rate_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="finite and positive"):
-            TrainConfig(**{field: value})
+            TrainConfig(learning_rate=value)
 
     def test_lag_mismatch_rejected(self, rng):
         windows = make_window_set(rng, 2, 10)
@@ -517,12 +516,6 @@ class TestTrain:
                   windows)
         assert exc_info.value.epoch >= 1
         assert str(exc_info.value.epoch) in str(exc_info.value)
-
-    def test_gradient_clip_accepted(self, rng):
-        windows = make_window_set(rng, 3, 10)
-        config = TrainConfig(epochs=5, rng_seed=2, gradient_clip=0.5)
-        params, report = train(config, windows)
-        assert params_finite(params)
 
     def test_loss_trend_on_sinusoid_smoke(self):
         # short-budget smoke check; the full-default run lives in acceptance
