@@ -1,85 +1,163 @@
-"""The bulk path of ``load_tshark_csv``: the checks of one block of
-capture rows, column by column, in a few vectorized passes.
+"""The byte path of ``load_tshark_csv``: find the lines and fields of a
+block of capture bytes with array scans, then check the common fields in
+place, with no Python object per line.
 
-``integers`` and ``timestamps`` take a column of a block and say which of
-its fields have one of the common shapes, and the value of each
-timestamp that does.  A field of such a shape always passes the per-row
-check in ``pipeline``, with the same value; every other field is left to
-that check.  ``load_tshark_csv`` imports this module when it runs, so
-the commands that never read a capture do not load it.
+``scan`` finds a block's structural bytes (line ends, quotes, commas and
+every byte outside printable ASCII) in one vectorized pass, as the first
+stage of simdjson does (Langdale & Lemire, arXiv:1902.08318), and derives
+from their offsets where each line starts and stops, which lines are
+plain, and the commas that end fields.  ``read`` then reads the fields of
+the plain lines at those offsets: the integers by digit class and length
+and the timestamps by their fixed-width forms.  A line it takes always
+passes the per-row checks in ``pipeline``, with the same value; every
+other line is left to those checks.  ``load_tshark_csv`` imports this
+module when it runs, so the commands that never read a capture do not
+load it.
 """
 
 from __future__ import annotations
 
+import csv
 import re
+from typing import NamedTuple
 
 import numpy as np
 
 from .pipeline import _MONTHS
 
-#: The longest integer field the bulk path takes; ``int()`` reads any text
+_NL, _CR, _QUOTE, _COMMA = b'\n\r",'
+
+
+class Lines(NamedTuple):
+    """Where the lines of a block are, as ``scan`` finds them."""
+    starts: np.ndarray  # offset of each line's first byte
+    stops: np.ndarray   # offset of its ``\n`` or ``\r\n``, or the block end
+    ends: np.ndarray    # offset of the next line, or the block end
+    plain: np.ndarray   # bool: printable ASCII and shorter than the csv limit
+    safe: int           # lines before the first that may open a quoted field
+    delims: np.ndarray  # offsets of the commas outside quoted fields
+    # the index in ``delims`` of each line's first comma, then the number
+    # of commas: line i's commas are ``delims[bounds[i]:bounds[i + 1]]``
+    bounds: np.ndarray
+
+
+def scan(data: bytes) -> Lines:
+    """Find the lines of ``data``, which starts at a line start, and their
+    field-ending commas.
+
+    A line ends after each ``\\n`` and at the end of ``data``.  It is plain
+    when it holds only printable ASCII before a ``\\n`` or ``\\r\\n``
+    terminator, and is shorter than ``csv.field_size_limit()``, so that no
+    field of it can pass that limit.  A quote is at a field boundary when
+    it opens a field (at the line start or after a comma) or closes one
+    (before a comma or the line's terminator), taking the quotes of a
+    line in turn as opening and closing.  A line with a quote elsewhere,
+    or with an odd number of quotes, may open a quoted field that the csv
+    module reads on into the next lines, so it and every line after it are
+    not ``safe``.  In a safe line, each quoted field is one csv field and
+    each comma outside one ends a field.
+    """
+    a = np.frombuffer(data, dtype=np.uint8)
+    n = len(a)
+    # The structural bytes: a quote, a comma, and every byte outside
+    # printable ASCII (which takes in \n and \r).  np.compress picks the
+    # entries of a mask, faster here than indexing with the mask.
+    structural = np.subtract(a, 32, dtype=np.uint8) > 94
+    structural |= a == _QUOTE
+    structural |= a == _COMMA
+    special = np.flatnonzero(structural)
+    kinds = a[special]
+    newline = kinds == _NL
+    ends = np.compress(newline, special) + 1
+    if n and a[-1] != _NL:
+        ends = np.append(ends, n)
+    starts = np.concatenate(([0], ends))[:-1]
+    stops = ends - (a[ends - 1] == _NL)
+    stops -= (stops > starts) & (a[stops - 1] == _CR) & (stops < ends)
+
+    plain = stops - starts < csv.field_size_limit()
+    other = np.compress((kinds != _NL) & (kinds != _QUOTE)
+                        & (kinds != _COMMA), special)
+    if len(other):
+        # a \r that ends a \r\n terminator is the only one a line may hold
+        at = np.minimum(other + 1, n - 1)
+        other = other[(a[other] != _CR) | (other + 1 == n) | (a[at] != _NL)]
+        plain[np.searchsorted(ends, other, side="right")] = False
+
+    # Taking a line's quotes in turn as opening and closing, ``inside`` is
+    # set from an opening quote up to its closing one.  An opening quote
+    # must follow a comma or a line end, and a closing one must precede a
+    # comma or a line end: the structural bytes right next to it.
+    quote = kinds == _QUOTE
+    inside = np.logical_xor.accumulate(quote)
+    near = np.diff(special) == 1
+    before, after = np.empty_like(kinds), np.empty_like(kinds)
+    before[:1] = _NL * (special[:1] == 0)  # the block starts a line
+    before[1:] = kinds[:-1] * near
+    after[-1:] = _NL * (special[-1:] == n - 1)  # and ends one
+    after[:-1] = kinds[1:] * near
+    opening = quote & inside
+    misplaced = ((opening & (before != _COMMA) & (before != _NL))
+                 | ((quote ^ opening) & (after != _COMMA) & (after != _NL)
+                    & (after != _CR)))
+    unsafe = [len(ends)]
+    if misplaced.any():
+        unsafe.append(np.searchsorted(ends, special[misplaced.argmax()],
+                                      side="right"))
+    odd = np.compress(newline, inside)  # a line with an odd number of quotes
+    if odd.any():
+        unsafe.append(odd.argmax())
+    if n and a[-1] != _NL and inside[-1:].any():
+        unsafe.append(len(ends) - 1)  # so is the last, unended line
+    safe = int(min(unsafe))
+
+    delims = np.compress((kinds == _COMMA) & ~inside, special)
+    bounds = np.searchsorted(delims, np.append(starts, n))
+    return Lines(starts, stops, ends, plain, safe, delims, bounds)
+
+
+#: The longest integer field the byte path takes; ``int()`` reads any text
 #: of at most this many decimal digits.
 _BULK_INT_CHARS = 18
 
-
-def integers(fields):
-    """Whether each text is 1 to ``_BULK_INT_CHARS`` decimal digits, so
-    that ``int()`` reads it as a non-negative integer."""
-    n = len(fields)
-    decimal = np.frombuffer(bytes(map(str.isdecimal, fields)), dtype=bool)
-    return decimal & (np.fromiter(map(len, fields), np.intp, n)
-                      <= _BULK_INT_CHARS)
-
-
-#: The longest timestamp text the bulk path takes.  A longer one, which no
-#: bulk form has but a zone name might, takes the per-row parse, so a
-#: block's byte copies of its timestamps stay small.
-_BULK_TIME_CHARS = 64
-
-#: Each byte's class in a timestamp form: an ASCII digit is ``9``, any
-#: other byte itself.
+#: Each byte's class in a field form: an ASCII digit is ``9``, any other
+#: byte itself.
 _CLASS = bytes.maketrans(b"0123456789", b"9" * 10)
 
-#: Each byte's digit value; any other byte, such as the space that pads a
-#: tshark day, reads as 0.
-_DIGIT_VALUE = bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256))
 
+def read(data: bytes, lines: Lines, first: int, count: int, cols):
+    """Check in place the safe plain lines of ``data`` from line ``first``
+    on that have ``count`` fields, reading the columns ``cols`` (the
+    indices of ``frame.number``, ``frame.len``, ``frame.time`` and
+    ``ip.proto``).
 
-def _runs(form: bytes) -> np.ndarray:
-    """A weight matrix that reads each run of ``9``s in ``form`` from digit
-    values, one column per run, as a number of at most its first six
-    digits (so a fraction gives its microseconds)."""
-    spans = [m.span() for m in re.finditer(b"9+", form)]
-    weights = np.zeros((len(form), len(spans)), dtype=np.float32)
-    for col, (start, stop) in enumerate(spans):
-        digits = min(stop - start, 6)
-        weights[start:start + digits, col] = 10 ** np.arange(digits - 1, -1,
-                                                              -1)
-    return weights
+    Returns a mask of the lines taken and the int64 timestamps of those
+    lines, in line order.  A line is taken when its integers are 1 to
+    ``_BULK_INT_CHARS`` ASCII digits and its timestamp is one that
+    ``timestamps`` reads.
+    """
+    starts, stops, _, plain, safe, delims, bounds = lines
+    rows = np.flatnonzero(plain[first:safe]
+                          & (np.diff(bounds[first:safe + 1]) == count - 1))
+    rows += first
+    classes = data.translate(_CLASS)
+    a = np.frombuffer(data, dtype=np.uint8)
 
+    def field(col):
+        """The offsets of field ``col`` of each row, without its quotes."""
+        at = bounds[rows] + col  # the comma that ends the field
+        start = starts[rows] if col == 0 else delims[at - 1] + 1
+        stop = stops[rows] if col == count - 1 else delims[at]
+        quoted = (stop > start) & (a[np.minimum(start, len(a) - 1)] == _QUOTE)
+        return start + quoted, stop - quoted
 
-# The forms the bulk path reads, as byte classes.  ISO-8601 as
-# ``datetime.isoformat`` writes it, with or without the fraction; its runs
-# are year, month, day, hour, minute, second and microsecond.
-_ISO = b"9999-99-99T99:99:99.999999"
-_ISO_RUNS = _runs(_ISO)
-# tshark's default frame.time, up to the space before its zone.  The month
-# name (``???``) is read apart and the day is zero- or space-padded; the
-# runs are day, year, hour, minute, second and microsecond.
-_TSHARK = (b"??? 99, 9999 99:99:99.999999999 ",
-           b"???  9, 9999 99:99:99.999999999 ")
-_TSHARK_RUNS = _runs(_TSHARK[0])
-_TSHARK_CHARS = 31  # without a zone
-
-_MONTH_NAMES = np.array(sorted(name.encode() for name in _MONTHS))
-_MONTH_OF_NAME = np.array([_MONTHS[name.decode()] for name in _MONTH_NAMES])
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-#: The bytes of a tshark zone name, the ``tz`` group of
-#: ``pipeline._TSHARK_TIME_RE``.
-_ZONE_BYTES = np.zeros(256, dtype=bool)
-_ZONE_BYTES[list(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                 b"_/+-0123456789")] = True
+    number, length, time, proto = map(field, cols)
+    ok, us = timestamps(data, classes, *time)
+    for start, stop in (number, length, proto):
+        ok &= integers(classes, start, stop)
+    taken = np.zeros(len(starts), dtype=bool)
+    taken[rows[ok]] = True
+    return taken, us[ok]
 
 
 def _strings(data: bytes, at: np.ndarray, width: int) -> np.ndarray:
@@ -90,23 +168,92 @@ def _strings(data: bytes, at: np.ndarray, width: int) -> np.ndarray:
     return every[at]
 
 
+def integers(classes: bytes, starts: np.ndarray, stops: np.ndarray):
+    """Whether each field ``classes[start:stop]``, of a block translated by
+    ``_CLASS``, is 1 to ``_BULK_INT_CHARS`` ASCII digits, so that ``int()``
+    reads it as a non-negative integer."""
+    lengths = stops - starts
+    ok = np.zeros(len(starts), dtype=bool)
+    for width in np.flatnonzero(np.bincount(
+            lengths.clip(0, _BULK_INT_CHARS + 1))[1:_BULK_INT_CHARS + 1]):
+        width = int(width) + 1
+        rows = np.flatnonzero(lengths == width)
+        ok[rows] = _strings(classes, starts[rows], width) == b"9" * width
+    return ok
+
+
+#: The longest timestamp the byte path takes.  A longer one, which no form
+#: below has but a zone name might, takes the per-row parse, so that the
+#: count of fields per length stays short.
+_BULK_TIME_CHARS = 64
+
+
+def _runs(form: bytes, *, month: bool = False) -> np.ndarray:
+    """A weight matrix that reads each run of ``9``s in ``form`` from digit
+    values, one column per run, as a number of at most its first six
+    digits (so a fraction gives its microseconds).  With ``month``, a
+    first column reads the three bytes that open ``form`` as one number,
+    the key of a month name (``_MONTH_KEYS``)."""
+    spans = [m.span() for m in re.finditer(b"9+", form)]
+    weights = np.zeros((len(form), month + len(spans)), dtype=np.float32)
+    if month:
+        weights[:3, 0] = [1 << 16, 1 << 8, 1]
+    for col, (start, stop) in enumerate(spans, start=month):
+        digits = min(stop - start, 6)
+        weights[start:start + digits, col] = 10 ** np.arange(digits - 1, -1,
+                                                              -1)
+    return weights
+
+
+# The forms the byte path reads, as byte classes.  ISO-8601 as
+# ``datetime.isoformat`` writes it, with or without the fraction; its runs
+# are year, month, day, hour, minute, second and microsecond.
+_ISO = b"9999-99-99T99:99:99.999999"
+_ISO_RUNS = _runs(_ISO)
+# tshark's default frame.time, up to the space before its zone.  The month
+# name (``???``) is read as a key and the day is zero- or space-padded; the
+# runs are day, year, hour, minute, second and microsecond.
+_TSHARK = (b"??? 99, 9999 99:99:99.999999999 ",
+           b"???  9, 9999 99:99:99.999999999 ")
+_TSHARK_RUNS = _runs(_TSHARK[0], month=True)
+_TSHARK_CHARS = 31  # without a zone
+
+#: The key of each month name, as ``_TSHARK_RUNS`` reads it, in order, and
+#: the month's number.
+_MONTH_KEYS, _MONTH_OF_KEY = map(np.array, zip(*sorted(
+    (sum((byte - 48) << shift for byte, shift in zip(name.encode(),
+                                                     (16, 8, 0))), number)
+    for name, number in _MONTHS.items())))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+#: The bytes of a tshark zone name, the ``tz`` group of
+#: ``pipeline._TSHARK_TIME_RE``.
+_ZONE_BYTES = np.zeros(256, dtype=bool)
+_ZONE_BYTES[list(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                 b"_/+-0123456789")] = True
+
+
 def _bytes(data: bytes, at: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes of ``data`` from each offset in ``at``, one row
     of a uint8 matrix each."""
     return _strings(data, at, width).view(np.uint8).reshape(len(at), width)
 
 
-def _digit_runs(values: bytes, at: np.ndarray, weights: np.ndarray):
-    """The number in each run of ``weights`` (see ``_runs``) for the digit
-    values ``values`` from each offset in ``at``: one int64 row per run."""
-    return (weights.T @ _bytes(values, at, len(weights)).T).astype(np.int64)
+def _digit_runs(data: bytes, at: np.ndarray, weights: np.ndarray):
+    """The number in each run of ``weights`` (see ``_runs``) of the bytes
+    of ``data`` from each offset in ``at``, as digit values: one int64 row
+    per run.  A byte below ``0``, such as the space that pads a tshark
+    day, reads as 0."""
+    digits = np.maximum(_bytes(data, at, len(weights)), ord("0"))
+    runs = weights.T @ digits.T - ord("0") * weights.sum(axis=0)[:, None]
+    return runs.astype(np.int64)
 
 
-def _month_numbers(names: np.ndarray) -> np.ndarray:
-    """1 to 12 for each English three-letter month name in ``names``, as
-    tshark writes them, and 0 for any other name."""
-    at = np.searchsorted(_MONTH_NAMES, names).clip(max=11)
-    return np.where(_MONTH_NAMES[at] == names, _MONTH_OF_NAME[at], 0)
+def _month_numbers(keys: np.ndarray) -> np.ndarray:
+    """1 to 12 for the key of each English three-letter month name in
+    ``keys``, as tshark writes them, and 0 for any other key."""
+    at = np.searchsorted(_MONTH_KEYS, keys).clip(max=11)
+    return np.where(_MONTH_KEYS[at] == keys, _MONTH_OF_KEY[at], 0)
 
 
 def _calendar_us(year, month, day, hour, minute, second, micro):
@@ -128,53 +275,47 @@ def _calendar_us(year, month, day, hour, minute, second, micro):
     return valid, seconds * 1_000_000 + micro
 
 
-def timestamps(texts):
-    """Read the timestamps among ``texts`` that have a fixed-width form:
-    ISO ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` or tshark's
-    ``Mmm DD, YYYY HH:MM:SS.fffffffff[ ZONE]``, in ASCII.
+def timestamps(data: bytes, classes: bytes, starts: np.ndarray,
+               stops: np.ndarray):
+    """Read the timestamps ``data[start:stop]`` that have a fixed-width
+    form: ISO ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` or tshark's
+    ``Mmm DD, YYYY HH:MM:SS.fffffffff[ ZONE]``, in ASCII.  ``classes`` is
+    ``data`` translated by ``_CLASS``.
 
-    Returns a mask of the texts read and their int64 microseconds since
-    ``pipeline.EPOCH`` (0 elsewhere).  Each text read has the value
-    ``pipeline._parse_timestamp`` gives it; any other text, valid or not,
-    is left to that parser.
+    Returns a mask of the fields read and their int64 microseconds since
+    ``pipeline.EPOCH`` (0 elsewhere).  Each field read has the value
+    ``pipeline._parse_timestamp`` gives its text; any other field, valid or
+    not, is left to that parser.
     """
-    n = len(texts)
-    lengths = np.fromiter(map(len, texts), np.intp, n)
-    joined = "".join(texts)
-    if not joined.isascii() or lengths.max(initial=0) > _BULK_TIME_CHARS:
-        texts = [t if t.isascii() and len(t) <= _BULK_TIME_CHARS else ""
-                 for t in texts]
-        lengths = np.fromiter(map(len, texts), np.intp, n)
-        joined = "".join(texts)
-    # padded so that a record of any width read fits at every start
-    data = (joined + " " * _BULK_TIME_CHARS).encode("ascii")
-    classes, values = data.translate(_CLASS), data.translate(_DIGIT_VALUE)
-    starts = np.cumsum(lengths) - lengths
-    read = np.zeros(n, dtype=bool)
-    stamps = np.zeros(n, dtype=np.int64)
-
-    for width in np.flatnonzero(np.bincount(lengths)).tolist():
+    lengths = stops - starts
+    read = np.zeros(len(starts), dtype=bool)
+    stamps = np.zeros(len(starts), dtype=np.int64)
+    for width in np.flatnonzero(np.bincount(
+            lengths.clip(0, _BULK_TIME_CHARS + 1))[:_BULK_TIME_CHARS + 1]):
+        width = int(width)
         rows = np.flatnonzero(lengths == width)
         at = starts[rows]
-        if width in (19, 26):
+        iso = width in (19, 26)
+        if iso:
             fits = _strings(classes, at, width) == _ISO[:width]
-            rows, at = rows[fits], at[fits]
-            year, month, day, hour, minute, second, micro = _digit_runs(
-                values, at, _ISO_RUNS[:width])
         elif width == _TSHARK_CHARS or width > _TSHARK_CHARS + 1:
             head = min(width, _TSHARK_CHARS + 1)  # up to a zone, if any
             form = _strings(classes, at + 3, head - 3)
             fits = (form == _TSHARK[0][3:head]) | (form == _TSHARK[1][3:head])
             if width > head:
-                # the zone: tshark's zone characters to the end of the text
+                # the zone: tshark's zone characters to the end of the field
                 zone = _bytes(data, at + head, width - head)
                 fits &= _ZONE_BYTES[zone].all(axis=1)
-            rows, at = rows[fits], at[fits]
-            day, year, hour, minute, second, micro = _digit_runs(
-                values, at, _TSHARK_RUNS[:head])
-            month = _month_numbers(_strings(data, at, 3))
         else:
             continue
+        rows, at = rows[fits], at[fits]
+        if iso:
+            year, month, day, hour, minute, second, micro = _digit_runs(
+                data, at, _ISO_RUNS[:width])
+        else:
+            key, day, year, hour, minute, second, micro = _digit_runs(
+                data, at, _TSHARK_RUNS[:head])
+            month = _month_numbers(key)
         valid, us = _calendar_us(year, month, day, hour, minute, second,
                                  micro)
         read[rows[valid]] = True

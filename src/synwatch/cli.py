@@ -2,7 +2,10 @@
 
 Every command is deterministic given its flags and input files, for a
 fixed numpy and BLAS build and BLAS thread count; the seed comes from
-``--seed`` alone.  Each writes a ``<output>.manifest.json`` recording the
+``--seed`` alone.  Wall-clock time is the one exception: the ``seconds``
+column of the ``compare-lags`` table, the one wall-clock output written to
+a file, which the command also prints, and the ``wall_seconds`` that
+``train`` prints.  Each writes a ``<output>.manifest.json`` recording the
 resolved configuration and the files it read, the scaler included, so a
 run can be replayed exactly.  No flag sets the relative error's floor
 (``detector.EPSILON_FLOOR``), so ``detect`` with the config ``calibrate``

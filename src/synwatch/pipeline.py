@@ -13,13 +13,13 @@ columns do not carry flags.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re as _re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -196,17 +196,9 @@ class SynthConfig:
 def intervals_from_labels(labels) -> list[tuple[int, int]]:
     """Maximal runs of True as closed [start, end] index pairs."""
     labels = np.asarray(labels, dtype=bool)
-    intervals = []
-    start = None
-    for idx, flag in enumerate(labels):
-        if flag and start is None:
-            start = idx
-        elif not flag and start is not None:
-            intervals.append((start, idx - 1))
-            start = None
-    if start is not None:
-        intervals.append((start, len(labels) - 1))
-    return intervals
+    # a run starts where the flag rises and ends where it falls
+    edges = np.flatnonzero(np.diff(labels, prepend=False, append=False))
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def labels_from_intervals(length: int, intervals) -> np.ndarray:
@@ -247,122 +239,192 @@ def _parse_timestamp(text: str) -> datetime:
         int(m.group("h")), int(m.group("m")), int(m.group("s")), int(frac))
 
 
-#: Rows that ``load_tshark_csv`` reads and classifies as one block.  No
-#: output depends on it.
-_BLOCK_ROWS = 4096
+#: Bytes ``load_tshark_csv`` reads at a time; each block is cut after its
+#: last line end.  No output depends on it.
+_BLOCK_BYTES = 1 << 20
 
 
-def load_tshark_csv(source) -> IngestResult:
-    """Parse a tshark field export into sorted packet timestamps.
+def _blocks(read):
+    """The bytes ``read(size)`` returns, in blocks of about ``_BLOCK_BYTES``
+    that each end after a line end: a ``\\n``, or a ``\\r`` followed by
+    another byte.  The last block, which may be empty, ends with the
+    input."""
+    pending = []
+    while chunk := read(_BLOCK_BYTES):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1))
+        if cut < 0:
+            pending.append(chunk)
+            continue
+        block = b"".join([*pending, chunk[:cut + 1]])
+        pending = [chunk[cut + 1:]]
+        del chunk  # so that one block at a time is held
+        yield block
+    yield b"".join(pending)
 
-    ``source`` may be a path or an open text stream.  The header row
-    must name all four exported fields.  A data row is accepted when it has
-    every field, integer ``frame.number``, ``frame.len`` and ``ip.proto``, a
-    non-negative ``frame.len`` and a timestamp ``_parse_timestamp`` reads.
-    Malformed rows are collected in the result's ``rejected`` list with
-    their 1-based row number instead of being silently dropped, and counted
-    per ``REJECT_REASONS`` entry.  Timestamps come back as one sorted int64
-    array of microseconds since ``EPOCH``, in UTC when the text had an
-    offset.
 
-    Rows are read ``_BLOCK_ROWS`` at a time and checked column by column.
-    A row takes the bulk path (``_bulk``) when its three integers are 1 to
-    18 decimal digits and its timestamp is ISO ``YYYY-MM-DDTHH:MM:SS``
-    with or without ``.ffffff``, or tshark's ``Mmm DD, YYYY
-    HH:MM:SS.fffffffff`` with or without a zone, in ASCII; such a row
-    always passes the per-row checks, with the same value.  Every other
-    row goes through the per-row checks in row order, so acceptance,
-    values and messages are exactly per row, whatever the block size.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh, \
-                _utf8_errors(source):
-            return load_tshark_csv(fh)
+def _utf8_checked(blocks):
+    """``blocks``, each checked to be UTF-8 before it is passed on: a block
+    that is not raises ``UnicodeDecodeError``."""
+    for block in blocks:
+        if not block.isascii():
+            block.decode("utf-8")
+        yield block
 
-    reader = csv.reader(source)
+
+def _text_lines(blocks):
+    """The lines of ``blocks`` as the csv module reads them from a file
+    opened with ``newline=""``."""
+    for block in blocks:
+        yield from io.StringIO(block.decode("utf-8", "surrogatepass"),
+                               newline="")
+
+
+def _header_columns(records) -> tuple[int, list[int]]:
+    """The field count of the header, the first of the csv ``records``, and
+    the indices of ``TSHARK_FIELDS`` in it."""
     try:
-        header = [cell.strip() for cell in next(reader)]
+        header = [cell.strip() for cell in next(records)]
     except StopIteration:
         raise DataError("missing header: input file is empty") from None
     except csv.Error as exc:
         raise DataError(f"header: {exc}") from None
     try:
-        cols = [header.index(name) for name in TSHARK_FIELDS]
+        return len(header), [header.index(name) for name in TSHARK_FIELDS]
     except ValueError:
         raise DataError(
             "missing header: expected columns "
             + ",".join(TSHARK_FIELDS) + f", got {','.join(header)}") from None
 
+
+def load_tshark_csv(source) -> IngestResult:
+    """Parse a tshark field export into sorted packet timestamps.
+
+    ``source`` may be a path or an open text stream; a path must be UTF-8.
+    The header row must name all four exported fields.  A data row is
+    accepted when it has every field, integer ``frame.number``,
+    ``frame.len`` and ``ip.proto``, a non-negative ``frame.len`` and a
+    timestamp ``_parse_timestamp`` reads.  Malformed rows are collected in
+    the result's ``rejected`` list with their 1-based row number instead of
+    being silently dropped, and counted per ``REJECT_REASONS`` entry.
+    Timestamps come back as one sorted int64 array of microseconds since
+    ``EPOCH``, in UTC when the text had an offset.
+
+    The capture is read as bytes, ``_BLOCK_BYTES`` at a time, and each
+    block is cut after its last line end.  Array scans (``_bulk.scan``)
+    find the lines, their quotes and the commas that end fields.  A plain
+    line (printable ASCII, quotes only around whole fields) with the
+    header's field count is checked in place (``_bulk.read``): it is taken
+    when its three integers are 1 to 18 ASCII digits and its timestamp is
+    ISO ``YYYY-MM-DDTHH:MM:SS`` with or without ``.ffffff``, or tshark's
+    ``Mmm DD, YYYY HH:MM:SS.fffffffff`` with or without a zone; such a row
+    always passes the per-row checks, with the same value.  Every other
+    line goes through the csv module and the per-row checks, and from a
+    line that may open a quoted field on, the rest of the input does.  A
+    text stream is read as the csv module reads a file opened with
+    ``newline=""``.  So acceptance, values and messages are exactly per
+    row, whatever the block size, and no Python object is made per
+    common row.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh, _utf8_errors(source):
+            return _load_blocks(_utf8_checked(_blocks(fh.read)))
+    return _load_blocks(_blocks(
+        lambda size: source.read(size).encode("utf-8", "surrogatepass")))
+
+
+def _load_blocks(blocks) -> IngestResult:
+    """``load_tshark_csv`` of the capture in ``blocks`` (see ``_blocks``)."""
     # imported here, so that only the commands that read a capture load it
     from . import _bulk
 
-    number_col, len_col, time_col, proto_col = cols
-    width = max(cols) + 1
-    columns = [itemgetter(col) for col in cols]
-    blank = [""] * width
     parts: list[np.ndarray] = []
     stamps: list[int] = []
     rejected: list[tuple[int, str]] = []
     by_reason = dict.fromkeys(REJECT_REASONS, 0)
+    cols = None
 
     def reject(row_no: int, reason: str, message: str) -> None:
         rejected.append((row_no, message))
         by_reason[reason] += 1
 
-    done = 0  # rows before this block
-    while True:
-        block: list[list[str]] = []
+    def check(records, row_no: int) -> int:
+        """The per-row checks of the csv ``records``, numbered from
+        ``row_no + 1``; returns the number of the last."""
+        number_col, len_col, time_col, proto_col = cols
+        width = max(cols) + 1
         try:
-            block.extend(islice(reader, _BLOCK_ROWS))
+            for row_no, row in enumerate(records, start=row_no + 1):
+                if not row:
+                    continue
+                if len(row) < width:
+                    reject(row_no, "short_row",
+                           f"expected >= {width} fields, got {len(row)}")
+                    continue
+                try:
+                    int(row[number_col].strip())
+                    negative = int(row[len_col].strip()) < 0
+                except ValueError as exc:
+                    reject(row_no, "bad_integer", str(exc))
+                    continue
+                try:
+                    offset = _parse_timestamp(row[time_col]) - EPOCH
+                except ValueError as exc:
+                    reject(row_no, "bad_timestamp", str(exc))
+                    continue
+                try:
+                    int(row[proto_col].strip())
+                except ValueError as exc:
+                    reject(row_no, "bad_integer", str(exc))
+                    continue
+                if negative:
+                    reject(row_no, "negative_length", "negative frame.len")
+                    continue
+                stamps.append(offset // _MICROSECOND)
         except csv.Error as exc:
             # a row the csv module cannot split (a field past its size
             # limit, say) ends the read
-            raise DataError(f"row {done + len(block) + 1}: {exc}") from None
-        if not block:
+            raise DataError(f"row {row_no + 1}: {exc}") from None
+        return row_no
+
+    blocks = iter(blocks)
+    row_no = 0  # rows before the block
+    rest = None
+    for data in blocks:
+        lines = _bulk.scan(data)
+        first = 0
+        if cols is None:
+            if not (lines.safe and lines.plain[0]):
+                rest = data
+                break
+            count, cols = _header_columns(csv.reader(
+                [data[:lines.stops[0]].decode("ascii")]))
+            first = 1
+        taken, us = _bulk.read(data, lines, first, count, cols)
+        parts.append(us)
+        # Runs of lines not taken go through the csv module, which may read
+        # more or fewer rows from a run than it has lines: ``shift`` is the
+        # number of rows before line i, less i.
+        shift = row_no - first
+        slow = np.flatnonzero(~taken[first:lines.safe]) + first
+        for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1):
+            if len(run):
+                begin, end = int(run[0]), int(run[-1]) + 1
+                text = data[lines.starts[begin]:lines.ends[end - 1]].decode(
+                    "utf-8", "surrogatepass")
+                shift = check(csv.reader(io.StringIO(text, newline="")),
+                              begin + shift) - end
+        row_no = lines.safe + shift
+        if lines.safe < len(lines.starts):
+            rest = data[lines.starts[lines.safe]:]
             break
-        full = block
-        short = np.fromiter(map(len, block), np.intp, len(block)) < width
-        if short.any():
-            # rows without every field take the per-row path
-            full = block.copy()
-            for i in np.flatnonzero(short).tolist():
-                full[i] = blank
-        numbers, frame_lens, times, protos = (list(map(get, full))
-                                              for get in columns)
-        bulk, us = _bulk.timestamps(times)
-        bulk &= _bulk.integers(numbers)
-        bulk &= _bulk.integers(frame_lens)
-        bulk &= _bulk.integers(protos)
-        parts.append(us[bulk])
-        for i in np.flatnonzero(~bulk).tolist():
-            row_no, row = done + i + 1, block[i]
-            if not row:
-                continue
-            if len(row) < width:
-                reject(row_no, "short_row",
-                       f"expected >= {width} fields, got {len(row)}")
-                continue
-            try:
-                int(row[number_col].strip())
-                negative = int(row[len_col].strip()) < 0
-            except ValueError as exc:
-                reject(row_no, "bad_integer", str(exc))
-                continue
-            try:
-                offset = _parse_timestamp(row[time_col]) - EPOCH
-            except ValueError as exc:
-                reject(row_no, "bad_timestamp", str(exc))
-                continue
-            try:
-                int(row[proto_col].strip())
-            except ValueError as exc:
-                reject(row_no, "bad_integer", str(exc))
-                continue
-            if negative:
-                reject(row_no, "negative_length", "negative frame.len")
-                continue
-            stamps.append(offset // _MICROSECOND)
-        done += len(block)
+    if rest is not None:
+        # From a line that may open a quoted field on, or from the header
+        # when it is not plain, the rest goes through the csv module.
+        records = csv.reader(_text_lines(chain([rest], blocks)))
+        if cols is None:
+            _, cols = _header_columns(records)
+        check(records, row_no)
+
     parts.append(np.array(stamps, dtype=np.int64))
     timestamps_us = np.concatenate(parts)
     timestamps_us.sort()
@@ -553,29 +615,29 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
                              attack_intervals=intervals)
 
 
-def _format_count(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def save_series(path, data, seed: int | None = None) -> None:
     """Write a series CSV: ``step,timestamp,count[,label]``.
 
     Synthetic fixtures carry their seed in a leading ``# seed=<n>`` line.
+    The file is written line by line, as ``detector.write_verdicts``
+    writes, so no copy of the whole text is held in memory.
     """
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
-    step_us = round(series.step_duration * 1e6)
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append("step,timestamp,count,label" if labeled else "step,timestamp,count")
-    for i, value in enumerate(series.values):
-        ts = (series.start_time + timedelta(microseconds=i * step_us)).isoformat()
-        row = f"{i},{ts},{_format_count(value)}"
-        if labeled:
-            row += ",attack" if data.labels[i] else ",normal"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    step = timedelta(microseconds=round(series.step_duration * 1e6))
+    start = series.start_time
+    if labeled:
+        suffixes = (",attack" if flag else ",normal" for flag in data.labels)
+    else:
+        suffixes = repeat("")
+    with open(path, "w", encoding="utf-8") as fh:
+        if seed is not None:
+            fh.write(f"# seed={seed}\n")
+        fh.write("step,timestamp,count,label\n" if labeled
+                 else "step,timestamp,count\n")
+        fh.writelines(
+            f"{i},{(start + i * step).isoformat()},{value:.17g}{suffix}\n"
+            for i, (value, suffix) in enumerate(zip(series.values, suffixes)))
 
 
 def load_series(path):

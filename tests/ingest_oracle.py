@@ -1,10 +1,11 @@
-"""A reference tshark reader: one row at a time, no bulk path.
+"""A reference tshark reader: one csv row at a time, no byte path.
 
-``load_tshark_csv`` reads the common fixed-width rows in bulk and sends
-every other row through the per-row checks below.  This reader sends every
-row through them, in the order and with the messages the loader promises,
-so the two must agree on each capture: the same sorted timestamps, the
-same ``rejected`` list and the same ``rejected_by_reason`` counts.
+``load_tshark_csv`` checks the common lines in place, on the bytes of the
+capture, and sends every other line through the csv module and the
+per-row checks below.  This reader sends every row through them, in the
+order and with the messages the loader promises, so the two must agree on
+each capture: the same sorted timestamps, the same ``rejected`` list and
+the same ``rejected_by_reason`` counts.
 """
 
 import csv

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -520,6 +521,26 @@ class TestCompareLags:
         assert [r.split(",")[1] for r in rows_a[1:]] == \
             [r.split(",")[1] for r in rows_b[1:]]
         assert all(float(r.split(",")[2]) > 0 for r in rows_a[1:])
+
+    def test_runs_differ_only_in_seconds(self, runner, workspace, tmp_path):
+        # the seconds column is the one wall-clock output: every other
+        # column, the rest of stdout and the manifest repeat exactly
+        table = tmp_path / "lags.csv"
+        args = ["compare-lags", workspace["train"], "--epochs", "20",
+                "--hidden", "4", "--seed", "5", "-o", str(table)]
+        runs = []
+        for _ in range(2):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            rows = [line.split(",") for line in table.read_text().splitlines()]
+            assert rows[0][-1] == "seconds"
+            printed = [re.sub(r" seconds=[0-9.]+$", "", line)
+                       for line in result.output.splitlines()]
+            assert all(line.startswith("lag=") and "seconds" not in line
+                       for line in printed)
+            manifest = Path(f"{table}.manifest.json").read_bytes()
+            runs.append(([row[:-1] for row in rows], printed, manifest))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_rate_is_usage_error(self, runner, workspace, tmp_path,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ingest_oracle import load_tshark_csv_per_row
 from synwatch import pipeline
-from synwatch._bulk import timestamps as bulk_timestamps
+from synwatch import _bulk
 from synwatch.errors import DataError
 from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
                                TimeSeries, _parse_timestamp, aggregate_counts,
@@ -84,6 +84,18 @@ class TestLoadTsharkCsv:
     def test_field_past_csv_size_limit_is_data_error(self, text, where):
         with pytest.raises(DataError, match=where + "field larger"):
             load_tshark_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"])
+    def test_path_that_is_not_utf8_is_data_error(self, tmp_path, bad):
+        # a byte no UTF-8 text holds, or an encoded surrogate, in a line
+        # that the csv module reads
+        head = tshark_csv(["1,60,1999-03-11T08:00:01,6"]).encode()
+        path = tmp_path / "packets.csv"
+        path.write_bytes(head + b"2,60," + bad + b",6\n")
+        with pytest.raises(DataError, match=(
+                f"not UTF-8 text: byte 0x{bad[0]:02x} at offset "
+                f"{len(head) + 5}")):
+            load_tshark_csv(path)
 
     def test_wrong_header_rejected(self):
         with pytest.raises(DataError, match="missing header"):
@@ -206,8 +218,19 @@ def outcome(parse, text):
         return f"error: {exc}"
 
 
+def bulk_timestamps(texts):
+    """``_bulk.timestamps`` of ``texts``, as the fields of one block of
+    bytes, one line each."""
+    fields = [text.encode("utf-8", "surrogatepass") for text in texts]
+    data = b"".join(field + b"\n" for field in fields)
+    lengths = np.array([len(field) for field in fields], dtype=np.int64)
+    stops = np.cumsum(lengths + 1) - 1
+    starts = stops - lengths
+    return _bulk.timestamps(data, data.translate(_bulk._CLASS), starts, stops)
+
+
 def bulk(text):
-    """The bulk path's microseconds for one text, or None when it leaves
+    """The byte path's microseconds for one text, or None when it leaves
     the text to ``_parse_timestamp``."""
     read, stamps = bulk_timestamps([text])
     return int(stamps[0]) if read[0] else None
@@ -218,7 +241,7 @@ def full(text):
 
 
 class TestTimestampParser:
-    """The bulk timestamp path against the full parse."""
+    """The byte path's timestamp reader against the full parse."""
 
     @settings(max_examples=500)
     @given(stems=st.lists(timestamp_stems(), min_size=1, max_size=4),
@@ -226,7 +249,7 @@ class TestTimestampParser:
                                     st.text("0123456789", max_size=13)),
                           min_size=1, max_size=25))
     def test_equals_full_parse(self, stems, picks):
-        # one block of texts, read together as the loader reads them
+        # the fields of one block, read together as the loader reads them
         texts = []
         for index, digits in picks:
             head, mark, zone = stems[index % len(stems)]
@@ -291,13 +314,14 @@ class TestTimestampParser:
             (3, "unrecognized timestamp: 'Mar 11, 1999 08:00:00. UTC'")]
 
 
-#: Fields the bulk integer check must leave to ``int()``: a sign, spaces,
-#: an underscore, non-ASCII digits (``int`` takes the first two), a digit
-#: that is not decimal, a NUL, nothing, and lengths at and past its limits.
+#: Fields the byte path's integer check must leave to ``int()``: a sign,
+#: spaces, an underscore, non-ASCII digits (``int`` takes the first two), a
+#: digit that is not decimal, a NUL, nothing, and lengths at and past its
+#: limits.
 ODD_INTEGERS = ["+5", " 5", "5 ", "5_0", "-5", "٣", "１", "²", "\x00", "",
                 "x7", "9" * 18, "9" * 19, "1" * 4301]
 
-#: Timestamps on the edges of the bulk forms' checks.
+#: Timestamps on the edges of the byte path's timestamp forms.
 ODD_TIMESTAMPS = [
     "1900-02-29T00:00:00", "2000-02-29T00:00:00", "2004-02-29T00:00:00",
     "2004-02-30T00:00:00", "Feb 29, 1900 00:00:00.000000000 UTC",
@@ -350,34 +374,68 @@ integer_fields = st.one_of(st.integers(0, 99_999).map(str),
                            st.sampled_from(ODD_INTEGERS))
 
 
+#: Lines written as they stand: quotes inside or after a field, a quoted
+#: field that runs on into the next line, a lone carriage return, a NUL and
+#: text that is not ASCII.
+RAW_LINES = ['1,6"0,2024-03-05T06:07:08,6', '"1"x,60,2024-03-05T06:07:08,6',
+             '"1","60","2024-03-05T06:07:08 ,"6"', '1,"60" ,2024,6',
+             '1,"60,2024-03-05T06:07:08', '6",1',
+             '1,60\r2024-03-05T06:07:08,6',
+             '1,6\x000,2024-03-05T06:07:08,6', 'ü,60,2024-03-05T06:07:08,6',
+             '"1","60","2024-03-05T06:07:08","6"\r', '"', '""', ',,,']
+
+#: Extra trailing fields that the csv module must quote: a comma, line
+#: ends, a quote, text that is not ASCII, a NUL.
+QUOTED_EXTRAS = ["10.0.0.1,2", "a\nb", "a\r\nb", "a\rb", 'say "hi"', "hôte",
+                 "\x00", ""]
+
+
 @st.composite
 def captures(draw):
     """A tshark export as text: the four fields in any order, maybe with
-    another column, and rows that are blank, short, odd in any field or
-    with a field past the csv module's size limit."""
+    another column; rows unquoted, all quoted or mixed; ``\n`` or ``\r\n``
+    line ends, with or without a final one.  Rows may be blank or short,
+    odd in any field, carry an extra field the csv module must quote, be
+    one of ``RAW_LINES`` or a lone ``\r``, or hold a field past the csv
+    module's size limit."""
     names = draw(st.permutations(pipeline.TSHARK_FIELDS + ("ip.src",)))
     if draw(st.booleans()):
         names = [name for name in names if name != "ip.src"]
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(
-        ["\n", "\r\n"])))
-    writer.writerow(names)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    writers = [csv.writer(out, lineterminator=end, quoting=quoting)
+               for quoting in draw(st.sampled_from(
+                   [[csv.QUOTE_MINIMAL], [csv.QUOTE_ALL],
+                    [csv.QUOTE_MINIMAL, csv.QUOTE_ALL]]))]
+
+    def write(row):
+        writers[draw(st.integers(0, len(writers) - 1))].writerow(row)
+
+    write(names)
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.integers(0, 40))
         if kind == 0:
-            writer.writerow([])
+            write([])
         elif kind == 1:
-            writer.writerow(["1"] * draw(st.integers(1, len(names) - 1)))
+            write(["1"] * draw(st.integers(1, len(names) - 1)))
         elif kind == 2:
-            out.write('"' + "9" * 131_073 + '"\n')
+            out.write('"' + "9" * 131_073 + '"' + end)
+        elif kind == 3:
+            out.write(draw(st.sampled_from(RAW_LINES + ["\r"])) + end)
         else:
             fields = {"frame.number": draw(integer_fields),
                       "frame.len": draw(integer_fields),
                       "frame.time": draw(timestamp_fields()),
                       "ip.proto": draw(integer_fields),
                       "ip.src": "10.0.0.1"}
-            writer.writerow([fields[name] for name in names])
-    return out.getvalue()
+            row = [fields[name] for name in names]
+            if kind == 4:
+                row.append(draw(st.sampled_from(QUOTED_EXTRAS)))
+            write(row)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(end)
+    return text
 
 
 def loaded(load, text):
@@ -390,7 +448,14 @@ def loaded(load, text):
             result.rejected_by_reason)
 
 
-BLOCK_SIZES = [1, 2, 7, pipeline._BLOCK_ROWS]
+#: Block sizes from one byte, where every line straddles blocks, to the
+#: loader's own.
+BLOCK_SIZES = [1, 2, 7, 16, 64, 4096, pipeline._BLOCK_BYTES]
+
+
+def loaded_in_blocks(block, text):
+    with mock.patch.object(pipeline, "_BLOCK_BYTES", block):
+        return loaded(load_tshark_csv, text)
 
 
 class TestBulkMatchesPerRowReader:
@@ -402,9 +467,8 @@ class TestBulkMatchesPerRowReader:
     @settings(max_examples=100)
     @given(text=captures())
     def test_random_captures(self, block, text):
-        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
-            assert loaded(load_tshark_csv, text) == loaded(
-                load_tshark_csv_per_row, text)
+        assert loaded_in_blocks(block, text) == loaded(
+            load_tshark_csv_per_row, text)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_listed_rows(self, block):
@@ -416,8 +480,7 @@ class TestBulkMatchesPerRowReader:
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(
             [list(pipeline.TSHARK_FIELDS)] + rows)
-        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
-            got = loaded(load_tshark_csv, out.getvalue())
+        got = loaded_in_blocks(block, out.getvalue())
         assert got == loaded(load_tshark_csv_per_row, out.getvalue())
         stamps, rejected, by_reason = got
         assert len(stamps) == len(rows) - len(ODD_INTEGERS) - len(rejected)
@@ -433,17 +496,84 @@ class TestBulkMatchesPerRowReader:
             len(ODD_TIMESTAMPS) + 4 * (len(ODD_INTEGERS) - 1) + 1]
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("text, stamps, rejected", [
+        # header only, with and without a final line end
+        (TSHARK_HEADER + "\n", 0, []), (TSHARK_HEADER, 0, []),
+        # no final line end; \r\n line ends; blank lines
+        (tshark_csv(["1,60,2024-03-05T06:07:08,6"]).rstrip("\n"), 1, []),
+        ("\r\n".join([TSHARK_HEADER, "", "1,60,2024-03-05T06:07:08,6", "",
+                      '"2","60","2024-03-05T06:07:09","6"', ""]), 2, []),
+        # a lone \r ends a row, here the header and a data row
+        (TSHARK_HEADER + "\r1,60,2024-03-05T06:07:08,6\r2,60\n", 1,
+         [(2, "expected >= 4 fields, got 2")]),
+        # a NUL, text that is not ASCII
+        (tshark_csv(["1,6\x000,2024-03-05T06:07:08,6",
+                     "1,60,2024-03-05T06:07:08,6,hôte",
+                     "٣,60,2024-03-05T06:07:08,6"]), 2,
+         [(1, "invalid literal for int() with base 10: '6\\x000'")]),
+        # quoted fields holding a comma or a line end
+        (tshark_csv(['1,60,"2024-03-05T06:07:08",6,"a,b"',
+                     '2,60,2024-03-05T06:07:09,6,"a\nb"',
+                     '3,60,"2024-03-05',
+                     'T06:07:10",6']), 2,
+         [(3, "unrecognized timestamp: '2024-03-05\\nT06:07:10'")]),
+        # a quote inside an unquoted field, which the csv module keeps as
+        # text: the comma after it still ends the field, so frame.number
+        # is '1"', not 60
+        ("ip.src," + TSHARK_HEADER + '\na"b,1",60,60,2024-03-05T06:07:08,6\n'
+         '2",60,60,2024-03-05T06:07:08,6\n', 1,
+         [(1, "invalid literal for int() with base 10: '1\"'")]),
+        # a quoted field left open at the end of the capture runs to its
+        # end, closing quote and all
+        ("frame.number,frame.len,ip.proto,frame.time\n"
+         '1,60,6,"2024-03-05T06:07:089', 0,
+         [(1, "unrecognized timestamp: '2024-03-05T06:07:089'")]),
+        # a header that opens a quoted field, so that every row after it
+        # goes through the csv module
+        ('"frame.number\n",frame.len,frame.time,ip.proto\n'
+         "1,60,2024-03-05T06:07:08,6\n2,60,2024-03-05T06:07:09,x\n", 1,
+         [(2, "invalid literal for int() with base 10: 'x'")])])
+    def test_listed_captures(self, block, text, stamps, rejected):
+        got = loaded_in_blocks(block, text)
+        assert got == loaded(load_tshark_csv_per_row, text)
+        assert (len(got[0]), got[1]) == (stamps, rejected)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("bad_row", [1, 2, 3, 7, 8, 9])
     def test_csv_error_names_its_row(self, block, bad_row):
         rows = ['1,60,2024-03-05T06:07:08,6'] * 9
         rows[bad_row - 1] = '1,60,"' + "9" * 131_073 + '",6'
         text = tshark_csv(rows[:4] + [""] + rows[4:])
         row_no = bad_row + (bad_row > 4)
-        with mock.patch.object(pipeline, "_BLOCK_ROWS", block):
-            got = loaded(load_tshark_csv, text)
+        got = loaded_in_blocks(block, text)
         assert got == loaded(load_tshark_csv_per_row, text) == (
             f"data error: row {row_no}: field larger than field limit "
             "(131072)")
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_long_field_in_a_column_not_read(self, block):
+        # a line with the header's field count is still read by the csv
+        # module when one of its fields may pass the csv size limit
+        text = (TSHARK_HEADER + ",ip.src\n1,60,2024-03-05T06:07:08,6,"
+                + "1" * 131_073 + "\n")
+        assert loaded_in_blocks(block, text) == loaded(
+            load_tshark_csv_per_row, text) == (
+            "data error: row 1: field larger than field limit (131072)")
+
+    @settings(max_examples=50)
+    @given(text=captures())
+    def test_path_and_stream_agree(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "capture.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                result = load_tshark_csv(path)
+            except DataError as exc:
+                got = f"data error: {exc}"
+            else:
+                got = (result.timestamps_us.tolist(), result.rejected,
+                       result.rejected_by_reason)
+        assert got == loaded(load_tshark_csv, text)
 
 
 class TestAggregateCounts:
@@ -740,7 +870,39 @@ class TestGenerateSynthetic:
         SynthConfig(length=10, baseline_mean=1e308)  # no attack drawn
 
 
+def joined_series_text(data, seed=None):
+    """A series file as one joined text, the way ``save_series`` once
+    wrote it: the reference for the line-by-line writer."""
+    labeled = isinstance(data, LabeledTimeSeries)
+    series = data.series if labeled else data
+    step_us = round(series.step_duration * 1e6)
+    lines = [] if seed is None else [f"# seed={seed}"]
+    lines.append("step,timestamp,count,label" if labeled
+                 else "step,timestamp,count")
+    for i, value in enumerate(series.values):
+        ts = (series.start_time + timedelta(microseconds=i * step_us))
+        row = f"{i},{ts.isoformat()},{value:.17g}"
+        if labeled:
+            row += ",attack" if data.labels[i] else ",normal"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
 class TestSeriesFiles:
+    def test_bytes_equal_the_joined_text(self, tmp_path):
+        labeled = generate_synthetic(SynthConfig(length=3000, attack_count=4,
+                                                 rng_seed=5))
+        captured = aggregate_counts(
+            load_tshark_csv(io.StringIO(tshark_csv(
+                [f"{i},60,1999-03-11T08:{i // 60:02d}:{i % 60:02d}.5,6"
+                 for i in range(0, 3000, 7)]))).timestamps_us,
+            0.25, T0, T0 + timedelta(minutes=50))
+        for data, seed in ((labeled, 5), (labeled, None), (captured, None)):
+            path = tmp_path / "series.csv"
+            save_series(path, data, seed=seed)
+            assert path.read_bytes() == joined_series_text(
+                data, seed).encode("utf-8")
+
     def test_unlabeled_round_trip(self, tmp_path, rng):
         series = TimeSeries(T0, 1.0, np.rint(rng.uniform(0, 300, size=25)))
         path = tmp_path / "series.csv"
@@ -878,6 +1040,25 @@ class TestLabelHelpers:
         assert intervals == [(1, 2), (5, 5), (7, 9)]
         np.testing.assert_array_equal(
             labels_from_intervals(10, intervals), labels)
+
+    @settings(max_examples=300)
+    @given(labels=st.one_of(
+        st.lists(st.booleans(), max_size=60),
+        st.integers(0, 60).map(lambda n: [True] * n),
+        st.integers(0, 60).map(lambda n: [False] * n)))
+    def test_intervals_equal_the_step_loop(self, labels):
+        expected, start = [], None
+        for step, flag in enumerate(labels):
+            if flag and start is None:
+                start = step
+            elif not flag and start is not None:
+                expected.append((start, step - 1))
+                start = None
+        if start is not None:
+            expected.append((start, len(labels) - 1))
+        got = intervals_from_labels(np.array(labels, dtype=bool))
+        assert got == expected
+        assert all(type(i) is int for pair in got for i in pair)
 
     def test_out_of_range_interval_rejected(self):
         with pytest.raises(ValueError):
