@@ -7,9 +7,9 @@ the last few prediction errors.
 
 __version__ = "0.1.0"
 
-from .calibration import (CalibrationGrid, EvalReport, SweepRow, calibrate,
+from .calibration import (CalibrationGrid, EvalReport, calibrate,
                           default_grid, evaluate, prediction_pairs,
-                          replay_trace, sweep_beta)
+                          replay_trace)
 from .detector import (AlarmEvent, Detector, DetectorConfig, StepVerdict,
                        relative_error, segment_alarms)
 from .errors import DataError, DivergenceError

@@ -23,13 +23,18 @@ beta)`` cell of a ret at once.  An interval is detected when one of its
 steps alarms, that is when the largest ``B`` among its steps with
 ``K >= k`` reaches ``r``; one such maximum per interval and ``k`` gives
 that count for every cell too.  Each ret costs time linear in the stream.
+
+The sweep's result is one int64 array of shape ``(3, n_ret, n_alpha,
+n_beta)``: events, false alarms and detected intervals per cell, in grid
+order.  The selection masks that array key by key, the sweep file is
+written from it, and ``calibrate --beta-list`` writes one slice of it, so
+no Python object is made per cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -79,18 +84,6 @@ class EvalReport:
     events_total: int
     intervals_total: int
     detected_intervals: int
-
-
-@dataclass(slots=True)
-class SweepRow:
-    ret: float
-    alpha: float
-    beta: float
-    detection_rate_pct: float
-    false_alarms: int
-    events_total: int
-    detected_intervals: int
-    intervals_total: int
 
 
 def _check_intervals(intervals) -> list[tuple[int, int]]:
@@ -353,75 +346,62 @@ def _danger_levels(alphas, mat: int) -> np.ndarray:
                            side="right")
 
 
-def _sweep_rows(counts: _CellCounts, ret: float, alphas, betas,
-                kappa: np.ndarray, r: np.ndarray,
-                intervals_total: int) -> list[SweepRow]:
-    """One row per (alpha, beta), alpha-major, for one ret; ``kappa`` and
-    ``r`` are the table indices of the alphas and the betas."""
-    rates = [_detection_rate(d, intervals_total)
-             for d in range(intervals_total + 1)]
-    events, false_alarms, detected = (
-        table[np.ix_(kappa, r)].ravel().tolist()
-        for table in counts.tables(ret))
-    cells = [(alpha, beta) for alpha in alphas for beta in betas]
-    return [SweepRow(ret, alpha, beta, rates[d], f, e, d, intervals_total)
-            for (alpha, beta), e, f, d in zip(cells, events, false_alarms,
-                                              detected)]
+def _select(counts: np.ndarray, grid: CalibrationGrid,
+            intervals_total: int) -> tuple[DetectorConfig, EvalReport]:
+    """The winning cell of ``counts`` and its evaluation: the highest
+    detection rate (the most detected intervals), then the fewest false
+    alarms, then the largest beta, alpha and ret, then the first cell in
+    grid order.  Values compare as floats, so 0.0 and -0.0 tie."""
+    _, false_alarms, detected = counts
+    keep = detected == detected.max()
+    keep &= false_alarms == false_alarms[keep].min()
+    for axis, values in ((2, grid.beta_candidates),
+                         (1, grid.alpha_candidates),
+                         (0, grid.ret_candidates)):
+        values = np.array(values)
+        present = keep.any(axis=tuple({0, 1, 2} - {axis}))
+        top = values == values[present].max()
+        keep &= top.reshape([-1 if a == axis else 1 for a in range(3)])
+    i, j, k = np.unravel_index(np.argmax(keep), keep.shape)
+    events, false_alarms, detected = counts[:, i, j, k].tolist()
+    config = DetectorConfig(ret=grid.ret_candidates[i],
+                            beta=grid.beta_candidates[k], mat=grid.mat,
+                            alpha=grid.alpha_candidates[j])
+    return config, EvalReport(
+        detection_rate_pct=_detection_rate(detected, intervals_total),
+        false_alarms=false_alarms, events_total=events,
+        intervals_total=intervals_total, detected_intervals=detected)
 
 
 def calibrate(pairs, attack_intervals, grid: CalibrationGrid):
     """Exhaustive sweep over the grid; returns the winning configuration,
-    its evaluation, and every sweep row.
+    its evaluation, and the counts of every cell.
 
-    Selection maximizes detection rate, breaking ties by fewer false
-    alarms, then the largest beta, alpha and ret (most conservative among
-    equals).  Fully deterministic.
+    The counts are one int64 array of shape ``(3, n_ret, n_alpha,
+    n_beta)``: events, false alarms and detected intervals, in grid
+    order.  Selection maximizes detection rate, breaking ties by fewer
+    false alarms, then the largest beta, alpha and ret (most conservative
+    among equals), then the first cell in grid order.  Fully
+    deterministic.
     """
     intervals = _check_intervals(attack_intervals)
     if not intervals:
         raise DataError("validation stream has no labeled attack intervals")
-    trace = replay_trace(pairs, grid.mat)
     betas = np.array(grid.beta_candidates)
-    counts = _CellCounts(trace, intervals, betas)
-    if counts.normal_steps < grid.mat:
+    cells = _CellCounts(replay_trace(pairs, grid.mat), intervals, betas)
+    if cells.normal_steps < grid.mat:
         raise DataError(
             f"validation stream needs at least {grid.mat} normal steps")
 
-    kappa = _danger_levels(grid.alpha_candidates, grid.mat)
+    # The table indices of the alphas and the betas.
+    kappa = _danger_levels(grid.alpha_candidates, grid.mat)[:, None]
     r = np.searchsorted(betas, betas, side="right")
-    rows: list[SweepRow] = []
-    for ret in grid.ret_candidates:
-        rows += _sweep_rows(counts, ret, grid.alpha_candidates,
-                            grid.beta_candidates, kappa, r, len(intervals))
-
-    best = max(rows, key=lambda row: (row.detection_rate_pct,
-                                      -row.false_alarms, row.beta, row.alpha,
-                                      row.ret))
-    config = DetectorConfig(ret=best.ret, beta=best.beta, mat=grid.mat,
-                            alpha=best.alpha)
-    report = EvalReport(
-        detection_rate_pct=best.detection_rate_pct,
-        false_alarms=best.false_alarms, events_total=best.events_total,
-        intervals_total=best.intervals_total,
-        detected_intervals=best.detected_intervals)
-    return config, report, rows
-
-
-def sweep_beta(config_base: DetectorConfig, pairs, attack_intervals,
-               beta_list) -> list[SweepRow]:
-    """One evaluation row per beta, all other thresholds fixed; rows come
-    back in the order the betas were given."""
-    betas = [float(b) for b in beta_list]
-    if not betas:
-        raise ValueError("beta_list must be non-empty")
-    intervals = _check_intervals(attack_intervals)
-    trace = replay_trace(pairs, config_base.mat)
-    ordered = np.sort(betas)
-    counts = _CellCounts(trace, intervals, ordered)
-    return _sweep_rows(counts, config_base.ret, [config_base.alpha], betas,
-                       _danger_levels([config_base.alpha], config_base.mat),
-                       np.searchsorted(ordered, betas, side="right"),
-                       len(intervals))
+    counts = np.empty((3, len(grid.ret_candidates), len(kappa), len(r)),
+                      dtype=np.int64)
+    for i, ret in enumerate(grid.ret_candidates):
+        counts[:, i] = np.stack(cells.tables(ret))[:, kappa, r]
+    config, report = _select(counts, grid, len(intervals))
+    return config, report, counts
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:
@@ -491,23 +471,20 @@ def prediction_pairs(params: LstmParams, scaler: Scaler,
 SWEEP_HEADER = "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"
 
 
-def write_sweep(path, rows) -> None:
-    # ret, alpha, beta and the rate repeat across a grid's rows, so each
-    # distinct value is formatted once.  Zeros are not kept: 0.0 and -0.0
-    # are one dict key but print differently.
-    formatted: dict[float, str] = {}
+def write_sweep(path, rets, alphas, betas, counts: np.ndarray,
+                intervals_total: int) -> None:
+    """One line per cell of ``counts`` (as ``calibrate`` returns them),
+    ret-major, then alpha, then beta, labeled with the given values.
 
-    def text(value: float) -> str:
-        out = formatted.get(value)
-        if out is None:
-            out = f"{value:.17g}"
-            if value:
-                formatted[value] = out
-        return out
-
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(f"{text(r.ret)},{text(r.alpha)},{text(r.beta)},"
-                     f"{text(r.detection_rate_pct)},{r.false_alarms},"
-                     f"{r.events_total}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Each value and each possible detection rate is formatted once."""
+    rates = [f"{_detection_rate(d, intervals_total):.17g}"
+             for d in range(intervals_total + 1)]
+    alphas = [f"{alpha:.17g}" for alpha in alphas]
+    betas = [f"{beta:.17g}" for beta in betas]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(SWEEP_HEADER + "\n")
+        for ret, *cells in zip(rets, *counts.tolist()):
+            ret = f"{ret:.17g}"
+            for alpha, *row in zip(alphas, *cells):
+                fh.writelines(f"{ret},{alpha},{beta},{rates[d]},{f},{e}\n"
+                              for beta, e, f, d in zip(betas, *row))

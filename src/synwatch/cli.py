@@ -24,11 +24,11 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .calibration import (CalibrationGrid, _prediction_table, default_grid,
-                          evaluate_events, replay_trace, sweep_beta,
-                          write_sweep)
+                          evaluate_events, replay_trace, write_sweep)
 from .calibration import calibrate as run_calibration
 from .detector import DetectorConfig, segment_alarms, write_alarms, \
     write_verdicts
@@ -383,13 +383,24 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    config, report, rows = run_calibration(pairs, data.attack_intervals, grid)
-    if betas is not None:
-        rows = sweep_beta(config, pairs, data.attack_intervals, betas)
+    config, report, counts = run_calibration(
+        pairs, data.attack_intervals, grid)
+    rets, alphas = grid.ret_candidates, grid.alpha_candidates
+    if betas is None:
+        betas = grid.beta_candidates
+    else:
+        # The selected (ret, alpha) at the listed betas, in their order;
+        # equal betas share a column.
+        i, j = rets.index(config.ret), alphas.index(config.alpha)
+        columns = np.searchsorted(grid.beta_candidates, betas,
+                                  side="right") - 1
+        counts = counts[:, i:i + 1, j:j + 1, columns]
+        rets, alphas = (config.ret,), (config.alpha,)
 
     Path(output).write_text(config.to_text() + "\n", encoding="utf-8")
     sweep_path = f"{output}.sweep.csv"
-    write_sweep(sweep_path, rows)
+    write_sweep(sweep_path, rets, alphas, betas, counts,
+                report.intervals_total)
     _write_manifest(output, "calibrate",
                     inputs={"model": str(model_path),
                             "scaler": str(scaler_path),

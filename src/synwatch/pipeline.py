@@ -215,9 +215,13 @@ def _parse_timestamp(text: str) -> datetime:
 
     Fractions finer than microseconds are truncated; timezone names or
     offsets are dropped after normalizing to UTC when an offset is known.
-    A text whose offset takes it outside the datetime range is rejected.
+    A text whose offset takes it outside the datetime range is rejected,
+    and so is one holding a NUL, which ``datetime.fromisoformat`` takes as
+    the date-time separator or skips after the seconds.
     """
     text = text.strip()
+    if "\x00" in text:
+        raise ValueError(f"unrecognized timestamp: {text!r}")
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:

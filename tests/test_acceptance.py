@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from synwatch.calibration import (calibrate, default_grid, evaluate,
-                                  prediction_pairs, sweep_beta)
+from synwatch.calibration import (CalibrationGrid, calibrate, default_grid,
+                                  evaluate, prediction_pairs)
 from synwatch.cli import main as cli_main
 from synwatch.detector import Detector, DetectorConfig
 from synwatch.lstm import TrainConfig, bptt_gradients, init_params, train
@@ -137,11 +137,12 @@ def test_criterion_3_table_tradeoff_structure():
             attack_multiplier=3.8, rng_seed=44))
         params, scaler, _ = train_on(train_data.series.values)
         pairs = prediction_pairs(params, scaler, val_data.series)
-        base = DetectorConfig(ret=0.3, beta=0.5, mat=12, alpha=0.66)
-        rows = sweep_beta(base, pairs, val_data.attack_intervals,
-                          [0.69, 0.66, 0.62, 0.52])
-        rates = [r.detection_rate_pct for r in rows]
-        falses = [r.false_alarms for r in rows]
+        # the table's rows run from the largest beta down
+        _, report, counts = calibrate(
+            pairs, val_data.attack_intervals,
+            CalibrationGrid((0.3,), (0.66,), (0.52, 0.62, 0.66, 0.69)))
+        _, falses, detected = counts[:, 0, 0, ::-1].tolist()
+        rates = [100.0 * d / report.intervals_total for d in detected]
         assert all(a <= b for a, b in zip(rates, rates[1:])), rates
         assert all(a <= b for a, b in zip(falses, falses[1:])), falses
         assert rates[-1] == 100.0, rates
@@ -166,10 +167,13 @@ def test_criterion_4_end_to_end_detection(clean_run):
         assert report.false_alarms == 0, report
 
         beta_floor = min(clean_run["grid"].beta_candidates)
-        row, = sweep_beta(config, pairs, test_data.attack_intervals,
-                          [beta_floor])
-        assert row.detection_rate_pct == 100.0, row
-        assert row.false_alarms >= report.false_alarms, row
+        _, _, counts = calibrate(pairs, test_data.attack_intervals,
+                                 CalibrationGrid((config.ret,),
+                                                 (config.alpha,),
+                                                 (beta_floor,), config.mat))
+        _, false_alarms, detected = counts.ravel().tolist()
+        assert detected == len(test_data.attack_intervals), counts
+        assert false_alarms >= report.false_alarms, counts
 
         elapsed = clean_run["elapsed_through_calibration"] \
             + (time.perf_counter() - started)

@@ -1,6 +1,8 @@
 """Evaluation metrics, grid sweep, replay/streaming equivalence."""
 
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,10 +15,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import synwatch
-from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, SweepRow,
-                                  _quantile, calibrate, default_grid,
+from synwatch.calibration import (DEFAULT_ALPHAS, CalibrationGrid, EvalReport,
+                                  _quantile, _select, calibrate, default_grid,
                                   evaluate, evaluate_events, replay_trace,
-                                  sweep_beta, write_sweep)
+                                  write_sweep)
 from synwatch.detector import AlarmEvent, Detector, DetectorConfig
 from synwatch.errors import DataError
 
@@ -163,20 +165,20 @@ class TestReplayStreamingEquivalence:
 class TestCalibrate:
     def test_finds_perfect_config_on_separable_stream(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        config, report, rows = calibrate(pairs, intervals,
-                                         default_grid(pairs))
+        config, report, counts = calibrate(pairs, intervals,
+                                           default_grid(pairs))
         assert report.detection_rate_pct == 100.0
         assert report.false_alarms == 0
-        assert len(rows) == 20 * 12 * 20
+        assert counts.shape == (3, 20, 12, 20)
+        assert counts.dtype == np.int64
 
     def test_single_candidate_grid_returned_verbatim(self, rng):
         pairs, intervals = synthetic_pairs(rng)
         grid = CalibrationGrid(ret_candidates=(0.4,), alpha_candidates=(0.66,),
                                beta_candidates=(0.3,), mat=12)
-        config, report, rows = calibrate(pairs, intervals, grid)
+        config, report, counts = calibrate(pairs, intervals, grid)
         assert (config.ret, config.alpha, config.beta) == (0.4, 0.66, 0.3)
-        assert len(rows) == 1
-        assert rows[0].detection_rate_pct == report.detection_rate_pct
+        assert cell_reports(counts, report.intervals_total) == [report]
 
     def test_deterministic(self, rng):
         pairs, intervals = synthetic_pairs(rng)
@@ -185,17 +187,21 @@ class TestCalibrate:
         out2 = calibrate(pairs, intervals, grid)
         assert out1[0] == out2[0]
         assert out1[1] == out2[1]
-        assert out1[2] == out2[2]
+        assert np.array_equal(out1[2], out2[2])
 
-    def test_rows_in_ascending_ret_alpha_beta_order(self, rng):
+    def test_counts_in_grid_order(self, rng):
         pairs, intervals = synthetic_pairs(rng)
         grid = CalibrationGrid(ret_candidates=(0.2, 0.5),
                                alpha_candidates=(0.4, 0.8),
                                beta_candidates=(0.1, 0.9), mat=12)
-        _, _, rows = calibrate(pairs, intervals, grid)
-        keys = [(r.ret, r.alpha, r.beta) for r in rows]
-        assert keys == sorted(keys)
-        assert len(keys) == 8
+        _, _, counts = calibrate(pairs, intervals, grid)
+        assert counts.shape == (3, 2, 2, 2)
+        for (i, ret), (j, alpha), (k, beta) in itertools.product(
+                *map(enumerate, (grid.ret_candidates, grid.alpha_candidates,
+                                 grid.beta_candidates))):
+            _, _, cell = calibrate(pairs, intervals, CalibrationGrid(
+                (ret,), (alpha,), (beta,), mat=12))
+            assert np.array_equal(cell[:, 0, 0, 0], counts[:, i, j, k])
 
     def test_label_free_validation_rejected(self, rng):
         pairs, _ = synthetic_pairs(rng)
@@ -215,8 +221,8 @@ class TestCalibrate:
         grid = CalibrationGrid((0.4,), (0.5,), (0.3,), mat=11)
         with pytest.raises(DataError, match="normal steps"):
             calibrate(pairs, [(0, 8), (10, 10)], grid)
-        _, _, rows = calibrate(pairs, [(0, 7), (10, 10)], grid)
-        assert len(rows) == 1
+        _, _, counts = calibrate(pairs, [(0, 7), (10, 10)], grid)
+        assert counts.shape == (3, 1, 1, 1)
 
     def test_tie_break_prefers_conservative_thresholds(self, rng):
         # every cell scores identically on an all-quiet stream
@@ -224,7 +230,7 @@ class TestCalibrate:
         grid = CalibrationGrid(ret_candidates=(0.1, 0.2),
                                alpha_candidates=(0.5, 0.7),
                                beta_candidates=(0.3, 0.9), mat=12)
-        config, report, rows = calibrate(pairs, [(40, 45)], grid)
+        config, _, _ = calibrate(pairs, [(40, 45)], grid)
         assert (config.ret, config.alpha, config.beta) == (0.2, 0.7, 0.9)
 
     def test_empty_grid_rejected(self):
@@ -245,37 +251,37 @@ class TestCalibrate:
             CalibrationGrid((0.4,), (0.5,), (0.3, bad))
 
 
-class TestSweepBeta:
-    def test_one_row_per_beta_in_given_order(self, rng):
+def cell_reports(counts, intervals_total):
+    """One report per cell of a ``calibrate`` count array, in grid
+    order."""
+    events, false_alarms, detected = counts.reshape(3, -1).tolist()
+    return [EvalReport(
+        detection_rate_pct=(100.0 * d / intervals_total if intervals_total
+                            else 100.0),
+        false_alarms=f, events_total=e, intervals_total=intervals_total,
+        detected_intervals=d) for e, f, d in zip(events, false_alarms,
+                                                 detected)]
+
+
+def beta_sweep(config, pairs, intervals, betas):
+    """What ``calibrate --beta-list`` writes, as reports: ``calibrate`` on
+    the config's one ret and alpha over the sorted betas, then one column
+    per beta in the given order, repeats included."""
+    ordered = sorted(betas)
+    _, report, counts = calibrate(pairs, intervals, CalibrationGrid(
+        (config.ret,), (config.alpha,), ordered, config.mat))
+    columns = np.searchsorted(ordered, betas, side="right") - 1
+    return cell_reports(counts[..., columns], report.intervals_total)
+
+
+class TestBetaSweep:
+    def test_columns_in_given_order_match_direct_evaluate(self, rng):
         pairs, intervals = synthetic_pairs(rng)
         base = DetectorConfig(ret=0.4, beta=0.5, mat=12, alpha=0.66)
-        betas = [0.69, 0.66, 0.62, 0.52]
-        rows = sweep_beta(base, pairs, intervals, betas)
-        assert [r.beta for r in rows] == betas
-        assert all(r.ret == 0.4 and r.alpha == 0.66 for r in rows)
-
-    def test_single_beta_matches_direct_evaluate(self, rng):
-        pairs, intervals = synthetic_pairs(rng)
-        config = DetectorConfig(ret=0.4, beta=0.55, mat=12, alpha=0.66)
-        row, = sweep_beta(config, pairs, intervals, [0.55])
-        detector = Detector(config)
-        verdicts = [detector.step(*p) for p in pairs]
-        direct = evaluate(verdicts, intervals)
-        assert row.detection_rate_pct == direct.detection_rate_pct
-        assert row.false_alarms == direct.false_alarms
-        assert row.events_total == direct.events_total
-
-    def test_duplicate_betas_give_identical_rows(self, rng):
-        pairs, intervals = synthetic_pairs(rng)
-        base = DetectorConfig(ret=0.4, beta=0.5, mat=12, alpha=0.66)
-        r1, r2 = sweep_beta(base, pairs, intervals, [0.6, 0.6])
-        assert r1 == r2
-
-    def test_empty_beta_list_rejected(self, rng):
-        pairs, intervals = synthetic_pairs(rng)
-        base = DetectorConfig(ret=0.4, beta=0.5, mat=12, alpha=0.66)
-        with pytest.raises(ValueError):
-            sweep_beta(base, pairs, intervals, [])
+        betas = [0.69, 0.66, 0.62, 0.52, 0.66]
+        assert beta_sweep(base, pairs, intervals, betas) == [
+            streaming_row(pairs, intervals, 0.4, 0.66, beta, 12)
+            for beta in betas]
 
     def test_detection_rate_monotone_as_beta_decreases(self, rng):
         # structural: lowering beta only grows the alarmed-step set
@@ -285,8 +291,8 @@ class TestSweepBeta:
             base = DetectorConfig(ret=float(rng.uniform(0.2, 0.8)), beta=0.5,
                                   mat=10, alpha=0.4)
             betas = sorted(rng.uniform(0, 1.5, size=6), reverse=True)
-            rows = sweep_beta(base, pairs, [(60, 90), (170, 200)], betas)
-            rates = [r.detection_rate_pct for r in rows]
+            reports = beta_sweep(base, pairs, [(60, 90), (170, 200)], betas)
+            rates = [r.detection_rate_pct for r in reports]
             assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
@@ -348,14 +354,6 @@ def streaming_row(pairs, intervals, ret, alpha, beta, mat):
     return evaluate([detector.step(*p) for p in pairs], intervals)
 
 
-def assert_row_matches(row, report):
-    assert row.detection_rate_pct == report.detection_rate_pct
-    assert row.false_alarms == report.false_alarms
-    assert row.events_total == report.events_total
-    assert row.detected_intervals == report.detected_intervals
-    assert row.intervals_total == report.intervals_total
-
-
 def _errors_at(steps, erroneous):
     """Rows at ``steps`` with relative error 0.5 at the steps in
     ``erroneous`` and 0 elsewhere."""
@@ -392,14 +390,16 @@ def with_counting_cases(test):
 class TestSweepMatchesStreamingReference:
     @given(case=sweep_cases())
     @with_counting_cases
-    def test_sweep_beta_rows(self, case):
+    def test_beta_sweep_columns(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
         base = DetectorConfig(ret=rets[0], beta=0.0, mat=mat, alpha=alphas[0])
-        rows = sweep_beta(base, pairs, intervals, betas)
-        assert [r.beta for r in rows] == betas
-        for row in rows:
-            assert_row_matches(row, streaming_row(
-                pairs, intervals, row.ret, row.alpha, row.beta, mat))
+        try:
+            reports = beta_sweep(base, pairs, intervals, betas)
+        except DataError:
+            return    # test_calibrate_counts checks when calibrate refuses
+        assert reports == [streaming_row(pairs, intervals, rets[0],
+                                         alphas[0], beta, mat)
+                           for beta in betas]
 
     @given(case=sweep_cases())
     @with_counting_cases
@@ -408,7 +408,7 @@ class TestSweepMatchesStreamingReference:
     @example(case=([(s, 4.0, p) for s, p in enumerate(
         [4.0, 2.0, 2.0, 4.0, 3.0, 2.0, 4.0, 4.0, 4.0, 3.0, 3.0, 2.0, 3.0,
          3.0])], [(7, 8)], [0.1, 0.3], [0.0, 0.5], [0.0], 3))
-    def test_calibrate_rows(self, case):
+    def test_calibrate_counts(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
         grid = CalibrationGrid(rets, alphas, sorted(betas), mat=mat)
         normal = sum(not any(a <= s <= b for a, b in intervals)
@@ -417,16 +417,75 @@ class TestSweepMatchesStreamingReference:
             with pytest.raises(DataError):
                 calibrate(pairs, intervals, grid)
             return
-        config, report, rows = calibrate(pairs, intervals, grid)
-        keys = [(r.ret, r.alpha, r.beta) for r in rows]
-        assert keys == [(r, a, b) for r in grid.ret_candidates
-                        for a in grid.alpha_candidates
-                        for b in grid.beta_candidates]
-        for row in rows:
-            assert_row_matches(row, streaming_row(
-                pairs, intervals, row.ret, row.alpha, row.beta, mat))
+        config, report, counts = calibrate(pairs, intervals, grid)
+        assert counts.shape == (3, len(rets), len(alphas), len(betas))
+        assert cell_reports(counts, len(intervals)) == [
+            streaming_row(pairs, intervals, r, a, b, mat)
+            for r, a, b in itertools.product(grid.ret_candidates,
+                                             grid.alpha_candidates,
+                                             grid.beta_candidates)]
         assert report == streaming_row(pairs, intervals, config.ret,
                                        config.alpha, config.beta, mat)
+
+
+@st.composite
+def selection_cases(draw):
+    """A small grid and a random count array for it, with many ties:
+    candidate values repeat, 0.0 and -0.0 may both be alphas or betas, in
+    either order, and each cell takes one of at most three count
+    triples."""
+    def candidates(values):
+        return sorted(draw(st.lists(st.sampled_from(values), min_size=1,
+                                    max_size=3)))
+    grid = CalibrationGrid(candidates([0.1, 0.2, 0.5]),
+                           candidates([0.0, -0.0, 0.5, 1.0]),
+                           candidates([0.0, -0.0, 0.3, 2.0]))
+    intervals_total = draw(st.integers(1, 3))
+    shape = (len(grid.ret_candidates), len(grid.alpha_candidates),
+             len(grid.beta_candidates))
+    palette = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                                      st.integers(0, intervals_total)),
+                            min_size=1, max_size=3))
+    cells = draw(st.lists(st.sampled_from(palette),
+                          min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    counts = np.array(cells, dtype=np.int64).T.reshape(3, *shape)
+    return grid, counts, intervals_total
+
+
+def max_rule(grid, counts, intervals_total):
+    """The selection as a ``max`` over one row per cell in grid order:
+    ``max`` keeps the first of equal rows."""
+    rows = zip(itertools.product(grid.ret_candidates, grid.alpha_candidates,
+                                 grid.beta_candidates),
+               cell_reports(counts, intervals_total))
+    (ret, alpha, beta), report = max(rows, key=lambda row: (
+        row[1].detection_rate_pct, -row[1].false_alarms, row[0][2],
+        row[0][1], row[0][0]))
+    return (ret, alpha, beta), report
+
+
+@given(case=selection_cases())
+# Every cell ties, and -0.0 comes before 0.0 among the betas.
+@example(case=(CalibrationGrid((0.1, 0.1), (0.5,), (-0.0, 0.0)),
+               np.ones((3, 2, 1, 2), dtype=np.int64), 1))
+# Of the three cells that tie, the largest beta wins over the largest
+# alpha.
+@example(case=(CalibrationGrid((0.1,), (0.5, 1.0), (0.3, 2.0)),
+               np.array([[[[1, 1], [1, 1]]], [[[0, 0], [0, 0]]],
+                         [[[1, 1], [1, 0]]]]), 1))
+def test_selection_matches_max_rule(case):
+    grid, counts, intervals_total = case
+    config, report = _select(counts, grid, intervals_total)
+    cell, expected = max_rule(grid, counts, intervals_total)
+    assert [v.hex() for v in (config.ret, config.alpha, config.beta)] == \
+        [v.hex() for v in cell]
+    assert config.mat == grid.mat
+    assert report == expected
+    assert type(report.detection_rate_pct) is float
+    assert all(type(v) is int for v in (
+        report.false_alarms, report.events_total, report.intervals_total,
+        report.detected_intervals))
 
 
 class TestDefaultGrid:
@@ -501,27 +560,35 @@ class TestQuantile:
                 np.float64(expected).tobytes()
 
 
+def sweep_line(ret, alpha, beta, report):
+    return (f"{ret:.17g},{alpha:.17g},{beta:.17g},"
+            f"{report.detection_rate_pct:.17g},{report.false_alarms},"
+            f"{report.events_total}")
+
+
 def test_write_sweep_format(tmp_path, rng):
     pairs, intervals = synthetic_pairs(rng)
-    base = DetectorConfig(ret=0.4, beta=0.5, mat=12, alpha=0.66)
-    rows = sweep_beta(base, pairs, intervals, [0.69, 0.52])
+    grid = default_grid(pairs)
+    _, report, counts = calibrate(pairs, intervals, grid)
     path = tmp_path / "sweep.csv"
-    write_sweep(path, rows)
+    write_sweep(path, grid.ret_candidates, grid.alpha_candidates,
+                grid.beta_candidates, counts, report.intervals_total)
     lines = path.read_text().splitlines()
     assert lines[0] == "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"
-    assert len(lines) == 3
-    assert lines[1].startswith("0.4")
-    # A grid's rows repeat their values; each still prints in full, and
-    # 0.0 and -0.0 keep their signs.
-    _, _, rows = calibrate(pairs, intervals, default_grid(pairs))
-    rows += [SweepRow(1.0, -0.0, 0.0, 0.0, 1, 1, 0, 2),
-             SweepRow(1.0, 0.0, -0.0, 0.0, 1, 1, 0, 2)]
-    write_sweep(path, rows)
+    assert lines[1:] == [
+        sweep_line(*cell, cell_report) for cell, cell_report in zip(
+            itertools.product(grid.ret_candidates, grid.alpha_candidates,
+                              grid.beta_candidates),
+            cell_reports(counts, report.intervals_total))]
+    # A repeated value prints in full each time, and 0.0 and -0.0 keep
+    # their signs.
+    counts = np.arange(3 * 2 * 2 * 3).reshape(3, 2, 2, 3) % 3
+    write_sweep(path, (1.0, 1.0), (-0.0, 0.0), (0.0, -0.0, 0.0), counts, 2)
     lines = path.read_text().splitlines()[1:]
-    assert lines == [f"{r.ret:.17g},{r.alpha:.17g},{r.beta:.17g},"
-                     f"{r.detection_rate_pct:.17g},{r.false_alarms},"
-                     f"{r.events_total}" for r in rows]
-    assert lines[-2:] == ["1,-0,0,0,1,1", "1,0,-0,0,1,1"]
+    assert len(lines) == 12
+    assert lines[:3] == ["1,-0,0,0,0,0", "1,-0,-0,50,1,1", "1,-0,0,100,2,2"]
+    assert lines[3:6] == ["1,0,0,0,0,0", "1,0,-0,50,1,1", "1,0,0,100,2,2"]
+    assert lines[6:] == lines[:6]
 
 
 def pinned_stream():
@@ -550,14 +617,23 @@ def test_sweep_files_are_pinned(tmp_path):
     grid = CalibrationGrid((0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
                            DEFAULT_ALPHAS,
                            (0.0, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2))
-    config, report, rows = calibrate(pairs, intervals, grid)
+    config, report, counts = calibrate(pairs, intervals, grid)
     assert config.to_text() == ("ret=0.01 mat=12 alpha=0.71999999999999997 "
                                 "beta=0.050000000000000003")
     assert (report.detected_intervals, report.false_alarms,
             report.events_total) == (8, 3, 11)
-    write_sweep(tmp_path / "grid.csv", rows)
-    write_sweep(tmp_path / "betas.csv", sweep_beta(
-        config, pairs, intervals, [0.05, 0.0, 0.12, 0.05, 0.3]))
+    write_sweep(tmp_path / "grid.csv", grid.ret_candidates,
+                grid.alpha_candidates, grid.beta_candidates, counts,
+                report.intervals_total)
+    # A beta sweep at the selected cell, as calibrate --beta-list writes
+    # it; 0.3 lies outside the grid.
+    betas = [0.05, 0.0, 0.12, 0.05, 0.3]
+    ordered = sorted(betas)
+    _, report, counts = calibrate(pairs, intervals, CalibrationGrid(
+        (config.ret,), (config.alpha,), ordered))
+    columns = np.searchsorted(ordered, betas, side="right") - 1
+    write_sweep(tmp_path / "betas.csv", (config.ret,), (config.alpha,),
+                betas, counts[..., columns], report.intervals_total)
     assert hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest() \
         == "c01fde70dd79db166e48990b423b0f0689ef3bc2a6f5eb7301fd0de7e53dd4d9"
     assert hashlib.sha256((tmp_path / "betas.csv").read_bytes()).hexdigest() \

@@ -21,7 +21,7 @@ import synwatch
 from synwatch.cli import main
 from synwatch.detector import DetectorConfig, read_alarms, read_verdicts, \
     segment_alarms
-from synwatch.lstm import load_model, save_model
+from synwatch.lstm import LstmParams, load_model, save_model
 from synwatch.pipeline import (_parse_timestamp, aggregate_counts,
                                load_series, load_tshark_csv)
 
@@ -287,6 +287,8 @@ class TestIngest:
         (["--start", "garbage"],
          "--start: unrecognized timestamp: 'garbage'"),
         (["--end", "1999-13-01T00:00:00"], "--end: unrecognized timestamp"),
+        (["--start", "1999-03-11T08:00:01\x00"],
+         "--start: unrecognized timestamp"),
         (["--start", "0001-01-01T00:00:00+01:00"], "--start: timestamp out"),
         (["--start", "1999-03-11T08:00:10", "--end", "1999-03-11T08:00:10"],
          "--start must precede --end"),
@@ -890,6 +892,100 @@ def test_detect_reproduces_calibrate_metrics(runner, workspace, tmp_path):
     assert "detection_rate_pct=100 " in metrics[0][0]
 
 
+@pytest.fixture(scope="module")
+def pinned_calibrate_inputs(tmp_path_factory):
+    """A model that predicts 50 at every step and a 1,500-step labeled
+    series from Python's own generator, so the outputs are the same on
+    every machine: all weights are zero, so each gate is ``sigmoid(0)`` or
+    ``tanh(0)`` and the prediction is the scaler's offset.  Normal counts
+    lie in 90-110 (relative errors 0.44-0.55), attack counts mostly in
+    120-300."""
+    root = tmp_path_factory.mktemp("pinned")
+    model = root / "model.txt"
+    save_model(model, LstmParams(np.zeros((9, 3)), np.zeros(9), np.zeros(3),
+                                 0.0))
+    Path(f"{model}.scaler").write_text("offset=50 scale=10\n")
+    gen = random.Random(18)
+    intervals = [(120, 150), (400, 409), (410, 440), (800, 806),
+                 (1100, 1160), (1400, 1420)]
+    start = datetime(2024, 1, 1)
+    lines = ["step,timestamp,count,label"]
+    for i in range(1500):
+        attack = any(s <= i <= e for s, e in intervals)
+        count = 90 + int(gen.random() * 21)
+        if attack and gen.random() < 0.7:
+            count = 120 + int(gen.random() * 180)
+        lines.append(f"{i},{(start + timedelta(seconds=i)).isoformat()},"
+                     f"{count},{'attack' if attack else 'normal'}")
+    val = root / "val.csv"
+    val.write_text("\n".join(lines) + "\n")
+    return str(model), str(val)
+
+
+@pytest.mark.parametrize("flags, digests", [
+    ([], (
+        "8860fd9f84859981a104b3e0d1e3a17d9960894bae21edb1c6947df8f55ca09e",
+        "a8f66f904b5a054bf70491751e0e3ecc2efbb55c09798f368a9fc2a7a66df08e",
+        "5984f9cc2b7aaee1ef52885bd7e4d4f49c58210688cf247991704f64bced8372")),
+    (["--ret", "0.6", "--alpha", "0.66", "--beta", "0.52"], (
+        "03f95b19dfb74d3e54cd8d5746f96a5e096c78c6077c443602a8fde3634d1356",
+        "d11c13cc72ad662a747f030a39535d4f6cf7aaee41df9f31212bbfea99a43713",
+        "09a7e9bbae31bad4199eabe345932cc2af6c9498b4743534da8b9f93aeedee34")),
+    (["--beta-list", "0.69,0.52,0.66,0.52"], (
+        "d825e3f0aeab13d5d2b028f9c7d4c3ebb814fd844a3596a8be6d9694b6fe4412",
+        "c2958521d229843111b009e74515f961198c26393473b7c53a47efdc01719780",
+        "fd9c514ea0a5c623e737d9dc4dab817a3a51615acaccc8e442ab5e6a34762360")),
+    # -0 and 0 tie on every key, and -0 comes first in the sorted grid
+    (["--beta-list", "0.6,-0,0.7,0"], (
+        "605fe70d9ef78d5a08feda046f8a37b49712998a1f7bee52d130cef41bb6e593",
+        "21c1a0a9aa5717dabae87ac7ab27d556549384ee5d79207c2d7b5049acbfc08d",
+        "cbe97b690bd74fee7154079753bd054d56e4c0037157b5e1c6c61297ce0fd85c")),
+])
+def test_calibrate_outputs_pinned(runner, pinned_calibrate_inputs, tmp_path,
+                                  flags, digests):
+    # detector.cfg, the sweep file and stdout, byte for byte, on the
+    # default grid, a pinned cell, an unsorted beta list with a repeat and
+    # a beta list holding both zeros
+    model, val = pinned_calibrate_inputs
+    config = tmp_path / "detector.cfg"
+    result = runner.invoke(main, ["calibrate", model, val, *flags,
+                                  "-o", str(config)])
+    assert result.exit_code == 0, result.output
+
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+    assert (digest(config.read_bytes()),
+            digest(Path(f"{config}.sweep.csv").read_bytes()),
+            digest(result.stdout_bytes)) == digests
+
+
+def test_cli_import_and_calibrate_leave_bulk_and_numpy_ma_unloaded(
+        pinned_calibrate_inputs, tmp_path):
+    # an eager import would cost every command its load time and memory:
+    # synwatch._bulk serves only ingest, and numpy.ma costs more than the
+    # whole calibration grid
+    code = (
+        "import sys\n"
+        "import synwatch.cli\n"
+        "guarded = {'synwatch._bulk', 'numpy.ma'}\n"
+        "print(sorted(guarded & set(sys.modules)))\n"
+        "synwatch.cli.main(sys.argv[1:], standalone_mode=False)\n"
+        "print(sorted(guarded & set(sys.modules)))\n")
+    src = str(Path(synwatch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, "calibrate", *pinned_calibrate_inputs,
+         "-o", str(tmp_path / "detector.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("selected ")
+    assert lines[-1] == "[]"
+
+
 def command_args(workspace, tmp_path, command):
     """The arguments of ``command`` but for ``-o``, on the workspace's
     files."""
@@ -1102,11 +1198,11 @@ def test_public_names_pinned():
         "AlarmEvent", "CalibrationGrid", "DataError", "Detector",
         "DetectorConfig", "DivergenceError", "EvalReport",
         "LabeledTimeSeries", "LstmParams", "Scaler", "StepVerdict",
-        "SweepRow", "SynthConfig", "TimeSeries", "TrainConfig", "TrainReport",
+        "SynthConfig", "TimeSeries", "TrainConfig", "TrainReport",
         "WindowSet", "aggregate_counts", "bptt_gradients", "build_windows",
         "calibrate", "calibration", "default_grid", "detector", "errors",
         "evaluate", "fit_scaler", "generate_synthetic", "init_params",
         "kernels", "load_model", "load_series", "load_tshark_csv", "lstm",
         "pipeline", "predict_window", "predict_windows", "prediction_pairs",
         "relative_error", "replay_trace", "save_model", "save_series",
-        "segment_alarms", "split_protocol", "sweep_beta", "train"]
+        "segment_alarms", "split_protocol", "train"]

@@ -511,6 +511,14 @@ class TestBulkMatchesPerRowReader:
                      "1,60,2024-03-05T06:07:08,6,hôte",
                      "٣,60,2024-03-05T06:07:08,6"]), 2,
          [(1, "invalid literal for int() with base 10: '6\\x000'")]),
+        # a NUL as the date-time separator or after the seconds, which
+        # datetime.fromisoformat would take
+        (tshark_csv(["1,60,2024-03-05\x0006:07:08,6",
+                     "2,60,2024-03-05T06:07:08\x00,6",
+                     '3,60,"2024-03-05T06:07:08\x00",6']), 0,
+         [(1, "unrecognized timestamp: '2024-03-05\\x0006:07:08'"),
+          (2, "unrecognized timestamp: '2024-03-05T06:07:08\\x00'"),
+          (3, "unrecognized timestamp: '2024-03-05T06:07:08\\x00'")]),
         # quoted fields holding a comma or a line end
         (tshark_csv(['1,60,"2024-03-05T06:07:08",6,"a,b"',
                      '2,60,2024-03-05T06:07:09,6,"a\nb"',
@@ -537,6 +545,15 @@ class TestBulkMatchesPerRowReader:
         got = loaded_in_blocks(block, text)
         assert got == loaded(load_tshark_csv_per_row, text)
         assert (len(got[0]), got[1]) == (stamps, rejected)
+
+    def test_timestamp_with_a_nul_is_a_bad_timestamp(self):
+        text = tshark_csv(["1,60,2024-03-05\x0006:07:08,6",
+                           "2,60,2024-03-05T06:07:08\x00,6",
+                           "3,60,2024-03-05T06:07:08,6"])
+        for load in (load_tshark_csv, load_tshark_csv_per_row):
+            stamps, _, by_reason = loaded(load, text)
+            assert len(stamps) == 1
+            assert by_reason["bad_timestamp"] == 2
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("bad_row", [1, 2, 3, 7, 8, 9])
@@ -1019,6 +1036,16 @@ class TestSeriesFiles:
         path = tmp_path / "series.csv"
         self.write_rows(path, [(0, 0), (token, 1)])
         with pytest.raises(DataError, match="row 2:"):
+            load_series(path)
+
+    @pytest.mark.parametrize("stamp", ["1999-03-11\x0008:00:01",
+                                       "1999-03-11T08:00:01\x00"])
+    def test_timestamp_with_a_nul_rejected(self, tmp_path, stamp):
+        path = tmp_path / "series.csv"
+        self.write_rows(path, [(0, 0)])
+        path.write_text(path.read_text() + f"1,{stamp},1\n")
+        with pytest.raises(DataError,
+                           match="row 2: unrecognized timestamp"):
             load_series(path)
 
     def test_repeated_first_timestamp_rejected(self, tmp_path):
