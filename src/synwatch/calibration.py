@@ -53,7 +53,7 @@ class CalibrationGrid:
     ret_candidates: tuple[float, ...]
     alpha_candidates: tuple[float, ...]
     beta_candidates: tuple[float, ...]
-    mat: int = 12
+    mat: int = DetectorConfig.mat
 
     def __post_init__(self):
         self.ret_candidates = tuple(float(v) for v in self.ret_candidates)
@@ -428,7 +428,7 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def default_grid(pairs, mat: int = 12) -> CalibrationGrid:
+def default_grid(pairs, mat: int = DetectorConfig.mat) -> CalibrationGrid:
     """Data-driven candidate grid: ret spans the stream's per-step error
     quantiles [0.5, 0.999] (20 log-spaced points), beta spans the observed
     window-mean range (20 points), alpha uses a fixed 12-value ladder."""

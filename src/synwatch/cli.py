@@ -5,11 +5,16 @@ fixed numpy and BLAS build and BLAS thread count; the seed comes from
 ``--seed`` alone.  Wall-clock time is the one exception: the ``seconds``
 column of the ``compare-lags`` table, the one wall-clock output written to
 a file, which the command also prints, and the ``wall_seconds`` that
-``train`` prints.  Each writes a ``<output>.manifest.json`` recording the
-resolved configuration and the files it read, the scaler included, so a
-run can be replayed exactly.  No flag sets the relative error's floor
+``train`` prints.  No flag sets the relative error's floor
 (``detector.EPSILON_FLOOR``), so ``detect`` with the config ``calibrate``
 wrote gives calibrate's metrics on the same stream.
+
+Each command writes a ``<output>.manifest.json`` so that a run can be
+replayed exactly.  It holds every parameter but ``-o``, by name: file
+parameters as ``inputs`` and the others as ``config``.  Where a command
+resolves a value, the manifest holds it: ``ingest``'s rounded
+``step_seconds`` and ISO ``start`` and ``end``, and the ``scaler`` file
+``calibrate`` and ``detect`` read; ``detect`` adds its ``detector`` line.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -34,7 +40,7 @@ from .detector import DetectorConfig, segment_alarms, write_alarms, \
     write_verdicts
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
-from .pipeline import (EPOCH, LabeledTimeSeries, SynthConfig,
+from .pipeline import (EPOCH, LAGS, LabeledTimeSeries, SynthConfig,
                        _parse_timestamp, _step_microseconds, _utf8_errors,
                        aggregate_counts, build_windows, fit_scaler,
                        generate_synthetic, load_scaler, load_series,
@@ -52,8 +58,23 @@ EXIT_DIVERGENCE = 4
 #: which would ask for 31,556,908,819 counts.
 MAX_INGEST_STEPS = 1_000_000
 
-_seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                            help="RNG seed.")
+#: Every file a command reads.
+_INPUT = click.Path(exists=True, dir_okay=False)
+
+
+def _seed_option(config_class):
+    return click.option("--seed", type=int, default=config_class.rng_seed,
+                        show_default=True, help="RNG seed.")
+
+
+def _train_options(fn):
+    """``--hidden``, ``--lr`` and ``--epochs``, in that order."""
+    fn = click.option("--epochs", type=click.IntRange(min=1),
+                      default=TrainConfig.epochs, show_default=True)(fn)
+    fn = click.option("--lr", type=float, default=TrainConfig.learning_rate,
+                      show_default=True)(fn)
+    return click.option("--hidden", type=click.IntRange(min=1),
+                        default=TrainConfig.hidden_dim, show_default=True)(fn)
 
 
 def _check_output_dir(ctx, param, value):
@@ -70,6 +91,16 @@ def _output_option(help=None):
                         required=True, callback=_check_output_dir, help=help)
 
 
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """A ``ValueError`` raised inside, such as a config class's rejection
+    of a flag's value, becomes a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(f"{prefix}{exc}")
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -84,15 +115,19 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _write_manifest(output: str, command: str, inputs: dict,
-                    outputs: dict, config: dict) -> None:
-    payload = {
-        "artifact_version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
+def _write_manifest(outputs: dict, **resolved) -> None:
+    """Write the running command's ``<output>.manifest.json``: its
+    parameters by name, file parameters as ``inputs`` and the others as
+    ``config``, where ``resolved`` replaces or adds values."""
+    ctx = click.get_current_context()
+    files = {param.name for param in ctx.command.params
+             if isinstance(param.type, click.Path)}
+    values = {**ctx.params, **resolved}
+    output = values.pop("output")
+    payload = {"artifact_version": __version__, "command": ctx.info_name,
+               "config": {k: v for k, v in values.items() if k not in files},
+               "inputs": {k: v for k, v in values.items() if k in files},
+               "outputs": outputs}
     Path(f"{output}.manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -106,40 +141,34 @@ def main():
 @main.command()
 @click.option("--length", type=click.IntRange(min=1), required=True,
               help="Number of time steps.")
-@click.option("--attacks", type=click.IntRange(min=0), default=0,
-              show_default=True, help="Number of attack bursts to inject.")
-@click.option("--baseline-mean", type=float, default=100.0, show_default=True)
-@click.option("--baseline-std", type=float, default=10.0, show_default=True)
-@click.option("--attack-min-len", type=click.IntRange(min=1), default=20,
+@click.option("--attacks", type=click.IntRange(min=0),
+              default=SynthConfig.attack_count, show_default=True,
+              help="Number of attack bursts to inject.")
+@click.option("--baseline-mean", type=float,
+              default=SynthConfig.baseline_mean, show_default=True)
+@click.option("--baseline-std", type=float, default=SynthConfig.baseline_std,
               show_default=True)
-@click.option("--attack-max-len", type=click.IntRange(min=1), default=40,
-              show_default=True)
-@click.option("--attack-multiplier", type=float, default=8.0, show_default=True)
-@_seed_option
+@click.option("--attack-min-len", type=click.IntRange(min=1),
+              default=SynthConfig.attack_min_len, show_default=True)
+@click.option("--attack-max-len", type=click.IntRange(min=1),
+              default=SynthConfig.attack_max_len, show_default=True)
+@click.option("--attack-multiplier", type=float,
+              default=SynthConfig.attack_multiplier, show_default=True)
+@_seed_option(SynthConfig)
 @_output_option()
 @_handle_errors
 def synth(length, attacks, baseline_mean, baseline_std, attack_min_len,
           attack_max_len, attack_multiplier, seed, output):
     """Generate a labeled synthetic traffic series."""
-    try:
+    with _usage_errors():
         config = SynthConfig(
             length=length, baseline_mean=baseline_mean,
             baseline_std=baseline_std, attack_count=attacks,
             attack_min_len=attack_min_len, attack_max_len=attack_max_len,
             attack_multiplier=attack_multiplier, rng_seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     labeled = generate_synthetic(config)
     save_series(output, labeled, seed=seed)
-    _write_manifest(output, "synth",
-                    inputs={}, outputs={"series": str(output)},
-                    config={"length": length, "attacks": attacks,
-                            "baseline_mean": baseline_mean,
-                            "baseline_std": baseline_std,
-                            "attack_min_len": attack_min_len,
-                            "attack_max_len": attack_max_len,
-                            "attack_multiplier": attack_multiplier,
-                            "seed": seed})
+    _write_manifest({"series": output})
     click.echo(f"wrote {length} steps with {len(labeled.attack_intervals)} "
                f"attack intervals -> {output}")
 
@@ -149,30 +178,26 @@ def _timestamp_flag(flag: str, text):
     that is not a timestamp is a usage error."""
     if text is None:
         return None
-    try:
+    with _usage_errors(f"{flag}: "):
         return _parse_timestamp(text)
-    except ValueError as exc:
-        raise click.UsageError(f"{flag}: {exc}")
 
 
 @main.command()
-@click.argument("packets", type=click.Path(exists=True, dir_okay=False))
+@click.argument("packets", type=_INPUT)
 @click.option("--step-seconds", type=float, default=1.0, show_default=True,
               help="Aggregation step duration.")
-@click.option("--start", "start_text", type=str, default=None,
+@click.option("--start", type=str, default=None,
               help="Range start (default: first record's timestamp).")
-@click.option("--end", "end_text", type=str, default=None,
+@click.option("--end", type=str, default=None,
               help="Range end, exclusive (default: just past the last record).")
 @_output_option()
 @_handle_errors
-def ingest(packets, step_seconds, start_text, end_text, output):
+def ingest(packets, step_seconds, start, end, output):
     """Aggregate a tshark packet CSV into a per-step count series."""
-    try:
+    with _usage_errors("--step-seconds: "):
         step_us = _step_microseconds(step_seconds)
-    except ValueError as exc:
-        raise click.UsageError(f"--step-seconds: {exc}")
-    start = _timestamp_flag("--start", start_text)
-    end = _timestamp_flag("--end", end_text)
+    start = _timestamp_flag("--start", start)
+    end = _timestamp_flag("--end", end)
     if start is not None and end is not None and start >= end:
         raise click.UsageError("--start must precede --end")
 
@@ -210,23 +235,10 @@ def ingest(packets, step_seconds, start_text, end_text, output):
 
     series = aggregate_counts(stamps, step_seconds, start, end)
     save_series(output, series)
-    _write_manifest(output, "ingest",
-                    inputs={"packets": str(packets)},
-                    outputs={"series": str(output)},
-                    config={"step_seconds": series.step_duration,
-                            "start": start.isoformat(),
-                            "end": end.isoformat()})
+    _write_manifest({"series": output}, step_seconds=series.step_duration,
+                    start=start.isoformat(), end=end.isoformat())
     click.echo(f"wrote {len(series)} steps "
                f"({int(series.values.sum())} packets) -> {output}")
-
-
-def _train_config(**fields) -> TrainConfig:
-    """TrainConfig from command flags; an invalid value (such as a
-    non-finite or non-positive --lr) is a usage error."""
-    try:
-        return TrainConfig(**fields)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _load_training_series(path, lag: int):
@@ -246,26 +258,23 @@ def _load_training_series(path, lag: int):
     return data
 
 
-@main.command()
-@click.argument("series_path", metavar="SERIES",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--lag", type=click.IntRange(1, 3), default=3, show_default=True,
+@main.command(name="train")
+@click.argument("series", type=_INPUT)
+@click.option("--lag", type=click.IntRange(min(LAGS), max(LAGS)),
+              default=TrainConfig.lag, show_default=True,
               help="How many previous steps feed one prediction.")
-@click.option("--hidden", type=click.IntRange(min=1), default=23,
-              show_default=True)
-@click.option("--lr", type=float, default=0.01, show_default=True)
-@click.option("--epochs", type=click.IntRange(min=1), default=1500,
-              show_default=True)
-@_seed_option
+@_train_options
+@_seed_option(TrainConfig)
 @_output_option("Model file path; scaler and loss curve land next to it.")
 @_handle_errors
-def train_cmd(series_path, lag, hidden, lr, epochs, seed, output):
+def train_cmd(series, lag, hidden, lr, epochs, seed, output):
     """Train the next-step predictor on a normal-only series."""
-    config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
-                           lag=lag, rng_seed=seed)
-    series = _load_training_series(series_path, lag)
-    scaler = fit_scaler(series)
-    windows = scale_windows(build_windows(series, lag), scaler)
+    with _usage_errors():
+        config = TrainConfig(learning_rate=lr, epochs=epochs,
+                             hidden_dim=hidden, lag=lag, rng_seed=seed)
+    data = _load_training_series(series, lag)
+    scaler = fit_scaler(data)
+    windows = scale_windows(build_windows(data, lag), scaler)
     params, report = train(config, windows)
     save_model(output, params)
     save_scaler(f"{output}.scaler", scaler)
@@ -274,51 +283,34 @@ def train_cmd(series_path, lag, hidden, lr, epochs, seed, output):
     lines += [f"{i + 1},{loss:.17g}"
               for i, loss in enumerate(report.epoch_losses)]
     Path(curve_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(output, "train",
-                    inputs={"series": str(series_path)},
-                    outputs={"model": str(output),
-                             "scaler": f"{output}.scaler",
-                             "curve": curve_path},
-                    config={"lag": lag, "hidden": hidden, "lr": lr,
-                            "epochs": epochs, "seed": seed})
+    _write_manifest({"model": output, "scaler": f"{output}.scaler",
+                     "curve": curve_path})
     click.echo(f"final_loss={report.epoch_losses[-1]:.17g} "
                f"wall_seconds={report.wall_seconds:.3f} -> {output}")
 
 
-main.add_command(train_cmd, name="train")
-
-
 @main.command(name="compare-lags")
-@click.argument("series_path", metavar="SERIES",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--hidden", type=click.IntRange(min=1), default=23,
-              show_default=True)
-@click.option("--lr", type=float, default=0.01, show_default=True)
-@click.option("--epochs", type=click.IntRange(min=1), default=1500,
-              show_default=True)
-@_seed_option
+@click.argument("series", type=_INPUT)
+@_train_options
+@_seed_option(TrainConfig)
 @_output_option()
 @_handle_errors
-def compare_lags(series_path, hidden, lr, epochs, seed, output):
+def compare_lags(series, hidden, lr, epochs, seed, output):
     """Train once per lag width (1, 2, 3) and tabulate loss and runtime."""
-    config = _train_config(learning_rate=lr, epochs=epochs, hidden_dim=hidden,
-                           rng_seed=seed)
-    lags = (1, 2, 3)
-    series = _load_training_series(series_path, max(lags))
-    scaler = fit_scaler(series)
+    with _usage_errors():
+        config = TrainConfig(learning_rate=lr, epochs=epochs,
+                             hidden_dim=hidden, rng_seed=seed)
+    data = _load_training_series(series, max(LAGS))
+    scaler = fit_scaler(data)
     rows = []
-    for lag in lags:
-        windows = scale_windows(build_windows(series, lag), scaler)
+    for lag in LAGS:
+        windows = scale_windows(build_windows(data, lag), scaler)
         _, report = train(replace(config, lag=lag), windows)
         rows.append((lag, report.epoch_losses[-1], report.wall_seconds))
     lines = ["lag,final_loss,seconds"]
     lines += [f"{lag},{loss:.17g},{secs:.6f}" for lag, loss, secs in rows]
     Path(output).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(output, "compare-lags",
-                    inputs={"series": str(series_path)},
-                    outputs={"table": str(output)},
-                    config={"hidden": hidden, "lr": lr, "epochs": epochs,
-                            "seed": seed})
+    _write_manifest({"table": output})
     for lag, loss, secs in rows:
         click.echo(f"lag={lag} final_loss={loss:.17g} seconds={secs:.6f}")
 
@@ -333,12 +325,27 @@ def _parse_beta_list(text: str) -> list[float]:
     return betas
 
 
+_scaler_option = click.option("--scaler", type=_INPUT, default=None,
+                              help="Scaler file (default: MODEL.scaler).")
+
+
+def _echo_metrics(report) -> None:
+    click.echo(f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
+               f"false_alarms={report.false_alarms} "
+               f"events_total={report.events_total}")
+
+
+def _predictor(model, scaler):
+    """The parameters at ``model``, the scaler at ``scaler`` (by default
+    ``<model>.scaler``) and the scaler's path."""
+    scaler = scaler or f"{model}.scaler"
+    return load_model(model), load_scaler(scaler), scaler
+
+
 @main.command(name="calibrate")
-@click.argument("model_path", metavar="MODEL",
-                type=click.Path(exists=True, dir_okay=False))
-@click.argument("validation_path", metavar="VALIDATION",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--mat", type=click.IntRange(min=1), default=12,
+@click.argument("model", type=_INPUT)
+@click.argument("validation", type=_INPUT)
+@click.option("--mat", type=click.IntRange(min=1), default=DetectorConfig.mat,
               show_default=True, help="Error-window capacity in steps.")
 @click.option("--alpha", type=click.FloatRange(0.0, 1.0), default=None,
               help="Pin the anomalous-fraction threshold (else grid search).")
@@ -348,19 +355,16 @@ def _parse_beta_list(text: str) -> list[float]:
               help="Comma-separated betas; sweep table restricts to these.")
 @click.option("--ret", type=float, default=None,
               help="Pin the per-step error threshold (else grid search).")
-@click.option("--scaler", "scaler_path", type=click.Path(exists=True),
-              default=None, help="Scaler file (default: MODEL.scaler).")
+@_scaler_option
 @_output_option("Selected config path; sweep CSV lands next to it.")
 @_handle_errors
-def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
-                  ret, scaler_path, output):
+def calibrate_cmd(model, validation, mat, alpha, beta, beta_list, ret, scaler,
+                  output):
     """Pick detection thresholds from a labeled validation series."""
     if beta is not None and beta_list is not None:
         raise click.UsageError("--beta and --beta-list are mutually exclusive")
-    params = load_model(model_path)
-    scaler_path = scaler_path or f"{model_path}.scaler"
-    scaler = load_scaler(scaler_path)
-    data = load_series(validation_path)
+    params, scaler, scaler_path = _predictor(model, scaler)
+    data = load_series(validation)
     if not isinstance(data, LabeledTimeSeries):
         raise DataError("validation series has no label column")
     lag = params.input_dim
@@ -372,7 +376,7 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
     base = default_grid(pairs, mat=mat)
-    try:
+    with _usage_errors():
         grid = CalibrationGrid(
             ret_candidates=(ret,) if ret is not None else base.ret_candidates,
             alpha_candidates=(alpha,) if alpha is not None
@@ -380,8 +384,6 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
             beta_candidates=tuple(sorted(betas)) if betas is not None
             else ((beta,) if beta is not None else base.beta_candidates),
             mat=mat)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
     config, report, counts = run_calibration(
         pairs, data.attack_intervals, grid)
@@ -401,100 +403,71 @@ def calibrate_cmd(model_path, validation_path, mat, alpha, beta, beta_list,
     sweep_path = f"{output}.sweep.csv"
     write_sweep(sweep_path, rets, alphas, betas, counts,
                 report.intervals_total)
-    _write_manifest(output, "calibrate",
-                    inputs={"model": str(model_path),
-                            "scaler": str(scaler_path),
-                            "validation": str(validation_path)},
-                    outputs={"config": str(output), "sweep": sweep_path},
-                    config={"mat": mat, "alpha": alpha, "beta": beta,
-                            "beta_list": beta_list, "ret": ret})
+    _write_manifest({"config": output, "sweep": sweep_path},
+                    scaler=scaler_path)
     click.echo(f"selected {config.to_text()}")
-    click.echo(f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
-               f"false_alarms={report.false_alarms} "
-               f"events_total={report.events_total}")
+    _echo_metrics(report)
 
 
 @main.command(name="detect")
-@click.argument("model_path", metavar="MODEL",
-                type=click.Path(exists=True, dir_okay=False))
-@click.argument("config_path", metavar="CONFIG",
-                type=click.Path(exists=True, dir_okay=False))
-@click.argument("test_path", metavar="TEST",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--scaler", "scaler_path", type=click.Path(exists=True),
-              default=None, help="Scaler file (default: MODEL.scaler).")
+@click.argument("model", type=_INPUT)
+@click.argument("config", type=_INPUT)
+@click.argument("test", type=_INPUT)
+@_scaler_option
 @_output_option("Verdict CSV path; alarm log lands next to it.")
 @_handle_errors
-def detect_cmd(model_path, config_path, test_path, scaler_path, output):
+def detect_cmd(model, config, test, scaler, output):
     """Stream a series through the detector; report alarms and metrics."""
-    params = load_model(model_path)
-    scaler_path = scaler_path or f"{model_path}.scaler"
-    scaler = load_scaler(scaler_path)
-    with _utf8_errors(config_path):
-        text = Path(config_path).read_text(encoding="utf-8")
-    config = DetectorConfig.from_text(text)
-    data = load_series(test_path)
+    params, scaler, scaler_path = _predictor(model, scaler)
+    with _utf8_errors(config):
+        text = Path(config).read_text(encoding="utf-8")
+    detector = DetectorConfig.from_text(text)
+    data = load_series(test)
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
 
-    if len(series) < params.input_dim + config.mat:
+    if len(series) < params.input_dim + detector.mat:
         click.echo("warning: series shorter than lag+mat; "
                    "all verdicts are warmup", err=True)
     if len(series) >= params.input_dim + 1:
         trace = replay_trace(_prediction_table(params, scaler, series),
-                             config.mat)
-        verdicts = trace.verdicts(config)
+                             detector.mat)
+        verdicts = trace.verdicts(detector)
     else:
         verdicts = []
     write_verdicts(output, verdicts)
     events = segment_alarms(verdicts)
     alarms_path = f"{output}.alarms.csv"
     write_alarms(alarms_path, events)
-    _write_manifest(output, "detect",
-                    inputs={"model": str(model_path),
-                            "scaler": str(scaler_path),
-                            "config": str(config_path),
-                            "test": str(test_path)},
-                    outputs={"verdicts": str(output), "alarms": alarms_path},
-                    config={"detector": config.to_text()})
+    _write_manifest({"verdicts": output, "alarms": alarms_path},
+                    scaler=scaler_path, detector=detector.to_text())
     click.echo(f"wrote {len(verdicts)} verdicts, {len(events)} alarm events")
     if labeled:
-        report = evaluate_events(events, data.attack_intervals)
-        click.echo(
-            f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
-            f"false_alarms={report.false_alarms} "
-            f"events_total={report.events_total}")
+        _echo_metrics(evaluate_events(events, data.attack_intervals))
 
 
 @main.command(name="split")
-@click.argument("series_path", metavar="SERIES",
-                type=click.Path(exists=True, dir_okay=False))
+@click.argument("series", type=_INPUT)
 @click.option("--train-fraction", type=float, default=0.4, show_default=True)
 @click.option("--validation-fraction", type=float, default=0.2,
               show_default=True)
 @_output_option("Prefix; writes <prefix>.train.csv/.validation.csv/.test.csv")
 @_handle_errors
-def split_cmd(series_path, train_fraction, validation_fraction, output):
+def split_cmd(series, train_fraction, validation_fraction, output):
     """Chronologically split a labeled series (training part must be normal)."""
-    data = load_series(series_path)
+    data = load_series(series)
     if not isinstance(data, LabeledTimeSeries):
         raise DataError("split needs a labeled series")
-    try:
+    with _usage_errors():
         train_part, validation, test = split_protocol(
             data, train_fraction, validation_fraction)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     paths = {"train": f"{output}.train.csv",
              "validation": f"{output}.validation.csv",
              "test": f"{output}.test.csv"}
     save_series(paths["train"], train_part)
     save_series(paths["validation"], validation)
     save_series(paths["test"], test)
-    _write_manifest(output, "split",
-                    inputs={"series": str(series_path)},
-                    outputs=paths,
-                    config={"train_fraction": train_fraction,
-                            "validation_fraction": validation_fraction})
+    _write_manifest(paths)
     click.echo(f"train={len(train_part)} validation={len(validation)} "
                f"test={len(test)} steps")
 

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DataError, DivergenceError
 from .kernels import (_GradWork, _hidden, loss_and_grads_numpy,
                       predict_batch_numpy)
-from .pipeline import WindowSet, _utf8_errors
+from .pipeline import LAGS, WindowSet, _utf8_errors
 
 MODEL_MAGIC = "lstm-model v2"
 
@@ -93,10 +93,12 @@ class TrainConfig:
                 f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lag not in (1, 2, 3):
+        if self.lag not in LAGS:
             raise ValueError("lag must be 1, 2 or 3")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -117,19 +119,25 @@ def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     """Seeded initialization: gate weights uniform in [-r, r] with
     r = 1/sqrt(hidden_dim), output projection uniform in
     [-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE]; biases 0."""
-    if input_dim not in (1, 2, 3):
+    if input_dim not in LAGS:
         raise ValueError("input_dim must be 1, 2 or 3")
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
     rng = np.random.default_rng(rng_seed)
     r = 1.0 / np.sqrt(hidden_dim)
     h, k = hidden_dim, input_dim
-    # Draw the input and recurrent blocks of the four-gate cell in its
-    # order i, f, o, g and keep the input blocks of i, o and g, so a seed
-    # still gives the weights it gave the four-gate cell.
-    draws = [rng.uniform(-r, r, size=(h, cols)) for cols in (k, h) * 4]
+    # The four-gate cell drew an input and a recurrent block per gate, in
+    # the order i, f, o, g, one 64-bit draw per weight.  Skipping the draws
+    # of the blocks it no longer has keeps the weights each seed gave it.
+    gates = []
+    for gate in "ifog":
+        if gate == "f":
+            rng.bit_generator.advance(h * k)
+        else:
+            gates.append(rng.uniform(-r, r, size=(h, k)))
+        rng.bit_generator.advance(h * h)
     return LstmParams(
-        np.vstack([draws[j] for j in (0, 4, 6)]), np.zeros(3 * h),
+        np.vstack(gates), np.zeros(3 * h),
         rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, size=h), 0.0)
 
 
@@ -291,8 +299,8 @@ def _read_block(lines: list[str], cursor: int, name: str, rows: int,
 def load_model(path) -> LstmParams:
     """Read a v2 model file, or a v1 file whose recurrent and forget-gate
     blocks are checked and dropped; rejects unknown versions, an input_dim
-    outside 1-3 or a hidden_dim below 1, bad shapes and non-finite
-    values."""
+    outside 1-3 or a hidden_dim below 1, bad shapes, non-finite values
+    and any line but a blank one after ``b_y``."""
     with open(path, "r", encoding="utf-8") as fh, _utf8_errors(path):
         lines = [ln.rstrip("\n") for ln in fh]
     version = lines[0].strip() if lines else "<empty>"
@@ -304,7 +312,7 @@ def load_model(path) -> LstmParams:
         hidden_dim = int(dims["hidden_dim"])
     except (IndexError, KeyError, ValueError):
         raise DataError("malformed model dimension line") from None
-    if input_dim not in (1, 2, 3) or hidden_dim < 1:
+    if input_dim not in LAGS or hidden_dim < 1:
         raise DataError(
             f"model dimensions input_dim={input_dim} hidden_dim={hidden_dim} "
             "out of range: input_dim must be 1, 2 or 3 and hidden_dim >= 1")
@@ -316,6 +324,10 @@ def load_model(path) -> LstmParams:
             lines, cursor, name, hidden_dim if name[0] in "WU" else 1,
             input_dim if name[0] == "W" else hidden_dim)
     b_y, cursor = _read_block(lines, cursor, "b_y", 1, 1)
+    for line_no in range(cursor, len(lines)):
+        if lines[line_no].strip():
+            raise DataError(f"model file: unexpected line {line_no + 1} "
+                            f"after block 'b_y'")
     return LstmParams(np.vstack([fields["W_" + gate] for gate in "iog"]),
                       np.hstack([fields["b_" + gate] for gate in "iog"])[0],
                       fields["w_y"][0], float(b_y[0, 0]))

@@ -34,6 +34,10 @@ MIN_ATTACK_SEPARATION = 12
 
 DEFAULT_START_TIME = datetime(2000, 1, 1, 0, 0, 0)
 
+#: The lag widths a predictor may take: how many previous steps feed one
+#: prediction.
+LAGS = (1, 2, 3)
+
 #: Zero of the int64 microsecond timestamps ``load_tshark_csv`` returns.
 EPOCH = datetime(1970, 1, 1)
 
@@ -187,6 +191,8 @@ class SynthConfig:
             raise ValueError("need 1 <= attack_min_len <= attack_max_len")
         if self.attack_multiplier <= 1:
             raise ValueError("attack_multiplier must exceed 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.attack_count and not math.isfinite(
                 self.baseline_mean * self.attack_multiplier):
             raise ValueError("attack mean baseline_mean * attack_multiplier "
@@ -488,7 +494,7 @@ def fit_scaler(series: TimeSeries) -> Scaler:
 
 def build_windows(series: TimeSeries, lag: int) -> WindowSet:
     """Slice a series into all (lag consecutive values -> next value) pairs."""
-    if lag not in (1, 2, 3):
+    if lag not in LAGS:
         raise ValueError("lag must be 1, 2 or 3")
     values = series.values
     if len(values) < lag + 1:
@@ -727,6 +733,8 @@ def load_scaler(path) -> Scaler:
             text = Path(path).read_text(encoding="utf-8").strip()
     except FileNotFoundError:
         raise DataError(f"scaler file not found: {path}") from None
+    except IsADirectoryError:
+        raise DataError(f"scaler file is a directory: {path}") from None
     m = _re.fullmatch(r"offset=(\S+) scale=(\S+)", text)
     if m is None:
         raise DataError(f"{path}: not a scaler file")

@@ -11,6 +11,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -21,8 +22,10 @@ import synwatch
 from synwatch.cli import main
 from synwatch.detector import DetectorConfig, read_alarms, read_verdicts, \
     segment_alarms
-from synwatch.lstm import LstmParams, load_model, save_model
+from synwatch.lstm import LstmParams, TrainConfig, load_model, save_model, \
+    train
 from synwatch.pipeline import (_parse_timestamp, aggregate_counts,
+                               build_windows, fit_scaler, scale_windows,
                                load_series, load_tshark_csv)
 
 TSHARK_HEADER = "frame.number,frame.len,frame.time,ip.proto"
@@ -467,6 +470,16 @@ class TestTrain:
         assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "compare-lags"])
+def test_negative_seed_is_usage_error(runner, workspace, tmp_path, command):
+    out = tmp_path / "out.txt"
+    result = runner.invoke(main, [*command_args(workspace, tmp_path, command),
+                                  "--seed", "-1", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "rng_seed must be >= 0" in result.output
+    assert not out.exists()
+
+
 def short_series(runner, tmp_path, length):
     path = tmp_path / f"short{length}.csv"
     result = runner.invoke(main, ["synth", "--length", str(length),
@@ -700,6 +713,29 @@ class TestDetect:
                                       "-o", str(tmp_path / "v.csv")])
         assert result.exit_code == 3
         assert "scaler" in result.output
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    @pytest.mark.parametrize("given", [True, False],
+                             ids=["scaler-flag", "default-scaler"])
+    def test_scaler_that_is_a_directory(self, runner, workspace, tmp_path,
+                                        command, given):
+        # --scaler must name a file (usage error); a <model>.scaler that
+        # is a directory is a data error
+        model = tmp_path / "model.txt"
+        shutil.copyfile(workspace["model"], model)
+        scaler = tmp_path / ("own.scaler" if given else "model.txt.scaler")
+        scaler.mkdir()
+        inputs = ([workspace["val"]] if command == "calibrate"
+                  else [workspace["config"], workspace["test"]])
+        out = tmp_path / "out.txt"
+        result = runner.invoke(main, [
+            command, str(model), *inputs,
+            *(["--scaler", str(scaler)] if given else []), "-o", str(out)])
+        assert result.exit_code == (2 if given else 3), result.output
+        assert (f"'{scaler}' is a directory" if given else
+                f"data error: scaler file is a directory: {scaler}"
+                ) in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "offset=0 scale=-1", "offset=x scale=1", "offset=nan scale=1",
@@ -1176,16 +1212,14 @@ def test_command_options_pinned():
                   "--attack-multiplier", "--seed", "--output"],
         "ingest": ["packets", "--step-seconds", "--start", "--end",
                    "--output"],
-        "train": ["series_path", "--lag", "--hidden", "--lr", "--epochs",
+        "train": ["series", "--lag", "--hidden", "--lr", "--epochs",
                   "--seed", "--output"],
-        "compare-lags": ["series_path", "--hidden", "--lr", "--epochs",
-                         "--seed", "--output"],
-        "calibrate": ["model_path", "validation_path", "--mat", "--alpha",
-                      "--beta", "--beta-list", "--ret", "--scaler",
-                      "--output"],
-        "detect": ["model_path", "config_path", "test_path", "--scaler",
-                   "--output"],
-        "split": ["series_path", "--train-fraction", "--validation-fraction",
+        "compare-lags": ["series", "--hidden", "--lr", "--epochs", "--seed",
+                         "--output"],
+        "calibrate": ["model", "validation", "--mat", "--alpha", "--beta",
+                      "--beta-list", "--ret", "--scaler", "--output"],
+        "detect": ["model", "config", "test", "--scaler", "--output"],
+        "split": ["series", "--train-fraction", "--validation-fraction",
                   "--output"]}
     assert all(param.envvar is None for command in main.commands.values()
                for param in command.params)
@@ -1206,3 +1240,298 @@ def test_public_names_pinned():
         "pipeline", "predict_window", "predict_windows", "prediction_pairs",
         "relative_error", "replay_trace", "save_model", "save_series",
         "segment_alarms", "split_protocol", "train"]
+
+
+#: Pinned command runs: the flags of each, but for ``-o``.  Every command
+#: runs at least once on its defaults; ``train`` and ``compare-lags`` train
+#: with all of theirs.
+PINNED_RUNS = {
+    "synth": ["synth", "--length", "300", "--attacks", "2",
+              "--baseline-mean", "80", "--baseline-std", "6",
+              "--attack-min-len", "5", "--attack-max-len", "9",
+              "--attack-multiplier", "3.5", "--seed", "7"],
+    "synth-defaults": ["synth", "--length", "120"],
+    "ingest": ["ingest", "{work}/capture.csv"],
+    "ingest-range": ["ingest", "{work}/capture.csv", "--step-seconds",
+                     "0.2500004", "--start", "2021-03-28 00:59:59",
+                     "--end", "2021-03-28T01:00:30.5"],
+    "train": ["train", "{work}/normal.csv"],
+    "compare-lags": ["compare-lags", "{work}/normal.csv"],
+    "calibrate": ["calibrate", "{work}/model.txt", "{work}/val.csv"],
+    "calibrate-flags": ["calibrate", "{work}/model.txt", "{work}/val.csv",
+                        "--mat", "10", "--alpha", "0.5", "--ret", "0.45",
+                        "--beta-list", "0.5,0.46,0.5",
+                        "--scaler", "{work}/own.scaler"],
+    "detect": ["detect", "{work}/model.txt", "{work}/detector.cfg",
+               "{work}/val.csv"],
+    "detect-scaler": ["detect", "{work}/model.txt", "{work}/detector.cfg",
+                      "{work}/normal.csv", "--scaler", "{work}/own.scaler"],
+    "split": ["split", "{work}/val.csv", "--train-fraction", "0.05",
+              "--validation-fraction", "0.5"],
+}
+
+#: Each run's output name; what it writes lands next to it.
+PINNED_OUTPUT = {"train": "model.txt", "calibrate": "detector.cfg",
+                 "compare-lags": "table.csv", "split": "part"}
+
+
+#: sha256 of what each pinned run wrote, printed and logged, taken from
+#: the commands as they stood before their manifests were built from
+#: their parameters (``blas_free`` masks the training runs).
+PINNED_DIGESTS = {
+    'synth': {
+        'out.csv':
+            '58f5d9a22bf13e30996cd786c6f3d2459f00b17621fe2631e1cbb3294d1d748c',
+        'out.csv.manifest.json':
+            '17fcd90d326e39408990b71314c28f00086dfa38dfec80f9faf76966b16a9e83',
+        'stdout':
+            '97bf4bdf7698a07ef6de59697c5e5e7b6f19a01c78d11bb0d7d4407130d8dc4e',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'synth-defaults': {
+        'out.csv':
+            '33b7d17da2ea738dea435d6f4278c6de0aab76f584c3b502ed47c54ed257a6f2',
+        'out.csv.manifest.json':
+            'ddce9f5e2da4fb17923d4750342707a240b45e0ceb7fb1b457dd37592ec43f82',
+        'stdout':
+            'cbfb7bb7ce61f9236d6e5881c24de3e7178f7d4ce08aeff5dedf09f6f7a49f17',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'ingest': {
+        'out.csv':
+            '75900cb8d3a9482af4cc40746036e50f9d1cb7c8c0085b150440f8a18acd500d',
+        'out.csv.manifest.json':
+            'd8854c055d46f09deb6fe649486ef370d6e63fdbf462cec7d50eeda61d1b17c2',
+        'stdout':
+            'e09272e675baa9d20be6e870294e297a11e9ce56a34c7fcf9dee24ea8a4f07b9',
+        'stderr':
+            '2978c1b0b8a8b71da9cc789aa620a14ee0a991e44b7469b7a7aec0936b8fc11d',
+    },
+    'ingest-range': {
+        'out.csv':
+            '4f08f77cb6427a4bec2baec668e6ea58764a855893c81a74ffdad276ff2d1726',
+        'out.csv.manifest.json':
+            '0bd448fc24ed6f2130f3cb11e9e442ac2a628647f9f85835b4fbf4cf15e5c6fa',
+        'stdout':
+            'be66006c535ac1e212a321f89acb829bd76daa00103060ff87cfc965bbbd06e4',
+        'stderr':
+            '2978c1b0b8a8b71da9cc789aa620a14ee0a991e44b7469b7a7aec0936b8fc11d',
+    },
+    'train': {
+        'model.txt.manifest.json':
+            'e04a38366da27f69d13f36171d145c6fd2682e84106f31c60a971b446d369fe8',
+        'model.txt.scaler':
+            '637ffdbbdec23d40deeb8a251f8422832830129f215a06be9ae12e5e9bd40c53',
+        'stdout':
+            '578fbed896f6746d7709afc5594e6c244bb285d92d727289a917b1b6bf727c50',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'compare-lags': {
+        'table.csv':
+            '5447652febf4d10bbfda4192036a4a3f9a8ddc5a90b7c1e62b2fc4e2be510924',
+        'table.csv.manifest.json':
+            'abc7df475ab2369eb96ea8bac226cd64f93019b9da10940f0d6c26999e03e0b5',
+        'stdout':
+            '6ac535f0df2570fd3cf2850f1d0a635149ad89e181bfd44540b9630f1fe8c96a',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'calibrate': {
+        'detector.cfg':
+            '8860fd9f84859981a104b3e0d1e3a17d9960894bae21edb1c6947df8f55ca09e',
+        'detector.cfg.manifest.json':
+            '2edf39adcd7c03346b8ea8f7a05950b69151f28fc82157e4ef50f45cdcdf51f3',
+        'detector.cfg.sweep.csv':
+            'a8f66f904b5a054bf70491751e0e3ecc2efbb55c09798f368a9fc2a7a66df08e',
+        'stdout':
+            '5984f9cc2b7aaee1ef52885bd7e4d4f49c58210688cf247991704f64bced8372',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'calibrate-flags': {
+        'detector.cfg':
+            'bb3133145bf098195a4021572377aabfebd702f7fac7ff06d4f3af932e27fad8',
+        'detector.cfg.manifest.json':
+            '97a55ba78d0f666ef15c66a48598e2aa6a0adf4b84d1c13270d45b4f152ec4ec',
+        'detector.cfg.sweep.csv':
+            '9644ab6ae246df37c6433faee37182e9495da06bca26b5ede24f8f724e49a6a0',
+        'stdout':
+            '41318c97d3e76bdd6f5d30815df45fa5559dccd2717c23f7dd3195f6289ec306',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'detect': {
+        'out.csv':
+            '3845e2c4bd08ccea058d44da0a955810f4a0a5017033322f14630717fe62e103',
+        'out.csv.alarms.csv':
+            '221df602b9797a1f4c91ae4f496b24a0881cde4d576f233cf8bfc0d01bc32ec8',
+        'out.csv.manifest.json':
+            '0d18610b3640e1c6678c21f031d4d3e7f07c0b7c77c4c73acf88a7e36655e803',
+        'stdout':
+            '05c14c6dd8c42723d1a5567d266daf11a87bd7ccbb794fe2ffafa1f7508fc152',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'detect-scaler': {
+        'out.csv':
+            '3e5b0543548733542977b44eb93ad21a067c6c4896985b6b211a0dc90de35de6',
+        'out.csv.alarms.csv':
+            'fa42555a22685cdc00c7978a83e2d92ee6376acbd23dd83026ba37dd0cd15c78',
+        'out.csv.manifest.json':
+            '5e0d549e23ccd240fe5b07b9c35e6e02fe30e4540bb6b842d1caafa2b8ec55a3',
+        'stdout':
+            '8a67fc9492fcfb6a8197308be5214f70a8ef9d6f0c561510e925d45b35446126',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+    'split': {
+        'part.manifest.json':
+            '7c9944fa24fb1e249974085426e435a827d087580deee3104770f1b875e9487d',
+        'part.test.csv':
+            'b03b64da6fb0a140498f220b0bb2f552711fbfde4dc7cd647980f1cb84b3953a',
+        'part.train.csv':
+            'c872c887efebc497de2ae9c5a2eccc4f258d40f469befc8dd1945bc4f80a587c',
+        'part.validation.csv':
+            '46e79ba24e7d1c2d5f58b113897fcb7d2e34481703e0ff1835dc9acc6826fba1',
+        'stdout':
+            '46adcc5f637e3cf885f2f3d2f12c197bcc5f3e3af09584110d3967bcebfe32d0',
+        'stderr':
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    },
+}
+
+#: sha256 of ``--help``, by command ("" is the group's own), at a
+#: terminal width of 80.  Taken with the pinned runs; since then only
+#: ``--scaler PATH`` has changed, to ``--scaler FILE``.
+HELP_DIGESTS = {
+    '':
+        '7d2ca8a597837618821be37f0e7f64e9cec83aa2173279d705dcd2764f51278e',
+    'calibrate':
+        '57a14dffc9ac19e9ef0c4e505e6330b4a83e46fc05865428208cdfe29dcfcb87',
+    'compare-lags':
+        '1456daff0249f5fadc3f74b1bff66c856d58ce27599b68efa02ca74071be4807',
+    'detect':
+        'b3645ec704cd1186ad60c65228ceb014c7e9c9930801d98f1739d89a5878cf3e',
+    'ingest':
+        'ed69cd74d14bc18b4973e9d3d6091f8322d1dc26a2af606b932e895835e5bdcb',
+    'split':
+        '9ef94aa8da08d12d63fcb1805233aaccbec9e4ce8a934e5e3ff2276ac8fc6a86',
+    'synth':
+        '5c196022ec8098dda975c1b2dbc1e558e41ea9860ae9ac359c1d217089ad8452',
+    'train':
+        '2ace6d40dea48be9008a2c3ac13d9d25f58a151ca2eb3f3f9f2052802cc291af',
+}
+
+@pytest.fixture(scope="module")
+def pinned_runs(pinned_calibrate_inputs, tmp_path_factory):
+    """Every pinned run in its own directory of one work tree: its stdout,
+    its stderr and the bytes of every file it wrote, with the work tree's
+    path masked as ``{work}``."""
+    work = tmp_path_factory.mktemp("runs")
+    model, val = pinned_calibrate_inputs
+    shutil.copyfile(model, work / "model.txt")
+    shutil.copyfile(f"{model}.scaler", work / "model.txt.scaler")
+    shutil.copyfile(val, work / "val.csv")
+    (work / "own.scaler").write_text("offset=60 scale=12\n")
+    (work / "detector.cfg").write_text("ret=0.45 mat=12 alpha=0.5 beta=0.47\n")
+    (work / "capture.csv").write_text(mixed_capture(random.Random(19), 400),
+                                      encoding="utf-8")
+    runner = CliRunner()
+    made = runner.invoke(main, ["synth", "--length", "160", "--seed", "3",
+                                "-o", str(work / "normal.csv")])
+    assert made.exit_code == 0, made.output
+    runs = {}
+    for name, args in PINNED_RUNS.items():
+        (work / name).mkdir()
+        output = work / name / PINNED_OUTPUT.get(args[0], "out.csv")
+        result = runner.invoke(main, [*(arg.format(work=work) for arg in args),
+                                      "-o", str(output)])
+        assert result.exit_code == 0, result.output
+        runs[name] = {
+            path.name: path.read_bytes().replace(str(work).encode(), b"{work}")
+            for path in sorted((work / name).iterdir())}
+        runs[name]["stdout"] = result.stdout_bytes.replace(
+            str(work).encode(), b"{work}")
+        runs[name]["stderr"] = result.stderr_bytes
+    return work, runs
+
+
+def library_training(series_path, lag):
+    """Model file bytes, curve bytes and final loss of a training run on
+    the README's defaults, made through the library: the parts of the
+    ``train`` and ``compare-lags`` outputs that depend on the BLAS build."""
+    series = load_series(series_path).series
+    params, report = train(
+        TrainConfig(learning_rate=0.01, epochs=1500, hidden_dim=23, lag=lag,
+                    rng_seed=0),
+        scale_windows(build_windows(series, lag), fit_scaler(series)))
+    model = Path(f"{series_path}.lag{lag}.model")
+    save_model(model, params)
+    curve = "epoch,loss\n" + "".join(
+        f"{i + 1},{loss:.17g}\n" for i, loss in enumerate(report.epoch_losses))
+    return (model.read_bytes(), curve.encode(),
+            f"{report.epoch_losses[-1]:.17g}".encode())
+
+
+def blas_free(name, work, files):
+    """``files`` of the pinned run ``name`` with the outputs that depend on
+    the BLAS build checked against ``library_training`` and taken out, and
+    its losses and wall-clock seconds masked as ``{loss}`` and ``{s}``."""
+    files = dict(files)
+    if name == "train":
+        model, curve, loss = library_training(work / "normal.csv", 3)
+        assert files.pop("model.txt") == model
+        assert files.pop("model.txt.curve.csv") == curve
+        files["stdout"] = files["stdout"].replace(loss, b"{loss}")
+    elif name == "compare-lags":
+        for lag in (1, 2, 3):
+            loss = library_training(work / "normal.csv", lag)[2]
+            for key in ("table.csv", "stdout"):
+                assert files[key].count(loss) == 1
+                files[key] = files[key].replace(loss, b"{loss}")
+        files["table.csv"] = re.sub(rb"\},[0-9.]+\n", b"},{s}\n",
+                                    files["table.csv"])
+    files["stdout"] = re.sub(rb"seconds=[0-9.]+", b"seconds={s}",
+                             files["stdout"])
+    return files
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_command_outputs_pinned(pinned_runs, name):
+    # every file a command writes, its manifest, stdout and stderr, byte
+    # for byte
+    work, runs = pinned_runs
+    digests = {key: hashlib.sha256(data).hexdigest()
+               for key, data in blas_free(name, work, runs[name]).items()}
+    assert digests == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_manifest_covers_every_parameter(pinned_runs, command):
+    # a manifest names each file parameter under inputs and every other
+    # parameter under config, by its name; -o names the outputs
+    params = main.commands[command].params
+    files = {param.name for param in params
+             if isinstance(param.type, click.Path)} - {"output"}
+    names = {param.name for param in params} - {"output"}
+    work, runs = pinned_runs
+    manifests = [json.loads(files_[key]) for name, files_ in runs.items()
+                 if PINNED_RUNS[name][0] == command
+                 for key in files_ if key.endswith(".manifest.json")]
+    assert manifests
+    for manifest in manifests:
+        assert manifest["command"] == command
+        assert set(manifest["inputs"]) == files
+        assert names - files <= set(manifest["config"])
+
+
+@pytest.mark.parametrize("command", ["", *sorted(main.commands)])
+def test_help_pinned(runner, command):
+    result = runner.invoke(main, [command, "--help"] if command else
+                           ["--help"], terminal_width=80)
+    assert result.exit_code == 0, result.output
+    assert (hashlib.sha256(result.stdout_bytes).hexdigest()
+            == HELP_DIGESTS[command])

@@ -118,9 +118,11 @@ class TestInitParams:
         assert not np.array_equal(a.W, c.W)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    def test_seed_keeps_four_gate_draw_order(self, seed):
-        # the four-gate cell drew W_i U_i W_f U_f W_o U_o W_g U_g w_y
-        k, h = 3, 23
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, 2, 23, 64])
+    def test_seed_keeps_four_gate_draw_order(self, seed, k, h):
+        # the four-gate cell drew W_i U_i W_f U_f W_o U_o W_g U_g w_y;
+        # init_params skips the draws of the blocks it drops
         rng = np.random.default_rng(seed)
         r = 1.0 / np.sqrt(h)
         drawn = {name: rng.uniform(-r, r, size=(h, k if name[0] == "W" else h))
@@ -484,6 +486,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            TrainConfig(rng_seed=-1)
+
     @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
     def test_rate_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -674,6 +680,26 @@ class TestModelFile:
         path.write_text("\n".join(lines[:5]) + "\n")
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize("tail, line", [
+        ("W_i\nnot a number\n", 22), ("\n\nx\n", 24), (None, 22)],
+        ids=["junk", "junk-after-blank-lines", "two-models"])
+    def test_lines_after_b_y_rejected(self, tmp_path, tail, line):
+        # a v2 model of input_dim 1 and hidden_dim 2 ends at line 21
+        path = tmp_path / "model.txt"
+        save_model(path, init_params(1, 2, rng_seed=0))
+        text = path.read_text()
+        path.write_text(text + (text if tail is None else tail))
+        with pytest.raises(DataError, match=f"unexpected line {line} after "
+                                            f"block 'b_y'"):
+            load_model(path)
+
+    def test_blank_lines_after_b_y_accepted(self, tmp_path):
+        path = tmp_path / "model.txt"
+        params = init_params(1, 2, rng_seed=0)
+        save_model(path, params)
+        path.write_text(path.read_text() + "\n  \n\t\n")
+        np.testing.assert_array_equal(load_model(path).W, params.W)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -880,6 +880,8 @@ class TestGenerateSynthetic:
             SynthConfig(length=10, attack_multiplier=1.0)
         with pytest.raises(ValueError):
             SynthConfig(length=10, attack_min_len=5, attack_max_len=4)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            SynthConfig(length=10, rng_seed=-1)
 
     def test_attack_mean_overflow_checked_only_with_attacks(self):
         with pytest.raises(ValueError, match="attack mean"):
