@@ -14,17 +14,26 @@ are the row blocks ``i, o, g`` of one (3 hidden, k) matrix ``W`` and one
 ``loss_and_grads_numpy`` computes training gradients.  Only the trained
 weights depend on its bits, so it is laid out for speed.  It takes the gate
 matrix augmented with the biases, ``Wb = [W | b]`` of shape (3 hidden,
-k + 1), and the inputs with a column of ones, ``xa`` of shape (n, k + 1).
-One product ``Wb @ xa.T`` gives every pre-activation, bias included, as
-a transposed (3 hidden, n) block; the sigmoid runs once over the
-contiguous ``i | o`` rows and ``tanh`` over the ``g`` rows.  Backward,
-the three gates' ``dpre`` land in one (3 hidden, n) block, and one
-product ``dpre @ xa`` gives every weight gradient and, in its last
-column, every bias gradient.  The sums in these products run in another
-order than the per-gate products and separate bias sums it replaced, so
-its results differ from theirs by a few units in the last place: the
-tests bound the difference on random batches, and trained losses and
-weights on a fixed series (see the README).
+k + 1), and the inputs with a column of ones, ``xa`` of shape (n, k + 1),
+and runs over them in chunks of a fixed ``_TRAIN_CHUNK`` windows, so its
+work arrays stay the same size at any n.  Per chunk, one product of a copy
+of ``Wb`` whose ``i | o`` rows are negated with a transposed copy of the
+chunk's inputs gives every pre-activation, bias included, as a (3 hidden,
+chunk) block: ``-z`` in rows ``i | o``, on which ``exp`` runs directly,
+and ``z`` in rows ``g``.  Backward, every gradient row holds the factor
+``w_y`` of its hidden unit, so it is left out of the element-wise passes:
+
+    dpre = w_y dpred * Q,  rows i | o | g,  with q = o (1 - tc * tc) and
+    Q_i = (q i) g (1 - i),  Q_o = tc o (1 - o),  Q_g = (q i) (1 - g * g)
+
+The factors ``Q`` overwrite the gates in place, one product ``Q @ (dpred
+* xa)`` gives every weight and, in its last column, every bias gradient
+but ``w_y``, and ``w_y`` multiplies the chunks' sum.  The loss, ``dw_y``
+and ``db_y`` are sums over the chunks too, in chunk order.  These sums
+run in another order than the per-gate products and separate bias sums
+this layout replaced, so its results differ from theirs by a few units
+in the last place: the tests bound the difference on random batches, and
+trained losses and weights on a fixed series (see the README).
 
 ``predict_batch_numpy`` serves ``calibrate`` and ``detect``.  It gives
 every window the BLAS calls that ``lstm.predict_window``, the online path,
@@ -37,13 +46,13 @@ equals a live per-step run.  Against the per-gate products, whose sums
 run in another order, predictions differ by a few units in the last
 place; the tests bound that too.
 
-``loss_and_grads_numpy`` computes into work buffers with ``out=`` and
-in-place ufuncs, in the same operations and association order as a plain
-allocating formula, so every output is bit-identical to that formula.  It
-takes its buffers from a ``_GradWork`` that training allocates once for
-all epochs.  Fresh (n, hidden) temporaries on every call cost more than
-their arithmetic: glibc trims the freed top of the heap after each call,
-so every epoch faults the same pages back in.
+``loss_and_grads_numpy`` computes into work buffers with ``out`` arguments
+and in-place ufuncs, in the same operations and association order as a
+plain allocating formula, so every output is bit-identical to that
+formula.  It takes its buffers from a ``_GradWork`` that training
+allocates once for all epochs.  Fresh (hidden, chunk) temporaries on every
+call cost more than their arithmetic: glibc trims the freed top of the
+heap after each call, so every epoch faults the same pages back in.
 """
 
 from __future__ import annotations
@@ -55,19 +64,24 @@ import numpy as np
 #: arrays.  No window's bits depend on it.
 _CHUNK = 512
 
+#: Windows per pass of ``loss_and_grads_numpy``, which bounds its work
+#: arrays.  The gradients are summed chunk by chunk, so their bits depend
+#: on it: it is fixed here, not set by a flag or the environment.
+_TRAIN_CHUNK = 2048
+
 
 def _hidden(z, hidden):
     """The hidden state from the pre-activations ``z``, a (3 hidden,)
     vector or a (3 hidden, m) block with rows ``i | o | g``: computed in
     place in ``z``, and returned as its last ``hidden`` rows."""
     io, g = z[:2 * hidden], z[2 * hidden:]
-    np.negative(io, out=io)
-    np.exp(io, out=io)
-    io += 1.0
-    np.divide(1.0, io, out=io)            # i | o = sigmoid
-    np.tanh(g, out=g)
+    np.negative(io, io)
+    np.exp(io, io)
+    np.add(io, 1.0, io)
+    np.divide(1.0, io, io)                # i | o = sigmoid
+    np.tanh(g, g)
     g *= io[:hidden]                      # c = i * g
-    np.tanh(g, out=g)
+    np.tanh(g, g)
     g *= io[hidden:]                      # h = o * tanh(c)
     return g
 
@@ -103,25 +117,38 @@ def predict_batch_numpy(x, W, b, w_y, b_y):
 
 class _GradWork:
     """Work buffers of ``loss_and_grads_numpy`` for one (n, k, hidden)
-    shape: one (6 hidden, n) array, the n-vectors ``pred``, ``resid`` and
-    ``dpred``, and the gradient outputs ``dWb`` (3 hidden, k + 1) and
-    ``dw_y`` (hidden,).
+    shape, each sized for one chunk of ``m = min(n, _TRAIN_CHUNK)``
+    windows except ``pred``, which holds all n.
 
-    ``gates`` is the top (3 hidden, n) half of the array and ``dpre`` the
-    bottom half, row blocks ``i, o, g`` in each, so that one product over
-    each half serves all three gates.  Six (hidden, n) blocks, not fewer:
-    with the association order fixed, ``do = dh * tc`` and
-    ``dc = (dh * o) * (1 - tc * tc)`` both need ``o`` and ``tc`` while the
-    other is built.
+    ``chunk(c)`` gives a chunk's two work arrays, C-contiguous as fresh
+    arrays are, so that every product sums as it would over fresh arrays:
+    a strided view can take another BLAS path.  One is five (hidden, c)
+    blocks ``i, o, g, tc, h``.  Its top three hold the pre-activations and
+    gates of rows ``i | o | g`` and then, in place, their backward
+    factors, so that one product serves all three gates each way.  The
+    other is the (k + 1, c) transposed copy of the chunk's inputs.  ``dx``
+    holds the inputs times ``dpred``.  ``Wn`` is ``[W | b]`` with its
+    ``i | o`` rows negated.  ``dWb`` (3 hidden, k + 1) and ``dw_y``
+    (hidden,) sum the chunks' products ``part`` and ``part_y``.
     """
 
     def __init__(self, n: int, k: int, hidden: int):
-        self.block = np.empty((6 * hidden, n))
-        self.gates, self.dpre = np.split(self.block, 2)
-        self.blocks = np.split(self.block, 6)
-        self.pred, self.resid, self.dpred = (np.empty(n) for _ in range(3))
-        self.dWb = np.empty((3 * hidden, k + 1))
-        self.dw_y = np.empty(hidden)
+        m = min(n, _TRAIN_CHUNK)
+        self.hidden, self.k = hidden, k
+        self.block = np.empty(5 * hidden * m)
+        self.xt = np.empty((k + 1) * m)
+        self.dx = np.empty((m, k + 1))
+        self.resid, self.dpred = np.empty(m), np.empty(m)
+        self.pred = np.empty(n)
+        self.Wn, self.dWb, self.part = (np.empty((3 * hidden, k + 1))
+                                        for _ in range(3))
+        self.dw_y, self.part_y = np.empty(hidden), np.empty(hidden)
+
+    def chunk(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (5 hidden, c) block and the (k + 1, c) input copy of a chunk
+        of ``c`` windows."""
+        return (self.block[:5 * self.hidden * c].reshape(-1, c),
+                self.xt[:(self.k + 1) * c].reshape(-1, c))
 
 
 def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
@@ -138,55 +165,60 @@ def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
     Defined under this name (not aliased): ``perfbench/spans.py`` traces
     the kernel by it.
     """
-    n = xa.shape[0]
+    n, k1 = xa.shape
     hidden = w_y.shape[0]
     if work is None:
-        work = _GradWork(n, xa.shape[1] - 1, hidden)
-    i, o, g, tc, h, dh = work.blocks
+        work = _GradWork(n, k1 - 1, hidden)
+    Wn, dWb, dw_y = work.Wn, work.dWb, work.dw_y
+    np.negative(Wb[:2 * hidden], Wn[:2 * hidden])
+    Wn[2 * hidden:] = Wb[2 * hidden:]
+    dWb.fill(0.0)
+    dw_y.fill(0.0)
+    sq_sum = db_y = 0.0
+    scale = 2.0 / n
+    for start in range(0, n, _TRAIN_CHUNK):
+        rows = slice(start, min(start + _TRAIN_CHUNK, n))
+        c = rows.stop - start
+        block, xt = work.chunk(c)
+        gates = block[:3 * hidden]
+        i, o, g, tc, h = block.reshape(5, hidden, c)
+        np.copyto(xt, xa[rows].T)
 
-    z = np.matmul(Wb, xa.T, out=work.gates)   # every pre-activation
-    io = z[:2 * hidden]
-    np.negative(io, out=io)
-    np.exp(io, out=io)
-    io += 1.0
-    np.divide(1.0, io, out=io)            # i | o = sigmoid
-    np.tanh(g, out=g)
-    np.multiply(i, g, out=tc)             # c
-    np.tanh(tc, out=tc)
-    np.multiply(o, tc, out=h)
-    pred = np.matmul(w_y, h, out=work.pred)
-    pred += b_y
+        np.matmul(Wn, xt, out=gates)      # -z in rows i | o, z in rows g
+        io = gates[:2 * hidden]
+        np.exp(io, io)
+        np.add(io, 1.0, io)
+        np.divide(1.0, io, io)            # i | o = sigmoid
+        np.tanh(g, g)
+        np.multiply(i, g, tc)             # c
+        np.tanh(tc, tc)
+        np.multiply(o, tc, h)
+        pred = np.matmul(w_y, h, out=work.pred[rows])
+        pred += b_y
 
-    resid = np.subtract(pred, y, out=work.resid)
-    dpred = np.multiply(resid, resid, out=work.dpred)
-    loss = np.mean(dpred)
+        resid = np.subtract(pred, y[rows], out=work.resid[:c])
+        dpred = np.multiply(resid, resid, out=work.dpred[:c])
+        sq_sum += np.sum(dpred)
+        np.multiply(resid, scale, dpred)
+        dw_y += np.matmul(h, dpred, out=work.part_y)
+        db_y += np.sum(dpred)
 
-    np.multiply(resid, 2.0 / n, out=dpred)
-    dw_y = np.matmul(h, dpred, out=work.dw_y)
-    db_y = np.sum(dpred)
+        # dpre = w_y dpred * Q, row by row; Q overwrites the gates in place
+        np.multiply(tc, tc, h)
+        np.subtract(1.0, h, h)
+        h *= o                            # q = o (1 - tc * tc)
+        h *= i                            # q i
+        tc *= o
+        np.subtract(1.0, o, o)
+        o *= tc                           # Q_o = (tc o) (1 - o)
+        np.multiply(h, g, tc)
+        np.subtract(1.0, i, i)
+        i *= tc                           # Q_i = (q i g) (1 - i)
+        g *= g
+        np.subtract(1.0, g, g)
+        g *= h                            # Q_g = (q i) (1 - g * g)
+        dx = np.multiply(xa[rows], dpred[:, None], out=work.dx[:c])
+        dWb += np.matmul(gates, dx, out=work.part)
 
-    # the outer product w_y dpred^T: one product per entry, as a K=1 matmul
-    # would give, and faster here than one
-    np.multiply(w_y.reshape(-1, 1), dpred.reshape(1, -1), out=dh)
-    do = np.multiply(dh, tc, out=h)
-    dc = dh
-    dc *= o                               # dh * o
-    tc *= tc
-    np.subtract(1.0, tc, out=tc)
-    dc *= tc                              # * (1 - tc * tc)
-    do *= o
-    np.subtract(1.0, o, out=o)
-    dpre_o = do
-    dpre_o *= o                           # do * o * (1 - o)
-    dpre_i = np.multiply(dc, g, out=tc)
-    dpre_i *= i
-    dpre_g = dc
-    dpre_g *= i                           # dc * i
-    np.subtract(1.0, i, out=i)
-    dpre_i *= i                           # (dc * g) * i * (1 - i)
-    g *= g
-    np.subtract(1.0, g, out=g)
-    dpre_g *= g                           # (dc * i) * (1 - g * g)
-
-    # dpre_i | dpre_o | dpre_g are the rows of work.dpre
-    return (loss, pred, np.matmul(work.dpre, xa, out=work.dWb), dw_y, db_y)
+    dWb.reshape(3, hidden, k1)[...] *= w_y[:, None]   # times w_y, per gate
+    return sq_sum / n, work.pred, dWb, dw_y, db_y

@@ -155,9 +155,10 @@ def predict_window(params: LstmParams, window: np.ndarray) -> float:
     if x.shape != (params.input_dim,):
         raise ValueError(
             f"window has shape {x.shape}, expected ({params.input_dim},)")
-    z = params.W @ x
-    z += params.b
-    return float(params.w_y @ _hidden(z, params.hidden_dim) + params.b_y)
+    z = np.dot(params.W, x)
+    np.add(z, params.b, z)
+    return float(np.dot(params.w_y, _hidden(z, params.hidden_dim))
+                 + params.b_y)
 
 
 def predict_windows(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -215,8 +216,9 @@ def train(config: TrainConfig,
     Deterministic for a fixed seed.  Each epoch records the loss at the
     parameters before that epoch's update.  Non-finite parameters abort
     with a DivergenceError naming the epoch.  The gradient kernel runs in
-    one set of work buffers for all epochs, on the augmented gate matrix
-    ``[W | b]``, from which the returned parameters are built.
+    one set of work buffers for all epochs, each sized for one fixed chunk
+    of windows, on the augmented gate matrix ``[W | b]``, from which the
+    returned parameters are built.
     """
     if windows.lag != config.lag:
         raise ValueError(

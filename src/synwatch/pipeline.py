@@ -24,13 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .detector import DetectorConfig
 from .errors import DataError
 
 TSHARK_FIELDS = ("frame.number", "frame.len", "frame.time", "ip.proto")
 
-#: Minimum number of normal steps between generated attack intervals
-#: (matches the default size of the detector's error window).
-MIN_ATTACK_SEPARATION = 12
+#: Minimum number of normal steps between generated attack intervals: the
+#: default size of the detector's error window.
+MIN_ATTACK_SEPARATION = DetectorConfig.mat
 
 DEFAULT_START_TIME = datetime(2000, 1, 1, 0, 0, 0)
 

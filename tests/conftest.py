@@ -15,7 +15,7 @@ settings.load_profile("synwatch")
 #: float64 rounding (``EPS``) of the per-gate value, times the larger of 1
 #: and that value's magnitude (predictions) or its output's largest
 #: magnitude (gradients).  The two differ only in the order of the sums in
-#: their products; the largest seen are about 6.5 (gradients) and 11
+#: their products; the largest seen are about 6.0 (gradients) and 11
 #: (predictions) on ``test_kernels.random_case``'s values.
 PER_GATE_ULPS = 32
 EPS = np.finfo(np.float64).eps

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch import lstm
+from synwatch import kernels, lstm
 from synwatch.kernels import (_CHUNK, _GradWork, loss_and_grads_numpy,
                               predict_batch_numpy)
 from synwatch.lstm import (LstmParams, TrainConfig, init_params,
@@ -52,35 +52,43 @@ def per_gate_predict(x, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
 
 def reference_loss_and_grads(xa, y, Wb, w_y, b_y):
     """Loss and gradients with a fresh array for every intermediate, in
-    the training kernel's association: one product ``Wb @ xa.T`` for all
-    three gates with the bias folded in, transposed (hidden, n) gates, and
-    one product ``dpre @ xa`` for every weight and bias gradient."""
+    the training kernel's association.  Per chunk of ``_TRAIN_CHUNK``
+    windows, one product of ``Wb`` with its ``i | o`` rows negated and a
+    contiguous transposed copy of the chunk's inputs gives every
+    pre-activation, bias included and negated for ``i | o``; one product of
+    the per-gate factors ``Q`` with ``dpred * xa`` gives every weight and
+    bias gradient but its factor ``w_y``.  The chunks' sums run in chunk
+    order, and ``w_y`` multiplies their total."""
     n, hidden = xa.shape[0], w_y.shape[0]
-    z = Wb @ xa.T
-    io = 1.0 / (1.0 + np.exp(-z[:2 * hidden]))
-    i, o = io[:hidden], io[hidden:]
-    g = np.tanh(z[2 * hidden:])
-    c = i * g
-    tc = np.tanh(c)
-    h = o * tc
-    pred = w_y @ h + b_y
+    chunk = kernels._TRAIN_CHUNK
+    Wn = np.concatenate((-Wb[:2 * hidden], Wb[2 * hidden:]))
+    sq_sum = db_y = 0.0
+    dw_y, G = np.zeros(hidden), np.zeros(Wb.shape)
+    preds = []
+    for start in range(0, n, chunk):
+        x, t = xa[start:start + chunk], y[start:start + chunk]
+        nz = Wn @ np.ascontiguousarray(x.T)
+        io = 1.0 / (1.0 + np.exp(nz[:2 * hidden]))
+        i, o = io[:hidden], io[hidden:]
+        g = np.tanh(nz[2 * hidden:])
+        tc = np.tanh(i * g)
+        h = o * tc
+        pred = w_y @ h + b_y
+        preds.append(pred)
 
-    resid = pred - y
-    loss = np.mean(resid * resid)
+        resid = pred - t
+        sq_sum += np.sum(resid * resid)
+        dpred = resid * (2.0 / n)
+        dw_y = dw_y + h @ dpred
+        db_y += np.sum(dpred)
 
-    dpred = (2.0 / n) * resid
-    dw_y = h @ dpred
-    db_y = np.sum(dpred)
+        qi = o * (1.0 - tc * tc) * i
+        Q = np.concatenate((qi * g * (1.0 - i), tc * o * (1.0 - o),
+                            qi * (1.0 - g * g)))
+        G = G + Q @ (x * dpred[:, None])
 
-    dh = w_y.reshape(-1, 1) * dpred.reshape(1, -1)
-    do = dh * tc
-    dc = dh * o * (1.0 - tc * tc)
-    dpre_o = do * o * (1.0 - o)
-    dpre_i = (dc * g) * i * (1.0 - i)
-    dpre_g = (dc * i) * (1.0 - g * g)
-    dpre = np.concatenate((dpre_i, dpre_o, dpre_g))
-
-    return loss, pred, dpre @ xa, dw_y, db_y
+    dWb = G * np.tile(w_y, 3)[:, None]
+    return sq_sum / n, np.concatenate(preds), dWb, dw_y, db_y
 
 
 def per_gate_loss_and_grads(x, y, W_i, b_i, W_o, b_o, W_g, b_g, w_y, b_y):
@@ -162,31 +170,71 @@ shapes = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
               k=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 30),
               scale=st.sampled_from((0.1, 1.0, 4.0)))
 
+#: Training chunk sizes to run the kernel with, small ones drawn more
+#: often: from one window a chunk to more windows than any drawn batch
+#: has, as with the default ``_TRAIN_CHUNK``.
+chunks = st.one_of(st.integers(1, 64), st.integers(1, 400))
+
+#: A training chunk size small enough for the chunk-boundary cases.
+SMALL_CHUNK = 16
+
+
+def assert_within_bound_of_per_gate_formula(result, x, y, params):
+    """Every output of a kernel call within ``PER_GATE_ULPS`` of the
+    per-gate formula's, scaled by the larger of 1 and that output's
+    largest magnitude."""
+    loss, pred, dWb, dw_y, db_y = result
+    got = [loss, pred, *per_gate_view(dWb), dw_y, db_y]
+    for value, want in zip(got, per_gate_loss_and_grads(x, y, *params)):
+        bound = PER_GATE_ULPS * EPS * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(value - want)) <= bound
+
 
 class TestKernelsMatchReference:
     @settings(max_examples=60)
-    @given(**shapes)
-    def test_loss_and_grads_bit_identical(self, seed, n, k, hidden, scale):
+    @given(**shapes, chunk=chunks)
+    def test_loss_and_grads_bit_identical(self, seed, n, k, hidden, scale,
+                                          chunk):
         x, y, params = random_case(seed, n, k, hidden, scale)
         xa, Wb, w_y, b_y = fused(x, params)
-        expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
-        assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y)) == expected
-        work = _GradWork(n, k, hidden)
-        assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y, work=work)) \
-            == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
+            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y)) == expected
+            work = _GradWork(n, k, hidden)
+            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y,
+                                             work=work)) == expected
 
     @settings(max_examples=200)
-    @given(**shapes)
+    @given(**shapes, chunk=chunks)
     def test_loss_and_grads_within_bound_of_per_gate_formula(
-            self, seed, n, k, hidden, scale):
+            self, seed, n, k, hidden, scale, chunk):
         x, y, params = random_case(seed, n, k, hidden, scale)
         xa, Wb, w_y, b_y = fused(x, params)
-        loss, pred, dWb, dw_y, db_y = loss_and_grads_numpy(
-            xa, y, Wb, w_y, b_y)
-        got = [loss, pred, *per_gate_view(dWb), dw_y, db_y]
-        for value, want in zip(got, per_gate_loss_and_grads(x, y, *params)):
-            bound = PER_GATE_ULPS * EPS * max(1.0, np.max(np.abs(want)))
-            assert np.max(np.abs(value - want)) <= bound
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            result = loss_and_grads_numpy(xa, y, Wb, w_y, b_y)
+        assert_within_bound_of_per_gate_formula(result, x, y, params)
+
+    @pytest.mark.parametrize("n", (SMALL_CHUNK - 1, SMALL_CHUNK,
+                                   SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 5))
+    @pytest.mark.parametrize("hidden", (1, 7))
+    def test_chunk_boundaries(self, n, hidden, monkeypatch):
+        # one short chunk, one full chunk, a full chunk and one window, and
+        # two full chunks and an odd remainder; the work holds one chunk
+        monkeypatch.setattr(kernels, "_TRAIN_CHUNK", SMALL_CHUNK)
+        work = _GradWork(n, 3, hidden)
+        assert work.block.shape == (5 * hidden * min(n, SMALL_CHUNK),)
+        assert work.pred.shape == (n,)
+        for seed in range(3):
+            x, y, params = random_case(seed, n, 3, hidden, 1.0)
+            xa, Wb, w_y, b_y = fused(x, params)
+            expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
+            result = loss_and_grads_numpy(xa, y, Wb, w_y, b_y, work=work)
+            assert bits(result) == expected
+            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y)) \
+                == expected
+            assert_within_bound_of_per_gate_formula(result, x, y, params)
 
     @settings(max_examples=60)
     @given(**shapes)
@@ -239,8 +287,7 @@ class TestKernelsMatchReference:
         assert pred is work.pred
         assert dWb is work.dWb
         assert dw_y is work.dw_y
-        assert work.gates.base is work.block
-        assert work.dpre.base is work.block
+        assert work.chunk(10)[0].base is work.block
 
 
 def reference_train(config: TrainConfig, windows: WindowSet):
@@ -282,14 +329,17 @@ class TestTrainDeterminism:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            lag=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 12),
            epochs=st.integers(1, 12),
-           learning_rate=st.sampled_from((0.01, 0.5)))
+           learning_rate=st.sampled_from((0.01, 0.5)),
+           chunk=st.integers(1, 64))
     def test_train_matches_reference_loop(self, seed, n, lag, hidden, epochs,
-                                          learning_rate):
+                                          learning_rate, chunk):
         windows = make_window_set(np.random.default_rng(seed), lag, n)
         config = TrainConfig(learning_rate=learning_rate, epochs=epochs,
                              hidden_dim=hidden, lag=lag, rng_seed=seed)
-        params, report = train(config, windows)
-        expected, losses = reference_train(config, windows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            params, report = train(config, windows)
+            expected, losses = reference_train(config, windows)
         assert bits(report.epoch_losses) == bits(losses)
         assert bits(params.arrays()) == bits(expected.arrays())
         assert bits([params.b_y]) == bits([expected.b_y])
@@ -297,13 +347,26 @@ class TestTrainDeterminism:
 
 #: ``train`` against the per-gate formula on one fixed series, 300 epochs
 #: at the README defaults otherwise: the stated tolerance of the fused
-#: kernel.  Largest seen: 5.3e-16 relative and 2.2e-16 absolute.
+#: kernel, in one chunk and in several.  Largest seen: 4.8e-16 relative
+#: and 2.2e-16 absolute.
 TRAIN_LOSS_RTOL = 1e-14
 TRAIN_WEIGHT_ATOL = 1e-13
 
 
 @pytest.mark.parametrize("lag", (1, 2, 3))
 def test_train_within_tolerance_of_per_gate_loop(lag):
+    assert_train_within_tolerance_of_per_gate_loop(lag)
+
+
+@pytest.mark.parametrize("lag", (1, 2, 3))
+def test_chunked_train_within_tolerance_of_per_gate_loop(lag, monkeypatch):
+    # the series' 497 to 499 windows in chunks of 128: three full chunks
+    # and an odd remainder
+    monkeypatch.setattr(kernels, "_TRAIN_CHUNK", 128)
+    assert_train_within_tolerance_of_per_gate_loop(lag)
+
+
+def assert_train_within_tolerance_of_per_gate_loop(lag):
     values = np.random.default_rng(0).normal(100.0, 10.0, 500).round()
     series = TimeSeries(datetime(2000, 1, 1), 1.0, values)
     windows = scale_windows(build_windows(series, lag), fit_scaler(series))
@@ -371,6 +434,20 @@ class TestAllocation:
         # Only the loss curve (8 bytes an epoch) and Python's small-object
         # free lists grow with the epochs.
         assert long - short < NH_BYTES // 4
+
+    def test_train_peak_does_not_grow_as_windows_times_hidden(self):
+        # about 100k windows: the work arrays hold one chunk of windows, so
+        # the peak is the (n, k + 1) inputs, the n predictions and a block
+        # of chunk-sized arrays, well below one (n, hidden) array, and 8
+        # times the hidden width adds far less than n more floats per unit
+        n = 100_000
+        windows = make_window_set(np.random.default_rng(2), LAG, n)
+
+        def run(hidden):
+            train(TrainConfig(epochs=2, hidden_dim=hidden), windows)
+        narrow, wide = traced_peak(run, 8), traced_peak(run, 64)
+        assert wide < n * 64 * 8 // 4
+        assert wide - narrow < n * (64 - 8) * 8 // 8
 
     def test_predict_windows_peak_is_bounded(self):
         rng = np.random.default_rng(1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ingest_oracle import load_tshark_csv_per_row
 from synwatch import pipeline
 from synwatch import _bulk
+from synwatch.detector import DetectorConfig
 from synwatch.errors import DataError
 from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
                                TimeSeries, _parse_timestamp, aggregate_counts,
@@ -854,6 +855,15 @@ class TestGenerateSynthetic:
         for (_, e1), (s2, _) in zip(intervals, intervals[1:]):
             assert s2 - e1 - 1 >= 12
 
+    def test_attack_spacing_is_the_detector_window(self):
+        assert pipeline.MIN_ATTACK_SEPARATION == DetectorConfig.mat
+        assert_attacks_packed_at_separation(DetectorConfig.mat)
+
+    @pytest.mark.parametrize("gap", (1, 30))
+    def test_attack_spacing_follows_min_separation(self, gap, monkeypatch):
+        monkeypatch.setattr(pipeline, "MIN_ATTACK_SEPARATION", gap)
+        assert_attacks_packed_at_separation(gap)
+
     def test_deterministic_per_seed(self):
         config = SynthConfig(length=500, attack_count=2, rng_seed=11)
         a = generate_synthetic(config)
@@ -887,6 +897,20 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="attack mean"):
             SynthConfig(length=10, baseline_mean=1e308, attack_count=1)
         SynthConfig(length=10, baseline_mean=1e308)  # no attack drawn
+
+
+def assert_attacks_packed_at_separation(gap):
+    """Three 20-step attacks in a series with no slack sit exactly ``gap``
+    steps from the start and from each other; one step less cannot hold
+    them."""
+    length = 3 * gap + 60
+    config = dict(attack_count=3, attack_min_len=20, attack_max_len=20,
+                  rng_seed=4)
+    out = generate_synthetic(SynthConfig(length=length, **config))
+    assert out.attack_intervals == [
+        (gap + j * (gap + 20), gap + j * (gap + 20) + 19) for j in range(3)]
+    with pytest.raises(DataError, match=f"with {gap}-step separation"):
+        generate_synthetic(SynthConfig(length=length - 1, **config))
 
 
 def joined_series_text(data, seed=None):
