@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (EPSILON_FLOOR, DetectorConfig, StepVerdict,
-                       segment_alarms)
+from .detector import EPSILON_FLOOR, DetectorConfig, Verdicts, segment_alarms
 from .errors import DataError
 from .lstm import LstmParams, predict_windows
 from .pipeline import Scaler, TimeSeries, build_windows
@@ -178,21 +177,19 @@ class ReplayTrace:
         """Anomalous-point fraction per step for one ret; 0 where warmup."""
         return self.anomalous_counts(ret) / self.mat
 
-    def verdicts(self, config: DetectorConfig) -> list[StepVerdict]:
-        """The verdicts a streaming ``Detector`` gives for these rows.
+    def verdict_columns(self, config: DetectorConfig) -> Verdicts:
+        """The verdicts a streaming ``Detector`` gives for these rows, as
+        columns.
 
         The trace holds the Detector's relative errors and window means bit
         for bit, and its danger coefficients count the same flags, so the
-        alarm rule applied column-wise gives the same verdicts.  Every
-        field is a plain Python number, as the Detector's are.
+        alarm rule applied column-wise gives the same verdicts.
         """
         dc = self.danger(config.ret)
         alarm = ~self.warmup & (dc > config.alpha) & (self.are > config.beta)
-        return list(map(
-            StepVerdict, self.steps.tolist(), self.actual.tolist(),
-            self.predicted.tolist(), self.re.tolist(),
-            (self.re > config.ret).tolist(), dc.tolist(), self.are.tolist(),
-            alarm.tolist(), self.warmup.tolist()))
+        return Verdicts(self.steps, self.actual, self.predicted, self.re,
+                        self.re > config.ret, dc, self.are, alarm,
+                        self.warmup)
 
 
 def replay_trace(pairs, mat: int) -> ReplayTrace:

@@ -36,8 +36,8 @@ from . import __version__
 from .calibration import (CalibrationGrid, _prediction_table, default_grid,
                           evaluate_events, replay_trace, write_sweep)
 from .calibration import calibrate as run_calibration
-from .detector import DetectorConfig, segment_alarms, write_alarms, \
-    write_verdicts
+from .detector import (DetectorConfig, Verdicts, alarm_events, write_alarms,
+                       write_verdicts)
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
 from .pipeline import (EPOCH, LAGS, LabeledTimeSeries, SynthConfig,
@@ -432,16 +432,17 @@ def detect_cmd(model, config, test, scaler, output):
     if len(series) >= params.input_dim + 1:
         trace = replay_trace(_prediction_table(params, scaler, series),
                              detector.mat)
-        verdicts = trace.verdicts(detector)
+        verdicts = trace.verdict_columns(detector)
     else:
-        verdicts = []
+        verdicts = Verdicts.of([])
     write_verdicts(output, verdicts)
-    events = segment_alarms(verdicts)
+    events = alarm_events(verdicts)
     alarms_path = f"{output}.alarms.csv"
     write_alarms(alarms_path, events)
     _write_manifest({"verdicts": output, "alarms": alarms_path},
                     scaler=scaler_path, detector=detector.to_text())
-    click.echo(f"wrote {len(verdicts)} verdicts, {len(events)} alarm events")
+    click.echo(f"wrote {len(verdicts.step)} verdicts, {len(events)} alarm "
+               "events")
     if labeled:
         _echo_metrics(evaluate_events(events, data.attack_intervals))
 

@@ -13,7 +13,10 @@ or over the fixed ``EPSILON_FLOOR`` when that is smaller, so zero-traffic
 steps stay finite.  ``Detector.step`` is the one scalar form of this rule.
 ``calibration.replay_trace`` computes the same per-step statistics for a
 whole stream with array operations, bit for bit equal to it; ``synwatch
-detect`` builds its verdicts from that trace.
+detect`` builds its verdicts from that trace as ``Verdicts``, one array
+per field, with no object per step.  ``alarm_events`` is the one form of
+the rule that joins alarmed steps into events, and ``write_verdicts``
+formats the columns a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DataError
 
@@ -164,46 +170,116 @@ class Detector:
                            re_value > cfg.ret, dc, are, alarm, warmup)
 
 
+class Verdicts(NamedTuple):
+    """A verdict stream as columns: one array per ``StepVerdict`` field,
+    row ``i`` of each being the ``i``-th verdict.  ``len(step)`` is the
+    number of verdicts."""
+
+    step: np.ndarray              # int64
+    actual: np.ndarray            # float64
+    predicted: np.ndarray         # float64
+    re: np.ndarray                # float64
+    point_anomaly: np.ndarray     # bool
+    dc: np.ndarray                # float64
+    are: np.ndarray               # float64
+    collective_alarm: np.ndarray  # bool
+    warmup: np.ndarray            # bool
+
+    @classmethod
+    def of(cls, verdicts) -> "Verdicts":
+        """The columns of ``verdicts``: a ``Verdicts``, returned as it is,
+        or an iterable of ``StepVerdict``."""
+        if isinstance(verdicts, cls):
+            return verdicts
+        rows = list(verdicts)
+        return cls(*(np.array([getattr(v, name) for v in rows], dtype=dtype)
+                     for name, dtype in zip(cls._fields, (
+                         np.int64, np.float64, np.float64, np.float64, bool,
+                         np.float64, np.float64, bool, bool))))
+
+
+def alarm_events(verdicts: Verdicts) -> list[AlarmEvent]:
+    """The alarm events of a verdict stream: each maximal run of alarmed
+    rows at consecutive steps is one event, with the largest ``dc`` and
+    ``are`` of its rows.  Raises ValueError unless the steps ascend."""
+    step = verdicts.step
+    if np.any(step[1:] <= step[:-1]):
+        raise ValueError("verdicts must be step-ordered")
+    rows = np.flatnonzero(verdicts.collective_alarm)
+    if not len(rows):
+        return []
+    at = step[rows]
+    # an alarmed row opens an event unless the row before it alarmed too,
+    # one step earlier
+    first = np.flatnonzero(np.concatenate((
+        [True], (np.diff(rows) != 1) | (np.diff(at) != 1))))
+    last = np.append(first[1:], len(rows)) - 1
+    return list(map(AlarmEvent, at[first].tolist(), at[last].tolist(),
+                    np.maximum.reduceat(verdicts.dc[rows], first).tolist(),
+                    np.maximum.reduceat(verdicts.are[rows], first).tolist()))
+
+
 def segment_alarms(verdicts) -> list[AlarmEvent]:
-    """Collapse maximal runs of consecutively-alarmed steps into events."""
-    events: list[AlarmEvent] = []
-    current: AlarmEvent | None = None
-    previous_step: int | None = None
-    for v in verdicts:
-        if previous_step is not None and v.step <= previous_step:
-            raise ValueError("verdicts must be step-ordered")
-        contiguous = previous_step is not None and v.step == previous_step + 1
-        previous_step = v.step
-        if v.collective_alarm:
-            if current is not None and contiguous:
-                current.end_step = v.step
-                current.peak_dc = max(current.peak_dc, v.dc)
-                current.peak_are = max(current.peak_are, v.are)
-            else:
-                if current is not None:
-                    events.append(current)
-                current = AlarmEvent(v.step, v.step, v.dc, v.are)
-        elif current is not None:
-            events.append(current)
-            current = None
-    if current is not None:
-        events.append(current)
-    return events
+    """Collapse maximal runs of consecutively-alarmed steps into events:
+    ``alarm_events`` of the columns of ``verdicts``."""
+    return alarm_events(Verdicts.of(verdicts))
 
 
 VERDICT_HEADER = ("step,actual,predicted,re,dc,are,"
                   "point_anomaly,warmup,collective_alarm")
 
+#: Rows that ``write_verdicts`` formats at a time.  No output depends on
+#: it.
+_CHUNK = 4096
+
+#: The end of a verdict line, from its three flags, by ``4 *
+#: point_anomaly + 2 * warmup + collective_alarm``.
+_FLAGS = np.array([f",{point},{warmup},{alarm}\n" for point in (0, 1)
+                   for warmup in (0, 1) for alarm in (0, 1)], dtype=object)
+
+
+def _texts(keys: np.ndarray, texts) -> np.ndarray:
+    """The text of each of the int64 ``keys``, as an object array:
+    ``texts(unique)`` gives the texts of the sorted distinct keys, so each
+    is made once."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts(unique), dtype=object)[inverse]
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The ``.17g`` text of each of ``values``, as an object array.  Each
+    distinct bit pattern is formatted once, so ``-0.0`` keeps its sign."""
+    return _texts(values.view(np.int64), lambda bits: [
+        "%.17g" % value for value in bits.view(np.float64).tolist()])
+
 
 def write_verdicts(path, verdicts) -> None:
-    # Line by line: joining the lines first holds the whole file in memory
-    # three times over (the join, its final newline and its encoding).
+    """Write a verdict CSV from ``verdicts``: a ``Verdicts``, or
+    ``StepVerdict`` objects in order.
+
+    The rows are formatted ``_CHUNK`` at a time, each block by one ``%``
+    format, so that no copy of the whole text is held in memory.  The
+    ``actual`` and ``dc`` columns repeat few values, so each of their
+    distinct values is formatted once per block; the flags pick one of
+    eight line ends.
+    """
+    v = Verdicts.of(verdicts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VERDICT_HEADER + "\n")
-        fh.writelines(
-            f"{v.step},{v.actual:.17g},{v.predicted:.17g},{v.re:.17g},"
-            f"{v.dc:.17g},{v.are:.17g},{int(v.point_anomaly)},"
-            f"{int(v.warmup)},{int(v.collective_alarm)}\n" for v in verdicts)
+        for lo in range(0, len(v.step), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            table = np.empty((len(v.step[rows]), 7), dtype=object)
+            table[:, 0] = v.step[rows]
+            table[:, 1] = _float_texts(v.actual[rows])
+            table[:, 2] = v.predicted[rows]
+            table[:, 3] = v.re[rows]
+            table[:, 4] = _float_texts(v.dc[rows])
+            table[:, 5] = v.are[rows]
+            table[:, 6] = _FLAGS[4 * v.point_anomaly[rows]
+                                 + 2 * v.warmup[rows]
+                                 + v.collective_alarm[rows]]
+            fh.write("%d,%s,%.17g,%.17g,%s,%.17g%s" * len(table)
+                     % tuple(table.ravel().tolist()))
 
 
 def read_verdicts(path) -> list[StepVerdict]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re as _re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -250,8 +251,8 @@ def _parse_timestamp(text: str) -> datetime:
         int(m.group("h")), int(m.group("m")), int(m.group("s")), int(frac))
 
 
-#: Bytes ``load_tshark_csv`` reads at a time; each block is cut after its
-#: last line end.  No output depends on it.
+#: Bytes ``load_tshark_csv`` and ``load_series`` read at a time; each block
+#: is cut after its last line end.  No output depends on it.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -626,29 +627,124 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
                              attack_intervals=intervals)
 
 
+#: Series files of at most this many bytes are read row by row: on so few
+#: rows the byte path saves less time than loading ``_bulk`` takes (about
+#: 3 ms when Python compiles it afresh, as it does with
+#: ``PYTHONDONTWRITEBYTECODE``).  No output depends on it.
+_BULK_MIN_BYTES = 1 << 18
+
+
+class _SeriesReader:
+    """``load_series`` between blocks: the header, the number of rows read,
+    the first and last timestamps and the cadence, and the counts and
+    attack flags read, as arrays.  ``check`` reads rows one at a time;
+    ``_bulk.SeriesReader`` adds the byte path."""
+
+    def __init__(self, path):
+        self.path = path
+        self.width: int | None = None  # fields per row, from the header
+        self.labeled = False
+        self.rows = 0
+        self.start: datetime | None = None
+        self.last: datetime | None = None
+        self.delta: timedelta | None = None
+        self.counts: list[np.ndarray] = []
+        self.attack: list[np.ndarray] = []
+
+    def series(self):
+        """The series read, once every block has been."""
+        if self.width is None:
+            raise DataError(f"{self.path}: missing header")
+        if not self.rows:
+            raise DataError(f"{self.path}: no data rows")
+        step = 1.0 if self.delta is None else self.delta.total_seconds()
+        series = TimeSeries(start_time=self.start, step_duration=step,
+                            values=np.concatenate(self.counts))
+        if not self.labeled:
+            return series
+        labels = np.concatenate(self.attack)
+        return LabeledTimeSeries(series=series, labels=labels,
+                                 attack_intervals=intervals_from_labels(
+                                     labels))
+
+    def check(self, data: bytes) -> None:
+        """Read the lines of ``data`` one at a time, as ``str.splitlines``
+        splits them, with the per-row checks: the first bad row raises a
+        DataError that names it."""
+        path, width, labeled = self.path, self.width, self.labeled
+        rows, start, last, delta = self.rows, self.start, self.last, self.delta
+        counts: list[float] = []
+        attack: list[bool] = []
+        for line in data.decode("utf-8").splitlines():
+            if not line.strip():
+                continue
+            if width is None:
+                if line.lstrip().startswith("#"):
+                    continue
+                header = [c.strip() for c in line.split(",")]
+                if header[:3] != ["step", "timestamp", "count"]:
+                    raise DataError(f"{path}: expected header "
+                                    "step,timestamp,count[,label]")
+                width = self.width = len(header)
+                labeled = self.labeled = width > 3 and header[3] == "label"
+                continue
+            rows += 1
+            parts = line.split(",")
+            if len(parts) != width:
+                raise DataError(f"{path}: malformed row {rows}: "
+                                f"{len(parts)} fields, the header has "
+                                f"{width}")
+            try:
+                step_no = int(parts[0])
+                timestamp = _parse_timestamp(parts[1])
+                count = float(parts[2])
+            except ValueError as exc:
+                raise DataError(f"{path}: row {rows}: {exc}") from None
+            if step_no != rows - 1:
+                raise DataError(f"{path}: row {rows}: step {step_no}, "
+                                f"expected {rows - 1}")
+            if last is None:
+                start = timestamp
+            elif delta is None:
+                delta = timestamp - last
+                if delta <= timedelta(0):
+                    raise DataError(f"{path}: non-increasing timestamps")
+            elif timestamp - last != delta:
+                # datetime arithmetic is exact: equal gaps are an exact
+                # cadence
+                expected = start + (rows - 1) * delta
+                raise DataError(
+                    f"{path}: row {rows}: timestamp {timestamp.isoformat()} "
+                    f"is off the cadence, expected {expected.isoformat()}")
+            last = timestamp
+            if not math.isfinite(count) or count < 0:
+                kind = "negative" if math.isfinite(count) else "non-finite"
+                raise DataError(f"{path}: row {rows}: {kind} count "
+                                f"{parts[2].strip()!r}")
+            if labeled:
+                token = parts[3].strip()
+                if token not in ("normal", "attack"):
+                    raise DataError(
+                        f"{path}: row {rows}: bad label {token!r}")
+                attack.append(token == "attack")
+            counts.append(count)
+        self.rows, self.start, self.last, self.delta = rows, start, last, delta
+        self.counts.append(np.array(counts, dtype=np.float64))
+        self.attack.append(np.array(attack, dtype=bool))
+
+
 def save_series(path, data, seed: int | None = None) -> None:
     """Write a series CSV: ``step,timestamp,count[,label]``.
 
     Synthetic fixtures carry their seed in a leading ``# seed=<n>`` line.
-    The file is written line by line, as ``detector.write_verdicts``
-    writes, so no copy of the whole text is held in memory.
+    The start time is naive, as ``load_series`` and every command make
+    it.  The rows are formatted from the arrays ``_bulk._CHUNK`` at a
+    time, each block by one ``%`` format, so no copy of the whole text is
+    held in memory.  Counts and the parts of a timestamp repeat, so each
+    distinct one is formatted once per block.
     """
-    labeled = isinstance(data, LabeledTimeSeries)
-    series = data.series if labeled else data
-    step = timedelta(microseconds=round(series.step_duration * 1e6))
-    start = series.start_time
-    if labeled:
-        suffixes = (",attack" if flag else ",normal" for flag in data.labels)
-    else:
-        suffixes = repeat("")
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        fh.write("step,timestamp,count,label\n" if labeled
-                 else "step,timestamp,count\n")
-        fh.writelines(
-            f"{i},{(start + i * step).isoformat()},{value:.17g}{suffix}\n"
-            for i, (value, suffix) in enumerate(zip(series.values, suffixes)))
+    from . import _bulk  # loaded with the first series file written
+    _bulk.write_series(path, data, seed)
 
 
 def load_series(path):
@@ -656,70 +752,40 @@ def load_series(path):
     column is present, TimeSeries otherwise.
 
     The cadence is the gap between the first two timestamps; every row
-    must sit on it and carry its 0-based position in the ``step`` column.
+    must sit on it, carry its 0-based position in the ``step`` column and
+    have as many fields as the header.  The file must be UTF-8; its lines
+    are those ``str.splitlines`` gives, and blank lines are skipped, as
+    are ``#`` lines before the header.
+
+    A file of at most ``_BULK_MIN_BYTES`` is read whole, then row
+    by row.  A larger one is read as bytes, ``_BLOCK_BYTES`` at a time, and a
+    plain line (printable ASCII) whose step is ASCII digits, whose
+    timestamp is ISO ``YYYY-MM-DDTHH:MM:SS[.ffffff]``, whose count is
+    digits with at most one ``.`` and whose label is ``normal`` or
+    ``attack`` is read in place (``_bulk.read_series``), and the step and
+    cadence checks run on arrays.  Every other line is split and parsed
+    one at a time.  When a row of a block fails a check, the block is
+    read again row by row, so that the error names the first bad row with
+    the message the per-row checks give.  A byte that is not UTF-8 is
+    reported before any other error, wherever it is.
     """
-    with _utf8_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    while lines and lines[0].lstrip().startswith("#"):
-        lines.pop(0)
-    if not lines:
-        raise DataError(f"{path}: missing header")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[:3] != ["step", "timestamp", "count"]:
-        raise DataError(f"{path}: expected header step,timestamp,count[,label]")
-    labeled = len(header) > 3 and header[3] == "label"
-
-    start = previous = delta = None
-    values: list[float] = []
-    labels: list[bool] = []
-    for row_no, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) < (4 if labeled else 3):
-            raise DataError(f"{path}: malformed row {row_no}")
+    with open(path, "rb") as fh, _utf8_errors(path):
+        if os.fstat(fh.fileno()).st_size <= _BULK_MIN_BYTES:
+            reader = _SeriesReader(path)
+            reader.check(fh.read())  # which decodes the whole file first
+            return reader.series()
+        # imported here, so that only the commands that read a large file
+        # load it
+        from ._bulk import SeriesReader
+        reader = SeriesReader(path)
+        blocks = _utf8_checked(_blocks(fh.read))
         try:
-            step_no = int(parts[0])
-            timestamp = _parse_timestamp(parts[1])
-            count = float(parts[2])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from None
-        if step_no != row_no - 1:
-            raise DataError(
-                f"{path}: row {row_no}: step {step_no}, expected {row_no - 1}")
-        if previous is None:
-            start = timestamp
-        elif delta is None:
-            delta = timestamp - previous
-            if delta <= timedelta(0):
-                raise DataError(f"{path}: non-increasing timestamps")
-        elif timestamp - previous != delta:
-            # datetime arithmetic is exact: equal gaps are an exact cadence
-            expected = start + (row_no - 1) * delta
-            raise DataError(
-                f"{path}: row {row_no}: timestamp {timestamp.isoformat()} is "
-                f"off the cadence, expected {expected.isoformat()}")
-        previous = timestamp
-        if not math.isfinite(count) or count < 0:
-            kind = "negative" if math.isfinite(count) else "non-finite"
-            raise DataError(
-                f"{path}: row {row_no}: {kind} count {parts[2].strip()!r}")
-        values.append(count)
-        if labeled:
-            token = parts[3].strip()
-            if token not in ("normal", "attack"):
-                raise DataError(f"{path}: row {row_no}: bad label {token!r}")
-            labels.append(token == "attack")
-    if not values:
-        raise DataError(f"{path}: no data rows")
-
-    step = delta.total_seconds() if delta is not None else 1.0
-    series = TimeSeries(start_time=start, step_duration=step,
-                        values=np.asarray(values))
-    if not labeled:
-        return series
-    labels_arr = np.asarray(labels, dtype=bool)
-    return LabeledTimeSeries(series=series, labels=labels_arr,
-                             attack_intervals=intervals_from_labels(labels_arr))
+            reader.read(blocks)
+            return reader.series()
+        except DataError:
+            for _ in blocks:  # so that a byte that is not UTF-8 raises
+                pass
+            raise
 
 
 def save_scaler(path, scaler: Scaler) -> None:

@@ -998,8 +998,8 @@ def test_calibrate_outputs_pinned(runner, pinned_calibrate_inputs, tmp_path,
 def test_cli_import_and_calibrate_leave_bulk_and_numpy_ma_unloaded(
         pinned_calibrate_inputs, tmp_path):
     # an eager import would cost every command its load time and memory:
-    # synwatch._bulk serves only ingest, and numpy.ma costs more than the
-    # whole calibration grid
+    # synwatch._bulk serves only ingest, series writes and large series
+    # reads, and numpy.ma costs more than the whole calibration grid
     code = (
         "import sys\n"
         "import synwatch.cli\n"
@@ -1187,6 +1187,70 @@ def test_mutated_csv_input_never_crashes(runner, csv_inputs, target, data):
                      str(mutated), "--scaler", scaler]}[target]
     result = runner.invoke(main, [*args, "-o", str(root / "out.txt")])
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+
+
+@pytest.mark.parametrize("header, rows, row_no, fields", [
+    # a decimal comma splits the count: 12,5 is two fields
+    ("step,timestamp,count", ["0,2000-01-01T00:00:00,12,5"], 1, 4),
+    # a label after the label
+    ("step,timestamp,count,label",
+     ["0,2000-01-01T00:00:00,12,normal", "1,2000-01-01T00:00:01,13,normal,"
+      "attack"], 2, 5)])
+def test_row_with_extra_fields_is_a_data_error(runner, workspace, tmp_path,
+                                               header, rows, row_no, fields):
+    # an extra field is never dropped: the row is rejected by number
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join([header, *rows]) + "\n")
+    result = runner.invoke(main, ["detect", workspace["model"],
+                                  workspace["config"], str(series),
+                                  "-o", str(tmp_path / "v.csv")])
+    assert result.exit_code == 3, result.output
+    width = len(header.split(","))
+    assert (f"data error: {series}: malformed row {row_no}: {fields} "
+            f"fields, the header has {width}") in result.output
+    assert not (tmp_path / "v.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def long_streams(tmp_path_factory):
+    """Labeled 20,000-step validation and test series, long enough that a
+    BLAS build may split its products between threads."""
+    root = tmp_path_factory.mktemp("long")
+    for name, seed in (("validation", 11), ("test", 12)):
+        result = CliRunner().invoke(main, [
+            "synth", "--length", "20000", "--attacks", "50", "--seed",
+            str(seed), "-o", str(root / f"{name}.csv")])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+def test_outputs_do_not_depend_on_blas_threads(long_streams, tmp_path,
+                                               command):
+    # every file, stdout and stderr byte for byte, at one and two BLAS
+    # threads, each run in a fresh interpreter that reads the setting
+    model = str(FIXTURE / "model.txt")
+    args = {"calibrate": [model, str(long_streams / "validation.csv")],
+            "detect": [model, str(FIXTURE / "detector.cfg"),
+                       str(long_streams / "test.csv")]}[command]
+    src = str(Path(synwatch.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "synwatch.cli", command, *args,
+             "-o", "out.csv"], cwd=work, env=env, capture_output=True,
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        runs[threads] = {path.name: path.read_bytes()
+                         for path in sorted(work.iterdir())}
+        runs[threads].update(stdout=result.stdout, stderr=result.stderr)
+    assert len(runs["1"]) == 5  # out.csv, its manifest and its sidecar
+    assert runs["1"] == runs["2"]
 
 
 def test_usage_error_exit_code_distinct(runner, tmp_path):

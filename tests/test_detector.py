@@ -1,15 +1,18 @@
 """Error window, window statistics, alarm rule, segmentation, IO."""
 
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch.detector import (EPSILON_FLOOR, AlarmEvent, Detector,
-                               DetectorConfig, StepVerdict, read_alarms,
-                               read_verdicts, relative_error, segment_alarms,
-                               write_alarms, write_verdicts)
+from synwatch import detector
+from synwatch.detector import (EPSILON_FLOOR, VERDICT_HEADER, AlarmEvent,
+                               Detector, DetectorConfig, StepVerdict, Verdicts,
+                               alarm_events, read_alarms, read_verdicts,
+                               relative_error, segment_alarms, write_alarms,
+                               write_verdicts)
 from synwatch.errors import DataError
 
 
@@ -462,6 +465,98 @@ class TestSegmentAlarms:
     def test_unordered_rejected(self):
         with pytest.raises(ValueError):
             segment_alarms([verdict(3, False), verdict(3, False)])
+
+
+def per_step_events(verdicts):
+    """The alarm events of ``verdicts``, one verdict at a time: the
+    reference for ``alarm_events``."""
+    events, current, previous = [], None, None
+    for v in verdicts:
+        contiguous = previous is not None and v.step == previous + 1
+        previous = v.step
+        if v.collective_alarm and current is not None and contiguous:
+            current.end_step = v.step
+            current.peak_dc = max(current.peak_dc, v.dc)
+            current.peak_are = max(current.peak_are, v.are)
+        elif v.collective_alarm:
+            if current is not None:
+                events.append(current)
+            current = AlarmEvent(v.step, v.step, v.dc, v.are)
+        elif current is not None:
+            events.append(current)
+            current = None
+    return events + ([current] if current is not None else [])
+
+
+@st.composite
+def verdict_streams(draw):
+    """Step-ordered verdicts with gaps between steps and alarm runs of any
+    length, dc and are repeating often, -0.0 among the values."""
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | FINITE
+    verdicts, step = [], draw(st.integers(-5, 5))
+    for _ in range(draw(st.integers(0, 40))):
+        step += draw(st.sampled_from([1, 1, 1, 2, 7]))
+        verdicts.append(StepVerdict(
+            step=step, actual=draw(values), predicted=draw(values),
+            re=draw(values), point_anomaly=draw(st.booleans()),
+            dc=draw(values), are=draw(values),
+            collective_alarm=draw(st.booleans()), warmup=draw(st.booleans())))
+    return verdicts
+
+
+def per_step_text(verdicts):
+    """A verdict CSV one line at a time, as ``write_verdicts`` once wrote
+    it: the reference for the block writer."""
+    return VERDICT_HEADER + "\n" + "".join(
+        f"{v.step},{v.actual:.17g},{v.predicted:.17g},{v.re:.17g},"
+        f"{v.dc:.17g},{v.are:.17g},{int(v.point_anomaly)},"
+        f"{int(v.warmup)},{int(v.collective_alarm)}\n" for v in verdicts)
+
+
+class TestVerdictColumns:
+    @settings(max_examples=200)
+    @given(verdicts=verdict_streams())
+    def test_alarm_events_equal_the_per_step_rule(self, verdicts):
+        events = alarm_events(Verdicts.of(verdicts))
+        assert events == per_step_events(verdicts)
+        assert segment_alarms(verdicts) == events
+        for event in events:
+            assert all(type(value) is int
+                       for value in (event.start_step, event.end_step))
+            assert all(type(value) is float
+                       for value in (event.peak_dc, event.peak_are))
+
+    def test_columns_of_columns_are_themselves(self):
+        columns = Verdicts.of([verdict(3, True)])
+        assert Verdicts.of(columns) is columns
+        assert len(columns.step) == 1 and len(Verdicts.of([]).step) == 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, detector._CHUNK])
+    @settings(max_examples=60)
+    @given(verdicts=verdict_streams())
+    def test_write_verdicts_bytes_do_not_depend_on_the_block(
+            self, tmp_path_factory, chunk, verdicts):
+        path = tmp_path_factory.mktemp("verdicts") / "v.csv"
+        with mock.patch.object(detector, "_CHUNK", chunk):
+            write_verdicts(path, verdicts)
+            assert path.read_bytes() == per_step_text(verdicts).encode()
+            write_verdicts(path, Verdicts.of(verdicts))
+            assert path.read_bytes() == per_step_text(verdicts).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 7, detector._CHUNK])
+    def test_alarm_run_across_blocks(self, tmp_path, chunk):
+        # an alarm run from step 7 to step 21 crosses blocks of 1 and 7
+        # rows
+        config = DetectorConfig(ret=0.3, beta=0.3, mat=4, alpha=0.5)
+        verdicts = drive(Detector(config), [0.1] * 5 + [0.9] * 16
+                         + [0.1] * 9)
+        assert [(e.start_step, e.end_step)
+                for e in segment_alarms(verdicts)] == [(7, 21)]
+        path = tmp_path / "v.csv"
+        with mock.patch.object(detector, "_CHUNK", chunk):
+            write_verdicts(path, verdicts)
+        assert path.read_bytes() == per_step_text(verdicts).encode()
+        assert read_verdicts(path) == verdicts
 
 
 class TestVerdictAndAlarmFiles:

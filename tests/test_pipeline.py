@@ -4,6 +4,7 @@ import csv
 import io
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingest_oracle import load_tshark_csv_per_row
+from series_oracle import load_series_per_row
 from synwatch import pipeline
 from synwatch import _bulk
 from synwatch.detector import DetectorConfig
@@ -1084,6 +1086,284 @@ class TestSeriesFiles:
     def test_time_series_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
             TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
+
+
+#: Count fields the per-row reader accepts or rejects in ways the byte
+#: path must send to it: spaces, signs, exponents, a bare ``.``, digit
+#: separators, ``-0``, non-finite and negative values, digits that are not
+#: ASCII, and long or dotted digit strings.
+ODD_COUNTS = [" 12 ", "+5", "1e3", ".5", "5.", "1_000", "-0", "-0.0", "nan",
+              "inf", "-3", "\u0663", "\uff11\uff12", "", "x", "0x1",
+              "1e+20", "12.5", "0.10000000000000001", "007", "9" * 17,
+              "9" * 19, "9" * 33, "1" * 16 + "." + "1" * 15]
+
+#: Steps and labels likewise.
+ODD_STEPS = [" {i}", "+{i}", "0{i}", "{i}.0", "{i}_0", "x", "", "-{i}",
+             "\u0663", "{i}\x00"]
+ODD_LABELS = [" attack", "attack ", "ATTACK", "x", "", "normal\x0b"]
+
+
+@st.composite
+def series_files(draw):
+    """A series file as bytes: a header with or without a label column
+    (rarely another column), ``#`` and blank lines before it, then rows on
+    a cadence with ISO timestamps (rarely with a space for the ``T``).
+    Rows may carry an odd count, step, label or timestamp, an extra or a
+    missing field, a ``#`` or blank line, a form feed, a NUL or a byte
+    that is not UTF-8; lines end in ``\n``, ``\r\n`` or a lone ``\r``,
+    with or without a final one."""
+    labeled = draw(st.booleans())
+    header = ["step", "timestamp", "count"] + (["label"] if labeled else [])
+    if draw(st.integers(0, 9)) == 0:
+        header.append("extra")
+    if draw(st.integers(0, 9)) == 0:
+        header = [f" {name} " for name in header]
+    lines = draw(st.lists(st.sampled_from(["# seed=3", "", "  # note"]),
+                          max_size=2))
+    lines.append(",".join(header))
+    start = draw(st.datetimes(min_value=datetime(1, 1, 2),
+                              max_value=datetime(9000, 1, 1)))
+    cadence = draw(st.sampled_from([1, 999_999, 10**6, 86_400 * 10**6]))
+    sep = draw(st.sampled_from("T" * 5 + " "))
+    for i in range(draw(st.integers(0, 25))):
+        when = start + timedelta(microseconds=i * cadence)
+        stamp = when.isoformat(sep)
+        fields = [str(i), stamp,
+                  "%.17g" % draw(st.sampled_from([0.0, 1.0, 97.0, 1234.0])
+                                 | st.floats(0, 1e6))]
+        if labeled:
+            fields.append(draw(st.sampled_from(["normal", "attack"])))
+        if len(header) > len(fields):
+            fields.append("x")
+        kind = draw(st.integers(0, 60))
+        if kind == 0:
+            fields[2] = draw(st.sampled_from(ODD_COUNTS))
+        elif kind == 1:
+            fields[0] = draw(st.sampled_from(ODD_STEPS)).format(i=i)
+        elif kind == 2 and len(fields) > 3:
+            fields[3] = draw(st.sampled_from(ODD_LABELS))
+        elif kind == 3:
+            fields[1] = (when + timedelta(microseconds=draw(st.sampled_from(
+                [-1, 1, cadence])))).isoformat()
+        elif kind == 4:
+            fields[1] = draw(st.sampled_from(
+                [when.isoformat() + "+01:00", " " + stamp, stamp + "\x00",
+                 stamp.replace("T", " "), "never"]))
+        elif kind == 5:
+            fields.append(draw(st.sampled_from(["", "x", "12"])))
+        elif kind == 6:
+            fields.pop()
+        elif kind == 7:
+            lines.append(draw(st.sampled_from(["", "   ", "# late", "\x0c"])))
+        line = ",".join(fields)
+        if kind == 8:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(
+                ["\x0c", "\x00", "\u2028", "\r", "\ufeff"])) + line[at:]
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_outcome(load, path):
+    """What ``load`` makes of the series file at ``path``: its message, or
+    its type, counts (by bits), labels, start and cadence."""
+    try:
+        data = load(path)
+    except DataError as exc:
+        return f"data error: {exc}"
+    labeled = isinstance(data, LabeledTimeSeries)
+    series = data.series if labeled else data
+    return (type(data).__name__, series.values.view(np.uint64).tolist(),
+            data.labels.tolist() if labeled else None,
+            data.attack_intervals if labeled else None,
+            series.start_time, series.step_duration)
+
+
+#: Block sizes from one byte, where each block is one line, to the
+#: loader's own, on the byte path; then the whole file row by row, the
+#: path of files up to ``_BULK_MIN_BYTES``.
+SERIES_PATHS = [(1, 0), (7, 0), (64, 0), (pipeline._BLOCK_BYTES, 0),
+                (pipeline._BLOCK_BYTES, pipeline._BULK_MIN_BYTES)]
+
+
+def load_series_in_blocks(block, smallest, path):
+    """What ``load_series`` makes of ``path`` read ``block`` bytes at a
+    time, on the byte path when the file is larger than ``smallest``."""
+    with mock.patch.object(pipeline, "_BLOCK_BYTES", block), \
+            mock.patch.object(pipeline, "_BULK_MIN_BYTES", smallest):
+        return read_outcome(load_series, path)
+
+
+class TestSeriesReaderMatchesPerRowReader:
+    """``load_series`` against ``series_oracle``'s per-row reader: the same
+    series or the same DataError message, whatever the block size."""
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    @settings(max_examples=150)
+    @given(data=series_files())
+    def test_random_files(self, block, smallest, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_bytes(data)
+            assert load_series_in_blocks(block, smallest, path) == \
+                read_outcome(load_series_per_row, path)
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    @pytest.mark.parametrize("rows, message", [
+        # a decimal comma, and a label after a label: one field too many
+        (["0,2000-01-01T00:00:00,12,5"], "malformed row 1: 4 fields, the "
+                                         "header has 3"),
+        (["0,2000-01-01T00:00:00,12,normal,attack"],
+         "malformed row 1: 5 fields, the header has 4"),
+        # one field too few, after a good row
+        (["0,2000-01-01T00:00:00,12", "1,2000-01-01T00:00:01"],
+         "malformed row 2: 2 fields, the header has 3")])
+    def test_field_count_must_equal_the_header(self, tmp_path, block,
+                                               smallest, rows, message):
+        header = "step,timestamp,count" + (",label" if "normal" in rows[0]
+                                           else "")
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert load_series_in_blocks(block, smallest, path) == \
+            read_outcome(load_series_per_row, path) == \
+            f"data error: {path}: {message}"
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    @pytest.mark.parametrize("text", [
+        # one row, so no cadence check: its timestamp is read as the
+        # per-row reader reads it, offset included
+        "step,timestamp,count\n0,2000-01-01T00:00:00+01:00,5\n",
+        "step,timestamp,count,label\n0,2000-01-01T00:00:00.000001,5,attack",
+        # good rows the byte path does not read in place, among others
+        "# seed=1\r\n step , timestamp , count , label \r\n"
+        "0,2000-01-01T00:00:00,5,normal\r\n\r\n1,2000-01-01T00:00:01, 7 ,"
+        "attack\r\n2,2000-01-01 00:00:02,8,attack\r\n",
+        "step,timestamp,count\n0,2000-01-01T00:00:00,1e3\n"
+        "1,2000-01-01T00:00:01,-0\n2,2000-01-01T00:00:02,2\n"])
+    def test_listed_files(self, tmp_path, block, smallest, text):
+        path = tmp_path / "series.csv"
+        path.write_text(text, newline="")
+        got = load_series_in_blocks(block, smallest, path)
+        assert got == read_outcome(load_series_per_row, path)
+        assert not isinstance(got, str)
+
+    def test_odd_lines_do_not_send_their_block_row_by_row(self, tmp_path):
+        # a good row the byte path does not read in place is parsed on its
+        # own and put among the others, so the per-row checks see only the
+        # header
+        lines = [f"{i},{(T0 + timedelta(seconds=i)).isoformat()},"
+                 + (" 7 " if i % 50 == 3 else "5") for i in range(500)]
+        path = tmp_path / "series.csv"
+        path.write_text("step,timestamp,count\n" + "\n".join(lines)
+                        + "\n\n")
+        checked = []
+        check = pipeline._SeriesReader.check
+
+        def spy(reader, data):
+            checked.append(data)
+            return check(reader, data)
+        with mock.patch.object(pipeline, "_BULK_MIN_BYTES", 0), \
+                mock.patch.object(pipeline._SeriesReader, "check", spy):
+            got = read_outcome(load_series, path)
+        assert got == read_outcome(load_series_per_row, path)
+        assert checked == [b"step,timestamp,count\n"]
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    def test_error_in_a_late_block_names_its_row(self, tmp_path, block,
+                                                 smallest):
+        series = TimeSeries(T0, 1.0, np.arange(3000.0))
+        path = tmp_path / "series.csv"
+        save_series(path, series)
+        lines = path.read_text().splitlines()
+        # row 2500's count, signed, is still read; row 2900's is negative
+        lines[2500] = lines[2500].rsplit(",", 1)[0] + ",+2499"
+        lines[2900] = lines[2900].rsplit(",", 1)[0] + ",-1"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_series_in_blocks(block, smallest, path) == \
+            read_outcome(load_series_per_row, path) == \
+            f"data error: {path}: row 2900: negative count '-1'"
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    def test_bad_utf8_is_reported_before_a_row_error(self, tmp_path, block,
+                                                     smallest):
+        # the per-row reader decodes the whole file first
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"step,timestamp,count\n0,2000-01-01T00:00:00,x\n"
+                         + b"1,2000-01-01T00:00:01,1\n" * 40 + b"\xff\n")
+        got = load_series_in_blocks(block, smallest, path)
+        assert got == read_outcome(load_series_per_row, path)
+        assert "not UTF-8 text: byte 0xff at offset 1005" in got
+
+    @settings(max_examples=300)
+    @given(value=st.floats(0, 1e17) | st.floats(0, 1.0)
+           | st.integers(0, 10**18).map(float),
+           digits=st.text("0123456789", min_size=1, max_size=32),
+           point=st.integers(1, 31))
+    def test_plain_decimals_parse_as_float_does(self, value, digits, point):
+        # every count text the byte path reads gets float()'s double: the
+        # .17g text of a double, and any string of digits, with a point
+        # inside it or not
+        texts = ["%.17g" % value, digits]
+        if point < len(digits):
+            texts.append(digits[:point] + "." + digits[point:])
+        data = ",".join(texts).encode()
+        stops = np.cumsum([len(t) + 1 for t in texts]) - 1
+        starts = stops - [len(t) for t in texts]
+        ok, values = _bulk.decimals(data, data.translate(_bulk._CLASS),
+                                    starts, stops)
+        for text, read, got in zip(texts, ok.tolist(), values.tolist()):
+            plain = re.fullmatch(r"[0-9]+(\.[0-9]+)?", text) is not None
+            assert read == (plain and len(text) <= 32)
+            if read:
+                assert np.float64(got).view(np.uint64) == \
+                    np.float64(float(text)).view(np.uint64)
+
+
+class TestSeriesFileBlocks:
+    """The writer's block size changes no byte, and the reader's working
+    set grows with the series it returns, not with the file's text."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, _bulk._CHUNK])
+    def test_save_series_bytes_do_not_depend_on_the_block(self, tmp_path,
+                                                          chunk):
+        labeled = generate_synthetic(SynthConfig(length=5000, attack_count=6,
+                                                 rng_seed=9))
+        odd = TimeSeries(datetime(1969, 12, 31, 23, 59, 59, 999_990), 0.25,
+                         np.array([0.0, -0.0, 1.5, 1e20, 5e-324] * 7))
+        with mock.patch.object(_bulk, "_CHUNK", chunk):
+            for data, seed in ((labeled, 9), (odd, None)):
+                path = tmp_path / "series.csv"
+                save_series(path, data, seed=seed)
+                assert path.read_bytes() == joined_series_text(
+                    data, seed).encode("utf-8")
+
+    def test_load_peak_grows_with_the_result_only(self, tmp_path):
+        peaks = {}
+        for n in (20_000, 80_000):
+            path = tmp_path / f"series{n}.csv"
+            save_series(path, generate_synthetic(SynthConfig(
+                length=n, attack_count=n // 400, rng_seed=2)))
+            with mock.patch.object(pipeline, "_BLOCK_BYTES", 1 << 16), \
+                    mock.patch.object(pipeline, "_BULK_MIN_BYTES", 0):
+                load_series(path)
+                tracemalloc.start()
+                try:
+                    load_series(path)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            text_per_row = path.stat().st_size / n
+        # the counts (8 bytes a row) and the labels (1 byte a row), a few
+        # times over while the arrays are joined and checked, but much
+        # less than the text, about 34 bytes a row
+        per_row = (peaks[80_000] - peaks[20_000]) / 60_000
+        assert per_row < 3 * 9 < text_per_row
 
 
 class TestLabelHelpers:
