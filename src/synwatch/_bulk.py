@@ -13,8 +13,9 @@ digit class and length, the timestamps by their fixed-width forms, and a
 series count with a point by numpy's C float parser.  A line they take
 always passes the per-row checks in ``pipeline``, with the same value;
 every other line is left to those checks (``SeriesReader`` sends a
-series block to them when a row fails).  ``write_series`` formats series
-rows from their arrays, a block at a time.  The functions in
+series block to them when a line is not taken or a row fails).
+``write_series`` formats series rows from their arrays, a block at a
+time.  The functions in
 ``pipeline`` import this module when they run: ``load_tshark_csv``,
 ``save_series``, and ``load_series`` on a file larger than
 ``pipeline._BULK_MIN_BYTES``.  So importing ``synwatch`` does not
@@ -24,7 +25,6 @@ compile it, and the commands that read only small series never load it.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from datetime import timedelta
 from typing import NamedTuple
@@ -33,7 +33,7 @@ import numpy as np
 
 from .detector import _float_texts, _texts
 from .pipeline import (EPOCH, _MICROSECOND, _MONTHS, LabeledTimeSeries,
-                       _parse_timestamp, _SeriesReader)
+                       _SeriesReader)
 
 _NL, _CR, _QUOTE, _COMMA = b'\n\r",'
 
@@ -187,15 +187,23 @@ def _widths(lengths: np.ndarray, longest: int) -> list[int]:
                            [1:longest + 1]) + 1).tolist()
 
 
-def integers(classes: bytes, starts: np.ndarray, stops: np.ndarray):
-    """Whether each field ``classes[start:stop]``, of a block translated by
-    ``_CLASS``, is 1 to ``_BULK_INT_CHARS`` ASCII digits, so that ``int()``
-    reads it as a non-negative integer."""
+def _integer_fields(classes: bytes, starts: np.ndarray, stops: np.ndarray):
+    """For each width of the fields ``classes[start:stop]``, of a block
+    translated by ``_CLASS``, the width and the indices of the fields of
+    that width that are 1 to ``_BULK_INT_CHARS`` ASCII digits, so that
+    ``int()`` reads them as non-negative integers."""
     lengths = stops - starts
-    ok = np.zeros(len(starts), dtype=bool)
     for width in _widths(lengths, _BULK_INT_CHARS):
         rows = np.flatnonzero(lengths == width)
-        ok[rows] = _strings(classes, starts[rows], width) == b"9" * width
+        yield width, rows[_strings(classes, starts[rows], width)
+                          == b"9" * width]
+
+
+def integers(classes: bytes, starts: np.ndarray, stops: np.ndarray):
+    """Whether each field is an integer ``_integer_fields`` takes."""
+    ok = np.zeros(len(starts), dtype=bool)
+    for _, rows in _integer_fields(classes, starts, stops):
+        ok[rows] = True
     return ok
 
 
@@ -206,14 +214,10 @@ _POWERS = 10 ** np.arange(_BULK_INT_CHARS - 1, -1, -1, dtype=np.int64)
 def naturals(data: bytes, classes: bytes, starts: np.ndarray,
              stops: np.ndarray):
     """Whether each field ``data[start:stop]`` is an integer that
-    ``integers`` takes, and its value (0 where not).  The check is
-    ``integers``' own, made in the same pass as the values."""
-    lengths = stops - starts
+    ``_integer_fields`` takes, and its value (0 where not)."""
     ok = np.zeros(len(starts), dtype=bool)
     values = np.zeros(len(starts), dtype=np.int64)
-    for width in _widths(lengths, _BULK_INT_CHARS):
-        rows = np.flatnonzero(lengths == width)
-        rows = rows[_strings(classes, starts[rows], width) == b"9" * width]
+    for width, rows in _integer_fields(classes, starts, stops):
         ok[rows] = True
         values[rows] = ((_bytes(data, starts[rows], width) - ord("0"))
                         @ _POWERS[-width:])
@@ -509,66 +513,22 @@ class SeriesReader(_SeriesReader):
             if first < n and not self.take(data, lines, first):
                 self.check(data[lines.starts[first]:])
 
-    def row(self, line: str):
-        """The step, timestamp (in microseconds since ``EPOCH``), count and
-        attack flag of data row ``line``, or None when the row fails a
-        check of its own: its field count, a field that does not parse, a
-        count that is not finite and non-negative, or a bad label."""
-        parts = line.split(",")
-        if len(parts) != self.width:
-            return None
-        try:
-            step_no = int(parts[0])
-            stamp = (_parse_timestamp(parts[1]) - EPOCH) // _MICROSECOND
-            count = float(parts[2])
-        except ValueError:
-            return None
-        token = parts[3].strip() if self.labeled else "normal"
-        if not (math.isfinite(count) and count >= 0 and abs(step_no) < 2**63
-                and token in ("normal", "attack")):
-            return None
-        return step_no, stamp, count, token == "attack"
-
     def take(self, data: bytes, lines: Lines, first: int) -> bool:
         """Read the lines of ``data`` from line ``first`` on in bulk, and
-        return True; or take nothing and return False when a row fails a
-        check, so that ``check`` can name the first that does.
+        return True; or take nothing and return False, so that ``check``
+        reads the block and names its first bad row.
 
-        ``read_series`` reads the common lines in place.  Any other
-        line is split and parsed here, and a row that fails a check of its
-        own is sent to ``check``.  Then the steps must count the rows and
-        the timestamps keep the cadence, as array checks on microseconds
-        since ``EPOCH``.
+        ``read_series`` reads the lines in place; a line it does not read
+        sends the block to ``check``.  Then the steps must count the rows
+        and the timestamps keep the cadence, as array checks on
+        microseconds since ``EPOCH``.
         """
         if self.width not in (3, 4) or self.labeled != (self.width == 4):
             return False
-        taken, steps, us, counts, attack = read_series(
+        rows, steps, us, counts, attack = read_series(
             data, lines, first, self.width, self.labeled)
-        if len(taken) < len(lines.starts) - first:
-            # The other lines, in order, each as zero or more rows; a
-            # stable sort by line puts them among the lines taken.
-            left = np.ones(len(lines.starts), dtype=bool)
-            left[:first] = False
-            left[taken] = False
-            at, rows = [], []
-            for i in np.flatnonzero(left).tolist():
-                text = data[lines.starts[i]:lines.ends[i]].decode("utf-8")
-                for line in text.splitlines():
-                    if not line.strip():
-                        continue
-                    row = self.row(line)
-                    if row is None:
-                        return False
-                    at.append(i)
-                    rows.append(row)
-            order = np.argsort(np.concatenate((taken, at)), kind="stable")
-            extra = list(zip(*rows)) or [(), (), (), ()]
-            steps, us, counts, attack = (
-                np.concatenate((column, np.array(more, dtype=column.dtype)))
-                [order] for column, more in zip(
-                    (steps, us, counts, attack), extra))
-        if not len(steps):
-            return True
+        if len(rows) < len(lines.starts) - first:
+            return False
         # the steps count the rows, and the timestamps keep one cadence
         if not np.array_equal(steps, np.arange(self.rows,
                                                self.rows + len(steps))):

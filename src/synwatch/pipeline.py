@@ -763,11 +763,11 @@ def load_series(path):
     timestamp is ISO ``YYYY-MM-DDTHH:MM:SS[.ffffff]``, whose count is
     digits with at most one ``.`` and whose label is ``normal`` or
     ``attack`` is read in place (``_bulk.read_series``), and the step and
-    cadence checks run on arrays.  Every other line is split and parsed
-    one at a time.  When a row of a block fails a check, the block is
-    read again row by row, so that the error names the first bad row with
-    the message the per-row checks give.  A byte that is not UTF-8 is
-    reported before any other error, wherever it is.
+    cadence checks run on arrays.  A block with any other line, or with a
+    row that fails a check, is read again row by row, so that the error
+    names the first bad row with the message the per-row checks give.  A
+    byte that is not UTF-8 is reported before any other error, wherever
+    it is.
     """
     with open(path, "rb") as fh, _utf8_errors(path):
         if os.fstat(fh.fileno()).st_size <= _BULK_MIN_BYTES:

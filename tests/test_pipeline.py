@@ -1253,27 +1253,6 @@ class TestSeriesReaderMatchesPerRowReader:
         assert got == read_outcome(load_series_per_row, path)
         assert not isinstance(got, str)
 
-    def test_odd_lines_do_not_send_their_block_row_by_row(self, tmp_path):
-        # a good row the byte path does not read in place is parsed on its
-        # own and put among the others, so the per-row checks see only the
-        # header
-        lines = [f"{i},{(T0 + timedelta(seconds=i)).isoformat()},"
-                 + (" 7 " if i % 50 == 3 else "5") for i in range(500)]
-        path = tmp_path / "series.csv"
-        path.write_text("step,timestamp,count\n" + "\n".join(lines)
-                        + "\n\n")
-        checked = []
-        check = pipeline._SeriesReader.check
-
-        def spy(reader, data):
-            checked.append(data)
-            return check(reader, data)
-        with mock.patch.object(pipeline, "_BULK_MIN_BYTES", 0), \
-                mock.patch.object(pipeline._SeriesReader, "check", spy):
-            got = read_outcome(load_series, path)
-        assert got == read_outcome(load_series_per_row, path)
-        assert checked == [b"step,timestamp,count\n"]
-
     @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
     def test_error_in_a_late_block_names_its_row(self, tmp_path, block,
                                                  smallest):
