@@ -214,7 +214,9 @@ def ingest(packets, step_seconds, start, end, output):
 
     if start is None or end is None:
         if not len(stamps):
-            raise DataError("no parseable records and no --start/--end given")
+            missing = "/".join(flag for flag, value in (
+                ("--start", start), ("--end", end)) if value is None)
+            raise DataError(f"no parseable records and no {missing} given")
         if start is None:
             start = EPOCH + timedelta(microseconds=int(stamps[0]))
         if end is None:

@@ -18,7 +18,7 @@ import math
 import os
 import re as _re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 from pathlib import Path
@@ -95,8 +95,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.step_duration <= 0:
-            raise ValueError("step_duration must be positive")
+        if not 0 < self.step_duration < math.inf:
+            raise ValueError("step_duration must be finite and positive")
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(self.values)):
@@ -110,18 +110,22 @@ class TimeSeries:
 
 @dataclass
 class LabeledTimeSeries:
-    """A TimeSeries with a per-step normal/attack flag."""
+    """A TimeSeries with a per-step normal/attack flag.
+
+    The labels are the only form of the ground truth it holds;
+    ``attack_intervals`` reads their runs."""
     series: TimeSeries
     labels: np.ndarray  # bool, True = attack step
-    attack_intervals: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=bool)
         if len(self.labels) != len(self.series):
             raise ValueError("labels length must match series length")
-        expected = labels_from_intervals(len(self.series), self.attack_intervals)
-        if not np.array_equal(expected, self.labels):
-            raise ValueError("labels and attack_intervals disagree")
+
+    @property
+    def attack_intervals(self) -> list[tuple[int, int]]:
+        """The runs of attack steps, as closed [start, end] index pairs."""
+        return intervals_from_labels(self.labels)
 
     def __len__(self) -> int:
         return len(self.series)
@@ -209,15 +213,6 @@ def intervals_from_labels(labels) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def labels_from_intervals(length: int, intervals) -> np.ndarray:
-    labels = np.zeros(length, dtype=bool)
-    for start, end in intervals:
-        if not 0 <= start <= end < length:
-            raise ValueError(f"interval [{start}, {end}] out of range")
-        labels[start:end + 1] = True
-    return labels
-
-
 def _parse_timestamp(text: str) -> datetime:
     """Parse ISO-8601 or tshark's default textual frame.time form.
 
@@ -284,11 +279,10 @@ def _utf8_checked(blocks):
 
 
 def _text_lines(blocks):
-    """The lines of ``blocks`` as the csv module reads them from a file
-    opened with ``newline=""``."""
+    """The lines of the UTF-8 ``blocks`` as the csv module reads them from
+    a file opened with ``newline=""``."""
     for block in blocks:
-        yield from io.StringIO(block.decode("utf-8", "surrogatepass"),
-                               newline="")
+        yield from io.StringIO(block.decode("utf-8"), newline="")
 
 
 def _header_columns(records) -> tuple[int, list[int]]:
@@ -308,12 +302,13 @@ def _header_columns(records) -> tuple[int, list[int]]:
             + ",".join(TSHARK_FIELDS) + f", got {','.join(header)}") from None
 
 
-def load_tshark_csv(source) -> IngestResult:
-    """Parse a tshark field export into sorted packet timestamps.
+def load_tshark_csv(path) -> IngestResult:
+    """Parse the tshark field export at ``path`` into sorted packet
+    timestamps.
 
-    ``source`` may be a path or an open text stream; a path must be UTF-8.
-    The header row must name all four exported fields.  A data row is
-    accepted when it has every field, integer ``frame.number``,
+    The file must be UTF-8; a byte that is not is a DataError that names
+    its offset.  The header row must name all four exported fields.  A
+    data row is accepted when it has every field, integer ``frame.number``,
     ``frame.len`` and ``ip.proto``, a non-negative ``frame.len`` and a
     timestamp ``_parse_timestamp`` reads.  Malformed rows are collected in
     the result's ``rejected`` list with their 1-based row number instead of
@@ -331,21 +326,18 @@ def load_tshark_csv(source) -> IngestResult:
     ``Mmm DD, YYYY HH:MM:SS.fffffffff`` with or without a zone; such a row
     always passes the per-row checks, with the same value.  Every other
     line goes through the csv module and the per-row checks, and from a
-    line that may open a quoted field on, the rest of the input does.  A
-    text stream is read as the csv module reads a file opened with
-    ``newline=""``.  So acceptance, values and messages are exactly per
-    row, whatever the block size, and no Python object is made per
-    common row.
+    line that may open a quoted field on, the rest of the input does, as
+    it reads a file opened with ``newline=""``.  So acceptance, values and
+    messages are exactly per row, whatever the block size, and no Python
+    object is made per common row.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh, _utf8_errors(source):
-            return _load_blocks(_utf8_checked(_blocks(fh.read)))
-    return _load_blocks(_blocks(
-        lambda size: source.read(size).encode("utf-8", "surrogatepass")))
+    with open(path, "rb") as fh, _utf8_errors(path):
+        return _load_blocks(_utf8_checked(_blocks(fh.read)))
 
 
 def _load_blocks(blocks) -> IngestResult:
-    """``load_tshark_csv`` of the capture in ``blocks`` (see ``_blocks``)."""
+    """``load_tshark_csv`` of the capture in the UTF-8 ``blocks`` (see
+    ``_blocks``)."""
     # imported here, so that only the commands that read a capture load it
     from . import _bulk
 
@@ -422,7 +414,7 @@ def _load_blocks(blocks) -> IngestResult:
             if len(run):
                 begin, end = int(run[0]), int(run[-1]) + 1
                 text = data[lines.starts[begin]:lines.ends[end - 1]].decode(
-                    "utf-8", "surrogatepass")
+                    "utf-8")
                 shift = check(csv.reader(io.StringIO(text, newline="")),
                               begin + shift) - end
         row_no = lines.safe + shift
@@ -562,12 +554,8 @@ def split_protocol(labeled: LabeledTimeSeries, train_fraction: float,
         )
 
     def _labeled_slice(lo: int, hi: int) -> LabeledTimeSeries:
-        labels = labeled.labels[lo:hi].copy()
-        return LabeledTimeSeries(
-            series=_slice(lo, hi),
-            labels=labels,
-            attack_intervals=intervals_from_labels(labels),
-        )
+        return LabeledTimeSeries(series=_slice(lo, hi),
+                                 labels=labeled.labels[lo:hi].copy())
 
     train = _slice(0, n_train)
     validation = _labeled_slice(n_train, n_train + n_val)
@@ -590,7 +578,6 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
     values = np.rint(np.maximum(
         rng.normal(config.baseline_mean, config.baseline_std, config.length), 0.0))
     labels = np.zeros(config.length, dtype=bool)
-    intervals: list[tuple[int, int]] = []
 
     if config.attack_count > 0:
         gap = MIN_ATTACK_SEPARATION
@@ -612,7 +599,6 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
                                config.baseline_std, int(lengths[k]))
             values[start:end + 1] = np.rint(np.maximum(burst, 0.0))
             labels[start:end + 1] = True
-            intervals.append((start, end))
             cursor += int(lengths[k]) + gap
 
     if not np.all(np.isfinite(values)):
@@ -623,8 +609,7 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
             f"{config.attack_multiplier!r} draw non-finite packet counts")
     series = TimeSeries(start_time=DEFAULT_START_TIME, step_duration=1.0,
                         values=values)
-    return LabeledTimeSeries(series=series, labels=labels,
-                             attack_intervals=intervals)
+    return LabeledTimeSeries(series=series, labels=labels)
 
 
 #: Series files of at most this many bytes are read row by row: on so few
@@ -662,10 +647,8 @@ class _SeriesReader:
                             values=np.concatenate(self.counts))
         if not self.labeled:
             return series
-        labels = np.concatenate(self.attack)
-        return LabeledTimeSeries(series=series, labels=labels,
-                                 attack_intervals=intervals_from_labels(
-                                     labels))
+        return LabeledTimeSeries(series=series,
+                                 labels=np.concatenate(self.attack))
 
     def check(self, data: bytes) -> None:
         """Read the lines of ``data`` one at a time, as ``str.splitlines``

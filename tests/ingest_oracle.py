@@ -9,7 +9,9 @@ the same ``rejected_by_reason`` counts.
 """
 
 import csv
+import io
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +20,11 @@ from synwatch.pipeline import (EPOCH, REJECT_REASONS, TSHARK_FIELDS,
                                IngestResult, _parse_timestamp)
 
 
-def load_tshark_csv_per_row(source) -> IngestResult:
-    """``load_tshark_csv`` of the text stream ``source``, row by row."""
-    reader = csv.reader(source)
+def load_tshark_csv_per_row(path) -> IngestResult:
+    """``load_tshark_csv`` of the UTF-8 capture at ``path``, row by row,
+    read as the csv module reads a file opened with ``newline=""``."""
+    text = Path(path).read_bytes().decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:

@@ -16,8 +16,7 @@ import numpy as np
 
 from synwatch.errors import DataError
 from synwatch.pipeline import (LabeledTimeSeries, TimeSeries,
-                               _parse_timestamp, _utf8_errors,
-                               intervals_from_labels)
+                               _parse_timestamp, _utf8_errors)
 
 
 def load_series_per_row(path):
@@ -81,6 +80,5 @@ def load_series_per_row(path):
                         values=np.asarray(values))
     if not labeled:
         return series
-    labels_arr = np.asarray(labels, dtype=bool)
-    return LabeledTimeSeries(series=series, labels=labels_arr,
-                             attack_intervals=intervals_from_labels(labels_arr))
+    return LabeledTimeSeries(series=series,
+                             labels=np.asarray(labels, dtype=bool))

@@ -334,6 +334,22 @@ class TestIngest:
         assert "does not precede range end" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, missing", [
+        (["--start", "2000-01-01T00:00:00"], "--end"),
+        (["--end", "2000-01-01T00:00:00"], "--start"),
+        ([], "--start/--end")])
+    def test_no_record_and_a_flag_missing_names_that_flag(
+            self, runner, tmp_path, flags, missing):
+        packets = tmp_path / "packets.csv"
+        packets.write_text(TSHARK_HEADER + "\n1,60,garbage-timestamp,6\n")
+        out = tmp_path / "series.csv"
+        result = runner.invoke(main, ["ingest", str(packets), *flags,
+                                      "-o", str(out)])
+        assert result.exit_code == 3, result.output
+        assert (f"data error: no parseable records and no {missing} given"
+                in result.output)
+        assert not out.exists()
+
     def test_last_record_at_datetime_max_is_data_error(self, runner,
                                                        tmp_path):
         # no time follows it, so it cannot end the default range

@@ -19,7 +19,7 @@ from synwatch.detector import (Detector, DetectorConfig, read_verdicts,
                                segment_alarms, write_alarms, write_verdicts)
 from synwatch.lstm import init_params, predict_window, save_model
 from synwatch.pipeline import (LabeledTimeSeries, Scaler, TimeSeries,
-                               intervals_from_labels, save_scaler, save_series)
+                               save_scaler, save_series)
 
 SCALER = Scaler(offset=0.0, scale=250.0)
 T0 = datetime(2000, 1, 1)
@@ -53,10 +53,8 @@ def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
     save_scaler(f"{model}.scaler", SCALER)
     (directory / "detector.cfg").write_text(config.to_text() + "\n")
     series = TimeSeries(T0, 1.0, np.asarray(counts, dtype=np.float64))
-    labels = np.asarray(labels, dtype=bool)
-    intervals = intervals_from_labels(labels)
-    save_series(directory / "test.csv",
-                LabeledTimeSeries(series, labels, intervals))
+    labeled = LabeledTimeSeries(series, labels)
+    save_series(directory / "test.csv", labeled)
 
     out = directory / "verdicts.csv"
     args = ["detect", str(model), str(directory / "detector.cfg"),
@@ -71,7 +69,7 @@ def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
     ref = directory / "reference.csv"
     write_verdicts(ref, verdicts)
     write_alarms(f"{ref}.alarms.csv", events)
-    report = evaluate(verdicts, intervals)
+    report = evaluate(verdicts, labeled.attack_intervals)
     expected = [f"wrote {len(verdicts)} verdicts, {len(events)} alarm events",
                 f"metrics: detection_rate_pct={report.detection_rate_pct:.17g} "
                 f"false_alarms={report.false_alarms} "

@@ -24,8 +24,7 @@ from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
                                TimeSeries, _parse_timestamp, aggregate_counts,
                                build_windows,
                                fit_scaler, generate_synthetic,
-                               intervals_from_labels, labels_from_intervals,
-                               load_scaler, load_series, load_tshark_csv,
+                               intervals_from_labels, load_scaler, load_series, load_tshark_csv,
                                save_scaler, save_series, scale_windows,
                                split_protocol)
 
@@ -36,6 +35,14 @@ TSHARK_HEADER = "frame.number,frame.len,frame.time,ip.proto"
 
 def tshark_csv(rows):
     return TSHARK_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def load_capture(text, load=load_tshark_csv):
+    """``load`` of a capture file that holds ``text`` in UTF-8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return load(path)
 
 
 def us(when: datetime) -> int:
@@ -50,7 +57,7 @@ class TestLoadTsharkCsv:
             '2,60,"Mar 11, 1999 08:00:00.500000000",6',
             '3,1500,"Mar 11, 1999 08:00:01.250000000 GMT",6',
         ])
-        result = load_tshark_csv(io.StringIO(text))
+        result = load_capture(text)
         assert not result.rejected
         assert result.timestamps_us.dtype == np.int64
         np.testing.assert_array_equal(result.timestamps_us, [
@@ -61,7 +68,7 @@ class TestLoadTsharkCsv:
                            "2,70,1999-03-11 08:00:06,17",
                            "3,70,1999-03-11T10:00:07.5+02:00,17",
                            "4,70,1999-03-11T08:00:08.25Z,17"])
-        result = load_tshark_csv(io.StringIO(text))
+        result = load_capture(text)
         assert not result.rejected
         np.testing.assert_array_equal(result.timestamps_us, [
             us(T0) + 5_125_000, us(T0) + 6_000_000, us(T0) + 7_500_000,
@@ -72,13 +79,13 @@ class TestLoadTsharkCsv:
                            '2,60,"Mar 11, 1999 08:00:00.5",6',
                            '3,60,"Mar 11, 1999 08:00:00",6',
                            "4,60,1999-03-11T08:00:01.9999999,6"])
-        result = load_tshark_csv(io.StringIO(text))
+        result = load_capture(text)
         np.testing.assert_array_equal(result.timestamps_us - us(T0),
                                       [0, 123_456, 500_000, 1_999_999])
 
     def test_empty_file_is_missing_header(self):
         with pytest.raises(DataError, match="missing header"):
-            load_tshark_csv(io.StringIO(""))
+            load_capture("")
 
     @pytest.mark.parametrize("text, where", [
         (tshark_csv(["1,60,1999-03-11T08:00:05,6",
@@ -86,7 +93,7 @@ class TestLoadTsharkCsv:
         ('"' + "x" * 200_000 + '"\n', "header: ")])
     def test_field_past_csv_size_limit_is_data_error(self, text, where):
         with pytest.raises(DataError, match=where + "field larger"):
-            load_tshark_csv(io.StringIO(text))
+            load_capture(text)
 
     @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"])
     def test_path_that_is_not_utf8_is_data_error(self, tmp_path, bad):
@@ -102,13 +109,13 @@ class TestLoadTsharkCsv:
 
     def test_wrong_header_rejected(self):
         with pytest.raises(DataError, match="missing header"):
-            load_tshark_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            load_capture("a,b,c\n1,2,3\n")
 
     def test_malformed_timestamp_rejected_with_row_number(self):
         rows = [f'{i},60,"Mar 11, 1999 08:00:{i:02d}.000000000",6'
                 for i in range(1, 10)]
         rows.insert(4, '99,60,"not a timestamp",6')
-        result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
+        result = load_capture(tshark_csv(rows))
         assert len(result.timestamps_us) == 9
         assert result.rejected == [
             (5, "unrecognized timestamp: 'not a timestamp'")]
@@ -119,21 +126,14 @@ class TestLoadTsharkCsv:
                            '1,60,"Mar 11, 1999 08:00:01.000000000",6',
                            "3,60,1999-03-11T08:00:03,6",
                            "4,60,1999-03-11T08:00:01,6"])
-        result = load_tshark_csv(io.StringIO(text))
+        result = load_capture(text)
         np.testing.assert_array_equal(
             result.timestamps_us - us(T0),
             [1_000_000, 1_000_000, 2_000_000, 3_000_000])
 
-    def test_accepts_text_stream_and_path(self, tmp_path):
-        text = tshark_csv(["1,60,1999-03-11T08:00:01,6"])
-        assert len(load_tshark_csv(io.StringIO(text)).timestamps_us) == 1
-        path = tmp_path / "packets.csv"
-        path.write_text(text)
-        assert len(load_tshark_csv(path).timestamps_us) == 1
-
     def test_short_row_rejected(self):
         text = tshark_csv(["1,60,1999-03-11T08:00:01,6", "2,60"])
-        result = load_tshark_csv(io.StringIO(text))
+        result = load_capture(text)
         assert len(result.timestamps_us) == 1
         assert result.rejected == [(2, "expected >= 4 fields, got 2")]
         assert result.rejected_by_reason["short_row"] == 1
@@ -153,7 +153,7 @@ class TestLoadTsharkCsv:
                 "11,60,0001-01-01T00:00:00+01:00,6",
                 "",                              # blank lines are skipped
                 f"13,60,{good},6"]
-        result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
+        result = load_capture(tshark_csv(rows))
         assert len(result.timestamps_us) == 2
         assert result.rejected == [
             (2, "expected >= 4 fields, got 2"),
@@ -173,7 +173,7 @@ class TestLoadTsharkCsv:
             "negative_length": 1}
 
     def test_nothing_accepted_gives_empty_array(self):
-        result = load_tshark_csv(io.StringIO(tshark_csv(["1,60"])))
+        result = load_capture(tshark_csv(["1,60"]))
         assert result.timestamps_us.dtype == np.int64
         assert result.timestamps_us.shape == (0,)
 
@@ -310,7 +310,7 @@ class TestTimestampParser:
         rows = ['1,60,"Mar 11, 1999 08:00:00.500000000 UTC",6',
                 '2,60,"Mar 11, 1999 08:00:00.5x UTC",6',
                 '3,60,"Mar 11, 1999 08:00:00. UTC",6']
-        result = load_tshark_csv(io.StringIO(tshark_csv(rows)))
+        result = load_capture(tshark_csv(rows))
         assert result.timestamps_us.tolist() == [us(T0) + 500_000]
         assert result.rejected == [
             (2, "unrecognized timestamp: 'Mar 11, 1999 08:00:00.5x UTC'"),
@@ -443,7 +443,7 @@ def captures(draw):
 
 def loaded(load, text):
     try:
-        result = load(io.StringIO(text, newline=""))
+        result = load_capture(text, load)
     except DataError as exc:
         return f"data error: {exc}"
     assert result.timestamps_us.dtype == np.int64
@@ -579,21 +579,6 @@ class TestBulkMatchesPerRowReader:
         assert loaded_in_blocks(block, text) == loaded(
             load_tshark_csv_per_row, text) == (
             "data error: row 1: field larger than field limit (131072)")
-
-    @settings(max_examples=50)
-    @given(text=captures())
-    def test_path_and_stream_agree(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "capture.csv"
-            path.write_text(text, encoding="utf-8", newline="")
-            try:
-                result = load_tshark_csv(path)
-            except DataError as exc:
-                got = f"data error: {exc}"
-            else:
-                got = (result.timestamps_us.tolist(), result.rejected,
-                       result.rejected_by_reason)
-        assert got == loaded(load_tshark_csv, text)
 
 
 class TestAggregateCounts:
@@ -782,11 +767,19 @@ class TestBuildWindows:
         assert ws.inputs.min() >= 0.0 and ws.inputs.max() <= 1.0
 
 
+def labels_on(length, intervals):
+    """``length`` attack flags, set on the closed [start, end]
+    ``intervals``."""
+    labels = np.zeros(length, dtype=bool)
+    for start, end in intervals:
+        labels[start:end + 1] = True
+    return labels
+
+
 def labeled_series(values, intervals):
     values = np.asarray(values, dtype=float)
-    labels = labels_from_intervals(len(values), intervals)
     return LabeledTimeSeries(series=TimeSeries(T0, 1.0, values),
-                             labels=labels, attack_intervals=intervals)
+                             labels=labels_on(len(values), intervals))
 
 
 class TestSplitProtocol:
@@ -878,7 +871,7 @@ class TestGenerateSynthetic:
         out = generate_synthetic(SynthConfig(length=800, attack_count=3,
                                              rng_seed=5))
         np.testing.assert_array_equal(
-            out.labels, labels_from_intervals(len(out), out.attack_intervals))
+            out.labels, labels_on(len(out), out.attack_intervals))
 
     def test_infeasible_placement_reported(self):
         with pytest.raises(DataError, match="cannot place"):
@@ -938,9 +931,9 @@ class TestSeriesFiles:
         labeled = generate_synthetic(SynthConfig(length=3000, attack_count=4,
                                                  rng_seed=5))
         captured = aggregate_counts(
-            load_tshark_csv(io.StringIO(tshark_csv(
+            load_capture(tshark_csv(
                 [f"{i},60,1999-03-11T08:{i // 60:02d}:{i % 60:02d}.5,6"
-                 for i in range(0, 3000, 7)]))).timestamps_us,
+                 for i in range(0, 3000, 7)])).timestamps_us,
             0.25, T0, T0 + timedelta(minutes=50))
         for data, seed in ((labeled, 5), (labeled, None), (captured, None)):
             path = tmp_path / "series.csv"
@@ -986,8 +979,7 @@ class TestSeriesFiles:
         data = series
         if attack is not None:
             labels = np.array(attack[:len(values)])
-            data = LabeledTimeSeries(
-                series, labels, attack_intervals=intervals_from_labels(labels))
+            data = LabeledTimeSeries(series, labels)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
             save_series(path, data, seed=seed)
@@ -1086,6 +1078,14 @@ class TestSeriesFiles:
     def test_time_series_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
             TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_time_series_rejects_a_step_that_is_not_finite_and_positive(
+            self, step):
+        # a step save_series cannot write is refused when the series is made
+        with pytest.raises(ValueError, match="step_duration must be finite "
+                                             "and positive"):
+            TimeSeries(T0, step, np.arange(5.0))
 
 
 #: Count fields the per-row reader accepts or rejects in ways the byte
@@ -1345,13 +1345,27 @@ class TestSeriesFileBlocks:
         assert per_row < 3 * 9 < text_per_row
 
 
+def step_runs(labels):
+    """The runs of True in the list ``labels``, found one step at a time,
+    as closed [start, end] index pairs."""
+    runs, start = [], None
+    for step, flag in enumerate(labels):
+        if flag and start is None:
+            start = step
+        elif not flag and start is not None:
+            runs.append((start, step - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(labels) - 1))
+    return runs
+
+
 class TestLabelHelpers:
     def test_round_trip(self):
         labels = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
         intervals = intervals_from_labels(labels)
         assert intervals == [(1, 2), (5, 5), (7, 9)]
-        np.testing.assert_array_equal(
-            labels_from_intervals(10, intervals), labels)
+        np.testing.assert_array_equal(labels_on(10, intervals), labels)
 
     @settings(max_examples=300)
     @given(labels=st.one_of(
@@ -1359,19 +1373,27 @@ class TestLabelHelpers:
         st.integers(0, 60).map(lambda n: [True] * n),
         st.integers(0, 60).map(lambda n: [False] * n)))
     def test_intervals_equal_the_step_loop(self, labels):
-        expected, start = [], None
-        for step, flag in enumerate(labels):
-            if flag and start is None:
-                start = step
-            elif not flag and start is not None:
-                expected.append((start, step - 1))
-                start = None
-        if start is not None:
-            expected.append((start, len(labels) - 1))
         got = intervals_from_labels(np.array(labels, dtype=bool))
-        assert got == expected
+        assert got == step_runs(labels)
         assert all(type(i) is int for pair in got for i in pair)
-
-    def test_out_of_range_interval_rejected(self):
-        with pytest.raises(ValueError):
-            labels_from_intervals(5, [(3, 7)])
+        if not labels:
+            return  # a series has at least one step
+        # a labeled series, each part of a split and each series read
+        # back, on both read paths, report the runs of their own labels
+        data = LabeledTimeSeries(TimeSeries(T0, 1.0, np.ones(len(labels))),
+                                 labels)
+        assert data.attack_intervals == step_runs(labels)
+        # normal steps first, so that the training half holds no attack
+        whole = LabeledTimeSeries(
+            TimeSeries(T0, 1.0, np.ones(2 * len(labels) + 2)),
+            [False] * (len(labels) + 2) + labels)
+        parts = list(split_protocol(whole, 0.5, 0.25)[1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_series(path, data)
+            for smallest in (0, pipeline._BULK_MIN_BYTES):
+                with mock.patch.object(pipeline, "_BULK_MIN_BYTES", smallest):
+                    parts.append(load_series(path))
+                assert parts[-1].labels.tolist() == labels
+        for part in parts:
+            assert part.attack_intervals == step_runs(part.labels.tolist())
