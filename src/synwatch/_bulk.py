@@ -9,17 +9,18 @@ stage of simdjson does (Langdale & Lemire, arXiv:1902.08318), and derives
 from their offsets where each line starts and stops, which lines are
 plain, and the commas that end fields.  ``read`` and ``read_series`` then
 read the fields of the plain lines at those offsets: the integers by
-digit class and length, the timestamps by their fixed-width forms, and a
-series count with a point by numpy's C float parser.  A line they take
-always passes the per-row checks in ``pipeline``, with the same value;
-every other line is left to those checks (``SeriesReader`` sends a
-series block to them when a line is not taken or a row fails).
+digit class and length, and the timestamps by their fixed-width forms.
+A series count is read as an integer, the form every series writer
+gives a whole count.  A line they take always passes the per-row checks
+in ``pipeline``, with the same value; every other line is left to those
+checks (``read_series`` reads a series block whole or not at all, and
+``pipeline.load_series`` sends a block it does not read to them).
 ``write_series`` formats series rows from their arrays, a block at a
-time.  The functions in
-``pipeline`` import this module when they run: ``load_tshark_csv``,
-``save_series``, and ``load_series`` on a file larger than
-``pipeline._BULK_MIN_BYTES``.  So importing ``synwatch`` does not
-compile it, and the commands that read only small series never load it.
+time.  The functions in ``pipeline`` import this module when they run:
+``load_tshark_csv``, ``save_series``, and ``load_series`` on a file
+larger than ``pipeline._BULK_MIN_BYTES``.  So importing ``synwatch``
+does not compile it, and the commands that read only small series never
+load it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .detector import _float_texts, _texts
 from .pipeline import (EPOCH, _MICROSECOND, _MONTHS, LabeledTimeSeries,
-                       _SeriesReader)
+                       _step_microseconds)
 
 _NL, _CR, _QUOTE, _COMMA = b'\n\r",'
 
@@ -233,65 +234,40 @@ def fields(lines: Lines, rows: np.ndarray, col: int, count: int):
     return start, stop
 
 
-#: The longest count field the byte path takes.
-_BULK_COUNT_CHARS = 32
+def read_series(data: bytes, lines: Lines, first: int, labeled: bool):
+    """Read in place the lines of series ``data`` from line ``first`` on,
+    rows ``step,timestamp,count`` and with ``labeled`` a fourth field,
+    ``label``.
 
-
-def decimals(data: bytes, classes: bytes, starts: np.ndarray,
-             stops: np.ndarray):
-    """Whether each field ``data[start:stop]`` is a plain decimal of at
-    most ``_BULK_COUNT_CHARS`` bytes, ASCII digits with at most one ``.``
-    between two of them (the form ``.17g`` gives a number from 1e-4 up to
-    1e17), and its value (0 where not): the value ``float()`` gives the
-    text.  An integer of at most ``_BULK_INT_CHARS`` digits is read by
-    ``naturals`` and rounded to a float as ``float()`` rounds its text;
-    numpy's C parser reads the others."""
-    ok, whole = naturals(data, classes, starts, stops)
-    values = whole.astype(np.float64)
-    lengths = stops - starts
-    for width in _widths(lengths[~ok], _BULK_COUNT_CHARS):
-        rows = np.flatnonzero(~ok & (lengths == width))
-        form = _strings(classes, starts[rows], width)
-        fits = form == b"9" * width
-        for dot in range(1, width - 1):
-            fits |= form == b"9" * dot + b"." + b"9" * (width - dot - 1)
-        rows = rows[fits]
-        ok[rows] = True
-        values[rows] = _strings(data, starts[rows], width).astype(np.float64)
-    return ok, values
-
-
-def read_series(data: bytes, lines: Lines, first: int, count: int,
-                labeled: bool):
-    """Check in place the plain lines of series ``data`` from line
-    ``first`` on that have ``count`` fields, ``step,timestamp,count`` and
-    with ``labeled`` a fourth, ``label``.
-
-    A line is taken when its step is 1 to ``_BULK_INT_CHARS`` ASCII
-    digits, its timestamp is one that ``timestamps`` reads, its count is
-    one that ``decimals`` reads and its label is ``normal`` or ``attack``.
-    Returns the indices of the lines taken, in order, and their steps,
-    int64 timestamps, counts and attack flags.
+    Every line must be plain, with the header's field count, a step and a
+    count that ``naturals`` reads, a timestamp that ``timestamps`` reads
+    and a label ``normal`` or ``attack``.  Returns their steps, int64
+    timestamps, float64 counts and attack flags, in line order; or None
+    when a line is not read, so that the per-row checks read the block.
     """
+    count = 3 + labeled
     rows = np.flatnonzero(lines.plain[first:]
                           & (np.diff(lines.bounds[first:]) == count - 1))
+    if len(rows) < len(lines.starts) - first:
+        return None
     rows += first
     classes = data.translate(_CLASS)
     ok, steps = naturals(data, classes, *fields(lines, rows, 0, count))
     parsed, us = timestamps(data, classes, *fields(lines, rows, 1, count))
     ok &= parsed
-    parsed, counts = decimals(data, classes, *fields(lines, rows, 2, count))
+    parsed, counts = naturals(data, classes, *fields(lines, rows, 2, count))
     ok &= parsed
     attack = np.zeros(len(rows), dtype=bool)
     if labeled:
         start, stop = fields(lines, rows, 3, count)
-        six = np.flatnonzero(stop - start == 6)
-        label = _strings(data, start[six], 6)
-        named = np.zeros(len(rows), dtype=bool)
-        named[six] = (label == b"normal") | (label == b"attack")
-        ok &= named
-        attack[six] = label == b"attack"
-    return rows[ok], steps[ok], us[ok], counts[ok], attack[ok]
+        if np.any(stop - start != 6):
+            return None
+        label = _strings(data, start, 6)
+        ok &= (label == b"normal") | (label == b"attack")
+        attack = label == b"attack"
+    if not ok.all():
+        return None
+    return steps, us, counts.astype(np.float64), attack
 
 
 #: The longest timestamp the byte path takes.  A longer one, which no form
@@ -468,10 +444,8 @@ def write_series(path, data, seed: int | None = None) -> None:
     of ``_CHUNK``."""
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
-    step_us = round(series.step_duration * 1e6)
+    step_us = _step_microseconds(series.step_duration)
     values = series.values
-    # raises OverflowError, as a row past the datetime range would
-    series.start_time + timedelta(microseconds=(len(values) - 1) * step_us)
     first_us = (series.start_time - EPOCH) // _MICROSECOND
     with open(path, "w", encoding="utf-8") as fh:
         if seed is not None:
@@ -494,58 +468,3 @@ def write_series(path, data, seed: int | None = None) -> None:
                 if labeled else "\n"
             fh.write("%d,%sT%s%s,%s%s" * len(steps)
                      % tuple(table.ravel().tolist()))
-
-
-class SeriesReader(_SeriesReader):
-    """``pipeline._SeriesReader`` on the byte path: ``read`` takes the rows
-    of a block in bulk where it can, and sends the block to the per-row
-    ``check`` where it cannot."""
-
-    def read(self, blocks) -> None:
-        """Read ``blocks`` (see ``pipeline._blocks``)."""
-        for data in blocks:
-            lines = scan(data)
-            n = len(lines.starts)
-            first = 0
-            while self.width is None and first < n:  # up to the header
-                self.check(data[lines.starts[first]:lines.ends[first]])
-                first += 1
-            if first < n and not self.take(data, lines, first):
-                self.check(data[lines.starts[first]:])
-
-    def take(self, data: bytes, lines: Lines, first: int) -> bool:
-        """Read the lines of ``data`` from line ``first`` on in bulk, and
-        return True; or take nothing and return False, so that ``check``
-        reads the block and names its first bad row.
-
-        ``read_series`` reads the lines in place; a line it does not read
-        sends the block to ``check``.  Then the steps must count the rows
-        and the timestamps keep the cadence, as array checks on
-        microseconds since ``EPOCH``.
-        """
-        if self.width not in (3, 4) or self.labeled != (self.width == 4):
-            return False
-        rows, steps, us, counts, attack = read_series(
-            data, lines, first, self.width, self.labeled)
-        if len(rows) < len(lines.starts) - first:
-            return False
-        # the steps count the rows, and the timestamps keep one cadence
-        if not np.array_equal(steps, np.arange(self.rows,
-                                               self.rows + len(steps))):
-            return False
-        if self.last is not None:
-            us = np.append((self.last - EPOCH) // _MICROSECOND, us)
-        gaps = np.diff(us)
-        if len(gaps):
-            delta = (int(gaps[0]) if self.delta is None
-                     else self.delta // _MICROSECOND)
-            if delta <= 0 or np.any(gaps != delta):
-                return False
-            self.delta = delta * _MICROSECOND
-        if self.start is None:
-            self.start = EPOCH + int(us[0]) * _MICROSECOND
-        self.last = EPOCH + int(us[-1]) * _MICROSECOND
-        self.rows += len(steps)
-        self.counts.append(counts)
-        self.attack.append(attack)
-        return True

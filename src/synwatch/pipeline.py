@@ -95,10 +95,14 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not 0 < self.step_duration < math.inf:
-            raise ValueError("step_duration must be finite and positive")
+        step_us = _step_microseconds(self.step_duration)
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
+        try:
+            self.start_time + (len(self.values) - 1) * step_us * _MICROSECOND
+        except OverflowError:
+            raise ValueError(f"the last step falls past {datetime.max}, the "
+                             "end of the datetime range") from None
         if not np.all(np.isfinite(self.values)):
             raise ValueError("packet counts must be finite")
         if np.any(self.values < 0):
@@ -622,8 +626,8 @@ _BULK_MIN_BYTES = 1 << 18
 class _SeriesReader:
     """``load_series`` between blocks: the header, the number of rows read,
     the first and last timestamps and the cadence, and the counts and
-    attack flags read, as arrays.  ``check`` reads rows one at a time;
-    ``_bulk.SeriesReader`` adds the byte path."""
+    attack flags read, as arrays.  ``read`` takes a block in place where
+    it can; ``check`` reads rows one at a time."""
 
     def __init__(self, path):
         self.path = path
@@ -643,12 +647,61 @@ class _SeriesReader:
         if not self.rows:
             raise DataError(f"{self.path}: no data rows")
         step = 1.0 if self.delta is None else self.delta.total_seconds()
-        series = TimeSeries(start_time=self.start, step_duration=step,
-                            values=np.concatenate(self.counts))
+        try:
+            series = TimeSeries(start_time=self.start, step_duration=step,
+                                values=np.concatenate(self.counts))
+        except ValueError as exc:  # a float step rounded past the range
+            raise DataError(f"{self.path}: {exc}") from None
         if not self.labeled:
             return series
         return LabeledTimeSeries(series=series,
                                  labels=np.concatenate(self.attack))
+
+    def read(self, data: bytes, bulk) -> None:
+        """Read the block ``data`` (see ``_blocks``).  With ``bulk``, the
+        ``_bulk`` module, the lines up to the header go through ``check``,
+        and the rest is read in place when ``_bulk.read_series`` reads it
+        and ``take`` accepts it; otherwise ``check`` reads the block."""
+        if bulk is None:
+            return self.check(data)
+        lines = bulk.scan(data)
+        first = 0
+        while self.width is None and first < len(lines.starts):
+            self.check(data[lines.starts[first]:lines.ends[first]])
+            first += 1
+        if first == len(lines.starts):
+            return
+        # only the fields of these two headers are all checked in place
+        columns = (self.width == 3 + self.labeled
+                   and bulk.read_series(data, lines, first, self.labeled))
+        if not (columns and self.take(columns)):
+            self.check(data[lines.starts[first]:])
+
+    def take(self, columns) -> bool:
+        """Add the rows ``_bulk.read_series`` read, its ``columns`` (steps,
+        int64 microseconds since ``EPOCH``, counts and attack flags), and
+        return True when their steps count the rows and their timestamps
+        keep the cadence; or add nothing and return False, so that
+        ``check`` reads the block and names its first bad row."""
+        steps, us, counts, attack = columns
+        if np.any(steps != np.arange(self.rows, self.rows + len(steps))):
+            return False
+        if self.last is not None:
+            us = np.append((self.last - EPOCH) // _MICROSECOND, us)
+        gaps = np.diff(us)
+        if len(gaps):
+            delta = (int(gaps[0]) if self.delta is None
+                     else self.delta // _MICROSECOND)
+            if delta <= 0 or np.any(gaps != delta):
+                return False
+            self.delta = delta * _MICROSECOND
+        if self.start is None:
+            self.start = EPOCH + int(us[0]) * _MICROSECOND
+        self.last = EPOCH + int(us[-1]) * _MICROSECOND
+        self.rows += len(steps)
+        self.counts.append(counts)
+        self.attack.append(attack)
+        return True
 
     def check(self, data: bytes) -> None:
         """Read the lines of ``data`` one at a time, as ``str.splitlines``
@@ -740,30 +793,27 @@ def load_series(path):
     are those ``str.splitlines`` gives, and blank lines are skipped, as
     are ``#`` lines before the header.
 
-    A file of at most ``_BULK_MIN_BYTES`` is read whole, then row
-    by row.  A larger one is read as bytes, ``_BLOCK_BYTES`` at a time, and a
-    plain line (printable ASCII) whose step is ASCII digits, whose
-    timestamp is ISO ``YYYY-MM-DDTHH:MM:SS[.ffffff]``, whose count is
-    digits with at most one ``.`` and whose label is ``normal`` or
-    ``attack`` is read in place (``_bulk.read_series``), and the step and
-    cadence checks run on arrays.  A block with any other line, or with a
-    row that fails a check, is read again row by row, so that the error
-    names the first bad row with the message the per-row checks give.  A
-    byte that is not UTF-8 is reported before any other error, wherever
-    it is.
+    The file is read as bytes, ``_BLOCK_BYTES`` at a time (``_blocks``).
+    In a file of more than ``_BULK_MIN_BYTES``, a block of plain lines
+    (printable ASCII) with ASCII-digit steps and counts, ISO
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` timestamps and ``normal`` or
+    ``attack`` labels is read in place (``_bulk.read_series``), and the
+    step and cadence checks run on arrays.  Every other block is read row
+    by row (``_SeriesReader.check``), so that an error names the first bad
+    row with the message the per-row checks give.  A byte that is not
+    UTF-8 is reported before any other error, wherever it is.
     """
     with open(path, "rb") as fh, _utf8_errors(path):
-        if os.fstat(fh.fileno()).st_size <= _BULK_MIN_BYTES:
-            reader = _SeriesReader(path)
-            reader.check(fh.read())  # which decodes the whole file first
-            return reader.series()
-        # imported here, so that only the commands that read a large file
-        # load it
-        from ._bulk import SeriesReader
-        reader = SeriesReader(path)
+        bulk = None
+        if os.fstat(fh.fileno()).st_size > _BULK_MIN_BYTES:
+            # imported here, so that only the commands that read a large
+            # file load it
+            from . import _bulk as bulk
+        reader = _SeriesReader(path)
         blocks = _utf8_checked(_blocks(fh.read))
         try:
-            reader.read(blocks)
+            for data in blocks:
+                reader.read(data, bulk)
             return reader.series()
         except DataError:
             for _ in blocks:  # so that a byte that is not UTF-8 raises

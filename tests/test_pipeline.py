@@ -1079,13 +1079,30 @@ class TestSeriesFiles:
         with pytest.raises(ValueError):
             TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0,
+                                      1e-7, 4e-7, 1e12])
     def test_time_series_rejects_a_step_that_is_not_finite_and_positive(
             self, step):
-        # a step save_series cannot write is refused when the series is made
-        with pytest.raises(ValueError, match="step_duration must be finite "
-                                             "and positive"):
+        # a step save_series cannot write is refused when the series is
+        # made: one that rounds to 0 us would give every row the start
+        # timestamp, and 1e12 s puts the last step past the datetime range
+        message = ("step_duration below microsecond resolution"
+                   if step in (1e-7, 4e-7) else
+                   "the last step falls past 9999-12-31 23:59:59.999999"
+                   if step == 1e12 else
+                   "step_duration must be finite and positive")
+        with pytest.raises(ValueError, match=message):
             TimeSeries(T0, step, np.arange(5.0))
+
+    def test_a_cadence_the_float_step_cannot_carry_is_a_data_error(
+            self, tmp_path):
+        # the step of 315537897599.999999 s rounds up to a whole 10,000
+        # years, which puts the last step past the datetime range
+        path = tmp_path / "series.csv"
+        path.write_text("step,timestamp,count\n0,0001-01-01T00:00:00,1\n"
+                        "1,9999-12-31T23:59:59.999999,1\n")
+        with pytest.raises(DataError, match="the last step falls past"):
+            load_series(path)
 
 
 #: Count fields the per-row reader accepts or rejects in ways the byte
@@ -1097,10 +1114,12 @@ ODD_COUNTS = [" 12 ", "+5", "1e3", ".5", "5.", "1_000", "-0", "-0.0", "nan",
               "1e+20", "12.5", "0.10000000000000001", "007", "9" * 17,
               "9" * 19, "9" * 33, "1" * 16 + "." + "1" * 15]
 
-#: Steps and labels likewise.
+#: Steps and labels likewise, with a step of ASCII digits that does not
+#: count the rows and a label of the right length that is not one.
 ODD_STEPS = [" {i}", "+{i}", "0{i}", "{i}.0", "{i}_0", "x", "", "-{i}",
-             "\u0663", "{i}\x00"]
-ODD_LABELS = [" attack", "attack ", "ATTACK", "x", "", "normal\x0b"]
+             "\u0663", "{i}\x00", "{i}1"]
+ODD_LABELS = [" attack", "attack ", "ATTACK", "Normal", "x", "",
+              "normal\x0b"]
 
 
 @st.composite
@@ -1111,8 +1130,13 @@ def series_files(draw):
     Rows may carry an odd count, step, label or timestamp, an extra or a
     missing field, a ``#`` or blank line, a form feed, a NUL or a byte
     that is not UTF-8; lines end in ``\n``, ``\r\n`` or a lone ``\r``,
-    with or without a final one."""
+    with or without a final one.  A third of the files hold whole counts
+    only, as every series writer writes them, so that their blocks are
+    read in place."""
     labeled = draw(st.booleans())
+    counts = st.sampled_from([0.0, 1.0, 97.0, 1234.0]) | (
+        st.integers(0, 10**6).map(float) if draw(st.integers(0, 2)) == 0
+        else st.floats(0, 1e6))
     header = ["step", "timestamp", "count"] + (["label"] if labeled else [])
     if draw(st.integers(0, 9)) == 0:
         header.append("extra")
@@ -1128,9 +1152,7 @@ def series_files(draw):
     for i in range(draw(st.integers(0, 25))):
         when = start + timedelta(microseconds=i * cadence)
         stamp = when.isoformat(sep)
-        fields = [str(i), stamp,
-                  "%.17g" % draw(st.sampled_from([0.0, 1.0, 97.0, 1234.0])
-                                 | st.floats(0, 1e6))]
+        fields = [str(i), stamp, "%.17g" % draw(counts)]
         if labeled:
             fields.append(draw(st.sampled_from(["normal", "attack"])))
         if len(header) > len(fields):
@@ -1186,9 +1208,10 @@ def read_outcome(load, path):
 
 
 #: Block sizes from one byte, where each block is one line, to the
-#: loader's own, on the byte path; then the whole file row by row, the
-#: path of files up to ``_BULK_MIN_BYTES``.
+#: loader's own, on the byte path; then small and whole-file blocks row by
+#: row, the path of files up to ``_BULK_MIN_BYTES``.
 SERIES_PATHS = [(1, 0), (7, 0), (64, 0), (pipeline._BLOCK_BYTES, 0),
+                (7, 1 << 30),
                 (pipeline._BLOCK_BYTES, pipeline._BULK_MIN_BYTES)]
 
 
@@ -1269,6 +1292,32 @@ class TestSeriesReaderMatchesPerRowReader:
             f"data error: {path}: row 2900: negative count '-1'"
 
     @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
+    @pytest.mark.parametrize("labeled, row, field, text, message", [
+        (True, 2900, 0, "2901", "row 2900: step 2901, expected 2899"),
+        (True, 2900, 3, "Normal", "row 2900: bad label 'Normal'"),
+        # headers with a column that is not read in place
+        (False, 0, 2, "count,extra", "row 1: 3 fields, the header has 4"),
+        (True, 0, 3, "label,extra", "row 1: 4 fields, the header has 5")])
+    def test_a_bad_line_among_lines_read_in_place_is_named(
+            self, tmp_path, block, smallest, labeled, row, field, text,
+            message):
+        # whole counts, as save_series writes them: every other line is
+        # read in place, so the byte path's own checks must find the bad one
+        data = generate_synthetic(SynthConfig(length=3000, attack_count=5,
+                                              rng_seed=4))
+        path = tmp_path / "series.csv"
+        save_series(path, data if labeled else data.series)
+        lines = path.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[field] = text
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        got = load_series_in_blocks(block, smallest, path)
+        assert got == read_outcome(load_series_per_row, path)
+        assert got.startswith(f"data error: {path}: ")
+        assert got.endswith(message)
+
+    @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
     def test_bad_utf8_is_reported_before_a_row_error(self, tmp_path, block,
                                                      smallest):
         # the per-row reader decodes the whole file first
@@ -1280,28 +1329,27 @@ class TestSeriesReaderMatchesPerRowReader:
         assert "not UTF-8 text: byte 0xff at offset 1005" in got
 
     @settings(max_examples=300)
-    @given(value=st.floats(0, 1e17) | st.floats(0, 1.0)
-           | st.integers(0, 10**18).map(float),
-           digits=st.text("0123456789", min_size=1, max_size=32),
-           point=st.integers(1, 31))
-    def test_plain_decimals_parse_as_float_does(self, value, digits, point):
-        # every count text the byte path reads gets float()'s double: the
-        # .17g text of a double, and any string of digits, with a point
-        # inside it or not
-        texts = ["%.17g" % value, digits]
-        if point < len(digits):
-            texts.append(digits[:point] + "." + digits[point:])
+    @given(digits=st.text("0123456789", min_size=1, max_size=18)
+           | st.integers(2**53, 10**18 - 1).map(str),
+           longer=st.text("0123456789", min_size=19, max_size=32),
+           point=st.integers(0, 18), sign=st.sampled_from("+-"))
+    def test_plain_decimals_parse_as_float_does(self, digits, longer, point,
+                                                sign):
+        # a count the byte path reads is a string of 1 to 18 ASCII digits,
+        # leading zeros and values past 2**53 included, and gets float()'s
+        # double; a longer string, a point or a sign is left to the per-row
+        # checks
+        texts = [digits, longer, digits[:point] + "." + digits[point:],
+                 sign + digits]
         data = ",".join(texts).encode()
         stops = np.cumsum([len(t) + 1 for t in texts]) - 1
         starts = stops - [len(t) for t in texts]
-        ok, values = _bulk.decimals(data, data.translate(_bulk._CLASS),
+        ok, values = _bulk.naturals(data, data.translate(_bulk._CLASS),
                                     starts, stops)
-        for text, read, got in zip(texts, ok.tolist(), values.tolist()):
-            plain = re.fullmatch(r"[0-9]+(\.[0-9]+)?", text) is not None
-            assert read == (plain and len(text) <= 32)
-            if read:
-                assert np.float64(got).view(np.uint64) == \
-                    np.float64(float(text)).view(np.uint64)
+        assert ok.tolist() == [True, False, False, False]
+        assert values[0] == int(digits)
+        assert values.astype(np.float64)[0].view(np.uint64) == \
+            np.float64(float(digits)).view(np.uint64)
 
 
 class TestSeriesFileBlocks:
