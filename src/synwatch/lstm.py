@@ -118,13 +118,19 @@ OUTPUT_INIT_RANGE = 2.0
 def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     """Seeded initialization: gate weights uniform in [-r, r] with
     r = 1/sqrt(hidden_dim), output projection uniform in
-    [-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE]; biases 0."""
+    [-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE]; biases 0.
+
+    The draws are those of ``numpy.random.default_rng(rng_seed).uniform``
+    in row-major order, made by ``_pcg64`` without loading
+    ``numpy.random``.  ``rng_seed`` must be a non-negative integer;
+    anything else raises ``ValueError``."""
     if input_dim not in LAGS:
         raise ValueError("input_dim must be 1, 2 or 3")
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    r = 1.0 / np.sqrt(hidden_dim)
+    from ._pcg64 import Pcg64
+    rng = Pcg64(rng_seed)
+    r = 1.0 / math.sqrt(hidden_dim)
     h, k = hidden_dim, input_dim
     # The four-gate cell drew an input and a recurrent block per gate, in
     # the order i, f, o, g, one 64-bit draw per weight.  Skipping the draws
@@ -132,13 +138,13 @@ def init_params(input_dim: int, hidden_dim: int, rng_seed: int) -> LstmParams:
     gates = []
     for gate in "ifog":
         if gate == "f":
-            rng.bit_generator.advance(h * k)
+            rng.advance(h * k)
         else:
-            gates.append(rng.uniform(-r, r, size=(h, k)))
-        rng.bit_generator.advance(h * h)
+            gates += rng.uniform(-r, r, h * k)
+        rng.advance(h * h)
     return LstmParams(
-        np.vstack(gates), np.zeros(3 * h),
-        rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, size=h), 0.0)
+        np.reshape(gates, (3 * h, k)), np.zeros(3 * h),
+        rng.uniform(-OUTPUT_INIT_RANGE, OUTPUT_INIT_RANGE, h), 0.0)
 
 
 def predict_window(params: LstmParams, window: np.ndarray) -> float:

@@ -90,12 +90,17 @@ class IngestResult:
 class TimeSeries:
     """Per-step packet counts sampled at a fixed cadence."""
     start_time: datetime
-    step_duration: float  # seconds
+    step_duration: float  # seconds, a whole number of microseconds
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         step_us = _step_microseconds(self.step_duration)
+        if step_us / 1e6 != self.step_duration:
+            # save_series would write the rounded step, and load_series
+            # read back another series
+            raise ValueError(f"step_duration {self.step_duration!r} is not "
+                             "a whole number of microseconds")
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
         try:
@@ -252,7 +257,7 @@ def _parse_timestamp(text: str) -> datetime:
 
 #: Bytes ``load_tshark_csv`` and ``load_series`` read at a time; each block
 #: is cut after its last line end.  No output depends on it.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 def _blocks(read):

@@ -1011,30 +1011,52 @@ def test_calibrate_outputs_pinned(runner, pinned_calibrate_inputs, tmp_path,
             digest(result.stdout_bytes)) == digests
 
 
+def loaded_around_command(args, before, after):
+    """The stdout lines of a fresh interpreter that imports synwatch.cli,
+    prints which of the modules ``before`` are loaded, runs the command
+    ``args``, then prints which of the modules ``after`` are loaded."""
+    code = (
+        "import sys\n"
+        "import synwatch.cli\n"
+        f"print(sorted(set({sorted(before)!r}) & set(sys.modules)))\n"
+        "synwatch.cli.main(sys.argv[1:], standalone_mode=False)\n"
+        f"print(sorted(set({sorted(after)!r}) & set(sys.modules)))\n")
+    src = str(Path(synwatch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_cli_import_and_calibrate_leave_bulk_and_numpy_ma_unloaded(
         pinned_calibrate_inputs, tmp_path):
     # an eager import would cost every command its load time and memory:
     # synwatch._bulk serves only ingest, series writes and large series
     # reads, and numpy.ma costs more than the whole calibration grid
-    code = (
-        "import sys\n"
-        "import synwatch.cli\n"
-        "guarded = {'synwatch._bulk', 'numpy.ma'}\n"
-        "print(sorted(guarded & set(sys.modules)))\n"
-        "synwatch.cli.main(sys.argv[1:], standalone_mode=False)\n"
-        "print(sorted(guarded & set(sys.modules)))\n")
-    src = str(Path(synwatch.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code, "calibrate", *pinned_calibrate_inputs,
-         "-o", str(tmp_path / "detector.cfg")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+    guarded = {"synwatch._bulk", "numpy.ma"}
+    lines = loaded_around_command(
+        ["calibrate", *pinned_calibrate_inputs,
+         "-o", str(tmp_path / "detector.cfg")], guarded, guarded)
     assert lines[0] == "[]"
     assert lines[1].startswith("selected ")
+    assert lines[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["train", "compare-lags", "calibrate",
+                                     "detect", "ingest"])
+def test_commands_leave_numpy_random_unloaded(workspace, tmp_path, command):
+    # importing numpy.random costs a fresh interpreter 10-16 ms and about
+    # 6 MB of peak memory; init_params draws its seeded stream through
+    # synwatch._pcg64, which nothing loads before it runs
+    lines = loaded_around_command(
+        [*command_args(workspace, tmp_path, command),
+         "-o", str(tmp_path / "out.txt")],
+        {"numpy.random", "numpy.ma", "synwatch._bulk", "synwatch._pcg64"},
+        {"numpy.random", "numpy.ma"})
+    assert lines[0] == "[]"
     assert lines[-1] == "[]"
 
 

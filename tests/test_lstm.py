@@ -2,6 +2,7 @@
 
 import hashlib
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +118,15 @@ class TestInitParams:
         c = init_params(3, 23, rng_seed=43)
         assert not np.array_equal(a.W, c.W)
 
-    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    # seeds of one to five 32-bit words
+    @pytest.mark.parametrize("seed", [0, 7, 2024, 2**32 - 1, 2**32,
+                                      2**63 + 5, 2**128 + 7, 10**40])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("h", [1, 2, 23, 64])
     def test_seed_keeps_four_gate_draw_order(self, seed, k, h):
-        # the four-gate cell drew W_i U_i W_f U_f W_o U_o W_g U_g w_y;
-        # init_params skips the draws of the blocks it drops
+        # the four-gate cell drew W_i U_i W_f U_f W_o U_o W_g U_g w_y from
+        # numpy's default generator; init_params draws the same stream
+        # without numpy and skips the draws of the blocks it drops
         rng = np.random.default_rng(seed)
         r = 1.0 / np.sqrt(h)
         drawn = {name: rng.uniform(-r, r, size=(h, k if name[0] == "W" else h))
@@ -142,6 +146,31 @@ class TestInitParams:
     def test_rejects_bad_hidden_dim(self):
         with pytest.raises(ValueError):
             init_params(2, 0, rng_seed=0)
+
+    @pytest.mark.parametrize("bad_seed", [-1, -2**70, 1.5, 2.0, None, "3",
+                                          [1, 2]])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self,
+                                                                bad_seed):
+        # the seed is cut into 32-bit words by shifting, which never ends
+        # on a negative int, so the check has to come first: run the call
+        # on a thread and require it to be done at once
+        raised = []
+
+        def call():
+            try:
+                init_params(3, 23, rng_seed=bad_seed)
+            except ValueError as exc:
+                raised.append(str(exc))
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(raised) == 1 and "non-negative integer" in raised[0]
+
+    def test_numpy_integer_seed_is_its_value(self):
+        for got, want in zip(init_params(3, 5, np.int64(11)).arrays(),
+                             init_params(3, 5, 11).arrays()):
+            np.testing.assert_array_equal(got, want)
 
     def test_all_finite(self):
         assert params_finite(init_params(2, 7, rng_seed=9))

@@ -177,6 +177,32 @@ class TestLoadTsharkCsv:
         assert result.timestamps_us.dtype == np.int64
         assert result.timestamps_us.shape == (0,)
 
+    def test_load_peak_grows_with_the_timestamps_only(self, tmp_path):
+        def row(i):
+            when = T0 + timedelta(microseconds=1000 * i + i * 7919 % 997)
+            stamp = (when.isoformat() if i % 2 else
+                     f'"{when:%b %d, %Y %H:%M:%S}.{when:%f}000 UTC"')
+            return f"{i + 1},60,{stamp},6"
+        peaks = {}
+        for n in (20_000, 80_000):
+            path = tmp_path / f"capture{n}.csv"
+            path.write_text(tshark_csv(row(i) for i in range(n)))
+            with mock.patch.object(pipeline, "_BLOCK_BYTES", 1 << 16):
+                load_tshark_csv(path)
+                tracemalloc.start()
+                try:
+                    result = load_tshark_csv(path)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(result.timestamps_us) == n and not result.rejected
+            text_per_row = path.stat().st_size / n
+        # the timestamps (8 bytes a row), a few times over while the
+        # blocks' arrays are joined and sorted, but less than the text,
+        # about 40 bytes a row
+        per_row = (peaks[80_000] - peaks[20_000]) / 60_000
+        assert per_row < 3 * result.timestamps_us.itemsize < text_per_row
+
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
           "Oct", "Nov", "Dec")
@@ -1080,19 +1106,45 @@ class TestSeriesFiles:
             TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
 
     @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0,
-                                      1e-7, 4e-7, 1e12])
+                                      1e-7, 4e-7, 1e12, 1.5e-6, 0.1 + 1e-12])
     def test_time_series_rejects_a_step_that_is_not_finite_and_positive(
             self, step):
         # a step save_series cannot write is refused when the series is
         # made: one that rounds to 0 us would give every row the start
-        # timestamp, and 1e12 s puts the last step past the datetime range
+        # timestamp, 1e12 s puts the last step past the datetime range, and
+        # 1.5 us would be written as a 2 us cadence
         message = ("step_duration below microsecond resolution"
                    if step in (1e-7, 4e-7) else
                    "the last step falls past 9999-12-31 23:59:59.999999"
                    if step == 1e12 else
+                   f"step_duration {step!r} is not a whole number of "
+                   "microseconds" if step in (1.5e-6, 0.1 + 1e-12) else
                    "step_duration must be finite and positive")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TimeSeries(T0, step, np.arange(5.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(step=st.one_of(st.integers(1, 10**12).map(lambda us: us / 1e6),
+                          st.floats(1e-6, 1e6)),
+           length=st.integers(2, 6), bulk=st.booleans())
+    def test_any_accepted_step_survives_a_save_and_load(self, step, length,
+                                                        bulk):
+        # a one-row file holds no cadence, so the series have two rows or
+        # more; the byte path reads the file when bulk is set
+        try:
+            series = TimeSeries(T0, step, np.arange(float(length)))
+        except ValueError as exc:
+            assert "is not a whole number of microseconds" in str(exc)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_series(path, series)
+            with mock.patch.object(pipeline, "_BULK_MIN_BYTES",
+                                   0 if bulk else 1 << 30):
+                loaded = load_series(path)
+        assert loaded.step_duration == step
+        assert loaded.start_time == T0
+        np.testing.assert_array_equal(loaded.values, series.values)
 
     def test_a_cadence_the_float_step_cannot_carry_is_a_data_error(
             self, tmp_path):
