@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import _float_texts, _texts
-from .pipeline import (EPOCH, _MICROSECOND, _MONTHS, LabeledTimeSeries,
-                       _step_microseconds)
+from .pipeline import EPOCH, _MICROSECOND, _MONTHS, LabeledTimeSeries
 
 _NL, _CR, _QUOTE, _COMMA = b'\n\r",'
 
@@ -444,8 +443,9 @@ def write_series(path, data, seed: int | None = None) -> None:
     of ``_CHUNK``."""
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
-    step_us = _step_microseconds(series.step_duration)
     values = series.values
+    # a lone row's step, which may exceed int64, places no timestamp
+    step_us = series.step_us if len(values) > 1 else 0
     first_us = (series.start_time - EPOCH) // _MICROSECOND
     with open(path, "w", encoding="utf-8") as fh:
         if seed is not None:

@@ -52,7 +52,6 @@ class CalibrationGrid:
     ret_candidates: tuple[float, ...]
     alpha_candidates: tuple[float, ...]
     beta_candidates: tuple[float, ...]
-    mat: int = DetectorConfig.mat
 
     def __post_init__(self):
         self.ret_candidates = tuple(float(v) for v in self.ret_candidates)
@@ -72,8 +71,6 @@ class CalibrationGrid:
             raise ValueError("alpha candidates must lie in [0, 1]")
         if any(v < 0 for v in self.beta_candidates):
             raise ValueError("beta candidates must be non-negative")
-        if self.mat < 1:
-            raise ValueError("mat must be >= 1")
 
 
 @dataclass
@@ -196,9 +193,11 @@ def replay_trace(pairs, mat: int) -> ReplayTrace:
     """Precompute stream statistics for (step, actual, predicted) rows.
 
     ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
-    array, which is what ``calibrate`` and ``detect`` pass.  The statistics
-    are bit-identical to a streaming ``Detector`` fed the same rows.
+    array, which is what the ``calibrate`` and ``detect`` commands pass.  The
+    statistics are bit-identical to a streaming ``Detector`` fed the same rows.
     """
+    if mat < 1:
+        raise ValueError("mat must be >= 1")
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
     table = np.asarray(pairs, dtype=np.float64)
@@ -343,7 +342,7 @@ def _danger_levels(alphas, mat: int) -> np.ndarray:
                            side="right")
 
 
-def _select(counts: np.ndarray, grid: CalibrationGrid,
+def _select(counts: np.ndarray, grid: CalibrationGrid, mat: int,
             intervals_total: int) -> tuple[DetectorConfig, EvalReport]:
     """The winning cell of ``counts`` and its evaluation: the highest
     detection rate (the most detected intervals), then the fewest false
@@ -362,7 +361,7 @@ def _select(counts: np.ndarray, grid: CalibrationGrid,
     i, j, k = np.unravel_index(np.argmax(keep), keep.shape)
     events, false_alarms, detected = counts[:, i, j, k].tolist()
     config = DetectorConfig(ret=grid.ret_candidates[i],
-                            beta=grid.beta_candidates[k], mat=grid.mat,
+                            beta=grid.beta_candidates[k], mat=mat,
                             alpha=grid.alpha_candidates[j])
     return config, EvalReport(
         detection_rate_pct=_detection_rate(detected, intervals_total),
@@ -370,9 +369,9 @@ def _select(counts: np.ndarray, grid: CalibrationGrid,
         intervals_total=intervals_total, detected_intervals=detected)
 
 
-def calibrate(pairs, attack_intervals, grid: CalibrationGrid):
-    """Exhaustive sweep over the grid; returns the winning configuration,
-    its evaluation, and the counts of every cell.
+def calibrate(trace: ReplayTrace, attack_intervals, grid: CalibrationGrid):
+    """Exhaustive sweep over the grid on ``trace``'s stream; returns the
+    winning configuration, its evaluation, and the counts of every cell.
 
     The counts are one int64 array of shape ``(3, n_ret, n_alpha,
     n_beta)``: events, false alarms and detected intervals, in grid
@@ -385,19 +384,19 @@ def calibrate(pairs, attack_intervals, grid: CalibrationGrid):
     if not intervals:
         raise DataError("validation stream has no labeled attack intervals")
     betas = np.array(grid.beta_candidates)
-    cells = _CellCounts(replay_trace(pairs, grid.mat), intervals, betas)
-    if cells.normal_steps < grid.mat:
+    cells = _CellCounts(trace, intervals, betas)
+    if cells.normal_steps < trace.mat:
         raise DataError(
-            f"validation stream needs at least {grid.mat} normal steps")
+            f"validation stream needs at least {trace.mat} normal steps")
 
     # The table indices of the alphas and the betas.
-    kappa = _danger_levels(grid.alpha_candidates, grid.mat)[:, None]
+    kappa = _danger_levels(grid.alpha_candidates, trace.mat)[:, None]
     r = np.searchsorted(betas, betas, side="right")
     counts = np.empty((3, len(grid.ret_candidates), len(kappa), len(r)),
                       dtype=np.int64)
     for i, ret in enumerate(grid.ret_candidates):
         counts[:, i] = np.stack(cells.tables(ret))[:, kappa, r]
-    config, report = _select(counts, grid, len(intervals))
+    config, report = _select(counts, grid, trace.mat, len(intervals))
     return config, report, counts
 
 
@@ -425,13 +424,12 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def default_grid(pairs, mat: int = DetectorConfig.mat) -> CalibrationGrid:
-    """Data-driven candidate grid: ret spans the stream's per-step error
-    quantiles [0.5, 0.999] (20 log-spaced points), beta spans the observed
-    window-mean range (20 points), alpha uses a fixed 12-value ladder."""
-    trace = replay_trace(pairs, mat)
+def default_grid(trace: ReplayTrace) -> CalibrationGrid:
+    """Data-driven candidate grid for ``trace``: ret spans the stream's
+    per-step error quantiles [0.5, 0.999] (20 log-spaced points), beta the
+    observed window-mean range (20 points), alpha a fixed 12-value ladder."""
     if np.all(trace.warmup):
-        raise DataError(f"validation stream shorter than mat={mat}")
+        raise DataError(f"validation stream shorter than mat={trace.mat}")
     ordered = np.sort(trace.re)
     lo = max(_quantile(ordered, 0.5), 1e-9)
     hi = max(_quantile(ordered, 0.999), lo * (1 + 1e-9))
@@ -440,7 +438,7 @@ def default_grid(pairs, mat: int = DetectorConfig.mat) -> CalibrationGrid:
     betas = tuple(np.linspace(float(np.min(ares)), float(np.max(ares)), 20))
     return CalibrationGrid(ret_candidates=rets,
                            alpha_candidates=DEFAULT_ALPHAS,
-                           beta_candidates=betas, mat=mat)
+                           beta_candidates=betas)
 
 
 def _prediction_table(params: LstmParams, scaler: Scaler,

@@ -235,9 +235,9 @@ def ingest(packets, step_seconds, start, end, output):
             f"steps, more than the limit of {MAX_INGEST_STEPS}: narrow it "
             f"with --start/--end or give a larger --step-seconds")
 
-    series = aggregate_counts(stamps, step_seconds, start, end)
+    series = aggregate_counts(stamps, step_us, start, end)
     save_series(output, series)
-    _write_manifest({"series": output}, step_seconds=series.step_duration,
+    _write_manifest({"series": output}, step_seconds=step_us / 10**6,
                     start=start.isoformat(), end=end.isoformat())
     click.echo(f"wrote {len(series)} steps "
                f"({int(series.values.sum())} packets) -> {output}")
@@ -374,21 +374,20 @@ def calibrate_cmd(model, validation, mat, alpha, beta, beta_list, ret, scaler,
         raise DataError(
             f"validation series has {len(data.series)} values; lag {lag} "
             f"needs at least {lag + 1}")
-    pairs = _prediction_table(params, scaler, data.series)
+    trace = replay_trace(_prediction_table(params, scaler, data.series), mat)
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
-    base = default_grid(pairs, mat=mat)
+    base = default_grid(trace)
     with _usage_errors():
         grid = CalibrationGrid(
             ret_candidates=(ret,) if ret is not None else base.ret_candidates,
             alpha_candidates=(alpha,) if alpha is not None
             else base.alpha_candidates,
             beta_candidates=tuple(sorted(betas)) if betas is not None
-            else ((beta,) if beta is not None else base.beta_candidates),
-            mat=mat)
+            else ((beta,) if beta is not None else base.beta_candidates))
 
     config, report, counts = run_calibration(
-        pairs, data.attack_intervals, grid)
+        trace, data.attack_intervals, grid)
     rets, alphas = grid.ret_candidates, grid.alpha_candidates
     if betas is None:
         betas = grid.beta_candidates

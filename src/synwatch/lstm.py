@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DataError, DivergenceError
 from .kernels import (_GradWork, _hidden, loss_and_grads_numpy,
                       predict_batch_numpy)
-from .pipeline import LAGS, WindowSet, _utf8_errors
+from .pipeline import LAGS, WindowSet, _integer, _utf8_errors
 
 MODEL_MAGIC = "lstm-model v2"
 
@@ -97,8 +97,7 @@ class TrainConfig:
             raise ValueError("lag must be 1, 2 or 3")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        self.rng_seed = _integer("rng_seed", self.rng_seed, 0)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 import re as _re
 from contextlib import contextmanager
@@ -44,6 +45,17 @@ LAGS = (1, 2, 3)
 EPOCH = datetime(1970, 1, 1)
 
 _MICROSECOND = timedelta(microseconds=1)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``; else ValueError."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return number
 
 
 @contextmanager
@@ -89,18 +101,17 @@ class IngestResult:
 @dataclass
 class TimeSeries:
     """Per-step packet counts sampled at a fixed cadence."""
-    start_time: datetime
-    step_duration: float  # seconds, a whole number of microseconds
+    start_time: datetime  # naive, as series files carry it
+    step_us: int  # microseconds, at least 1
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        step_us = _step_microseconds(self.step_duration)
-        if step_us / 1e6 != self.step_duration:
-            # save_series would write the rounded step, and load_series
-            # read back another series
-            raise ValueError(f"step_duration {self.step_duration!r} is not "
-                             "a whole number of microseconds")
+        if not (isinstance(self.start_time, datetime)
+                and self.start_time.tzinfo is None):
+            raise ValueError(f"start_time must be a naive datetime, got "
+                             f"{self.start_time!r}")
+        step_us = self.step_us = _integer("step_us", self.step_us, 1)
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
         try:
@@ -206,8 +217,7 @@ class SynthConfig:
             raise ValueError("need 1 <= attack_min_len <= attack_max_len")
         if self.attack_multiplier <= 1:
             raise ValueError("attack_multiplier must exceed 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        self.rng_seed = _integer("rng_seed", self.rng_seed, 0)
         if self.attack_count and not math.isfinite(
                 self.baseline_mean * self.attack_multiplier):
             raise ValueError("attack mean baseline_mean * attack_multiplier "
@@ -445,30 +455,28 @@ def _load_blocks(blocks) -> IngestResult:
                         rejected_by_reason=by_reason)
 
 
-def _step_microseconds(step_duration: float) -> int:
-    """A step duration in whole microseconds, the resolution of
-    ``aggregate_counts``; it must be finite and round to at least 1."""
-    scaled = step_duration * 1e6
+def _step_microseconds(step_seconds: float) -> int:
+    """``step_seconds`` in whole microseconds, the resolution of a series;
+    it must be finite and round to at least 1."""
+    scaled = step_seconds * 1e6
     if not 0 < scaled < math.inf:
-        raise ValueError(f"step_duration must be finite and positive, "
-                         f"got {step_duration!r}")
+        raise ValueError(f"step must be finite and positive, "
+                         f"got {step_seconds!r}")
     step_us = round(scaled)
     if step_us < 1:
-        raise ValueError("step_duration below microsecond resolution")
+        raise ValueError("step below microsecond resolution")
     return step_us
 
 
-def aggregate_counts(timestamps_us, step_duration: float,
+def aggregate_counts(timestamps_us, step_us: int,
                      start: datetime, end: datetime) -> TimeSeries:
     """Count packet timestamps (int microseconds since ``EPOCH``) per step
-    over [start, end).
+    of ``step_us`` microseconds over [start, end).
 
-    The step is rounded to whole microseconds (``_step_microseconds``),
-    and the series carries the rounded step.  Step ``i`` covers
-    [start + i*step, start + (i+1)*step); timestamps outside [start, end)
-    are ignored.  The series has ceil((end-start)/step) steps.
+    Step ``i`` covers [start + i*step, start + (i+1)*step); timestamps
+    outside [start, end) are ignored; ceil((end-start)/step) steps in all.
     """
-    step_us = _step_microseconds(step_duration)
+    step_us = _integer("step_us", step_us, 1)
     if start >= end:
         raise ValueError("start must precede end")
     total_us = (end - start) // _MICROSECOND
@@ -479,7 +487,7 @@ def aggregate_counts(timestamps_us, step_duration: float,
     # capped so that a step beyond int64 cannot overflow; a step longer
     # than the range puts every offset in step 0 either way
     counts = np.bincount(offsets // min(step_us, total_us), minlength=n_steps)
-    return TimeSeries(start_time=start, step_duration=step_us / 10**6,
+    return TimeSeries(start_time=start, step_us=step_us,
                       values=counts.astype(np.float64))
 
 
@@ -522,11 +530,6 @@ def scale_windows(windows: WindowSet, scaler: Scaler) -> WindowSet:
     )
 
 
-def _shift_start(series: TimeSeries, steps: int) -> datetime:
-    return series.start_time + timedelta(
-        microseconds=round(steps * series.step_duration * 1e6))
-
-
 def split_protocol(labeled: LabeledTimeSeries, train_fraction: float,
                    validation_fraction: float):
     """Chronological train/validation/test split.
@@ -557,8 +560,8 @@ def split_protocol(labeled: LabeledTimeSeries, train_fraction: float,
 
     def _slice(lo: int, hi: int) -> TimeSeries:
         return TimeSeries(
-            start_time=_shift_start(series, lo),
-            step_duration=series.step_duration,
+            start_time=series.start_time + lo * series.step_us * _MICROSECOND,
+            step_us=series.step_us,
             values=series.values[lo:hi].copy(),
         )
 
@@ -616,7 +619,7 @@ def generate_synthetic(config: SynthConfig) -> LabeledTimeSeries:
             f"baseline mean {config.baseline_mean!r}, std "
             f"{config.baseline_std!r} and attack multiplier "
             f"{config.attack_multiplier!r} draw non-finite packet counts")
-    series = TimeSeries(start_time=DEFAULT_START_TIME, step_duration=1.0,
+    series = TimeSeries(start_time=DEFAULT_START_TIME, step_us=1_000_000,
                         values=values)
     return LabeledTimeSeries(series=series, labels=labels)
 
@@ -651,12 +654,10 @@ class _SeriesReader:
             raise DataError(f"{self.path}: missing header")
         if not self.rows:
             raise DataError(f"{self.path}: no data rows")
-        step = 1.0 if self.delta is None else self.delta.total_seconds()
-        try:
-            series = TimeSeries(start_time=self.start, step_duration=step,
-                                values=np.concatenate(self.counts))
-        except ValueError as exc:  # a float step rounded past the range
-            raise DataError(f"{self.path}: {exc}") from None
+        # one row has no cadence: it loads with a 1 s step
+        step_us = (self.delta or timedelta(seconds=1)) // _MICROSECOND
+        series = TimeSeries(start_time=self.start, step_us=step_us,
+                            values=np.concatenate(self.counts))
         if not self.labeled:
             return series
         return LabeledTimeSeries(series=series,
@@ -778,10 +779,9 @@ def save_series(path, data, seed: int | None = None) -> None:
     """Write a series CSV: ``step,timestamp,count[,label]``.
 
     Synthetic fixtures carry their seed in a leading ``# seed=<n>`` line.
-    The start time is naive, as ``load_series`` and every command make
-    it.  The rows are formatted from the arrays ``_bulk._CHUNK`` at a
-    time, each block by one ``%`` format, so no copy of the whole text is
-    held in memory.  Counts and the parts of a timestamp repeat, so each
+    The rows are formatted from the arrays ``_bulk._CHUNK`` at a time,
+    each block by one ``%`` format, so no copy of the whole text is held
+    in memory.  Counts and the parts of a timestamp repeat, so each
     distinct one is formatted once per block.
     """
     from . import _bulk  # loaded with the first series file written
@@ -794,9 +794,10 @@ def load_series(path):
 
     The cadence is the gap between the first two timestamps; every row
     must sit on it, carry its 0-based position in the ``step`` column and
-    have as many fields as the header.  The file must be UTF-8; its lines
-    are those ``str.splitlines`` gives, and blank lines are skipped, as
-    are ``#`` lines before the header.
+    have as many fields as the header.  A one-row file has no cadence: it
+    loads with a 1 s step, whatever step it was saved with.  The file must
+    be UTF-8; its lines are those ``str.splitlines`` gives, and blank lines
+    are skipped, as are ``#`` lines before the header.
 
     The file is read as bytes, ``_BLOCK_BYTES`` at a time (``_blocks``).
     In a file of more than ``_BULK_MIN_BYTES``, a block of plain lines

@@ -75,8 +75,9 @@ def load_series_per_row(path):
     if not values:
         raise DataError(f"{path}: no data rows")
 
-    step = delta.total_seconds() if delta is not None else 1.0
-    series = TimeSeries(start_time=start, step_duration=step,
+    step_us = (delta // timedelta(microseconds=1) if delta is not None
+               else 1_000_000)
+    series = TimeSeries(start_time=start, step_us=step_us,
                         values=np.asarray(values))
     if not labeled:
         return series

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from synwatch.calibration import (CalibrationGrid, calibrate, default_grid,
-                                  evaluate, prediction_pairs)
+                                  evaluate, prediction_pairs, replay_trace)
 from synwatch.cli import main as cli_main
 from synwatch.detector import Detector, DetectorConfig
 from synwatch.lstm import TrainConfig, bptt_gradients, init_params, train
@@ -35,7 +35,7 @@ def criterion(number, description):
 
 
 def train_on(series_values, rng_seed=0, epochs=1500):
-    series = TimeSeries(START_OF_DAY, 1.0, series_values)
+    series = TimeSeries(START_OF_DAY, 1_000_000, series_values)
     scaler = fit_scaler(series)
     windows = scale_windows(build_windows(series, 3), scaler)
     config = TrainConfig(rng_seed=rng_seed, epochs=epochs)
@@ -55,8 +55,9 @@ def clean_run():
         SynthConfig(length=2000, attack_count=3, rng_seed=303))
     params, scaler, report = train_on(train_data.series.values)
     val_pairs = prediction_pairs(params, scaler, val_data.series)
-    grid = default_grid(val_pairs)
-    config, cal_report, rows = calibrate(val_pairs, val_data.attack_intervals,
+    trace = replay_trace(val_pairs, DetectorConfig.mat)
+    grid = default_grid(trace)
+    config, cal_report, rows = calibrate(trace, val_data.attack_intervals,
                                          grid)
     return {
         "test_data": test_data,
@@ -139,7 +140,7 @@ def test_criterion_3_table_tradeoff_structure():
         pairs = prediction_pairs(params, scaler, val_data.series)
         # the table's rows run from the largest beta down
         _, report, counts = calibrate(
-            pairs, val_data.attack_intervals,
+            replay_trace(pairs, 12), val_data.attack_intervals,
             CalibrationGrid((0.3,), (0.66,), (0.52, 0.62, 0.66, 0.69)))
         _, falses, detected = counts[:, 0, 0, ::-1].tolist()
         rates = [100.0 * d / report.intervals_total for d in detected]
@@ -167,10 +168,11 @@ def test_criterion_4_end_to_end_detection(clean_run):
         assert report.false_alarms == 0, report
 
         beta_floor = min(clean_run["grid"].beta_candidates)
-        _, _, counts = calibrate(pairs, test_data.attack_intervals,
+        _, _, counts = calibrate(replay_trace(pairs, config.mat),
+                                 test_data.attack_intervals,
                                  CalibrationGrid((config.ret,),
                                                  (config.alpha,),
-                                                 (beta_floor,), config.mat))
+                                                 (beta_floor,)))
         _, false_alarms, detected = counts.ravel().tolist()
         assert detected == len(test_data.attack_intervals), counts
         assert false_alarms >= report.false_alarms, counts

@@ -154,8 +154,8 @@ class TestReplayStreamingEquivalence:
 
     def test_selected_config_reproduces_metrics_via_detector(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        grid = default_grid(pairs)
-        config, report, _ = calibrate(pairs, intervals, grid)
+        trace = replay_trace(pairs, 12)
+        config, report, _ = calibrate(trace, intervals, default_grid(trace))
         detector = Detector(config)
         verdicts = [detector.step(*p) for p in pairs]
         rerun = evaluate(verdicts, intervals)
@@ -165,8 +165,9 @@ class TestReplayStreamingEquivalence:
 class TestCalibrate:
     def test_finds_perfect_config_on_separable_stream(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        config, report, counts = calibrate(pairs, intervals,
-                                           default_grid(pairs))
+        trace = replay_trace(pairs, 12)
+        config, report, counts = calibrate(trace, intervals,
+                                           default_grid(trace))
         assert report.detection_rate_pct == 100.0
         assert report.false_alarms == 0
         assert counts.shape == (3, 20, 12, 20)
@@ -175,16 +176,18 @@ class TestCalibrate:
     def test_single_candidate_grid_returned_verbatim(self, rng):
         pairs, intervals = synthetic_pairs(rng)
         grid = CalibrationGrid(ret_candidates=(0.4,), alpha_candidates=(0.66,),
-                               beta_candidates=(0.3,), mat=12)
-        config, report, counts = calibrate(pairs, intervals, grid)
+                               beta_candidates=(0.3,))
+        config, report, counts = calibrate(replay_trace(pairs, 12),
+                                           intervals, grid)
         assert (config.ret, config.alpha, config.beta) == (0.4, 0.66, 0.3)
         assert cell_reports(counts, report.intervals_total) == [report]
 
     def test_deterministic(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        grid = default_grid(pairs)
-        out1 = calibrate(pairs, intervals, grid)
-        out2 = calibrate(pairs, intervals, grid)
+        trace = replay_trace(pairs, 12)
+        grid = default_grid(trace)
+        out1 = calibrate(trace, intervals, grid)
+        out2 = calibrate(trace, intervals, grid)
         assert out1[0] == out2[0]
         assert out1[1] == out2[1]
         assert np.array_equal(out1[2], out2[2])
@@ -193,35 +196,37 @@ class TestCalibrate:
         pairs, intervals = synthetic_pairs(rng)
         grid = CalibrationGrid(ret_candidates=(0.2, 0.5),
                                alpha_candidates=(0.4, 0.8),
-                               beta_candidates=(0.1, 0.9), mat=12)
-        _, _, counts = calibrate(pairs, intervals, grid)
+                               beta_candidates=(0.1, 0.9))
+        trace = replay_trace(pairs, 12)
+        _, _, counts = calibrate(trace, intervals, grid)
         assert counts.shape == (3, 2, 2, 2)
         for (i, ret), (j, alpha), (k, beta) in itertools.product(
                 *map(enumerate, (grid.ret_candidates, grid.alpha_candidates,
                                  grid.beta_candidates))):
-            _, _, cell = calibrate(pairs, intervals, CalibrationGrid(
-                (ret,), (alpha,), (beta,), mat=12))
+            _, _, cell = calibrate(trace, intervals, CalibrationGrid(
+                (ret,), (alpha,), (beta,)))
             assert np.array_equal(cell[:, 0, 0, 0], counts[:, i, j, k])
 
     def test_label_free_validation_rejected(self, rng):
         pairs, _ = synthetic_pairs(rng)
         grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="attack intervals"):
-            calibrate(pairs, [], grid)
+            calibrate(replay_trace(pairs, 12), [], grid)
 
     def test_requires_enough_normal_steps(self):
         pairs = [(s, 1.0, 0.5) for s in range(20)]
-        grid = CalibrationGrid((0.4,), (0.5,), (0.3,), mat=12)
+        grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="normal steps"):
-            calibrate(pairs, [(0, 14)], grid)
+            calibrate(replay_trace(pairs, 12), [(0, 14)], grid)
 
     def test_normal_step_count_includes_interval_ends(self):
         # 19 steps (0..19 without 10); [0, 8] leaves 10 of them normal
         pairs = [(s, 1.0, 0.5) for s in range(20) if s != 10]
-        grid = CalibrationGrid((0.4,), (0.5,), (0.3,), mat=11)
+        trace = replay_trace(pairs, 11)
+        grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="normal steps"):
-            calibrate(pairs, [(0, 8), (10, 10)], grid)
-        _, _, counts = calibrate(pairs, [(0, 7), (10, 10)], grid)
+            calibrate(trace, [(0, 8), (10, 10)], grid)
+        _, _, counts = calibrate(trace, [(0, 7), (10, 10)], grid)
         assert counts.shape == (3, 1, 1, 1)
 
     def test_tie_break_prefers_conservative_thresholds(self, rng):
@@ -229,8 +234,8 @@ class TestCalibrate:
         pairs = [(s, 1.0, 1.0) for s in range(60)]
         grid = CalibrationGrid(ret_candidates=(0.1, 0.2),
                                alpha_candidates=(0.5, 0.7),
-                               beta_candidates=(0.3, 0.9), mat=12)
-        config, _, _ = calibrate(pairs, [(40, 45)], grid)
+                               beta_candidates=(0.3, 0.9))
+        config, _, _ = calibrate(replay_trace(pairs, 12), [(40, 45)], grid)
         assert (config.ret, config.alpha, config.beta) == (0.2, 0.7, 0.9)
 
     def test_empty_grid_rejected(self):
@@ -268,8 +273,9 @@ def beta_sweep(config, pairs, intervals, betas):
     the config's one ret and alpha over the sorted betas, then one column
     per beta in the given order, repeats included."""
     ordered = sorted(betas)
-    _, report, counts = calibrate(pairs, intervals, CalibrationGrid(
-        (config.ret,), (config.alpha,), ordered, config.mat))
+    _, report, counts = calibrate(
+        replay_trace(pairs, config.mat), intervals,
+        CalibrationGrid((config.ret,), (config.alpha,), ordered))
     columns = np.searchsorted(ordered, betas, side="right") - 1
     return cell_reports(counts[..., columns], report.intervals_total)
 
@@ -304,6 +310,11 @@ class TestReplayTrace:
         pairs = [(s, 1.0, 0.9) for s in range(3)] + [pair]
         with pytest.raises(DataError, match="step 3"):
             replay_trace(pairs, 2)
+
+    @pytest.mark.parametrize("mat", [0, -1])
+    def test_window_of_no_steps_rejected(self, mat):
+        with pytest.raises(ValueError, match="mat must be >= 1"):
+            replay_trace([(s, 1.0, 0.9) for s in range(3)], mat)
 
 
 @st.composite
@@ -410,14 +421,15 @@ class TestSweepMatchesStreamingReference:
          3.0])], [(7, 8)], [0.1, 0.3], [0.0, 0.5], [0.0], 3))
     def test_calibrate_counts(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
-        grid = CalibrationGrid(rets, alphas, sorted(betas), mat=mat)
+        trace = replay_trace(pairs, mat)
+        grid = CalibrationGrid(rets, alphas, sorted(betas))
         normal = sum(not any(a <= s <= b for a, b in intervals)
                      for s, _, _ in pairs)
         if not intervals or normal < mat:
             with pytest.raises(DataError):
-                calibrate(pairs, intervals, grid)
+                calibrate(trace, intervals, grid)
             return
-        config, report, counts = calibrate(pairs, intervals, grid)
+        config, report, counts = calibrate(trace, intervals, grid)
         assert counts.shape == (3, len(rets), len(alphas), len(betas))
         assert cell_reports(counts, len(intervals)) == [
             streaming_row(pairs, intervals, r, a, b, mat)
@@ -476,11 +488,11 @@ def max_rule(grid, counts, intervals_total):
                          [[[1, 1], [1, 0]]]]), 1))
 def test_selection_matches_max_rule(case):
     grid, counts, intervals_total = case
-    config, report = _select(counts, grid, intervals_total)
+    config, report = _select(counts, grid, 7, intervals_total)
     cell, expected = max_rule(grid, counts, intervals_total)
     assert [v.hex() for v in (config.ret, config.alpha, config.beta)] == \
         [v.hex() for v in cell]
-    assert config.mat == grid.mat
+    assert config.mat == 7
     assert report == expected
     assert type(report.detection_rate_pct) is float
     assert all(type(v) is int for v in (
@@ -491,24 +503,23 @@ def test_selection_matches_max_rule(case):
 class TestDefaultGrid:
     def test_contains_published_operating_points(self, rng):
         pairs, _ = synthetic_pairs(rng)
-        grid = default_grid(pairs)
+        grid = default_grid(replay_trace(pairs, 12))
         assert 0.66 in grid.alpha_candidates
         assert grid.alpha_candidates == DEFAULT_ALPHAS
         assert len(grid.ret_candidates) == 20
         assert len(grid.beta_candidates) == 20
-        assert grid.mat == 12
 
     def test_ret_candidates_span_re_quantiles(self, rng):
         pairs, _ = synthetic_pairs(rng)
         trace = replay_trace(pairs, 12)
-        grid = default_grid(pairs)
+        grid = default_grid(trace)
         assert grid.ret_candidates[0] == float(np.quantile(trace.re, 0.5))
         assert grid.ret_candidates[-1] == float(np.quantile(trace.re, 0.999))
 
     def test_stream_shorter_than_mat_rejected(self):
         pairs = [(s, 1.0, 0.9) for s in range(5)]
         with pytest.raises(DataError):
-            default_grid(pairs, mat=12)
+            default_grid(replay_trace(pairs, 12))
 
     def test_calibrate_does_not_import_numpy_ma(self):
         # np.quantile's first call imports numpy.ma, which costs more than
@@ -516,12 +527,14 @@ class TestDefaultGrid:
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from synwatch.calibration import calibrate, default_grid\n"
+            "from synwatch.calibration import (calibrate, default_grid,\n"
+            "                                  replay_trace)\n"
             "rng = np.random.default_rng(5)\n"
             "re = rng.uniform(0.0, 0.2, 200)\n"
             "re[80:100] += 0.8\n"
             "pairs = np.column_stack((np.arange(200), np.ones(200), 1 - re))\n"
-            "calibrate(pairs, [(80, 99)], default_grid(pairs))\n"
+            "trace = replay_trace(pairs, 12)\n"
+            "calibrate(trace, [(80, 99)], default_grid(trace))\n"
             "print('numpy.ma' in sys.modules)\n")
         src = str(Path(synwatch.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -568,8 +581,9 @@ def sweep_line(ret, alpha, beta, report):
 
 def test_write_sweep_format(tmp_path, rng):
     pairs, intervals = synthetic_pairs(rng)
-    grid = default_grid(pairs)
-    _, report, counts = calibrate(pairs, intervals, grid)
+    trace = replay_trace(pairs, 12)
+    grid = default_grid(trace)
+    _, report, counts = calibrate(trace, intervals, grid)
     path = tmp_path / "sweep.csv"
     write_sweep(path, grid.ret_candidates, grid.alpha_candidates,
                 grid.beta_candidates, counts, report.intervals_total)
@@ -617,7 +631,8 @@ def test_sweep_files_are_pinned(tmp_path):
     grid = CalibrationGrid((0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
                            DEFAULT_ALPHAS,
                            (0.0, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2))
-    config, report, counts = calibrate(pairs, intervals, grid)
+    trace = replay_trace(pairs, 12)
+    config, report, counts = calibrate(trace, intervals, grid)
     assert config.to_text() == ("ret=0.01 mat=12 alpha=0.71999999999999997 "
                                 "beta=0.050000000000000003")
     assert (report.detected_intervals, report.false_alarms,
@@ -629,7 +644,7 @@ def test_sweep_files_are_pinned(tmp_path):
     # it; 0.3 lies outside the grid.
     betas = [0.05, 0.0, 0.12, 0.05, 0.3]
     ordered = sorted(betas)
-    _, report, counts = calibrate(pairs, intervals, CalibrationGrid(
+    _, report, counts = calibrate(trace, intervals, CalibrationGrid(
         (config.ret,), (config.alpha,), ordered))
     columns = np.searchsorted(ordered, betas, side="right") - 1
     write_sweep(tmp_path / "betas.csv", (config.ret,), (config.alpha,),

@@ -277,13 +277,11 @@ class TestIngest:
             (tmp_path / "series.csv.manifest.json").read_text())
         assert manifest["config"]["step_seconds"] == 2e-06
         series = load_series(out)
-        assert series.step_duration == 2e-06
+        assert series.step_us == 2
         assert len(series) == 10
         stamps = load_tshark_csv(packets).timestamps_us
-        returned = aggregate_counts(stamps, 0.0000015,
-                                    _parse_timestamp(start),
+        returned = aggregate_counts(stamps, 2, _parse_timestamp(start),
                                     _parse_timestamp(end))
-        assert returned.step_duration == 2e-06
         np.testing.assert_array_equal(returned.values, series.values)
 
     @pytest.mark.parametrize("flags, message", [

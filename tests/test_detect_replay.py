@@ -52,7 +52,7 @@ def run_both(directory: Path, lag: int, model_seed: int, counts, labels,
     save_model(model, params)
     save_scaler(f"{model}.scaler", SCALER)
     (directory / "detector.cfg").write_text(config.to_text() + "\n")
-    series = TimeSeries(T0, 1.0, np.asarray(counts, dtype=np.float64))
+    series = TimeSeries(T0, 1_000_000, np.asarray(counts, dtype=np.float64))
     labeled = LabeledTimeSeries(series, labels)
     save_series(directory / "test.csv", labeled)
 
@@ -150,7 +150,8 @@ class TestDetectMatchesStreamingDetector:
         # comparison would change a verdict.
         counts = [100, 0, 130, 90, 0, 250, 80, 95, 0, 160, 100, 70, 0, 110]
         lag, seed = 2, 4
-        series = TimeSeries(T0, 1.0, np.asarray(counts, dtype=np.float64))
+        series = TimeSeries(T0, 1_000_000,
+                            np.asarray(counts, dtype=np.float64))
         params = init_params(lag, 4, rng_seed=seed)
         res = [v.re for v in streaming_verdicts(
             params, series, DetectorConfig(ret=1.0, beta=0.0, mat=3))]

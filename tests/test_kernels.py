@@ -368,7 +368,7 @@ def test_chunked_train_within_tolerance_of_per_gate_loop(lag, monkeypatch):
 
 def assert_train_within_tolerance_of_per_gate_loop(lag):
     values = np.random.default_rng(0).normal(100.0, 10.0, 500).round()
-    series = TimeSeries(datetime(2000, 1, 1), 1.0, values)
+    series = TimeSeries(datetime(2000, 1, 1), 1_000_000, values)
     windows = scale_windows(build_windows(series, lag), fit_scaler(series))
     config = TrainConfig(epochs=300, lag=lag)
     params, report = train(config, windows)

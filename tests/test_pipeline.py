@@ -5,7 +5,7 @@ import io
 import re
 import tempfile
 import tracemalloc
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +20,7 @@ from synwatch import pipeline
 from synwatch import _bulk
 from synwatch.detector import DetectorConfig
 from synwatch.errors import DataError
+from synwatch.lstm import TrainConfig
 from synwatch.pipeline import (EPOCH, LabeledTimeSeries, Scaler, SynthConfig,
                                TimeSeries, _parse_timestamp, aggregate_counts,
                                build_windows,
@@ -614,27 +615,27 @@ class TestAggregateCounts:
                          for s in offsets_seconds], dtype=np.int64)
 
     def test_no_records_gives_zeros(self):
-        series = aggregate_counts(np.zeros(0, dtype=np.int64), 1.0,
+        series = aggregate_counts(np.zeros(0, dtype=np.int64), 1_000_000,
                                   T0, T0 + timedelta(seconds=10))
         np.testing.assert_array_equal(series.values, np.zeros(10))
 
     def test_counts_land_in_their_step(self):
         series = aggregate_counts(self.stamps([2.1, 2.5, 2.9, 2.0, 2.999]),
-                                  1.0, T0, T0 + timedelta(seconds=4))
+                                  1_000_000, T0, T0 + timedelta(seconds=4))
         np.testing.assert_array_equal(series.values, [0, 0, 5, 0])
         assert series.values.dtype == np.float64
 
     def test_conservation_on_uniform_fixture(self):
         rng = np.random.default_rng(100)
         offsets = rng.uniform(0, 100, size=1000)
-        series = aggregate_counts(self.stamps(offsets), 1.0,
+        series = aggregate_counts(self.stamps(offsets), 1_000_000,
                                   T0, T0 + timedelta(seconds=100))
         assert len(series) == 100
         assert series.values.sum() == 1000
 
     def test_out_of_range_records_ignored(self):
-        series = aggregate_counts(self.stamps([-0.5, 0.5, 9.5, 10.5]), 1.0,
-                                  T0, T0 + timedelta(seconds=10))
+        series = aggregate_counts(self.stamps([-0.5, 0.5, 9.5, 10.5]),
+                                  1_000_000, T0, T0 + timedelta(seconds=10))
         np.testing.assert_array_equal(series.values,
                                       [1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
 
@@ -642,18 +643,18 @@ class TestAggregateCounts:
         # start is inside the range and end is not, to the microsecond
         start_us, end_us = us(T0), us(T0) + 3_000_000
         stamps = np.array([start_us - 1, start_us, end_us - 1, end_us])
-        series = aggregate_counts(stamps, 1.0, T0,
+        series = aggregate_counts(stamps, 1_000_000, T0,
                                   T0 + timedelta(seconds=3))
         np.testing.assert_array_equal(series.values, [1, 0, 1])
 
     def test_partial_last_step(self):
-        series = aggregate_counts(self.stamps([2.4]), 1.0,
+        series = aggregate_counts(self.stamps([2.4]), 1_000_000,
                                   T0, T0 + timedelta(seconds=2.5))
         assert len(series) == 3
         assert series.values[2] == 1
 
     def test_step_longer_than_range(self):
-        series = aggregate_counts(self.stamps([0.5, 1.5]), 1e13,
+        series = aggregate_counts(self.stamps([0.5, 1.5]), 10**19,
                                   T0, T0 + timedelta(seconds=2))
         np.testing.assert_array_equal(series.values, [2])
 
@@ -663,7 +664,7 @@ class TestAggregateCounts:
     def test_equals_per_packet_count(self, offsets, step_us, total_us):
         end = T0 + timedelta(microseconds=total_us)
         series = aggregate_counts(np.array(offsets, dtype=np.int64) + us(T0),
-                                  step_us / 1e6, T0, end)
+                                  step_us, T0, end)
         expected = np.zeros(-(-total_us // step_us))
         for offset in offsets:
             if 0 <= offset < total_us:
@@ -671,27 +672,27 @@ class TestAggregateCounts:
         np.testing.assert_array_equal(series.values, expected)
 
     def test_preconditions(self):
-        for step in (0.0, -1.0, 1e-7, np.nan, np.inf, 1e303):
-            with pytest.raises(ValueError, match="step_duration"):
+        for step in (0, -1, 1.0, np.nan, None):
+            with pytest.raises(ValueError, match="step_us must be"):
                 aggregate_counts([], step, T0, T0 + timedelta(seconds=1))
         with pytest.raises(ValueError, match="start must precede end"):
-            aggregate_counts([], 1.0, T0, T0)
+            aggregate_counts([], 1_000_000, T0, T0)
 
 
 class TestScaler:
     def test_basic_min_max(self):
-        scaler = fit_scaler(TimeSeries(T0, 1.0, [0.0, 5.0, 10.0]))
+        scaler = fit_scaler(TimeSeries(T0, 1_000_000, [0.0, 5.0, 10.0]))
         assert scaler.offset == 0.0 and scaler.scale == 10.0
         np.testing.assert_allclose(scaler.apply([0, 5, 10]), [0, 0.5, 1])
 
     def test_constant_series_rule(self):
-        scaler = fit_scaler(TimeSeries(T0, 1.0, [7.0, 7.0, 7.0]))
+        scaler = fit_scaler(TimeSeries(T0, 1_000_000, [7.0, 7.0, 7.0]))
         assert scaler.offset == 7.0 and scaler.scale == 1.0
         np.testing.assert_array_equal(scaler.apply([7.0, 7.0]), [0.0, 0.0])
 
     def test_round_trip_identity(self, rng):
         values = rng.uniform(0, 500, size=200)
-        scaler = fit_scaler(TimeSeries(T0, 1.0, values))
+        scaler = fit_scaler(TimeSeries(T0, 1_000_000, values))
         back = scaler.invert(scaler.apply(values))
         np.testing.assert_allclose(back, values, rtol=1e-12)
 
@@ -753,25 +754,26 @@ class TestScaler:
 
 class TestBuildWindows:
     def test_lag3_example(self):
-        series = TimeSeries(T0, 1.0, [1.0, 2.0, 3.0, 4.0, 5.0])
+        series = TimeSeries(T0, 1_000_000, [1.0, 2.0, 3.0, 4.0, 5.0])
         ws = build_windows(series, 3)
         np.testing.assert_array_equal(ws.inputs, [[1, 2, 3], [2, 3, 4]])
         np.testing.assert_array_equal(ws.targets, [4, 5])
         np.testing.assert_array_equal(ws.origin_steps, [2, 3])
 
     def test_window_count_formula(self):
-        series = TimeSeries(T0, 1.0, [1.0, 2.0, 3.0, 4.0])
+        series = TimeSeries(T0, 1_000_000, [1.0, 2.0, 3.0, 4.0])
         assert len(build_windows(series, 3)) == 1
         for lag in (1, 2, 3):
-            n = len(build_windows(TimeSeries(T0, 1.0, np.arange(9.0)), lag))
+            n = len(build_windows(
+                TimeSeries(T0, 1_000_000, np.arange(9.0)), lag))
             assert n == 9 - lag
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            build_windows(TimeSeries(T0, 1.0, [1.0, 2.0, 3.0]), 3)
+            build_windows(TimeSeries(T0, 1_000_000, [1.0, 2.0, 3.0]), 3)
 
     def test_bad_lag_rejected(self):
-        series = TimeSeries(T0, 1.0, np.arange(10.0))
+        series = TimeSeries(T0, 1_000_000, np.arange(10.0))
         for bad in (0, 4):
             with pytest.raises(ValueError):
                 build_windows(series, bad)
@@ -779,7 +781,7 @@ class TestBuildWindows:
     def test_windows_reconstruct_series(self, rng):
         values = rng.uniform(0, 50, size=40)
         for lag in (1, 2, 3):
-            ws = build_windows(TimeSeries(T0, 1.0, values), lag)
+            ws = build_windows(TimeSeries(T0, 1_000_000, values), lag)
             rebuilt = np.concatenate([values[:lag], ws.targets])
             np.testing.assert_array_equal(rebuilt, values)
             newest = ws.inputs[:, -1]
@@ -787,7 +789,7 @@ class TestBuildWindows:
 
     def test_scale_windows(self, rng):
         values = rng.uniform(0, 50, size=30)
-        series = TimeSeries(T0, 1.0, values)
+        series = TimeSeries(T0, 1_000_000, values)
         scaler = fit_scaler(series)
         ws = scale_windows(build_windows(series, 2), scaler)
         assert ws.inputs.min() >= 0.0 and ws.inputs.max() <= 1.0
@@ -804,11 +806,70 @@ def labels_on(length, intervals):
 
 def labeled_series(values, intervals):
     values = np.asarray(values, dtype=float)
-    return LabeledTimeSeries(series=TimeSeries(T0, 1.0, values),
+    return LabeledTimeSeries(series=TimeSeries(T0, 1_000_000, values),
                              labels=labels_on(len(values), intervals))
 
 
+@st.composite
+def split_cases(draw):
+    """A labeled series of 3 to 50 steps of 1 us to 10**11 us, with an
+    all-normal training part, and fractions that cut it into parts of
+    ``n_train`` and ``n_val`` steps and a test part."""
+    n = draw(st.integers(3, 50))
+    n_train = draw(st.integers(1, n - 2))
+    n_val = draw(st.integers(1, n - 1 - n_train))
+    step_us = draw(st.integers(1, 10**11))
+    start = draw(st.datetimes(max_value=datetime(9000, 1, 1)))
+    values = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                           min_size=n, max_size=n))
+    labels = [False] * n_train + draw(st.lists(
+        st.booleans(), min_size=n - n_train, max_size=n - n_train))
+    data = LabeledTimeSeries(TimeSeries(start, step_us, values), labels)
+    return data, (n_train + 0.25) / n, (n_val + 0.25) / n
+
+
+def saved_fields(data):
+    """The timestamp, count and label fields of each row of ``data`` once
+    saved; an unlabeled row has no label."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        save_series(path, data)
+        lines = path.read_text().splitlines()[1:]
+    return [tuple(line.split(",")[1:]) for line in lines]
+
+
+def assert_parts_match_the_whole(data, train_fraction, validation_fraction):
+    """Each part ``split_protocol`` cuts ``data`` into saves with the
+    timestamps, counts and labels of its rows in the whole file."""
+    parts = split_protocol(data, train_fraction, validation_fraction)
+    whole = saved_fields(data)
+    lo = 0
+    for part in parts:
+        fields = saved_fields(part)
+        assert fields == [row[:len(fields[0])]
+                          for row in whole[lo:lo + len(fields)]]
+        lo += len(fields)
+    assert lo == len(whole)
+
+
 class TestSplitProtocol:
+    @settings(max_examples=100, deadline=None)
+    @given(case=split_cases())
+    def test_parts_save_as_the_rows_of_the_whole_file(self, case):
+        assert_parts_match_the_whole(*case)
+
+    def test_a_late_part_starts_on_the_whole_cadence(self):
+        # 100,000 steps of 86,399.999999 s fall 100 ms short of 100,000
+        # days; lo * step * 1e6 in floating point lands 2 us late here
+        n = 250_000
+        data = LabeledTimeSeries(
+            TimeSeries(datetime(1, 1, 1), 86_399_999_999, np.zeros(n)),
+            np.zeros(n, bool))
+        _, validation, _ = split_protocol(data, 0.4, 0.2)
+        assert (validation.series.start_time.isoformat()
+                == "0274-10-16T23:59:59.900000")
+        assert_parts_match_the_whole(data, 0.4, 0.2)
+
     def test_chronological_fractions(self):
         data = labeled_series(np.arange(10.0) + 1, [])
         train, val, test = split_protocol(data, 0.4, 0.2)
@@ -904,6 +965,24 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthConfig(length=100, attack_count=50,
                                            rng_seed=0))
 
+    @pytest.mark.parametrize("config", [
+        lambda seed: SynthConfig(length=5, rng_seed=seed),
+        lambda seed: TrainConfig(rng_seed=seed)], ids=["synth", "train"])
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "rng_seed must be an integer, got 1.5"),
+        (None, "rng_seed must be an integer, got None"),
+        ("3", "rng_seed must be an integer, got '3'"),
+        (-1, "rng_seed must be >= 0")])
+    def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(
+            self, config, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(seed)
+
+    def test_config_takes_a_numpy_integer_seed_as_an_int(self):
+        for config in (SynthConfig(length=5, rng_seed=np.int64(7)),
+                       TrainConfig(rng_seed=np.uint8(7))):
+            assert type(config.rng_seed) is int and config.rng_seed == 7
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(length=0)
@@ -939,7 +1018,7 @@ def joined_series_text(data, seed=None):
     wrote it: the reference for the line-by-line writer."""
     labeled = isinstance(data, LabeledTimeSeries)
     series = data.series if labeled else data
-    step_us = round(series.step_duration * 1e6)
+    step_us = series.step_us
     lines = [] if seed is None else [f"# seed={seed}"]
     lines.append("step,timestamp,count,label" if labeled
                  else "step,timestamp,count")
@@ -960,7 +1039,7 @@ class TestSeriesFiles:
             load_capture(tshark_csv(
                 [f"{i},60,1999-03-11T08:{i // 60:02d}:{i % 60:02d}.5,6"
                  for i in range(0, 3000, 7)])).timestamps_us,
-            0.25, T0, T0 + timedelta(minutes=50))
+            250_000, T0, T0 + timedelta(minutes=50))
         for data, seed in ((labeled, 5), (labeled, None), (captured, None)):
             path = tmp_path / "series.csv"
             save_series(path, data, seed=seed)
@@ -968,14 +1047,15 @@ class TestSeriesFiles:
                 data, seed).encode("utf-8")
 
     def test_unlabeled_round_trip(self, tmp_path, rng):
-        series = TimeSeries(T0, 1.0, np.rint(rng.uniform(0, 300, size=25)))
+        series = TimeSeries(T0, 1_000_000,
+                            np.rint(rng.uniform(0, 300, size=25)))
         path = tmp_path / "series.csv"
         save_series(path, series)
         loaded = load_series(path)
         assert isinstance(loaded, TimeSeries)
         np.testing.assert_array_equal(loaded.values, series.values)
         assert loaded.start_time == series.start_time
-        assert loaded.step_duration == series.step_duration
+        assert loaded.step_us == series.step_us
 
     def test_labeled_round_trip_with_seed_comment(self, tmp_path):
         out = generate_synthetic(SynthConfig(length=300, attack_count=2,
@@ -1000,8 +1080,7 @@ class TestSeriesFiles:
            seed=st.none() | st.integers(0, 2**63))
     def test_random_series_round_trip_bit_exact(self, values, start, step_us,
                                                 attack, seed):
-        step = timedelta(microseconds=step_us).total_seconds()
-        series = TimeSeries(start, step, values)
+        series = TimeSeries(start, step_us, values)
         data = series
         if attack is not None:
             labels = np.array(attack[:len(values)])
@@ -1018,13 +1097,13 @@ class TestSeriesFiles:
         np.testing.assert_array_equal(loaded.values.view(np.uint64),
                                       series.values.view(np.uint64))
         assert loaded.start_time == start
-        assert loaded.step_duration == step
+        assert loaded.step_us == step_us
 
     def test_fractional_step_round_trip(self, tmp_path):
-        series = TimeSeries(T0, 0.5, np.arange(8.0))
+        series = TimeSeries(T0, 500_000, np.arange(8.0))
         path = tmp_path / "series.csv"
         save_series(path, series)
-        assert load_series(path).step_duration == 0.5
+        assert load_series(path).step_us == 500_000
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1036,7 +1115,7 @@ class TestSeriesFiles:
         ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
         ("-3", "negative")])
     def test_bad_count_rejected_with_row_number(self, tmp_path, count, kind):
-        series = TimeSeries(T0, 1.0, np.arange(5.0))
+        series = TimeSeries(T0, 1_000_000, np.arange(5.0))
         path = tmp_path / "series.csv"
         save_series(path, series)
         lines = path.read_text().splitlines()
@@ -1103,58 +1182,79 @@ class TestSeriesFiles:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -3.0])
     def test_time_series_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
-            TimeSeries(T0, 1.0, np.array([1.0, bad, 2.0]))
+            TimeSeries(T0, 1_000_000, np.array([1.0, bad, 2.0]))
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -1.0,
-                                      1e-7, 4e-7, 1e12, 1.5e-6, 0.1 + 1e-12])
-    def test_time_series_rejects_a_step_that_is_not_finite_and_positive(
+    @pytest.mark.parametrize("step", [0, -1, 1.0, 1.5, np.float64(2.0),
+                                      None, "1", 10**18])
+    def test_time_series_rejects_a_step_that_is_not_a_positive_integer(
             self, step):
-        # a step save_series cannot write is refused when the series is
-        # made: one that rounds to 0 us would give every row the start
-        # timestamp, 1e12 s puts the last step past the datetime range, and
-        # 1.5 us would be written as a 2 us cadence
-        message = ("step_duration below microsecond resolution"
-                   if step in (1e-7, 4e-7) else
-                   "the last step falls past 9999-12-31 23:59:59.999999"
-                   if step == 1e12 else
-                   f"step_duration {step!r} is not a whole number of "
-                   "microseconds" if step in (1.5e-6, 0.1 + 1e-12) else
-                   "step_duration must be finite and positive")
+        # 10**18 us puts the last step past the datetime range
+        message = ("the last step falls past 9999-12-31 23:59:59.999999"
+                   if step == 10**18 else "step_us must be >= 1"
+                   if isinstance(step, int) else "step_us must be an integer")
         with pytest.raises(ValueError, match=re.escape(message)):
             TimeSeries(T0, step, np.arange(5.0))
 
+    def test_time_series_takes_a_numpy_integer_step_as_an_int(self):
+        series = TimeSeries(T0, np.int64(250_000), np.arange(3.0))
+        assert type(series.step_us) is int and series.step_us == 250_000
+
+    @pytest.mark.parametrize("start", [
+        datetime(2000, 1, 1, tzinfo=timezone.utc), date(2000, 1, 1),
+        "2000-01-01T00:00:00"])
+    def test_time_series_rejects_a_start_the_file_cannot_carry(self, start):
+        with pytest.raises(ValueError, match="naive datetime"):
+            TimeSeries(start, 1_000_000, np.arange(3.0))
+
     @settings(max_examples=150, deadline=None)
-    @given(step=st.one_of(st.integers(1, 10**12).map(lambda us: us / 1e6),
-                          st.floats(1e-6, 1e6)),
-           length=st.integers(2, 6), bulk=st.booleans())
+    @given(step=st.integers(1, 10**12), length=st.integers(2, 6),
+           bulk=st.booleans())
     def test_any_accepted_step_survives_a_save_and_load(self, step, length,
                                                         bulk):
         # a one-row file holds no cadence, so the series have two rows or
         # more; the byte path reads the file when bulk is set
-        try:
-            series = TimeSeries(T0, step, np.arange(float(length)))
-        except ValueError as exc:
-            assert "is not a whole number of microseconds" in str(exc)
-            return
+        series = TimeSeries(T0, step, np.arange(float(length)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
             save_series(path, series)
             with mock.patch.object(pipeline, "_BULK_MIN_BYTES",
                                    0 if bulk else 1 << 30):
                 loaded = load_series(path)
-        assert loaded.step_duration == step
+        assert loaded.step_us == step
         assert loaded.start_time == T0
         np.testing.assert_array_equal(loaded.values, series.values)
 
-    def test_a_cadence_the_float_step_cannot_carry_is_a_data_error(
-            self, tmp_path):
-        # the step of 315537897599.999999 s rounds up to a whole 10,000
-        # years, which puts the last step past the datetime range
+    @pytest.mark.parametrize("smallest", [0, pipeline._BULK_MIN_BYTES])
+    def test_a_cadence_across_the_whole_datetime_range_loads_and_saves_back(
+            self, tmp_path, smallest):
+        # the step of 315537897599.999999 s is no float's whole number of
+        # microseconds
+        text = ("step,timestamp,count\n0,0001-01-01T00:00:00,1\n"
+                "1,9999-12-31T23:59:59.999999,1\n")
         path = tmp_path / "series.csv"
-        path.write_text("step,timestamp,count\n0,0001-01-01T00:00:00,1\n"
-                        "1,9999-12-31T23:59:59.999999,1\n")
-        with pytest.raises(DataError, match="the last step falls past"):
-            load_series(path)
+        path.write_text(text)
+        with mock.patch.object(pipeline, "_BULK_MIN_BYTES", smallest):
+            series = load_series(path)
+        assert series.step_us == 315_537_897_599_999_999
+        save_series(path, series)
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("smallest", [0, pipeline._BULK_MIN_BYTES])
+    @pytest.mark.parametrize("step_us", [250_000, 10**30])
+    def test_a_one_row_file_loads_with_a_one_second_step(
+            self, tmp_path, smallest, step_us):
+        # one row carries no cadence, whatever step it was saved with; a
+        # step past int64 still saves
+        start = datetime(2000, 1, 1, 0, 0, 0, 5)
+        data = LabeledTimeSeries(TimeSeries(start, step_us, [7.0]), [True])
+        path = tmp_path / "series.csv"
+        save_series(path, data)
+        with mock.patch.object(pipeline, "_BULK_MIN_BYTES", smallest):
+            loaded = load_series(path)
+        assert loaded.series.start_time == start
+        assert loaded.series.values.tolist() == [7.0]
+        assert loaded.labels.tolist() == [True]
+        assert loaded.series.step_us == 1_000_000
 
 
 #: Count fields the per-row reader accepts or rejects in ways the byte
@@ -1256,7 +1356,7 @@ def read_outcome(load, path):
     return (type(data).__name__, series.values.view(np.uint64).tolist(),
             data.labels.tolist() if labeled else None,
             data.attack_intervals if labeled else None,
-            series.start_time, series.step_duration)
+            series.start_time, series.step_us)
 
 
 #: Block sizes from one byte, where each block is one line, to the
@@ -1331,7 +1431,7 @@ class TestSeriesReaderMatchesPerRowReader:
     @pytest.mark.parametrize("block, smallest", SERIES_PATHS)
     def test_error_in_a_late_block_names_its_row(self, tmp_path, block,
                                                  smallest):
-        series = TimeSeries(T0, 1.0, np.arange(3000.0))
+        series = TimeSeries(T0, 1_000_000, np.arange(3000.0))
         path = tmp_path / "series.csv"
         save_series(path, series)
         lines = path.read_text().splitlines()
@@ -1413,8 +1513,8 @@ class TestSeriesFileBlocks:
                                                           chunk):
         labeled = generate_synthetic(SynthConfig(length=5000, attack_count=6,
                                                  rng_seed=9))
-        odd = TimeSeries(datetime(1969, 12, 31, 23, 59, 59, 999_990), 0.25,
-                         np.array([0.0, -0.0, 1.5, 1e20, 5e-324] * 7))
+        odd = TimeSeries(datetime(1969, 12, 31, 23, 59, 59, 999_990),
+                         250_000, np.array([0.0, -0.0, 1.5, 1e20, 5e-324] * 7))
         with mock.patch.object(_bulk, "_CHUNK", chunk):
             for data, seed in ((labeled, 9), (odd, None)):
                 path = tmp_path / "series.csv"
@@ -1480,12 +1580,12 @@ class TestLabelHelpers:
             return  # a series has at least one step
         # a labeled series, each part of a split and each series read
         # back, on both read paths, report the runs of their own labels
-        data = LabeledTimeSeries(TimeSeries(T0, 1.0, np.ones(len(labels))),
-                                 labels)
+        data = LabeledTimeSeries(
+            TimeSeries(T0, 1_000_000, np.ones(len(labels))), labels)
         assert data.attack_intervals == step_runs(labels)
         # normal steps first, so that the training half holds no attack
         whole = LabeledTimeSeries(
-            TimeSeries(T0, 1.0, np.ones(2 * len(labels) + 2)),
+            TimeSeries(T0, 1_000_000, np.ones(2 * len(labels) + 2)),
             [False] * (len(labels) + 2) + labels)
         parts = list(split_protocol(whole, 0.5, 0.25)[1:])
         with tempfile.TemporaryDirectory() as tmp:
