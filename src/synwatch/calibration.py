@@ -195,6 +195,7 @@ def replay_trace(pairs, mat: int) -> ReplayTrace:
     ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
     array, which is what the ``calibrate`` and ``detect`` commands pass.  The
     statistics are bit-identical to a streaming ``Detector`` fed the same rows.
+    Steps must be increasing integers below 2**53, which a float holds.
     """
     if mat < 1:
         raise ValueError("mat must be >= 1")
@@ -205,7 +206,13 @@ def replay_trace(pairs, mat: int) -> ReplayTrace:
         raise ValueError("empty validation stream")
     if table.ndim != 2 or table.shape[1] != 3:
         raise ValueError("pairs must be (step, actual, predicted) rows")
-    steps = table[:, 0].astype(np.int64)
+    column = table[:, 0]
+    inexact = ~((np.floor(column) == column) & (np.abs(column) < 2.0**53))
+    if np.any(inexact):
+        row = int(np.argmax(inexact))
+        raise ValueError(f"pairs must have integer steps below 2**53: row "
+                         f"{row} has step {float(column[row])!r}")
+    steps = column.astype(np.int64)
     if np.any(np.diff(steps) <= 0):
         raise ValueError("pairs must be step-ordered")
     actual, predicted = table[:, 1], table[:, 2]
@@ -448,10 +455,13 @@ def _prediction_table(params: LstmParams, scaler: Scaler,
 
     Windows are normalized with the training scaler, predictions are
     mapped back to raw counts, and each row compares the prediction with
-    the real next value at its step.
+    the real next value at its step.  A gate saturated by a count far
+    outside the training range overflows to the right value, unwarned.
     """
     windows = build_windows(series, params.input_dim)
-    preds = scaler.invert(predict_windows(params, scaler.apply(windows.inputs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = scaler.invert(
+            predict_windows(params, scaler.apply(windows.inputs)))
     return np.column_stack((windows.origin_steps + 1, windows.targets, preds))
 
 

@@ -14,21 +14,23 @@ are the row blocks ``i, o, g`` of one (3 hidden, k) matrix ``W`` and one
 ``loss_and_grads_numpy`` computes training gradients.  Only the trained
 weights depend on its bits, so it is laid out for speed.  It takes the gate
 matrix augmented with the biases, ``Wb = [W | b]`` of shape (3 hidden,
-k + 1), and the inputs with a column of ones, ``xa`` of shape (n, k + 1),
-and runs over them in chunks of a fixed ``_TRAIN_CHUNK`` windows, so its
-work arrays stay the same size at any n.  Per chunk, one product of a copy
-of ``Wb`` whose ``i | o`` rows are negated with a transposed copy of the
-chunk's inputs gives every pre-activation, bias included, as a (3 hidden,
-chunk) block: ``-z`` in rows ``i | o``, on which ``exp`` runs directly,
-and ``z`` in rows ``g``.  Backward, every gradient row holds the factor
-``w_y`` of its hidden unit, so it is left out of the element-wise passes:
+k + 1), and a ``_GradWork`` built once per window set.  That holds the
+inputs as C-contiguous (k + 1, chunk) blocks of a fixed ``_TRAIN_CHUNK``
+windows whose last row is ones, so the work arrays stay the same size at
+any n and an epoch only does arithmetic.  Per chunk, one product of a copy
+of ``Wb`` whose ``i | o`` rows are negated with that block gives every
+pre-activation, bias included, as a (3 hidden, chunk) block: ``-z`` in
+rows ``i | o``, on which ``exp`` runs directly, and ``z`` in rows ``g``.
+Backward, every gradient row holds the factor ``w_y`` of its hidden unit,
+so it is left out of the element-wise passes:
 
     dpre = w_y dpred * Q,  rows i | o | g,  with q = o (1 - tc * tc) and
     Q_i = (q i) g (1 - i),  Q_o = tc o (1 - o),  Q_g = (q i) (1 - g * g)
 
 The factors ``Q`` overwrite the gates in place, one product ``Q @ (dpred
-* xa)`` gives every weight and, in its last column, every bias gradient
-but ``w_y``, and ``w_y`` multiplies the chunks' sum.  The loss, ``dw_y``
+* xa)``, with ``xa`` the block transposed into a (chunk, k + 1) array,
+gives every weight and, in its last column, every bias gradient but
+``w_y``, and ``w_y`` multiplies the chunks' sum.  The loss, ``dw_y``
 and ``db_y`` are sums over the chunks too, in chunk order.  These sums
 run in another order than the per-gate products and separate bias sums
 this layout replaced, so its results differ from theirs by a few units
@@ -46,11 +48,10 @@ equals a live per-step run.  Against the per-gate products, whose sums
 run in another order, predictions differ by a few units in the last
 place; the tests bound that too.
 
-``loss_and_grads_numpy`` computes into work buffers with ``out`` arguments
-and in-place ufuncs, in the same operations and association order as a
-plain allocating formula, so every output is bit-identical to that
-formula.  It takes its buffers from a ``_GradWork`` that training
-allocates once for all epochs.  Fresh (hidden, chunk) temporaries on every
+``loss_and_grads_numpy`` computes into the ``_GradWork``'s buffers with
+``out`` arguments and in-place ufuncs, in the same operations and
+association order as a plain allocating formula, so every output is
+bit-identical to that formula.  Fresh (hidden, chunk) temporaries on every
 call cost more than their arithmetic: glibc trims the freed top of the
 heap after each call, so every epoch faults the same pages back in.
 """
@@ -64,9 +65,9 @@ import numpy as np
 #: arrays.  No window's bits depend on it.
 _CHUNK = 512
 
-#: Windows per pass of ``loss_and_grads_numpy``, which bounds its work
-#: arrays.  The gradients are summed chunk by chunk, so their bits depend
-#: on it: it is fixed here, not set by a flag or the environment.
+#: Windows per chunk of a ``_GradWork``, which bounds its work arrays.
+#: The gradients are summed chunk by chunk, so their bits depend on it: it
+#: is fixed here, not set by a flag or the environment.
 _TRAIN_CHUNK = 2048
 
 
@@ -116,59 +117,60 @@ def predict_batch_numpy(x, W, b, w_y, b_y):
 
 
 class _GradWork:
-    """Work buffers of ``loss_and_grads_numpy`` for one (n, k, hidden)
-    shape, each sized for one chunk of ``m = min(n, _TRAIN_CHUNK)``
-    windows except ``pred``, which holds all n.
+    """A window set in ``loss_and_grads_numpy``'s layout, with the kernel's
+    work buffers: built once, for every call on that set.
 
-    ``chunk(c)`` gives a chunk's two work arrays, C-contiguous as fresh
-    arrays are, so that every product sums as it would over fresh arrays:
-    a strided view can take another BLAS path.  One is five (hidden, c)
-    blocks ``i, o, g, tc, h``.  Its top three hold the pre-activations and
-    gates of rows ``i | o | g`` and then, in place, their backward
-    factors, so that one product serves all three gates each way.  The
-    other is the (k + 1, c) transposed copy of the chunk's inputs.  ``dx``
-    holds the inputs times ``dpred``.  ``Wn`` is ``[W | b]`` with its
-    ``i | o`` rows negated.  ``dWb`` (3 hidden, k + 1) and ``dw_y``
-    (hidden,) sum the chunks' products ``part`` and ``part_y``.
+    ``chunks`` holds ``(xt, y, block, pred, dx, resid, dpred)`` for each
+    chunk of at most ``_TRAIN_CHUNK`` windows, in order.  ``xt`` is the
+    chunk's inputs as a (k + 1, c) array with a last row of ones, the only
+    copy of the inputs kept, and ``y`` its targets.  The rest are views of
+    buffers sized for the largest chunk, C-contiguous as fresh arrays are,
+    so that every product sums as it would over fresh arrays: a strided
+    view can take another BLAS path.  ``block`` is five (hidden, c) blocks
+    ``i, o, g, tc, h``.  Its top three hold the pre-activations and gates
+    of rows ``i | o | g`` and then, in place, their backward factors, so
+    that one product serves all three gates each way.  ``pred`` is the
+    chunk's part of ``self.pred``; ``dx`` holds the inputs times ``dpred``.
+    ``Wn`` is ``[W | b]`` with its ``i | o`` rows negated.  ``dWb`` and
+    ``dw_y`` sum the chunks' products ``part`` and ``part_y``.
     """
 
-    def __init__(self, n: int, k: int, hidden: int):
+    def __init__(self, inputs, targets, hidden: int):
+        n, k = inputs.shape
+        y = np.ascontiguousarray(targets, dtype=np.float64)
         m = min(n, _TRAIN_CHUNK)
-        self.hidden, self.k = hidden, k
         self.block = np.empty(5 * hidden * m)
-        self.xt = np.empty((k + 1) * m)
-        self.dx = np.empty((m, k + 1))
-        self.resid, self.dpred = np.empty(m), np.empty(m)
+        dx, resid, dpred = np.empty((m, k + 1)), np.empty(m), np.empty(m)
         self.pred = np.empty(n)
+        self.chunks = []
+        for start in range(0, n, _TRAIN_CHUNK):
+            stop = min(start + _TRAIN_CHUNK, n)
+            c = stop - start
+            xt = np.empty((k + 1, c))
+            xt[:k] = inputs[start:stop].T
+            xt[k] = 1.0
+            self.chunks.append((
+                xt, y[start:stop], self.block[:5 * hidden * c].reshape(-1, c),
+                self.pred[start:stop], dx[:c], resid[:c], dpred[:c]))
         self.Wn, self.dWb, self.part = (np.empty((3 * hidden, k + 1))
                                         for _ in range(3))
         self.dw_y, self.part_y = np.empty(hidden), np.empty(hidden)
 
-    def chunk(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (5 hidden, c) block and the (k + 1, c) input copy of a chunk
-        of ``c`` windows."""
-        return (self.block[:5 * self.hidden * c].reshape(-1, c),
-                self.xt[:(self.k + 1) * c].reshape(-1, c))
 
-
-def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
-    """Mean-squared-error loss over the batch plus exact parameter
+def loss_and_grads_numpy(Wb, w_y, b_y, work):
+    """Mean-squared-error loss over a window set plus exact parameter
     gradients: ``(loss, pred, dWb, dw_y, db_y)``.
 
-    ``xa`` is the (n, k + 1) input with a last column of ones and ``Wb``
+    ``work`` is the set's ``_GradWork``, reused across calls, and ``Wb``
     the (3 hidden, k + 1) gate matrix ``[W | b]``, so ``dWb`` holds the
     weight gradients and, in its last column, the bias gradients.
-    ``work`` is a ``_GradWork`` of this call's shape, reused across calls;
-    without it the call builds its own.  ``pred``, ``dWb`` and ``dw_y``
-    are arrays of ``work``, valid until its next call.
+    ``pred``, ``dWb`` and ``dw_y`` are arrays of ``work``, valid until its
+    next call.
 
     Defined under this name (not aliased): ``perfbench/spans.py`` traces
     the kernel by it.
     """
-    n, k1 = xa.shape
-    hidden = w_y.shape[0]
-    if work is None:
-        work = _GradWork(n, k1 - 1, hidden)
+    hidden, n = w_y.shape[0], len(work.pred)
     Wn, dWb, dw_y = work.Wn, work.dWb, work.dw_y
     np.negative(Wb[:2 * hidden], Wn[:2 * hidden])
     Wn[2 * hidden:] = Wb[2 * hidden:]
@@ -176,13 +178,9 @@ def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
     dw_y.fill(0.0)
     sq_sum = db_y = 0.0
     scale = 2.0 / n
-    for start in range(0, n, _TRAIN_CHUNK):
-        rows = slice(start, min(start + _TRAIN_CHUNK, n))
-        c = rows.stop - start
-        block, xt = work.chunk(c)
+    for xt, y, block, pred, dx, resid, dpred in work.chunks:
         gates = block[:3 * hidden]
-        i, o, g, tc, h = block.reshape(5, hidden, c)
-        np.copyto(xt, xa[rows].T)
+        i, o, g, tc, h = block.reshape(5, hidden, -1)
 
         np.matmul(Wn, xt, out=gates)      # -z in rows i | o, z in rows g
         io = gates[:2 * hidden]
@@ -193,11 +191,11 @@ def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
         np.multiply(i, g, tc)             # c
         np.tanh(tc, tc)
         np.multiply(o, tc, h)
-        pred = np.matmul(w_y, h, out=work.pred[rows])
+        np.matmul(w_y, h, out=pred)
         pred += b_y
 
-        resid = np.subtract(pred, y[rows], out=work.resid[:c])
-        dpred = np.multiply(resid, resid, out=work.dpred[:c])
+        np.subtract(pred, y, out=resid)
+        np.multiply(resid, resid, out=dpred)
         sq_sum += np.sum(dpred)
         np.multiply(resid, scale, dpred)
         dw_y += np.matmul(h, dpred, out=work.part_y)
@@ -217,8 +215,8 @@ def loss_and_grads_numpy(xa, y, Wb, w_y, b_y, *, work=None):
         g *= g
         np.subtract(1.0, g, g)
         g *= h                            # Q_g = (q i) (1 - g * g)
-        dx = np.multiply(xa[rows], dpred[:, None], out=work.dx[:c])
+        np.multiply(xt.T, dpred[:, None], out=dx)
         dWb += np.matmul(gates, dx, out=work.part)
 
-    dWb.reshape(3, hidden, k1)[...] *= w_y[:, None]   # times w_y, per gate
+    dWb.reshape(3, hidden, -1)[...] *= w_y[:, None]   # times w_y, per gate
     return sq_sum / n, work.pred, dWb, dw_y, db_y

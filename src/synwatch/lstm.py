@@ -185,16 +185,6 @@ def _check_windows(params: LstmParams, windows: WindowSet) -> None:
             f"model expects {params.input_dim}")
 
 
-def _with_ones(inputs) -> np.ndarray:
-    """The (n, k) inputs as a C-contiguous (n, k + 1) array whose last
-    column is ones, the training kernel's ``xa``."""
-    n, k = inputs.shape
-    xa = np.empty((n, k + 1))
-    xa[:, :k] = inputs
-    xa[:, k] = 1.0
-    return xa
-
-
 def _augmented(params: LstmParams) -> np.ndarray:
     """A fresh (3 hidden, input_dim + 1) gate matrix ``[W | b]``."""
     return np.concatenate((params.W, params.b[:, None]), axis=1)
@@ -207,10 +197,9 @@ def bptt_gradients(params: LstmParams,
     Returns (gradients, loss); the gradient container mirrors LstmParams.
     """
     _check_windows(params, windows)
-    y = np.ascontiguousarray(windows.targets, dtype=np.float64)
+    work = _GradWork(windows.inputs, windows.targets, params.hidden_dim)
     loss, _, dWb, dw_y, db_y = loss_and_grads_numpy(
-        _with_ones(windows.inputs), y, _augmented(params), params.w_y,
-        params.b_y)
+        _augmented(params), params.w_y, params.b_y, work)
     return LstmParams(dWb[:, :-1], dWb[:, -1], dw_y, float(db_y)), float(loss)
 
 
@@ -220,10 +209,10 @@ def train(config: TrainConfig,
 
     Deterministic for a fixed seed.  Each epoch records the loss at the
     parameters before that epoch's update.  Non-finite parameters abort
-    with a DivergenceError naming the epoch.  The gradient kernel runs in
-    one set of work buffers for all epochs, each sized for one fixed chunk
-    of windows, on the augmented gate matrix ``[W | b]``, from which the
-    returned parameters are built.
+    with a DivergenceError naming the epoch, and numpy warns of no overflow.
+    The inputs are laid out for the kernel once, in a ``_GradWork`` that
+    serves every epoch, and the kernel runs on the augmented gate matrix
+    ``[W | b]``, from which the returned parameters are built.
     """
     if windows.lag != config.lag:
         raise ValueError(
@@ -231,23 +220,22 @@ def train(config: TrainConfig,
     if len(windows) == 0:
         raise ValueError("window set is empty")
     init = init_params(config.lag, config.hidden_dim, config.rng_seed)
-    xa = _with_ones(windows.inputs)
-    y = np.ascontiguousarray(windows.targets, dtype=np.float64)
+    work = _GradWork(windows.inputs, windows.targets, config.hidden_dim)
     Wb, w_y, b_y = _augmented(init), init.w_y, init.b_y
     lr = config.learning_rate
     losses = np.empty(config.epochs)
-    work = _GradWork(len(xa), config.lag, config.hidden_dim)
 
     start = time.perf_counter()
-    for epoch in range(config.epochs):
-        losses[epoch], _, dWb, dw_y, db_y = loss_and_grads_numpy(
-            xa, y, Wb, w_y, b_y, work=work)
-        Wb -= lr * dWb
-        w_y -= lr * dw_y
-        b_y -= lr * db_y
-        if not (np.isfinite(Wb).all() and np.isfinite(w_y).all()
-                and np.isfinite(b_y) and np.isfinite(losses[epoch])):
-            raise DivergenceError(epoch + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            losses[epoch], _, dWb, dw_y, db_y = loss_and_grads_numpy(
+                Wb, w_y, b_y, work)
+            Wb -= lr * dWb
+            w_y -= lr * dw_y
+            b_y -= lr * db_y
+            if not (np.isfinite(Wb).all() and np.isfinite(w_y).all()
+                    and np.isfinite(b_y) and np.isfinite(losses[epoch])):
+                raise DivergenceError(epoch + 1)
     wall = time.perf_counter() - start
     return (LstmParams(Wb[:, :-1], Wb[:, -1], w_y, b_y),
             TrainReport(epoch_losses=losses, wall_seconds=wall))

@@ -239,7 +239,9 @@ def _parse_timestamp(text: str) -> datetime:
     offsets are dropped after normalizing to UTC when an offset is known.
     A text whose offset takes it outside the datetime range is rejected,
     and so is one holding a NUL, which ``datetime.fromisoformat`` takes as
-    the date-time separator or skips after the seconds.
+    the date-time separator or skips after the seconds.  The ISO forms are
+    Python 3.11's, hence its floor of 3.11: 3.10's ``fromisoformat``
+    rejects ``2024-03-05T06:07:08Z``, ``...:08.1`` and ``20240305T060708``.
     """
     text = text.strip()
     if "\x00" in text:

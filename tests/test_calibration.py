@@ -311,6 +311,30 @@ class TestReplayTrace:
         with pytest.raises(DataError, match="step 3"):
             replay_trace(pairs, 2)
 
+    @pytest.mark.parametrize("steps, row", [
+        ((0.5, 1.9, 2.2), 0),                 # once cast to [0 1 2]
+        ((0, 1, 2.5), 2),
+        ((0, 2**53, 2**53 + 1), 1),           # a float holds 2**53 + 1 as 2**53
+        ((0, 1, float("nan")), 2),
+        ((0, float("inf")), 1),
+        ((-2.0**53, 0), 0)])
+    def test_step_that_is_not_an_integer_rejected(self, steps, row):
+        pairs = [(s, 10.0, 9.0) for s in steps]
+        with pytest.raises(ValueError, match=f"integer steps .* row {row} "):
+            replay_trace(pairs, 2)
+        with pytest.raises(ValueError, match=f"integer steps .* row {row} "):
+            replay_trace(np.array(pairs), 2)
+
+    @pytest.mark.parametrize("steps", [(0, 2, 1), (0, 1, 1)])
+    def test_unordered_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="pairs must be step-ordered"):
+            replay_trace([(s, 10.0, 9.0) for s in steps], 2)
+
+    def test_integer_steps_up_to_the_float_limit_accepted(self):
+        steps = (-(2**53 - 1), 0, 2**53 - 2, 2**53 - 1)
+        trace = replay_trace([(s, 10.0, 9.0) for s in steps], 2)
+        assert trace.steps.tolist() == list(steps)
+
     @pytest.mark.parametrize("mat", [0, -1])
     def test_window_of_no_steps_rejected(self, mat):
         with pytest.raises(ValueError, match="mat must be >= 1"):

@@ -1289,6 +1289,63 @@ def test_outputs_do_not_depend_on_blas_threads(long_streams, tmp_path,
     assert runs["1"] == runs["2"]
 
 
+@pytest.fixture(scope="module")
+def overflow_inputs(tmp_path_factory):
+    """A model trained 50 epochs on a 600-step normal series, that series,
+    and a 600-step labeled series with one count of 1e11, far above the
+    training range."""
+    root = tmp_path_factory.mktemp("overflow")
+    runner = CliRunner()
+    for args in (["synth", "--length", "600", "--seed", "1", "-o",
+                  str(root / "train.csv")],
+                 ["synth", "--length", "600", "--attacks", "2", "--seed", "1",
+                  "-o", str(root / "val.csv")],
+                 ["train", str(root / "train.csv"), "--epochs", "50", "-o",
+                  str(root / "model.txt")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    text = (root / "val.csv").read_text(encoding="utf-8")
+    assert text.count("\n299,2000-01-01T00:04:59,") == 1
+    (root / "val.csv").write_text(
+        re.sub(r"\n(299,[^,]*),[0-9]+,", r"\n\1,100000000000,", text),
+        encoding="utf-8")
+    return root
+
+
+def run_fresh(cwd, *args):
+    """``synwatch`` with ``args`` in a fresh interpreter, which reports
+    numpy's warnings on stderr as any user's shell would."""
+    src = str(Path(synwatch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "synwatch.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, timeout=120)
+
+
+def test_counts_far_above_the_training_range_print_no_warning(
+        overflow_inputs):
+    # the gates saturate: an exp overflows, but every verdict is right
+    calibrated = run_fresh(overflow_inputs, "calibrate", "model.txt",
+                           "val.csv", "-o", "detector.cfg")
+    assert (calibrated.returncode, calibrated.stderr) == (0, b"")
+    assert calibrated.stdout.endswith(
+        b"metrics: detection_rate_pct=100 false_alarms=0 events_total=2\n")
+    detected = run_fresh(overflow_inputs, "detect", "model.txt",
+                         "detector.cfg", "val.csv", "-o", "verdicts.csv")
+    assert (detected.returncode, detected.stderr) == (0, b"")
+    assert detected.stdout.endswith(
+        b"metrics: detection_rate_pct=100 false_alarms=0 events_total=2\n")
+
+
+def test_diverging_training_prints_only_its_error(overflow_inputs):
+    result = run_fresh(overflow_inputs, "train", "train.csv", "--lr", "1e200",
+                       "-o", "diverged.txt")
+    assert result.returncode == 4
+    assert result.stderr \
+        == b"error: training diverged (non-finite parameters) at epoch 2\n"
+
+
 def test_usage_error_exit_code_distinct(runner, tmp_path):
     result = runner.invoke(main, ["synth", "--length", "-5",
                                   "-o", str(tmp_path / "x.csv")])

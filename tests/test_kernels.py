@@ -145,7 +145,7 @@ def random_case(seed, n, k, hidden, scale):
 
 
 def fused(x, params):
-    """The training kernel's operands for ``random_case``'s values:
+    """The reference kernel's operands for ``random_case``'s values:
     ``(xa, Wb, w_y, b_y)``."""
     xa = np.hstack((x, np.ones((x.shape[0], 1))))
     Wb = np.vstack([np.hstack((params[j], params[j + 1][:, None]))
@@ -200,10 +200,8 @@ class TestKernelsMatchReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
             expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
-            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y)) == expected
-            work = _GradWork(n, k, hidden)
-            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y,
-                                             work=work)) == expected
+            work = _GradWork(x, y, hidden)
+        assert bits(loss_and_grads_numpy(Wb, w_y, b_y, work)) == expected
 
     @settings(max_examples=200)
     @given(**shapes, chunk=chunks)
@@ -213,7 +211,8 @@ class TestKernelsMatchReference:
         xa, Wb, w_y, b_y = fused(x, params)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
-            result = loss_and_grads_numpy(xa, y, Wb, w_y, b_y)
+            work = _GradWork(x, y, hidden)
+        result = loss_and_grads_numpy(Wb, w_y, b_y, work)
         assert_within_bound_of_per_gate_formula(result, x, y, params)
 
     @pytest.mark.parametrize("n", (SMALL_CHUNK - 1, SMALL_CHUNK,
@@ -221,19 +220,22 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("hidden", (1, 7))
     def test_chunk_boundaries(self, n, hidden, monkeypatch):
         # one short chunk, one full chunk, a full chunk and one window, and
-        # two full chunks and an odd remainder; the work holds one chunk
+        # two full chunks and an odd remainder; the work block holds one
+        # chunk, and the inputs one (4, c) block per chunk
         monkeypatch.setattr(kernels, "_TRAIN_CHUNK", SMALL_CHUNK)
-        work = _GradWork(n, 3, hidden)
-        assert work.block.shape == (5 * hidden * min(n, SMALL_CHUNK),)
-        assert work.pred.shape == (n,)
+        sizes = [min(SMALL_CHUNK, n - start)
+                 for start in range(0, n, SMALL_CHUNK)]
         for seed in range(3):
             x, y, params = random_case(seed, n, 3, hidden, 1.0)
             xa, Wb, w_y, b_y = fused(x, params)
+            work = _GradWork(x, y, hidden)
+            assert work.block.shape == (5 * hidden * min(n, SMALL_CHUNK),)
+            assert work.pred.shape == (n,)
+            assert [xt.shape for xt, *_ in work.chunks] \
+                == [(4, c) for c in sizes]
             expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
-            result = loss_and_grads_numpy(xa, y, Wb, w_y, b_y, work=work)
+            result = loss_and_grads_numpy(Wb, w_y, b_y, work)
             assert bits(result) == expected
-            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y)) \
-                == expected
             assert_within_bound_of_per_gate_formula(result, x, y, params)
 
     @settings(max_examples=60)
@@ -267,27 +269,48 @@ class TestKernelsMatchReference:
     @settings(max_examples=30)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
            n=st.integers(1, 200), k=st.sampled_from((1, 2, 3)),
-           hidden=st.integers(1, 30))
-    def test_reused_work_matches_fresh_calls(self, seeds, n, k, hidden):
-        # New parameters and targets on every call: nothing a call leaves
-        # in the buffers may reach the next call's results.
-        work = _GradWork(n, k, hidden)
-        for seed in seeds:
-            x, y, params = random_case(seed, n, k, hidden, 1.0)
-            xa, Wb, w_y, b_y = fused(x, params)
-            assert bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y, work=work)) \
-                == bits(loss_and_grads_numpy(xa, y, Wb, w_y, b_y))
+           hidden=st.integers(1, 30), chunk=chunks)
+    def test_reused_work_matches_fresh_work(self, seeds, n, k, hidden,
+                                            chunk):
+        # New parameters on every call: nothing a call leaves in the
+        # buffers may reach the next call's results.
+        x, y, _ = random_case(seeds[0], n, k, hidden, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            work = _GradWork(x, y, hidden)
+            for seed in seeds:
+                _, _, params = random_case(seed, n, k, hidden, 1.0)
+                _, Wb, w_y, b_y = fused(x, params)
+                assert bits(loss_and_grads_numpy(Wb, w_y, b_y, work)) \
+                    == bits(loss_and_grads_numpy(Wb, w_y, b_y,
+                                                 _GradWork(x, y, hidden)))
 
-    def test_outputs_are_views_into_work(self):
+    def test_work_keeps_its_own_copy_of_the_inputs(self):
+        # the kernel reads the inputs only through the work's blocks: a
+        # caller's later writes to its input array change no result
+        x, y, params = random_case(4, 37, 3, 5, 1.0)
+        xa, Wb, w_y, b_y = fused(x, params)
+        expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
+        work = _GradWork(x, y, 5)
+        x[:] = np.nan
+        assert bits(loss_and_grads_numpy(Wb, w_y, b_y, work)) == expected
+
+    def test_outputs_are_views_into_work(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_TRAIN_CHUNK", 4)
         x, y, params = random_case(3, 10, 2, 4, 1.0)
         xa, Wb, w_y, b_y = fused(x, params)
-        work = _GradWork(10, 2, 4)
-        _, pred, dWb, dw_y, _ = loss_and_grads_numpy(xa, y, Wb, w_y, b_y,
-                                                     work=work)
+        work = _GradWork(x, y, 4)
+        _, pred, dWb, dw_y, _ = loss_and_grads_numpy(Wb, w_y, b_y, work)
         assert pred is work.pred
         assert dWb is work.dWb
         assert dw_y is work.dw_y
-        assert work.chunk(10)[0].base is work.block
+        assert len(work.chunks) == 3
+        for start, (xt, _, block, chunk_pred, *_) in zip(range(0, 10, 4),
+                                                         work.chunks):
+            assert xt.flags.c_contiguous
+            assert bits([xt]) == bits([xa[start:start + 4].T])
+            assert block.base is work.block
+            assert chunk_pred.base is work.pred
 
 
 def reference_train(config: TrainConfig, windows: WindowSet):
@@ -437,7 +460,7 @@ class TestAllocation:
 
     def test_train_peak_does_not_grow_as_windows_times_hidden(self):
         # about 100k windows: the work arrays hold one chunk of windows, so
-        # the peak is the (n, k + 1) inputs, the n predictions and a block
+        # the peak is the (k + 1, n) inputs, the n predictions and a block
         # of chunk-sized arrays, well below one (n, hidden) array, and 8
         # times the hidden width adds far less than n more floats per unit
         n = 100_000

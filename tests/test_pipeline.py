@@ -343,6 +343,17 @@ class TestTimestampParser:
             (2, "unrecognized timestamp: 'Mar 11, 1999 08:00:00.5x UTC'"),
             (3, "unrecognized timestamp: 'Mar 11, 1999 08:00:00. UTC'")]
 
+    def test_python_floor_reads_every_iso_form(self):
+        # forms that Python 3.10's datetime.fromisoformat rejects, so the
+        # package may not claim to run on 3.10
+        assert [_parse_timestamp(text) for text in (
+            "2024-03-05T06:07:08Z", "2024-03-05T06:07:08.1",
+            "20240305T060708")] == [datetime(2024, 3, 5, 6, 7, 8),
+                                    datetime(2024, 3, 5, 6, 7, 8, 100_000),
+                                    datetime(2024, 3, 5, 6, 7, 8)]
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert 'requires-python = ">=3.11"\n' in pyproject.read_text()
+
 
 #: Fields the byte path's integer check must leave to ``int()``: a sign,
 #: spaces, an underscore, non-ASCII digits (``int`` takes the first two), a
