@@ -1,11 +1,12 @@
 """Command-line surface binding the full pipeline.
 
 Every command is deterministic given its flags and input files, for a
-fixed numpy and BLAS build and BLAS thread count; the seed comes from
-``--seed`` alone.  Wall-clock time is the one exception: the ``seconds``
-column of the ``compare-lags`` table, the one wall-clock output written to
-a file, which the command also prints, and the ``wall_seconds`` that
-``train`` prints.  No flag sets the relative error's floor
+fixed numpy and BLAS build and BLAS thread count, and does not depend on
+how many CPUs training uses; the seed comes from ``--seed`` alone.
+Wall-clock time is the one exception: the ``seconds`` column of the
+``compare-lags`` table, the one wall-clock output written to a file,
+which the command also prints, and the ``wall_seconds`` that ``train``
+prints.  No flag sets the relative error's floor
 (``detector.EPSILON_FLOOR``), so ``detect`` with the config ``calibrate``
 wrote gives calibrate's metrics on the same stream.
 

@@ -105,6 +105,16 @@ class AlarmEvent:
     peak_are: float
 
 
+def _integral_float(step) -> bool:
+    """Whether ``step`` as a float64 is an integer below 2**53 in
+    magnitude, as ``calibration.replay_trace`` requires."""
+    try:
+        value = float(step)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return value.is_integer() and abs(value) < 2**53
+
+
 class Detector:
     """Sequential state machine over one verdict stream.
 
@@ -130,9 +140,18 @@ class Detector:
         return Detector(self.config, self.errors, self.last_step)
 
     def step(self, step: int, actual: float, predicted: float) -> StepVerdict:
-        """Verdict for one (actual, predicted) pair; rejects a step that
-        does not follow the previous one (ValueError) and a non-finite
-        value or relative error (DataError), leaving the state as it was."""
+        """Verdict for one (actual, predicted) pair; rejects a step that is
+        not an integer below 2**53 in magnitude or does not follow the
+        previous one (ValueError), and a non-finite value or relative error
+        (DataError), leaving the state as it was.  A step is read as
+        ``calibration.replay_trace`` reads it, as a float64, so a float or
+        numpy number equal to such an integer is taken."""
+        # an int, as every command passes, costs a type check and two
+        # compares with constants; any other step goes through a float
+        if not (type(step) is int and -2**53 < step < 2**53
+                or _integral_float(step)):
+            raise ValueError(
+                f"step {step!r} is not an integer below 2**53 in magnitude")
         if self.last_step is not None and step <= self.last_step:
             raise ValueError(
                 f"step {step} not after previous step {self.last_step}")

@@ -24,18 +24,30 @@ rows ``i | o``, on which ``exp`` runs directly, and ``z`` in rows ``g``.
 Backward, every gradient row holds the factor ``w_y`` of its hidden unit,
 so it is left out of the element-wise passes:
 
-    dpre = w_y dpred * Q,  rows i | o | g,  with q = o (1 - tc * tc) and
-    Q_i = (q i) g (1 - i),  Q_o = tc o (1 - o),  Q_g = (q i) (1 - g * g)
+    dpre = w_y dpred * Q,  rows i | o | g,  with q i = (1 - tc * tc) o i,
+    Q_i = (1 - i) (q i g),  Q_o = (1 - o) h,  Q_g = (1 - g * g) (q i)
 
-The factors ``Q`` overwrite the gates in place, one product ``Q @ (dpred
-* xa)``, with ``xa`` the block transposed into a (chunk, k + 1) array,
-gives every weight and, in its last column, every bias gradient but
-``w_y``, and ``w_y`` multiplies the chunks' sum.  The loss, ``dw_y``
-and ``db_y`` are sums over the chunks too, in chunk order.  These sums
-run in another order than the per-gate products and separate bias sums
-this layout replaced, so its results differ from theirs by a few units
-in the last place: the tests bound the difference on random batches, and
+where ``h = o tc`` is the forward's.  The factors ``Q`` overwrite the
+gates in place, ``1 - i | 1 - o`` in one call, and one product ``Q @
+(dpred * xa)``, with ``xa`` the block transposed into a (chunk, k + 1)
+array, gives every weight and, in its last column, every bias gradient
+but ``w_y``.  Each chunk puts that product, its ``dw_y`` product and its
+squared-error and ``db_y`` sums in slots of its own; the call adds the
+slots in chunk order and multiplies the sum by ``w_y``.  These sums run
+in another order than the per-gate products and separate bias sums this
+layout replaced, so its results differ from theirs by a few units in the
+last place: the tests bound the difference on random batches, and
 trained losses and weights on a fixed series (see the README).
+
+Chunks are independent until those sums, so ``train`` runs them on
+threads: a ``_GradWork`` holds one set of scratch arrays per worker, up to
+one worker per chunk and per CPU, and inside its ``threads()`` block the
+caller's thread and its helpers each take every ``workers``-th chunk.
+numpy releases the GIL inside each ufunc and BLAS call, so the chunks'
+arithmetic overlaps.  The slots are added in chunk order whichever thread
+filled them, so the results are the same bits at any worker count.
+Every other call, such as ``lstm.bptt_gradients``, runs all chunks on the
+caller's thread.
 
 ``predict_batch_numpy`` serves ``calibrate`` and ``detect``.  It gives
 every window the BLAS calls that ``lstm.predict_window``, the online path,
@@ -58,6 +70,10 @@ heap after each call, so every epoch faults the same pages back in.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -67,8 +83,9 @@ _CHUNK = 512
 
 #: Windows per chunk of a ``_GradWork``, which bounds its work arrays.
 #: The gradients are summed chunk by chunk, so their bits depend on it: it
-#: is fixed here, not set by a flag or the environment.
-_TRAIN_CHUNK = 2048
+#: is fixed here, not set by a flag or the environment.  At 1,024 they are
+#: also the same at one and two BLAS threads, for hidden 23 and 64.
+_TRAIN_CHUNK = 1024
 
 
 def _hidden(z, hidden):
@@ -116,6 +133,13 @@ def predict_batch_numpy(x, W, b, w_y, b_y):
     return pred
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _GradWork:
     """A window set in ``loss_and_grads_numpy``'s layout, with the kernel's
     work buffers: built once, for every call on that set.
@@ -123,38 +147,142 @@ class _GradWork:
     ``chunks`` holds ``(xt, y, block, pred, dx, resid, dpred)`` for each
     chunk of at most ``_TRAIN_CHUNK`` windows, in order.  ``xt`` is the
     chunk's inputs as a (k + 1, c) array with a last row of ones, the only
-    copy of the inputs kept, and ``y`` its targets.  The rest are views of
-    buffers sized for the largest chunk, C-contiguous as fresh arrays are,
-    so that every product sums as it would over fresh arrays: a strided
-    view can take another BLAS path.  ``block`` is five (hidden, c) blocks
-    ``i, o, g, tc, h``.  Its top three hold the pre-activations and gates
-    of rows ``i | o | g`` and then, in place, their backward factors, so
-    that one product serves all three gates each way.  ``pred`` is the
-    chunk's part of ``self.pred``; ``dx`` holds the inputs times ``dpred``.
-    ``Wn`` is ``[W | b]`` with its ``i | o`` rows negated.  ``dWb`` and
-    ``dw_y`` sum the chunks' products ``part`` and ``part_y``.
+    copy of the inputs kept, and ``y`` its targets.  ``pred`` is the
+    chunk's part of ``self.pred``.  The rest are views of one of
+    ``workers`` sets of scratch arrays sized for the largest chunk, chunk
+    ``j`` on set ``j % workers``: C-contiguous as fresh arrays are, so that
+    every product sums as it would over fresh arrays, since a strided view
+    can take another BLAS path.  ``block`` is five (hidden, c) blocks ``i,
+    o, g, tc, h``.  Its top three hold the pre-activations and gates of
+    rows ``i | o | g`` and then, in place, their backward factors, so that
+    one product serves all three gates each way; ``dx`` holds the inputs
+    times ``dpred``.  Chunk ``j`` puts its products in ``part[j]`` and
+    ``part_y[j]`` and its squared-error and ``db_y`` sums in ``sums[j]``,
+    which ``dWb``, ``dw_y`` and the loss add in chunk order.  ``Wn`` is
+    ``[W | b]`` with its ``i | o`` rows negated.
+
+    ``workers`` is at most the number of chunks.  Inside ``threads()``,
+    ``helpers`` holds the helper threads' queues and the kernel runs the
+    chunks on ``workers`` threads; elsewhere it is None and the caller's
+    thread runs them all.
     """
 
-    def __init__(self, inputs, targets, hidden: int):
+    def __init__(self, inputs, targets, hidden: int, workers: int = 1):
         n, k = inputs.shape
         y = np.ascontiguousarray(targets, dtype=np.float64)
         m = min(n, _TRAIN_CHUNK)
-        self.block = np.empty(5 * hidden * m)
-        dx, resid, dpred = np.empty((m, k + 1)), np.empty(m), np.empty(m)
+        count = -(-n // _TRAIN_CHUNK)
+        self.workers = max(1, min(workers, count))
+        self.blocks = [np.empty(5 * hidden * m) for _ in range(self.workers)]
+        scratch = [(block, np.empty((m, k + 1)), np.empty(m), np.empty(m))
+                   for block in self.blocks]
         self.pred = np.empty(n)
         self.chunks = []
-        for start in range(0, n, _TRAIN_CHUNK):
+        for j, start in enumerate(range(0, n, _TRAIN_CHUNK)):
             stop = min(start + _TRAIN_CHUNK, n)
             c = stop - start
             xt = np.empty((k + 1, c))
             xt[:k] = inputs[start:stop].T
             xt[k] = 1.0
+            block, dx, resid, dpred = scratch[j % self.workers]
             self.chunks.append((
-                xt, y[start:stop], self.block[:5 * hidden * c].reshape(-1, c),
+                xt, y[start:stop], block[:5 * hidden * c].reshape(-1, c),
                 self.pred[start:stop], dx[:c], resid[:c], dpred[:c]))
-        self.Wn, self.dWb, self.part = (np.empty((3 * hidden, k + 1))
-                                        for _ in range(3))
-        self.dw_y, self.part_y = np.empty(hidden), np.empty(hidden)
+        self.Wn, self.dWb = (np.empty((3 * hidden, k + 1)) for _ in range(2))
+        self.dw_y = np.empty(hidden)
+        self.part = np.empty((count, 3 * hidden, k + 1))
+        self.part_y = np.empty((count, hidden))
+        self.sums = np.empty((count, 2))
+        self.helpers = None
+
+    @contextmanager
+    def threads(self):
+        """Within the block, the kernel runs this work's chunks on
+        ``workers`` threads: the caller's and ``workers - 1`` helpers, which
+        end, joined, when the block exits, however it exits."""
+        import queue   # only training loads it
+        tasks = [queue.SimpleQueue() for _ in range(1, self.workers)]
+        done = queue.SimpleQueue()
+        started = []
+        try:
+            for inbox in tasks:
+                started.append(threading.Thread(
+                    target=_serve, args=(inbox, done), daemon=True))
+                started[-1].start()
+            self.helpers = tasks, done
+            yield
+        finally:
+            self.helpers = None
+            for inbox in tasks:
+                inbox.put(None)
+            for thread in started:
+                thread.join()
+
+
+def _serve(tasks, done):
+    """A helper thread: for each ``(errstate, args)`` taken from ``tasks``
+    until ``None``, ``_run_chunks(*args)`` under the caller's errstate,
+    which a thread does not inherit; then ``None``, or what it raised, put
+    in ``done``."""
+    for errs, args in iter(tasks.get, None):
+        try:
+            with np.errstate(**errs):
+                _run_chunks(*args)
+        except BaseException as exc:   # raised again by the caller
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _run_chunks(work, first, step, Wn, w_y, b_y, scale):
+    """Chunks ``first``, ``first + step``, ... of ``work``, each into its
+    slot."""
+    for j in range(first, len(work.chunks), step):
+        _chunk_grads(work, j, Wn, w_y, b_y, scale)
+
+
+def _chunk_grads(work, j, Wn, w_y, b_y, scale):
+    """Chunk ``j``'s predictions into ``work.pred``, and its products and
+    sums into its slots ``work.part[j]``, ``work.part_y[j]`` and
+    ``work.sums[j]``."""
+    xt, y, block, pred, dx, resid, dpred = work.chunks[j]
+    hidden = w_y.shape[0]
+    gates = block[:3 * hidden]
+    io = gates[:2 * hidden]
+    i, o, g, tc, h = block.reshape(5, hidden, -1)
+
+    np.matmul(Wn, xt, out=gates)          # -z in rows i | o, z in rows g
+    np.exp(io, io)
+    np.add(io, 1.0, io)
+    np.divide(1.0, io, io)                # i | o = sigmoid
+    np.tanh(g, g)
+    np.multiply(i, g, tc)                 # c
+    np.tanh(tc, tc)
+    np.multiply(o, tc, h)
+    np.matmul(w_y, h, out=pred)
+    pred += b_y
+
+    np.subtract(pred, y, out=resid)
+    np.multiply(resid, resid, out=dpred)
+    sq_sum = np.sum(dpred)
+    np.multiply(resid, scale, dpred)
+    np.matmul(h, dpred, out=work.part_y[j])
+    work.sums[j] = sq_sum, np.sum(dpred)
+
+    # dpre = w_y dpred * Q, row by row; Q overwrites the gates in place
+    tc *= tc
+    np.subtract(1.0, tc, tc)
+    tc *= o                               # q = (1 - tc * tc) o
+    tc *= i                               # q i
+    np.subtract(1.0, io, io)              # 1 - i | 1 - o
+    o *= h                                # Q_o = (1 - o) (o tc)
+    np.multiply(tc, g, h)
+    i *= h                                # Q_i = (1 - i) (q i g)
+    g *= g
+    np.subtract(1.0, g, g)
+    g *= tc                               # Q_g = (1 - g * g) (q i)
+    np.multiply(xt.T, dpred[:, None], out=dx)
+    np.matmul(gates, dx, out=work.part[j])
 
 
 def loss_and_grads_numpy(Wb, w_y, b_y, work):
@@ -165,7 +293,8 @@ def loss_and_grads_numpy(Wb, w_y, b_y, work):
     the (3 hidden, k + 1) gate matrix ``[W | b]``, so ``dWb`` holds the
     weight gradients and, in its last column, the bias gradients.
     ``pred``, ``dWb`` and ``dw_y`` are arrays of ``work``, valid until its
-    next call.
+    next call.  Inside ``work.threads()`` the chunks run on its threads;
+    the results are the same bits either way.
 
     Defined under this name (not aliased): ``perfbench/spans.py`` traces
     the kernel by it.
@@ -174,49 +303,29 @@ def loss_and_grads_numpy(Wb, w_y, b_y, work):
     Wn, dWb, dw_y = work.Wn, work.dWb, work.dw_y
     np.negative(Wb[:2 * hidden], Wn[:2 * hidden])
     Wn[2 * hidden:] = Wb[2 * hidden:]
+    args = Wn, w_y, b_y, 2.0 / n
+    if work.helpers is None:
+        _run_chunks(work, 0, 1, *args)
+    else:
+        tasks, done = work.helpers
+        errs = np.geterr()
+        for first, inbox in enumerate(tasks, 1):
+            inbox.put((errs, (work, first, work.workers, *args)))
+        try:
+            _run_chunks(work, 0, work.workers, *args)
+        finally:
+            raised = [done.get() for _ in tasks]
+        for exc in raised:
+            if exc is not None:
+                raise exc
+
     dWb.fill(0.0)
     dw_y.fill(0.0)
     sq_sum = db_y = 0.0
-    scale = 2.0 / n
-    for xt, y, block, pred, dx, resid, dpred in work.chunks:
-        gates = block[:3 * hidden]
-        i, o, g, tc, h = block.reshape(5, hidden, -1)
-
-        np.matmul(Wn, xt, out=gates)      # -z in rows i | o, z in rows g
-        io = gates[:2 * hidden]
-        np.exp(io, io)
-        np.add(io, 1.0, io)
-        np.divide(1.0, io, io)            # i | o = sigmoid
-        np.tanh(g, g)
-        np.multiply(i, g, tc)             # c
-        np.tanh(tc, tc)
-        np.multiply(o, tc, h)
-        np.matmul(w_y, h, out=pred)
-        pred += b_y
-
-        np.subtract(pred, y, out=resid)
-        np.multiply(resid, resid, out=dpred)
-        sq_sum += np.sum(dpred)
-        np.multiply(resid, scale, dpred)
-        dw_y += np.matmul(h, dpred, out=work.part_y)
-        db_y += np.sum(dpred)
-
-        # dpre = w_y dpred * Q, row by row; Q overwrites the gates in place
-        np.multiply(tc, tc, h)
-        np.subtract(1.0, h, h)
-        h *= o                            # q = o (1 - tc * tc)
-        h *= i                            # q i
-        tc *= o
-        np.subtract(1.0, o, o)
-        o *= tc                           # Q_o = (tc o) (1 - o)
-        np.multiply(h, g, tc)
-        np.subtract(1.0, i, i)
-        i *= tc                           # Q_i = (q i g) (1 - i)
-        g *= g
-        np.subtract(1.0, g, g)
-        g *= h                            # Q_g = (q i) (1 - g * g)
-        np.multiply(xt.T, dpred[:, None], out=dx)
-        dWb += np.matmul(gates, dx, out=work.part)
-
+    for part, part_y, (sq, db) in zip(work.part, work.part_y, work.sums):
+        dWb += part
+        dw_y += part_y
+        sq_sum += sq
+        db_y += db
     dWb.reshape(3, hidden, -1)[...] *= w_y[:, None]   # times w_y, per gate
     return sq_sum / n, work.pred, dWb, dw_y, db_y

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DivergenceError
-from .kernels import (_GradWork, _hidden, loss_and_grads_numpy,
+from .kernels import (_cpus, _GradWork, _hidden, loss_and_grads_numpy,
                       predict_batch_numpy)
 from .pipeline import LAGS, WindowSet, _integer, _utf8_errors
 
@@ -212,7 +212,9 @@ def train(config: TrainConfig,
     with a DivergenceError naming the epoch, and numpy warns of no overflow.
     The inputs are laid out for the kernel once, in a ``_GradWork`` that
     serves every epoch, and the kernel runs on the augmented gate matrix
-    ``[W | b]``, from which the returned parameters are built.
+    ``[W | b]``, from which the returned parameters are built.  Its chunks
+    run on one thread per CPU, up to one per chunk, with the same bits at
+    any count; the threads end before ``train`` returns or raises.
     """
     if windows.lag != config.lag:
         raise ValueError(
@@ -220,13 +222,14 @@ def train(config: TrainConfig,
     if len(windows) == 0:
         raise ValueError("window set is empty")
     init = init_params(config.lag, config.hidden_dim, config.rng_seed)
-    work = _GradWork(windows.inputs, windows.targets, config.hidden_dim)
+    work = _GradWork(windows.inputs, windows.targets, config.hidden_dim,
+                     _cpus())
     Wb, w_y, b_y = _augmented(init), init.w_y, init.b_y
     lr = config.learning_rate
     losses = np.empty(config.epochs)
 
     start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), work.threads():
         for epoch in range(config.epochs):
             losses[epoch], _, dWb, dw_y, db_y = loss_and_grads_numpy(
                 Wb, w_y, b_y, work)

@@ -1290,6 +1290,70 @@ def test_outputs_do_not_depend_on_blas_threads(long_streams, tmp_path,
 
 
 @pytest.fixture(scope="module")
+def training_series(tmp_path_factory):
+    """Normal series of 800 and 2,500 steps.  Their 797 and 2,497 windows
+    make one training chunk, and two full chunks and an odd remainder of
+    449 windows."""
+    root = tmp_path_factory.mktemp("training")
+    for length in (800, 2500):
+        result = CliRunner().invoke(main, [
+            "synth", "--length", str(length), "--seed", "5",
+            "-o", str(root / f"{length}.csv")])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+def fresh_train(work, series, hidden, env, cpus=None):
+    """The model and loss curve bytes of a 40-epoch ``synwatch train`` of
+    ``series`` at width ``hidden``, run in ``work`` in a fresh interpreter
+    with environment ``env``, which first restricts itself to ``cpus`` when
+    they are given."""
+    work.mkdir()
+    pin = f"os.sched_setaffinity(0, {sorted(cpus)})\n" if cpus else ""
+    code = f"import os\n{pin}from synwatch.cli import main\nmain()\n"
+    src = str(Path(synwatch.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code, "train", str(series), "--hidden",
+         str(hidden), "--epochs", "40", "-o", "model.txt"], cwd=work,
+        env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    return [(work / name).read_bytes()
+            for name in ("model.txt", "model.txt.curve.csv")]
+
+
+@pytest.mark.parametrize("length", (800, 2500))
+@pytest.mark.parametrize("hidden", (23, 64))
+def test_training_bits_do_not_depend_on_blas_threads(
+        training_series, tmp_path, length, hidden):
+    runs = [fresh_train(tmp_path / threads, training_series / f"{length}.csv",
+                        hidden, dict(os.environ,
+                                     OPENBLAS_NUM_THREADS=threads))
+            for threads in ("1", "2")]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and a second CPU")
+@pytest.mark.parametrize("length", (800, 2500))
+@pytest.mark.parametrize("hidden", (23, 64))
+def test_training_bits_do_not_depend_on_cpus(training_series, tmp_path,
+                                             length, hidden):
+    # one training thread against one per chunk up to the CPUs, with BLAS
+    # left to size its own threads
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    cpus = os.sched_getaffinity(0)
+    runs = [fresh_train(tmp_path / name, training_series / f"{length}.csv",
+                        hidden, env, pinned)
+            for name, pinned in (("one", {min(cpus)}), ("all", cpus))]
+    assert runs[0] == runs[1]
+
+
+@pytest.fixture(scope="module")
 def overflow_inputs(tmp_path_factory):
     """A model trained 50 epochs on a 600-step normal series, that series,
     and a 600-step labeled series with one count of 1e11, far above the
@@ -1340,6 +1404,18 @@ def test_counts_far_above_the_training_range_print_no_warning(
 
 def test_diverging_training_prints_only_its_error(overflow_inputs):
     result = run_fresh(overflow_inputs, "train", "train.csv", "--lr", "1e200",
+                       "-o", "diverged.txt")
+    assert result.returncode == 4
+    assert result.stderr \
+        == b"error: training diverged (non-finite parameters) at epoch 2\n"
+
+
+def test_diverging_training_on_threads_prints_only_its_error(
+        training_series, tmp_path):
+    # 2,497 windows, three chunks: the helper threads compute under the
+    # errstate of the thread that called the kernel
+    result = run_fresh(tmp_path, "train",
+                       str(training_series / "2500.csv"), "--lr", "1e200",
                        "-o", "diverged.txt")
     assert result.returncode == 4
     assert result.stderr \

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synwatch.calibration import evaluate
+from synwatch.calibration import evaluate, replay_trace
 from synwatch.cli import main
 from synwatch.detector import (Detector, DetectorConfig, read_verdicts,
                                segment_alarms, write_alarms, write_verdicts)
@@ -167,3 +167,38 @@ class TestDetectMatchesStreamingDetector:
         assert any(v.re == ret and not v.point_anomaly for v in verdicts)
         assert any(v.are == beta and v.dc > 0 and not v.collective_alarm
                    for v in verdicts)
+
+
+#: Steps as a stream may carry them: ints near 0 and near +-2**53, floats
+#: equal to an integer or not, and numpy integers.
+STEPS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(float),
+    st.integers(-3, 12).map(np.int64),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, float(2**53)]),
+    st.sampled_from([-(2**53 - 1), -2**53, -2**53 - 1]),
+    st.integers(-2**60, 2**60),
+    st.floats(-20.0, 20.0).map(lambda v: round(v * 2) / 2),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300)
+@given(steps=st.lists(STEPS, min_size=1, max_size=6),
+       mat=st.integers(1, 4))
+def test_detector_takes_a_step_sequence_exactly_when_replay_does(steps, mat):
+    rows = [(step, 10.0, 9.0) for step in steps]
+    try:
+        replay_trace(rows, mat)
+    except ValueError:
+        replayed = False
+    else:
+        replayed = True
+    detector = Detector(DetectorConfig(ret=0.5, beta=0.5, mat=mat))
+    try:
+        for row in rows:
+            detector.step(*row)
+    except ValueError:
+        streamed = False
+    else:
+        streamed = True
+    assert streamed == replayed

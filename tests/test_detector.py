@@ -206,6 +206,31 @@ class TestDetectorStep:
             detector.step(4, 1.0, 1.0)
         detector.step(7, 1.0, 1.0)  # gaps are fine, regressions are not
 
+    def test_fractional_steps_rejected_and_state_kept(self):
+        # 0.5 and then 1.9 used to be taken, where replay_trace rejects both
+        config = DetectorConfig(ret=0.5, beta=0.5, mat=3)
+        detector = Detector(config)
+        detector.step(0, 10.0, 9.0)
+        for step in (0.5, 1.9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not an integer below"):
+                detector.step(step, 10.0, 9.0)
+            assert (list(detector.errors), detector.last_step) == ([0.1], 0)
+        # a float equal to an integer is taken, as replay_trace takes it
+        assert detector.step(2.0, 10.0, 9.0).step == 2.0
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_steps_from_2_to_the_53_rejected_and_state_kept(self, sign):
+        # after a step of float(2**53), 2**53 + 1 used to be taken: as a
+        # float64 it equals 2**53, so replay_trace cannot order it
+        detector = Detector(DetectorConfig(ret=0.5, beta=0.5, mat=3))
+        first = -(2**53 - 1) if sign < 0 else 2**53 - 1
+        detector.step(first, 10.0, 9.0)
+        for step in (2**53, 2**53 + 1, float(2**53), 2**64):
+            with pytest.raises(ValueError, match="not an integer below"):
+                detector.step(sign * step, 10.0, 9.0)
+            assert (list(detector.errors), detector.last_step) \
+                == ([0.1], first)
+
     @pytest.mark.parametrize("actual, predicted", [
         (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
         (1.0, float("-inf")),

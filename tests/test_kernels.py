@@ -3,6 +3,7 @@ against the per-gate formula, within a stated bound; batch prediction
 against ``predict_window``, bit for bit; and the memory the kernels
 allocate."""
 
+import sys
 import tracemalloc
 from datetime import datetime
 
@@ -218,25 +219,59 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("n", (SMALL_CHUNK - 1, SMALL_CHUNK,
                                    SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 5))
     @pytest.mark.parametrize("hidden", (1, 7))
-    def test_chunk_boundaries(self, n, hidden, monkeypatch):
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_chunk_boundaries(self, n, hidden, workers, monkeypatch):
         # one short chunk, one full chunk, a full chunk and one window, and
-        # two full chunks and an odd remainder; the work block holds one
-        # chunk, and the inputs one (4, c) block per chunk
+        # two full chunks and an odd remainder; each worker's block holds
+        # one chunk, and the inputs one (4, c) block per chunk; on the
+        # caller's thread and on the work's threads, the same bits
         monkeypatch.setattr(kernels, "_TRAIN_CHUNK", SMALL_CHUNK)
         sizes = [min(SMALL_CHUNK, n - start)
                  for start in range(0, n, SMALL_CHUNK)]
         for seed in range(3):
             x, y, params = random_case(seed, n, 3, hidden, 1.0)
             xa, Wb, w_y, b_y = fused(x, params)
-            work = _GradWork(x, y, hidden)
-            assert work.block.shape == (5 * hidden * min(n, SMALL_CHUNK),)
+            work = _GradWork(x, y, hidden, workers)
+            assert work.workers == min(workers, len(sizes))
+            assert [block.shape for block in work.blocks] \
+                == [(5 * hidden * min(n, SMALL_CHUNK),)] * work.workers
             assert work.pred.shape == (n,)
             assert [xt.shape for xt, *_ in work.chunks] \
                 == [(4, c) for c in sizes]
+            assert work.part.shape == (len(sizes), 3 * hidden, 4)
             expected = bits(reference_loss_and_grads(xa, y, Wb, w_y, b_y))
             result = loss_and_grads_numpy(Wb, w_y, b_y, work)
             assert bits(result) == expected
             assert_within_bound_of_per_gate_formula(result, x, y, params)
+            with work.threads():
+                assert bits(loss_and_grads_numpy(Wb, w_y, b_y, work)) \
+                    == expected
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           k=st.sampled_from((1, 2, 3)), hidden=st.integers(1, 30),
+           chunk=st.integers(1, 64), workers=st.integers(2, 5))
+    def test_same_bits_at_one_and_many_workers(self, seed, n, k, hidden,
+                                               chunk, workers):
+        # the chunks' sums are added in chunk order, whichever thread
+        # computed them; more workers than CPUs, switching threads often
+        x, y, params = random_case(seed, n, k, hidden, 1.0)
+        _, Wb, w_y, b_y = fused(x, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            one = _GradWork(x, y, hidden)
+            many = _GradWork(x, y, hidden, workers)
+        expected = bits(loss_and_grads_numpy(Wb, w_y, b_y, one))
+        assert many.workers == min(workers, len(many.chunks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with many.threads():
+                for _ in range(2):
+                    assert bits(loss_and_grads_numpy(Wb, w_y, b_y, many)) \
+                        == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     @settings(max_examples=60)
     @given(**shapes)
@@ -296,20 +331,24 @@ class TestKernelsMatchReference:
         assert bits(loss_and_grads_numpy(Wb, w_y, b_y, work)) == expected
 
     def test_outputs_are_views_into_work(self, monkeypatch):
+        # three chunks on two workers: chunks 0 and 2 share the first
+        # worker's scratch, and each chunk has its own slots
         monkeypatch.setattr(kernels, "_TRAIN_CHUNK", 4)
         x, y, params = random_case(3, 10, 2, 4, 1.0)
         xa, Wb, w_y, b_y = fused(x, params)
-        work = _GradWork(x, y, 4)
+        work = _GradWork(x, y, 4, 2)
         _, pred, dWb, dw_y, _ = loss_and_grads_numpy(Wb, w_y, b_y, work)
         assert pred is work.pred
         assert dWb is work.dWb
         assert dw_y is work.dw_y
-        assert len(work.chunks) == 3
-        for start, (xt, _, block, chunk_pred, *_) in zip(range(0, 10, 4),
-                                                         work.chunks):
+        assert len(work.chunks) == 3 and len(work.blocks) == 2
+        assert work.part.shape == (3, 12, 3)
+        assert work.part_y.shape == (3, 4) and work.sums.shape == (3, 2)
+        for j, (start, (xt, _, block, chunk_pred, *_)) in enumerate(
+                zip(range(0, 10, 4), work.chunks)):
             assert xt.flags.c_contiguous
             assert bits([xt]) == bits([xa[start:start + 4].T])
-            assert block.base is work.block
+            assert block.base is work.blocks[j % 2]
             assert chunk_pred.base is work.pred
 
 

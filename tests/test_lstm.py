@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from synwatch import kernels, lstm
 from synwatch.errors import DataError, DivergenceError
 from synwatch.lstm import (LstmParams, TrainConfig, bptt_gradients,
                            init_params, load_model, predict_window,
@@ -563,6 +564,64 @@ class TestTrain:
                             origin_steps=np.arange(2, 199))
         _, report = train(TrainConfig(epochs=300, rng_seed=0), windows)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
+
+
+class TestTrainThreads:
+    """``train`` runs the kernel's chunks on helper threads that exist only
+    while it runs.  Here it takes three workers on chunks of 16 windows,
+    whatever the host's CPUs."""
+
+    @pytest.fixture
+    def live_threads(self, monkeypatch):
+        """The threads alive at each kernel call ``train`` makes."""
+        monkeypatch.setattr(kernels, "_TRAIN_CHUNK", 16)
+        monkeypatch.setattr(lstm, "_cpus", lambda: 3)
+        seen = []
+        kernel = lstm.loss_and_grads_numpy
+
+        def spy(*args):
+            seen.append(threading.active_count())
+            return kernel(*args)
+        monkeypatch.setattr(lstm, "loss_and_grads_numpy", spy)
+        return seen
+
+    def test_no_thread_outlives_a_return(self, rng, live_threads):
+        before = threading.enumerate()
+        train(TrainConfig(epochs=3), make_window_set(rng, 3, 40))
+        assert live_threads == [len(before) + 2] * 3
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_a_divergence(self, rng, live_threads):
+        # under train's errstate in every thread: an overflow in a helper
+        # thread warns of nothing, so DivergenceError is what surfaces
+        inputs = rng.normal(0, 1e3, size=(40, 3))
+        windows = WindowSet(lag=3, inputs=inputs,
+                            targets=rng.normal(0, 1e3, size=40),
+                            origin_steps=np.arange(2, 42))
+        before = threading.enumerate()
+        with pytest.raises(DivergenceError):
+            train(TrainConfig(learning_rate=1e12, epochs=50), windows)
+        assert live_threads and live_threads[0] == len(before) + 2
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_an_exception_in_a_helper(
+            self, rng, live_threads, monkeypatch):
+        # chunk 1 runs on the first helper thread; what it raises there
+        # is raised by train
+        chunk_grads = kernels._chunk_grads
+        failed = []
+
+        def fail_on_chunk_1(work, j, *args):
+            if j == 1:
+                failed.append(threading.current_thread())
+                raise ArithmeticError("chunk 1")
+            return chunk_grads(work, j, *args)
+        monkeypatch.setattr(kernels, "_chunk_grads", fail_on_chunk_1)
+        before = threading.enumerate()
+        with pytest.raises(ArithmeticError, match="chunk 1"):
+            train(TrainConfig(epochs=3), make_window_set(rng, 3, 40))
+        assert failed and failed[0] is not threading.current_thread()
+        assert threading.enumerate() == before
 
 
 class TestModelFile:
