@@ -40,14 +40,16 @@ last place: the tests bound the difference on random batches, and
 trained losses and weights on a fixed series (see the README).
 
 Chunks are independent until those sums, so ``train`` runs them on
-threads: a ``_GradWork`` holds one set of scratch arrays per worker, up to
-one worker per chunk and per CPU, and inside its ``threads()`` block the
-caller's thread and its helpers each take every ``workers``-th chunk.
-numpy releases the GIL inside each ufunc and BLAS call, so the chunks'
-arithmetic overlaps.  The slots are added in chunk order whichever thread
-filled them, so the results are the same bits at any worker count.
-Every other call, such as ``lstm.bptt_gradients``, runs all chunks on the
-caller's thread.
+threads: a ``_GradWork`` holds one set of scratch arrays per worker, one
+worker per CPU but at most ``_TRAIN_WORKERS`` and one per chunk, and
+inside its ``threads()`` block the caller's thread and its helpers each
+take every ``workers``-th chunk.  numpy releases the GIL inside its
+element-wise ufuncs and its BLAS products, so the chunks' arithmetic
+overlaps; the backward product is an ``np.dot``, because ``np.matmul``
+holds the GIL through that one.  The slots are added in chunk order
+whichever thread filled them, so the results are the same bits at any
+worker count.  Every other call, such as ``lstm.bptt_gradients``, runs
+all chunks on the caller's thread.
 
 ``predict_batch_numpy`` serves ``calibrate`` and ``detect``.  It gives
 every window the BLAS calls that ``lstm.predict_window``, the online path,
@@ -70,6 +72,7 @@ heap after each call, so every epoch faults the same pages back in.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from contextlib import contextmanager
@@ -86,6 +89,11 @@ _CHUNK = 512
 #: is fixed here, not set by a flag or the environment.  At 1,024 they are
 #: also the same at one and two BLAS threads, for hidden 23 and 64.
 _TRAIN_CHUNK = 1024
+
+#: Most workers a ``_GradWork`` takes, whatever the CPUs: each holds one
+#: chunk's scratch arrays, so two hold as much as one 2,048-window chunk.
+#: Two is the only count whose speed has been measured.
+_TRAIN_WORKERS = 2
 
 
 def _hidden(z, hidden):
@@ -161,10 +169,10 @@ class _GradWork:
     which ``dWb``, ``dw_y`` and the loss add in chunk order.  ``Wn`` is
     ``[W | b]`` with its ``i | o`` rows negated.
 
-    ``workers`` is at most the number of chunks.  Inside ``threads()``,
-    ``helpers`` holds the helper threads' queues and the kernel runs the
-    chunks on ``workers`` threads; elsewhere it is None and the caller's
-    thread runs them all.
+    ``workers`` is at most ``_TRAIN_WORKERS`` and the number of chunks.
+    Inside ``threads()``, ``helpers`` holds the helper threads' queues and
+    the kernel runs the chunks on ``workers`` threads; elsewhere it is None
+    and the caller's thread runs them all.
     """
 
     def __init__(self, inputs, targets, hidden: int, workers: int = 1):
@@ -172,7 +180,7 @@ class _GradWork:
         y = np.ascontiguousarray(targets, dtype=np.float64)
         m = min(n, _TRAIN_CHUNK)
         count = -(-n // _TRAIN_CHUNK)
-        self.workers = max(1, min(workers, count))
+        self.workers = max(1, min(workers, count, _TRAIN_WORKERS))
         self.blocks = [np.empty(5 * hidden * m) for _ in range(self.workers)]
         scratch = [(block, np.empty((m, k + 1)), np.empty(m), np.empty(m))
                    for block in self.blocks]
@@ -220,14 +228,13 @@ class _GradWork:
 
 
 def _serve(tasks, done):
-    """A helper thread: for each ``(errstate, args)`` taken from ``tasks``
-    until ``None``, ``_run_chunks(*args)`` under the caller's errstate,
-    which a thread does not inherit; then ``None``, or what it raised, put
-    in ``done``."""
-    for errs, args in iter(tasks.get, None):
+    """A helper thread: for each ``(context, args)`` taken from ``tasks``
+    until ``None``, ``_run_chunks(*args)`` in the caller's context, which
+    holds its numpy errstate, as a thread does not inherit it; then
+    ``None``, or what it raised, put in ``done``."""
+    for context, args in iter(tasks.get, None):
         try:
-            with np.errstate(**errs):
-                _run_chunks(*args)
+            context.run(_run_chunks, *args)
         except BaseException as exc:   # raised again by the caller
             done.put(exc)
         else:
@@ -282,7 +289,7 @@ def _chunk_grads(work, j, Wn, w_y, b_y, scale):
     np.subtract(1.0, g, g)
     g *= tc                               # Q_g = (1 - g * g) (q i)
     np.multiply(xt.T, dpred[:, None], out=dx)
-    np.matmul(gates, dx, out=work.part[j])
+    np.dot(gates, dx, work.part[j])       # np.matmul holds the GIL here
 
 
 def loss_and_grads_numpy(Wb, w_y, b_y, work):
@@ -308,9 +315,9 @@ def loss_and_grads_numpy(Wb, w_y, b_y, work):
         _run_chunks(work, 0, 1, *args)
     else:
         tasks, done = work.helpers
-        errs = np.geterr()
         for first, inbox in enumerate(tasks, 1):
-            inbox.put((errs, (work, first, work.workers, *args)))
+            inbox.put((contextvars.copy_context(),
+                       (work, first, work.workers, *args)))
         try:
             _run_chunks(work, 0, work.workers, *args)
         finally:

@@ -213,8 +213,8 @@ def train(config: TrainConfig,
     The inputs are laid out for the kernel once, in a ``_GradWork`` that
     serves every epoch, and the kernel runs on the augmented gate matrix
     ``[W | b]``, from which the returned parameters are built.  Its chunks
-    run on one thread per CPU, up to one per chunk, with the same bits at
-    any count; the threads end before ``train`` returns or raises.
+    run on one thread per CPU, at most two and one per chunk, with the same
+    bits at any count; the threads end before ``train`` returns or raises.
     """
     if windows.lag != config.lag:
         raise ValueError(

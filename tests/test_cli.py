@@ -1342,10 +1342,9 @@ def test_training_bits_do_not_depend_on_blas_threads(
 @pytest.mark.parametrize("hidden", (23, 64))
 def test_training_bits_do_not_depend_on_cpus(training_series, tmp_path,
                                              length, hidden):
-    # one training thread against one per chunk up to the CPUs, with BLAS
-    # left to size its own threads
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    # one training thread against one per chunk up to the CPUs, at one
+    # BLAS thread each, so only the training threads differ
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cpus = os.sched_getaffinity(0)
     runs = [fresh_train(tmp_path / name, training_series / f"{length}.csv",
                         hidden, env, pinned)

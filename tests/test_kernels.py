@@ -222,9 +222,10 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_chunk_boundaries(self, n, hidden, workers, monkeypatch):
         # one short chunk, one full chunk, a full chunk and one window, and
-        # two full chunks and an odd remainder; each worker's block holds
-        # one chunk, and the inputs one (4, c) block per chunk; on the
-        # caller's thread and on the work's threads, the same bits
+        # two full chunks and an odd remainder; at most _TRAIN_WORKERS
+        # workers, each worker's block holds one chunk, and the inputs one
+        # (4, c) block per chunk; on the caller's thread and on the work's
+        # threads, the same bits
         monkeypatch.setattr(kernels, "_TRAIN_CHUNK", SMALL_CHUNK)
         sizes = [min(SMALL_CHUNK, n - start)
                  for start in range(0, n, SMALL_CHUNK)]
@@ -232,7 +233,8 @@ class TestKernelsMatchReference:
             x, y, params = random_case(seed, n, 3, hidden, 1.0)
             xa, Wb, w_y, b_y = fused(x, params)
             work = _GradWork(x, y, hidden, workers)
-            assert work.workers == min(workers, len(sizes))
+            assert work.workers == min(workers, len(sizes),
+                                       kernels._TRAIN_WORKERS)
             assert [block.shape for block in work.blocks] \
                 == [(5 * hidden * min(n, SMALL_CHUNK),)] * work.workers
             assert work.pred.shape == (n,)
@@ -254,11 +256,13 @@ class TestKernelsMatchReference:
     def test_same_bits_at_one_and_many_workers(self, seed, n, k, hidden,
                                                chunk, workers):
         # the chunks' sums are added in chunk order, whichever thread
-        # computed them; more workers than CPUs, switching threads often
+        # computed them; with the worker cap lifted, more workers than
+        # CPUs, switching threads often
         x, y, params = random_case(seed, n, k, hidden, 1.0)
         _, Wb, w_y, b_y = fused(x, params)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_TRAIN_CHUNK", chunk)
+            mp.setattr(kernels, "_TRAIN_WORKERS", workers)
             one = _GradWork(x, y, hidden)
             many = _GradWork(x, y, hidden, workers)
         expected = bits(loss_and_grads_numpy(Wb, w_y, b_y, one))
