@@ -8,10 +8,9 @@ the last few prediction errors.
 __version__ = "0.1.0"
 
 from .calibration import (CalibrationGrid, EvalReport, calibrate,
-                          default_grid, evaluate, prediction_pairs,
-                          replay_trace)
+                          default_grid, evaluate, prediction_pairs)
 from .detector import (AlarmEvent, Detector, DetectorConfig, StepVerdict,
-                       relative_error, segment_alarms)
+                       relative_error, replay_trace, segment_alarms)
 from .errors import DataError, DivergenceError
 from .lstm import (LstmParams, TrainConfig, TrainReport, bptt_gradients,
                    init_params, load_model, predict_window, predict_windows,

@@ -1,12 +1,5 @@
 """Threshold calibration and detection-quality evaluation.
 
-The grid sweep replays the detector's window statistics in vectorized
-form.  The replay is constructed to be bit-identical to the streaming
-detector: window means accumulate oldest-to-newest exactly like
-``Detector.step`` does, and anomalous-point counts are integer-exact, so a selected
-configuration re-run through the streaming engine reproduces its sweep
-metrics without tolerance.
-
 The sweep scores cells by counting, not by listing events.  A step
 alarms in cell ``(ret, alpha, beta)`` exactly when two integers reach
 two levels: ``K``, its count of window errors above ret, reaches
@@ -38,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import EPSILON_FLOOR, DetectorConfig, Verdicts, segment_alarms
+from .detector import DetectorConfig, segment_alarms
+# Re-exported only for perfbench/spans.py and the tests, which use them here.
+from .detector import ReplayTrace, replay_trace  # noqa: F401
 from .errors import DataError
 from .lstm import LstmParams, predict_windows
 from .pipeline import Scaler, TimeSeries, build_windows
@@ -75,14 +70,22 @@ class CalibrationGrid:
 
 @dataclass
 class EvalReport:
-    detection_rate_pct: float
+    """Detection quality of a set of alarm events; the detection rate is
+    derived from the two interval counts."""
+
     false_alarms: int
     events_total: int
     intervals_total: int
     detected_intervals: int
 
+    @property
+    def detection_rate_pct(self) -> float:
+        return _detection_rate(self.detected_intervals, self.intervals_total)
 
-def _check_intervals(intervals) -> list[tuple[int, int]]:
+
+def _interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end arrays of ground-truth intervals, in order;
+    raises ValueError if an interval is inverted or two overlap."""
     ordered = sorted((int(s), int(e)) for s, e in intervals)
     for (s, e) in ordered:
         if s > e:
@@ -90,12 +93,7 @@ def _check_intervals(intervals) -> list[tuple[int, int]]:
     for (_, e1), (s2, _) in zip(ordered, ordered[1:]):
         if s2 <= e1:
             raise ValueError("ground-truth intervals overlap")
-    return ordered
-
-
-def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end arrays of checked intervals; both ascend."""
-    bounds = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    bounds = np.array(ordered, dtype=np.int64).reshape(-1, 2)
     return bounds[:, 0], bounds[:, 1]
 
 
@@ -112,14 +110,13 @@ def evaluate_events(events, attack_intervals) -> EvalReport:
     event is false when it overlaps no interval.  With no intervals at all
     the detection rate is vacuously 100.
     """
-    intervals = _check_intervals(attack_intervals)
+    starts, ends = _interval_bounds(attack_intervals)
     spans = np.array([(e.start_step, e.end_step) for e in events],
                      dtype=np.int64).reshape(-1, 2)
     inverted = spans[:, 0] > spans[:, 1]
     if np.any(inverted):
         s, e = spans[np.argmax(inverted)]
         raise ValueError(f"alarm event [{s}, {e}] is inverted")
-    starts, ends = _bounds(intervals)
     # The intervals are disjoint and sorted, so those an event overlaps
     # are the contiguous index range [first, stop).
     first = np.searchsorted(ends, spans[:, 0], side="left")
@@ -130,109 +127,13 @@ def evaluate_events(events, attack_intervals) -> EvalReport:
                         - np.bincount(stop[hit], minlength=width))[:-1]
     detected = int(np.count_nonzero(covered))
     false_alarms = int(np.count_nonzero(~hit))
-    return EvalReport(
-        detection_rate_pct=_detection_rate(detected, len(intervals)),
-        false_alarms=false_alarms, events_total=len(spans),
-        intervals_total=len(intervals), detected_intervals=detected)
+    return EvalReport(false_alarms=false_alarms, events_total=len(spans),
+                      intervals_total=len(starts), detected_intervals=detected)
 
 
 def evaluate(verdicts, attack_intervals) -> EvalReport:
     """Segment per-step verdicts into events, then score them."""
     return evaluate_events(segment_alarms(verdicts), attack_intervals)
-
-
-def _rolling_sum(values: np.ndarray, width: int) -> np.ndarray:
-    # Accumulates window elements oldest-to-newest, matching
-    # Detector.step's summation order element for element.
-    out_len = len(values) - width + 1
-    acc = values[:out_len].copy()
-    for j in range(1, width):
-        acc += values[j:j + out_len]
-    return acc
-
-
-@dataclass
-class ReplayTrace:
-    """Per-step stream statistics shared by every grid cell."""
-    steps: np.ndarray    # (n,) strictly increasing
-    actual: np.ndarray
-    predicted: np.ndarray
-    re: np.ndarray
-    are: np.ndarray      # window mean; 0 where warmup
-    warmup: np.ndarray   # bool
-    mat: int
-
-    def anomalous_counts(self, ret: float) -> np.ndarray:
-        """Window errors above ret per step, as integers; 0 where warmup."""
-        flags = (self.re > ret).astype(np.int64)
-        counts = np.zeros(len(self.re), dtype=np.int64)
-        if len(flags) >= self.mat:
-            counts[self.mat - 1:] = _rolling_sum(flags, self.mat)
-        return counts
-
-    def danger(self, ret: float) -> np.ndarray:
-        """Anomalous-point fraction per step for one ret; 0 where warmup."""
-        return self.anomalous_counts(ret) / self.mat
-
-    def verdict_columns(self, config: DetectorConfig) -> Verdicts:
-        """The verdicts a streaming ``Detector`` gives for these rows, as
-        columns.
-
-        The trace holds the Detector's relative errors and window means bit
-        for bit, and its danger coefficients count the same flags, so the
-        alarm rule applied column-wise gives the same verdicts.
-        """
-        dc = self.danger(config.ret)
-        alarm = ~self.warmup & (dc > config.alpha) & (self.are > config.beta)
-        return Verdicts(self.steps, self.actual, self.predicted, self.re,
-                        self.re > config.ret, dc, self.are, alarm,
-                        self.warmup)
-
-
-def replay_trace(pairs, mat: int) -> ReplayTrace:
-    """Precompute stream statistics for (step, actual, predicted) rows.
-
-    ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
-    array, which is what the ``calibrate`` and ``detect`` commands pass.  The
-    statistics are bit-identical to a streaming ``Detector`` fed the same rows.
-    Steps must be increasing integers below 2**53, which a float holds.
-    """
-    if mat < 1:
-        raise ValueError("mat must be >= 1")
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    table = np.asarray(pairs, dtype=np.float64)
-    if not table.size:
-        raise ValueError("empty validation stream")
-    if table.ndim != 2 or table.shape[1] != 3:
-        raise ValueError("pairs must be (step, actual, predicted) rows")
-    column = table[:, 0]
-    inexact = ~((np.floor(column) == column) & (np.abs(column) < 2.0**53))
-    if np.any(inexact):
-        row = int(np.argmax(inexact))
-        raise ValueError(f"pairs must have integer steps below 2**53: row "
-                         f"{row} has step {float(column[row])!r}")
-    steps = column.astype(np.int64)
-    if np.any(np.diff(steps) <= 0):
-        raise ValueError("pairs must be step-ordered")
-    actual, predicted = table[:, 1], table[:, 2]
-    # A non-finite actual or predicted value makes re non-finite too, as
-    # does an error too large for a float; both are rejected below.
-    with np.errstate(invalid="ignore", over="ignore"):
-        re = (np.abs(actual - predicted)
-              / np.maximum(np.abs(actual), EPSILON_FLOOR))
-    finite = np.isfinite(re)
-    if not np.all(finite):
-        raise DataError("non-finite actual, predicted or relative error at "
-                        f"step {steps[np.argmin(finite)]}")
-    n = len(re)
-    are = np.zeros(n)
-    warmup = np.ones(n, dtype=bool)
-    if n >= mat:
-        are[mat - 1:] = _rolling_sum(re, mat) / mat
-        warmup[mat - 1:] = False
-    return ReplayTrace(steps=steps, actual=actual, predicted=predicted,
-                       re=re, are=are, warmup=warmup, mat=mat)
 
 
 def _suffix_sums(table: np.ndarray) -> np.ndarray:
@@ -253,7 +154,8 @@ class _CellCounts:
     axes give them for every cell at once.
     """
 
-    def __init__(self, trace: ReplayTrace, intervals, betas: np.ndarray):
+    def __init__(self, trace: ReplayTrace, starts: np.ndarray,
+                 ends: np.ndarray, betas: np.ndarray):
         steps = trace.steps
         self.trace = trace
         self.n_k = trace.mat + 2       # K <= mat; row mat + 1 stays empty
@@ -261,7 +163,6 @@ class _CellCounts:
         size = self.n_k * self.n_r
         b = np.searchsorted(betas, trace.are, side="left")
         # The interval a step lies in is the first one not ending before it.
-        starts, ends = _bounds(intervals)
         first = np.searchsorted(ends, steps, side="left")
         attack = first < np.searchsorted(starts, steps, side="right")
         self.normal_steps = len(steps) - int(np.count_nonzero(attack))
@@ -371,7 +272,6 @@ def _select(counts: np.ndarray, grid: CalibrationGrid, mat: int,
                             beta=grid.beta_candidates[k], mat=mat,
                             alpha=grid.alpha_candidates[j])
     return config, EvalReport(
-        detection_rate_pct=_detection_rate(detected, intervals_total),
         false_alarms=false_alarms, events_total=events,
         intervals_total=intervals_total, detected_intervals=detected)
 
@@ -387,11 +287,11 @@ def calibrate(trace: ReplayTrace, attack_intervals, grid: CalibrationGrid):
     among equals), then the first cell in grid order.  Fully
     deterministic.
     """
-    intervals = _check_intervals(attack_intervals)
-    if not intervals:
+    starts, ends = _interval_bounds(attack_intervals)
+    if not len(starts):
         raise DataError("validation stream has no labeled attack intervals")
     betas = np.array(grid.beta_candidates)
-    cells = _CellCounts(trace, intervals, betas)
+    cells = _CellCounts(trace, starts, ends, betas)
     if cells.normal_steps < trace.mat:
         raise DataError(
             f"validation stream needs at least {trace.mat} normal steps")
@@ -403,7 +303,7 @@ def calibrate(trace: ReplayTrace, attack_intervals, grid: CalibrationGrid):
                       dtype=np.int64)
     for i, ret in enumerate(grid.ret_candidates):
         counts[:, i] = np.stack(cells.tables(ret))[:, kappa, r]
-    config, report = _select(counts, grid, trace.mat, len(intervals))
+    config, report = _select(counts, grid, trace.mat, len(starts))
     return config, report, counts
 
 

@@ -35,10 +35,10 @@ import numpy as np
 
 from . import __version__
 from .calibration import (CalibrationGrid, _prediction_table, default_grid,
-                          evaluate_events, replay_trace, write_sweep)
+                          evaluate_events, write_sweep)
 from .calibration import calibrate as run_calibration
-from .detector import (DetectorConfig, Verdicts, alarm_events, write_alarms,
-                       write_verdicts)
+from .detector import (DetectorConfig, Verdicts, replay_trace, segment_alarms,
+                       write_alarms, write_verdicts)
 from .errors import DataError, DivergenceError
 from .lstm import TrainConfig, load_model, save_model, train
 from .pipeline import (EPOCH, LAGS, LabeledTimeSeries, SynthConfig,
@@ -438,7 +438,7 @@ def detect_cmd(model, config, test, scaler, output):
     else:
         verdicts = Verdicts.of([])
     write_verdicts(output, verdicts)
-    events = alarm_events(verdicts)
+    events = segment_alarms(verdicts)
     alarms_path = f"{output}.alarms.csv"
     write_alarms(alarms_path, events)
     _write_manifest({"verdicts": output, "alarms": alarms_path},

@@ -10,13 +10,22 @@ before the window has filled once (warmup).
 
 A step's relative error is ``|actual - predicted|`` over ``|actual|``,
 or over the fixed ``EPSILON_FLOOR`` when that is smaller, so zero-traffic
-steps stay finite.  ``Detector.step`` is the one scalar form of this rule.
-``calibration.replay_trace`` computes the same per-step statistics for a
-whole stream with array operations, bit for bit equal to it; ``synwatch
-detect`` builds its verdicts from that trace as ``Verdicts``, one array
-per field, with no object per step.  ``alarm_events`` is the one form of
-the rule that joins alarmed steps into events, and ``write_verdicts``
-formats the columns a block of rows at a time.
+steps stay finite.  The rule has two forms, kept here side by side.
+``Detector.step`` is the scalar form, one step at a time.
+``replay_trace`` is the column form: it computes the same per-step
+statistics for a whole stream with array operations, and
+``ReplayTrace.verdict_columns`` applies the alarm rule to them.  The two
+are bit for bit equal: window means are summed oldest to newest, in the
+order ``Detector.step`` sums them, anomalous counts are exact integers,
+and both read a step as a float64 integer below ``2**53`` in magnitude.
+So a configuration that the calibration sweep selects on a trace gives
+the sweep's metrics again when the stream is re-run through a
+``Detector``, without tolerance.
+
+``synwatch detect`` builds its verdicts from the trace as ``Verdicts``,
+one array per field, with no object per step.  ``segment_alarms`` is the
+one form of the rule that joins alarmed steps into events, and
+``write_verdicts`` formats the columns a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ from .errors import DataError
 #: The smallest denominator of a relative error: a zero-count step's
 #: error is ``|predicted| / EPSILON_FLOOR``.
 EPSILON_FLOOR = 1e-6
+
+#: Steps lie strictly between ``-_STEP_LIMIT`` and ``_STEP_LIMIT``: every
+#: such integer is exact as a float64, so both forms of the rule order
+#: the same steps.
+_STEP_LIMIT = 2**53
 
 
 @dataclass
@@ -106,13 +120,13 @@ class AlarmEvent:
 
 
 def _integral_float(step) -> bool:
-    """Whether ``step`` as a float64 is an integer below 2**53 in
-    magnitude, as ``calibration.replay_trace`` requires."""
+    """Whether ``step`` as a float64 is an integer below ``_STEP_LIMIT``
+    in magnitude, as ``replay_trace`` requires."""
     try:
         value = float(step)
     except (TypeError, ValueError, OverflowError):
         return False
-    return value.is_integer() and abs(value) < 2**53
+    return value.is_integer() and abs(value) < _STEP_LIMIT
 
 
 class Detector:
@@ -144,11 +158,11 @@ class Detector:
         not an integer below 2**53 in magnitude or does not follow the
         previous one (ValueError), and a non-finite value or relative error
         (DataError), leaving the state as it was.  A step is read as
-        ``calibration.replay_trace`` reads it, as a float64, so a float or
-        numpy number equal to such an integer is taken."""
+        ``replay_trace`` reads it, as a float64, so a float or numpy
+        number equal to such an integer is taken."""
         # an int, as every command passes, costs a type check and two
-        # compares with constants; any other step goes through a float
-        if not (type(step) is int and -2**53 < step < 2**53
+        # compares with the bound; any other step goes through a float
+        if not (type(step) is int and -_STEP_LIMIT < step < _STEP_LIMIT
                 or _integral_float(step)):
             raise ValueError(
                 f"step {step!r} is not an integer below 2**53 in magnitude")
@@ -217,10 +231,102 @@ class Verdicts(NamedTuple):
                          np.float64, np.float64, bool, bool))))
 
 
-def alarm_events(verdicts: Verdicts) -> list[AlarmEvent]:
-    """The alarm events of a verdict stream: each maximal run of alarmed
-    rows at consecutive steps is one event, with the largest ``dc`` and
-    ``are`` of its rows.  Raises ValueError unless the steps ascend."""
+def _rolling_sum(values: np.ndarray, width: int) -> np.ndarray:
+    # Accumulates window elements oldest-to-newest, matching
+    # Detector.step's summation order element for element.
+    out_len = len(values) - width + 1
+    acc = values[:out_len].copy()
+    for j in range(1, width):
+        acc += values[j:j + out_len]
+    return acc
+
+
+@dataclass
+class ReplayTrace:
+    """The rule's per-step statistics for one stream, in columns, shared
+    by every cell of a calibration grid."""
+    steps: np.ndarray    # (n,) strictly increasing
+    actual: np.ndarray
+    predicted: np.ndarray
+    re: np.ndarray
+    are: np.ndarray      # window mean; 0 where warmup
+    warmup: np.ndarray   # bool
+    mat: int
+
+    def anomalous_counts(self, ret: float) -> np.ndarray:
+        """Window errors above ret per step, as integers; 0 where warmup."""
+        flags = (self.re > ret).astype(np.int64)
+        counts = np.zeros(len(self.re), dtype=np.int64)
+        if len(flags) >= self.mat:
+            counts[self.mat - 1:] = _rolling_sum(flags, self.mat)
+        return counts
+
+    def danger(self, ret: float) -> np.ndarray:
+        """Anomalous-point fraction per step for one ret; 0 where warmup."""
+        return self.anomalous_counts(ret) / self.mat
+
+    def verdict_columns(self, config: DetectorConfig) -> Verdicts:
+        """The verdicts a streaming ``Detector`` gives for these rows, as
+        columns: the alarm rule applied column-wise."""
+        dc = self.danger(config.ret)
+        alarm = ~self.warmup & (dc > config.alpha) & (self.are > config.beta)
+        return Verdicts(self.steps, self.actual, self.predicted, self.re,
+                        self.re > config.ret, dc, self.are, alarm,
+                        self.warmup)
+
+
+def replay_trace(pairs, mat: int) -> ReplayTrace:
+    """Precompute stream statistics for (step, actual, predicted) rows.
+
+    ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
+    array, which is what the ``calibrate`` and ``detect`` commands pass.
+    Steps must be increasing integers below 2**53, which a float holds.
+    """
+    if mat < 1:
+        raise ValueError("mat must be >= 1")
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    table = np.asarray(pairs, dtype=np.float64)
+    if not table.size:
+        raise ValueError("empty validation stream")
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("pairs must be (step, actual, predicted) rows")
+    column = table[:, 0]
+    inexact = ~((np.floor(column) == column)
+                & (np.abs(column) < _STEP_LIMIT))
+    if np.any(inexact):
+        row = int(np.argmax(inexact))
+        raise ValueError(f"pairs must have integer steps below 2**53: row "
+                         f"{row} has step {float(column[row])!r}")
+    steps = column.astype(np.int64)
+    if np.any(np.diff(steps) <= 0):
+        raise ValueError("pairs must be step-ordered")
+    actual, predicted = table[:, 1], table[:, 2]
+    # A non-finite actual or predicted value makes re non-finite too, as
+    # does an error too large for a float; both are rejected below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        re = (np.abs(actual - predicted)
+              / np.maximum(np.abs(actual), EPSILON_FLOOR))
+    finite = np.isfinite(re)
+    if not np.all(finite):
+        raise DataError("non-finite actual, predicted or relative error at "
+                        f"step {steps[np.argmin(finite)]}")
+    n = len(re)
+    are = np.zeros(n)
+    warmup = np.ones(n, dtype=bool)
+    if n >= mat:
+        are[mat - 1:] = _rolling_sum(re, mat) / mat
+        warmup[mat - 1:] = False
+    return ReplayTrace(steps=steps, actual=actual, predicted=predicted,
+                       re=re, are=are, warmup=warmup, mat=mat)
+
+
+def segment_alarms(verdicts) -> list[AlarmEvent]:
+    """The alarm events of ``verdicts``, a ``Verdicts`` or ``StepVerdict``
+    objects in order: each maximal run of alarmed rows at consecutive
+    steps is one event, with the largest ``dc`` and ``are`` of its rows.
+    Raises ValueError unless the steps ascend."""
+    verdicts = Verdicts.of(verdicts)
     step = verdicts.step
     if np.any(step[1:] <= step[:-1]):
         raise ValueError("verdicts must be step-ordered")
@@ -236,12 +342,6 @@ def alarm_events(verdicts: Verdicts) -> list[AlarmEvent]:
     return list(map(AlarmEvent, at[first].tolist(), at[last].tolist(),
                     np.maximum.reduceat(verdicts.dc[rows], first).tolist(),
                     np.maximum.reduceat(verdicts.are[rows], first).tolist()))
-
-
-def segment_alarms(verdicts) -> list[AlarmEvent]:
-    """Collapse maximal runs of consecutively-alarmed steps into events:
-    ``alarm_events`` of the columns of ``verdicts``."""
-    return alarm_events(Verdicts.of(verdicts))
 
 
 VERDICT_HEADER = ("step,actual,predicted,re,dc,are,"

@@ -261,8 +261,6 @@ def cell_reports(counts, intervals_total):
     order."""
     events, false_alarms, detected = counts.reshape(3, -1).tolist()
     return [EvalReport(
-        detection_rate_pct=(100.0 * d / intervals_total if intervals_total
-                            else 100.0),
         false_alarms=f, events_total=e, intervals_total=intervals_total,
         detected_intervals=d) for e, f, d in zip(events, false_alarms,
                                                  detected)]

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from synwatch import detector
 from synwatch.detector import (EPSILON_FLOOR, VERDICT_HEADER, AlarmEvent,
                                Detector, DetectorConfig, StepVerdict, Verdicts,
-                               alarm_events, read_alarms, read_verdicts,
-                               relative_error, segment_alarms, write_alarms,
-                               write_verdicts)
+                               read_alarms, read_verdicts, relative_error,
+                               segment_alarms, write_alarms, write_verdicts)
 from synwatch.errors import DataError
 
 
@@ -494,7 +493,7 @@ class TestSegmentAlarms:
 
 def per_step_events(verdicts):
     """The alarm events of ``verdicts``, one verdict at a time: the
-    reference for ``alarm_events``."""
+    reference for ``segment_alarms``."""
     events, current, previous = [], None, None
     for v in verdicts:
         contiguous = previous is not None and v.step == previous + 1
@@ -542,7 +541,7 @@ class TestVerdictColumns:
     @settings(max_examples=200)
     @given(verdicts=verdict_streams())
     def test_alarm_events_equal_the_per_step_rule(self, verdicts):
-        events = alarm_events(Verdicts.of(verdicts))
+        events = segment_alarms(Verdicts.of(verdicts))
         assert events == per_step_events(verdicts)
         assert segment_alarms(verdicts) == events
         for event in events:
