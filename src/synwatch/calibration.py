@@ -349,9 +349,9 @@ def default_grid(trace: ReplayTrace) -> CalibrationGrid:
 
 
 def _prediction_table(params: LstmParams, scaler: Scaler,
-                      series: TimeSeries) -> np.ndarray:
-    """Predict every step of a raw-count series with a trained model; one
-    (step, actual, predicted) row per step, as an (n, 3) array.
+                      series: TimeSeries) -> tuple[np.ndarray, ...]:
+    """Predict every step of a raw-count series with a trained model; the
+    (step, actual, predicted) columns, one row per step, with int64 steps.
 
     Windows are normalized with the training scaler, predictions are
     mapped back to raw counts, and each row compares the prediction with
@@ -362,15 +362,15 @@ def _prediction_table(params: LstmParams, scaler: Scaler,
     with np.errstate(over="ignore", invalid="ignore"):
         preds = scaler.invert(
             predict_windows(params, scaler.apply(windows.inputs)))
-    return np.column_stack((windows.origin_steps + 1, windows.targets, preds))
+    return windows.origin_steps + 1, windows.targets, preds
 
 
 def prediction_pairs(params: LstmParams, scaler: Scaler,
                      series: TimeSeries) -> list[tuple[int, float, float]]:
     """The rows of ``_prediction_table`` as (step, actual, predicted)
     tuples of Python numbers."""
-    return [(int(step), actual, predicted) for step, actual, predicted
-            in _prediction_table(params, scaler, series).tolist()]
+    return list(zip(*(column.tolist() for column
+                      in _prediction_table(params, scaler, series))))
 
 
 SWEEP_HEADER = "ret,alpha,beta,detection_rate_pct,false_alarms,events_total"

@@ -375,7 +375,8 @@ def calibrate_cmd(model, validation, mat, alpha, beta, beta_list, ret, scaler,
         raise DataError(
             f"validation series has {len(data.series)} values; lag {lag} "
             f"needs at least {lag + 1}")
-    trace = replay_trace(_prediction_table(params, scaler, data.series), mat)
+    trace = replay_trace(
+        *_prediction_table(params, scaler, data.series), mat)
 
     betas = _parse_beta_list(beta_list) if beta_list is not None else None
     base = default_grid(trace)
@@ -432,7 +433,7 @@ def detect_cmd(model, config, test, scaler, output):
         click.echo("warning: series shorter than lag+mat; "
                    "all verdicts are warmup", err=True)
     if len(series) >= params.input_dim + 1:
-        trace = replay_trace(_prediction_table(params, scaler, series),
+        trace = replay_trace(*_prediction_table(params, scaler, series),
                              detector.mat)
         verdicts = trace.verdict_columns(detector)
     else:

@@ -16,11 +16,10 @@ steps stay finite.  The rule has two forms, kept here side by side.
 statistics for a whole stream with array operations, and
 ``ReplayTrace.verdict_columns`` applies the alarm rule to them.  The two
 are bit for bit equal: window means are summed oldest to newest, in the
-order ``Detector.step`` sums them, anomalous counts are exact integers,
-and both read a step as a float64 integer below ``2**53`` in magnitude.
-So a configuration that the calibration sweep selects on a trace gives
-the sweep's metrics again when the stream is re-run through a
-``Detector``, without tolerance.
+order ``Detector.step`` sums them, and anomalous counts are exact
+integers.  Both take only 64-bit integer steps (``_is_step``).  So a
+configuration the calibration sweep selects on a trace gives the sweep's
+metrics again when the stream is re-run through a ``Detector``, exactly.
 
 ``synwatch detect`` builds its verdicts from the trace as ``Verdicts``,
 one array per field, with no object per step.  ``segment_alarms`` is the
@@ -46,10 +45,8 @@ from .errors import DataError
 #: error is ``|predicted| / EPSILON_FLOOR``.
 EPSILON_FLOOR = 1e-6
 
-#: Steps lie strictly between ``-_STEP_LIMIT`` and ``_STEP_LIMIT``: every
-#: such integer is exact as a float64, so both forms of the rule order
-#: the same steps.
-_STEP_LIMIT = 2**53
+#: Both forms of the rule take steps in ``[-_STEP_LIMIT, _STEP_LIMIT)``.
+_STEP_LIMIT = 2**63
 
 
 @dataclass
@@ -119,14 +116,11 @@ class AlarmEvent:
     peak_are: float
 
 
-def _integral_float(step) -> bool:
-    """Whether ``step`` as a float64 is an integer below ``_STEP_LIMIT``
-    in magnitude, as ``replay_trace`` requires."""
-    try:
-        value = float(step)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return value.is_integer() and abs(value) < _STEP_LIMIT
+def _is_step(step) -> bool:
+    """Whether ``step`` is a Python ``int`` (not a ``bool``) or a numpy
+    integer in the int64 range, as both forms of the rule take a step."""
+    return ((type(step) is int or isinstance(step, np.integer))
+            and -_STEP_LIMIT <= step < _STEP_LIMIT)
 
 
 class Detector:
@@ -155,17 +149,11 @@ class Detector:
 
     def step(self, step: int, actual: float, predicted: float) -> StepVerdict:
         """Verdict for one (actual, predicted) pair; rejects a step that is
-        not an integer below 2**53 in magnitude or does not follow the
-        previous one (ValueError), and a non-finite value or relative error
-        (DataError), leaving the state as it was.  A step is read as
-        ``replay_trace`` reads it, as a float64, so a float or numpy
-        number equal to such an integer is taken."""
-        # an int, as every command passes, costs a type check and two
-        # compares with the bound; any other step goes through a float
-        if not (type(step) is int and -_STEP_LIMIT < step < _STEP_LIMIT
-                or _integral_float(step)):
-            raise ValueError(
-                f"step {step!r} is not an integer below 2**53 in magnitude")
+        not a 64-bit integer (``_is_step``: a float, even ``2.0``, is not)
+        or does not follow the previous one (ValueError), and a non-finite
+        value or relative error (DataError), leaving the state as it was."""
+        if not _is_step(step):
+            raise ValueError(f"step {step!r} is not a 64-bit integer")
         if self.last_step is not None and step <= self.last_step:
             raise ValueError(
                 f"step {step} not after previous step {self.last_step}")
@@ -245,7 +233,7 @@ def _rolling_sum(values: np.ndarray, width: int) -> np.ndarray:
 class ReplayTrace:
     """The rule's per-step statistics for one stream, in columns, shared
     by every cell of a calibration grid."""
-    steps: np.ndarray    # (n,) strictly increasing
+    steps: np.ndarray    # (n,) int64, strictly increasing
     actual: np.ndarray
     predicted: np.ndarray
     re: np.ndarray
@@ -261,47 +249,41 @@ class ReplayTrace:
             counts[self.mat - 1:] = _rolling_sum(flags, self.mat)
         return counts
 
-    def danger(self, ret: float) -> np.ndarray:
-        """Anomalous-point fraction per step for one ret; 0 where warmup."""
-        return self.anomalous_counts(ret) / self.mat
-
     def verdict_columns(self, config: DetectorConfig) -> Verdicts:
         """The verdicts a streaming ``Detector`` gives for these rows, as
         columns: the alarm rule applied column-wise."""
-        dc = self.danger(config.ret)
+        dc = self.anomalous_counts(config.ret) / self.mat
         alarm = ~self.warmup & (dc > config.alpha) & (self.are > config.beta)
         return Verdicts(self.steps, self.actual, self.predicted, self.re,
                         self.re > config.ret, dc, self.are, alarm,
                         self.warmup)
 
 
-def replay_trace(pairs, mat: int) -> ReplayTrace:
-    """Precompute stream statistics for (step, actual, predicted) rows.
-
-    ``pairs`` is a sequence of such tuples, or the same rows as an (n, 3)
-    array, which is what the ``calibrate`` and ``detect`` commands pass.
-    Steps must be increasing integers below 2**53, which a float holds.
-    """
+def replay_trace(steps, actual, predicted, mat: int) -> ReplayTrace:
+    """Precompute stream statistics for the (step, actual, predicted)
+    columns of a stream.  Steps must be strictly increasing 64-bit
+    integers, as ``Detector.step`` takes them: an integer array in the
+    int64 range, or a sequence of steps that ``_is_step`` takes."""
     if mat < 1:
         raise ValueError("mat must be >= 1")
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    table = np.asarray(pairs, dtype=np.float64)
-    if not table.size:
+    if isinstance(steps, np.ndarray):
+        taken = steps.dtype.kind in "iu" and not np.any(steps >= _STEP_LIMIT)
+    else:
+        # each step is read on its own, as Detector.step reads it: numpy
+        # reads [False, 1] as int64 and [np.uint64(1), 2] as float64
+        steps = list(steps)
+        taken = all(map(_is_step, steps))
+    if not taken:
+        raise ValueError("steps must be 64-bit integers")
+    steps = np.asarray(steps, dtype=np.int64)
+    actual = np.asarray(actual, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    if steps.ndim != 1 or not steps.shape == actual.shape == predicted.shape:
+        raise ValueError("steps, actual and predicted differ in shape")
+    if not len(steps):
         raise ValueError("empty validation stream")
-    if table.ndim != 2 or table.shape[1] != 3:
-        raise ValueError("pairs must be (step, actual, predicted) rows")
-    column = table[:, 0]
-    inexact = ~((np.floor(column) == column)
-                & (np.abs(column) < _STEP_LIMIT))
-    if np.any(inexact):
-        row = int(np.argmax(inexact))
-        raise ValueError(f"pairs must have integer steps below 2**53: row "
-                         f"{row} has step {float(column[row])!r}")
-    steps = column.astype(np.int64)
-    if np.any(np.diff(steps) <= 0):
-        raise ValueError("pairs must be step-ordered")
-    actual, predicted = table[:, 1], table[:, 2]
+    if np.any(steps[1:] <= steps[:-1]):
+        raise ValueError("steps must be strictly increasing")
     # A non-finite actual or predicted value makes re non-finite too, as
     # does an error too large for a float; both are rejected below.
     with np.errstate(invalid="ignore", over="ignore"):

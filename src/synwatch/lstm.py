@@ -23,6 +23,7 @@ them and its reader stacks them.
 from __future__ import annotations
 
 import math
+import re as _re
 import time
 from dataclasses import dataclass
 
@@ -304,12 +305,11 @@ def load_model(path) -> LstmParams:
     version = lines[0].strip() if lines else "<empty>"
     if version not in _FILE_FIELDS:
         raise DataError(f"unsupported model version: {version!r}")
-    try:
-        dims = dict(tok.split("=") for tok in lines[1].split())
-        input_dim = int(dims["input_dim"])
-        hidden_dim = int(dims["hidden_dim"])
-    except (IndexError, KeyError, ValueError):
-        raise DataError("malformed model dimension line") from None
+    m = _re.fullmatch(r"input_dim=(-?\d+) hidden_dim=(-?\d+)",
+                      lines[1].strip() if len(lines) > 1 else "")
+    if m is None:
+        raise DataError("malformed model dimension line")
+    input_dim, hidden_dim = int(m.group(1)), int(m.group(2))
     if input_dim not in LAGS or hidden_dim < 1:
         raise DataError(
             f"model dimensions input_dim={input_dim} hidden_dim={hidden_dim} "

@@ -641,8 +641,7 @@ class _SeriesReader:
 
     def __init__(self, path):
         self.path = path
-        self.width: int | None = None  # fields per row, from the header
-        self.labeled = False
+        self.labeled: bool | None = None  # from the header
         self.rows = 0
         self.start: datetime | None = None
         self.last: datetime | None = None
@@ -652,7 +651,7 @@ class _SeriesReader:
 
     def series(self):
         """The series read, once every block has been."""
-        if self.width is None:
+        if self.labeled is None:
             raise DataError(f"{self.path}: missing header")
         if not self.rows:
             raise DataError(f"{self.path}: no data rows")
@@ -674,14 +673,12 @@ class _SeriesReader:
             return self.check(data)
         lines = bulk.scan(data)
         first = 0
-        while self.width is None and first < len(lines.starts):
+        while self.labeled is None and first < len(lines.starts):
             self.check(data[lines.starts[first]:lines.ends[first]])
             first += 1
         if first == len(lines.starts):
             return
-        # only the fields of these two headers are all checked in place
-        columns = (self.width == 3 + self.labeled
-                   and bulk.read_series(data, lines, first, self.labeled))
+        columns = bulk.read_series(data, lines, first, self.labeled)
         if not (columns and self.take(columns)):
             self.check(data[lines.starts[first]:])
 
@@ -715,29 +712,29 @@ class _SeriesReader:
         """Read the lines of ``data`` one at a time, as ``str.splitlines``
         splits them, with the per-row checks: the first bad row raises a
         DataError that names it."""
-        path, width, labeled = self.path, self.width, self.labeled
+        path, labeled = self.path, self.labeled
         rows, start, last, delta = self.rows, self.start, self.last, self.delta
         counts: list[float] = []
         attack: list[bool] = []
         for line in data.decode("utf-8").splitlines():
             if not line.strip():
                 continue
-            if width is None:
+            if labeled is None:
                 if line.lstrip().startswith("#"):
                     continue
                 header = [c.strip() for c in line.split(",")]
-                if header[:3] != ["step", "timestamp", "count"]:
+                if header not in (["step", "timestamp", "count"],
+                                  ["step", "timestamp", "count", "label"]):
                     raise DataError(f"{path}: expected header "
                                     "step,timestamp,count[,label]")
-                width = self.width = len(header)
-                labeled = self.labeled = width > 3 and header[3] == "label"
+                labeled = self.labeled = len(header) == 4
                 continue
             rows += 1
             parts = line.split(",")
-            if len(parts) != width:
+            if len(parts) != 3 + labeled:
                 raise DataError(f"{path}: malformed row {rows}: "
                                 f"{len(parts)} fields, the header has "
-                                f"{width}")
+                                f"{3 + labeled}")
             try:
                 step_no = int(parts[0])
                 timestamp = _parse_timestamp(parts[1])

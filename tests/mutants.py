@@ -11,9 +11,10 @@ against the copy with ``-x -q -p no:cacheprovider``.  A mutant is killed
 when a test fails, and survives when they all pass.  The script prints one
 line per mutant and a total, and exits 1 if any mutant survived.
 
-``tests/test_mutants.py`` checks only that each ``before`` text occurs
-exactly once in its file, so that a change to the program that moves a
-mutant's text shows in tier-1 without running any mutant.
+``tests/test_mutants.py`` checks that each ``before`` text occurs
+exactly once in its file and that each named test exists, so that a
+change to the program that moves a mutant's text, or a renamed test,
+shows in tier-1 without running any mutant.
 """
 
 from __future__ import annotations
@@ -56,7 +57,13 @@ MUTANTS = [
            "alarm = ~self.warmup & (dc > config.alpha)",
            "alarm = ~self.warmup & (dc >= config.alpha)",
            ("tests/test_detect_replay.py::TestDetectMatchesStreamingDetector::"
-            "test_random_streams",)),
+            "test_danger_met_exactly_does_not_fire",)),
+    # so does the streaming alarm
+    Mutant("detector-alarm-strict", "src/synwatch/detector.py",
+           "alarm = dc > cfg.alpha and are > cfg.beta",
+           "alarm = dc >= cfg.alpha and are > cfg.beta",
+           ("tests/test_detect_replay.py::TestDetectMatchesStreamingDetector::"
+            "test_danger_met_exactly_does_not_fire",)),
     # an event joins alarmed rows only at consecutive steps
     Mutant("event-step-join", "src/synwatch/detector.py",
            "| (np.diff(at) != 1)",
@@ -75,12 +82,36 @@ MUTANTS = [
            "        if s2 < e1:\n",
            ("tests/test_calibration.py::TestEvaluate::"
             "test_overlapping_intervals_rejected",)),
-    # a replayed step lies strictly below 2**53 in magnitude
-    Mutant("replay-step-bound", "src/synwatch/detector.py",
-           "& (np.abs(column) < _STEP_LIMIT))",
-           "& (np.abs(column) <= _STEP_LIMIT))",
+    # a replayed step array has an integer dtype
+    Mutant("replay-step-dtype", "src/synwatch/detector.py",
+           'taken = steps.dtype.kind in "iu" and',
+           'taken = steps.dtype.kind in "iuf" and',
            ("tests/test_calibration.py::TestReplayTrace::"
-            "test_step_that_is_not_an_integer_rejected",)),
+            "test_step_array_that_is_not_int64_rejected",)),
+    # a replayed step sequence is read step by step, not promoted by numpy
+    Mutant("replay-step-sequence", "src/synwatch/detector.py",
+           "taken = all(map(_is_step, steps))",
+           'taken = np.asarray(steps).dtype.kind in "iu"',
+           ("tests/test_detect_replay.py::"
+            "test_detector_takes_a_step_sequence_exactly_when_replay_does",)),
+    # a bool is not a step
+    Mutant("step-not-bool", "src/synwatch/detector.py",
+           "return ((type(step) is int or",
+           "return ((isinstance(step, int) or",
+           ("tests/test_detector.py::TestDetectorStep::"
+            "test_float_and_bool_steps_rejected_and_state_kept",)),
+    # a series header is exactly one of its two forms
+    Mutant("series-header-exact", "src/synwatch/pipeline.py",
+           "                if header not in (",
+           "                if header[:3] not in (",
+           ("tests/test_cli.py::"
+            "test_header_with_another_column_is_a_data_error",)),
+    # a model's dimension line is exactly its two keys, in order
+    Mutant("model-dims-exact", "src/synwatch/lstm.py",
+           "m = _re.fullmatch(r\"input_dim=",
+           "m = _re.match(r\"input_dim=",
+           ("tests/test_lstm.py::TestModelFile::"
+            "test_malformed_dimension_line_rejected",)),
 ]
 
 

@@ -29,9 +29,10 @@ def load_series_per_row(path):
     if not lines:
         raise DataError(f"{path}: missing header")
     header = [c.strip() for c in lines[0].split(",")]
-    if header[:3] != ["step", "timestamp", "count"]:
+    if header not in (["step", "timestamp", "count"],
+                      ["step", "timestamp", "count", "label"]):
         raise DataError(f"{path}: expected header step,timestamp,count[,label]")
-    labeled = len(header) > 3 and header[3] == "label"
+    labeled = len(header) == 4
 
     start = previous = delta = None
     values: list[float] = []

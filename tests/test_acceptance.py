@@ -55,7 +55,7 @@ def clean_run():
         SynthConfig(length=2000, attack_count=3, rng_seed=303))
     params, scaler, report = train_on(train_data.series.values)
     val_pairs = prediction_pairs(params, scaler, val_data.series)
-    trace = replay_trace(val_pairs, DetectorConfig.mat)
+    trace = replay_trace(*zip(*val_pairs), DetectorConfig.mat)
     grid = default_grid(trace)
     config, cal_report, rows = calibrate(trace, val_data.attack_intervals,
                                          grid)
@@ -140,7 +140,7 @@ def test_criterion_3_table_tradeoff_structure():
         pairs = prediction_pairs(params, scaler, val_data.series)
         # the table's rows run from the largest beta down
         _, report, counts = calibrate(
-            replay_trace(pairs, 12), val_data.attack_intervals,
+            replay_trace(*zip(*pairs), 12), val_data.attack_intervals,
             CalibrationGrid((0.3,), (0.66,), (0.52, 0.62, 0.66, 0.69)))
         _, falses, detected = counts[:, 0, 0, ::-1].tolist()
         rates = [100.0 * d / report.intervals_total for d in detected]
@@ -168,7 +168,7 @@ def test_criterion_4_end_to_end_detection(clean_run):
         assert report.false_alarms == 0, report
 
         beta_floor = min(clean_run["grid"].beta_candidates)
-        _, _, counts = calibrate(replay_trace(pairs, config.mat),
+        _, _, counts = calibrate(replay_trace(*zip(*pairs), config.mat),
                                  test_data.attack_intervals,
                                  CalibrationGrid((config.ret,),
                                                  (config.alpha,),

@@ -138,8 +138,8 @@ class TestReplayStreamingEquivalence:
             detector = Detector(config)
             verdicts = [detector.step(*p) for p in pairs]
 
-            trace = replay_trace(pairs, mat)
-            dc = trace.danger(config.ret)
+            trace = replay_trace(*zip(*pairs), mat)
+            dc = trace.anomalous_counts(config.ret) / mat
             for i, v in enumerate(verdicts):
                 assert v.re == trace.re[i]
                 assert v.warmup == trace.warmup[i]
@@ -154,7 +154,7 @@ class TestReplayStreamingEquivalence:
 
     def test_selected_config_reproduces_metrics_via_detector(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        trace = replay_trace(pairs, 12)
+        trace = replay_trace(*zip(*pairs), 12)
         config, report, _ = calibrate(trace, intervals, default_grid(trace))
         detector = Detector(config)
         verdicts = [detector.step(*p) for p in pairs]
@@ -165,7 +165,7 @@ class TestReplayStreamingEquivalence:
 class TestCalibrate:
     def test_finds_perfect_config_on_separable_stream(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        trace = replay_trace(pairs, 12)
+        trace = replay_trace(*zip(*pairs), 12)
         config, report, counts = calibrate(trace, intervals,
                                            default_grid(trace))
         assert report.detection_rate_pct == 100.0
@@ -177,14 +177,14 @@ class TestCalibrate:
         pairs, intervals = synthetic_pairs(rng)
         grid = CalibrationGrid(ret_candidates=(0.4,), alpha_candidates=(0.66,),
                                beta_candidates=(0.3,))
-        config, report, counts = calibrate(replay_trace(pairs, 12),
+        config, report, counts = calibrate(replay_trace(*zip(*pairs), 12),
                                            intervals, grid)
         assert (config.ret, config.alpha, config.beta) == (0.4, 0.66, 0.3)
         assert cell_reports(counts, report.intervals_total) == [report]
 
     def test_deterministic(self, rng):
         pairs, intervals = synthetic_pairs(rng)
-        trace = replay_trace(pairs, 12)
+        trace = replay_trace(*zip(*pairs), 12)
         grid = default_grid(trace)
         out1 = calibrate(trace, intervals, grid)
         out2 = calibrate(trace, intervals, grid)
@@ -197,7 +197,7 @@ class TestCalibrate:
         grid = CalibrationGrid(ret_candidates=(0.2, 0.5),
                                alpha_candidates=(0.4, 0.8),
                                beta_candidates=(0.1, 0.9))
-        trace = replay_trace(pairs, 12)
+        trace = replay_trace(*zip(*pairs), 12)
         _, _, counts = calibrate(trace, intervals, grid)
         assert counts.shape == (3, 2, 2, 2)
         for (i, ret), (j, alpha), (k, beta) in itertools.product(
@@ -211,18 +211,18 @@ class TestCalibrate:
         pairs, _ = synthetic_pairs(rng)
         grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="attack intervals"):
-            calibrate(replay_trace(pairs, 12), [], grid)
+            calibrate(replay_trace(*zip(*pairs), 12), [], grid)
 
     def test_requires_enough_normal_steps(self):
         pairs = [(s, 1.0, 0.5) for s in range(20)]
         grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="normal steps"):
-            calibrate(replay_trace(pairs, 12), [(0, 14)], grid)
+            calibrate(replay_trace(*zip(*pairs), 12), [(0, 14)], grid)
 
     def test_normal_step_count_includes_interval_ends(self):
         # 19 steps (0..19 without 10); [0, 8] leaves 10 of them normal
         pairs = [(s, 1.0, 0.5) for s in range(20) if s != 10]
-        trace = replay_trace(pairs, 11)
+        trace = replay_trace(*zip(*pairs), 11)
         grid = CalibrationGrid((0.4,), (0.5,), (0.3,))
         with pytest.raises(DataError, match="normal steps"):
             calibrate(trace, [(0, 8), (10, 10)], grid)
@@ -235,7 +235,8 @@ class TestCalibrate:
         grid = CalibrationGrid(ret_candidates=(0.1, 0.2),
                                alpha_candidates=(0.5, 0.7),
                                beta_candidates=(0.3, 0.9))
-        config, _, _ = calibrate(replay_trace(pairs, 12), [(40, 45)], grid)
+        config, _, _ = calibrate(replay_trace(*zip(*pairs), 12), [(40, 45)],
+                                 grid)
         assert (config.ret, config.alpha, config.beta) == (0.2, 0.7, 0.9)
 
     def test_empty_grid_rejected(self):
@@ -272,7 +273,7 @@ def beta_sweep(config, pairs, intervals, betas):
     per beta in the given order, repeats included."""
     ordered = sorted(betas)
     _, report, counts = calibrate(
-        replay_trace(pairs, config.mat), intervals,
+        replay_trace(*zip(*pairs), config.mat), intervals,
         CalibrationGrid((config.ret,), (config.alpha,), ordered))
     columns = np.searchsorted(ordered, betas, side="right") - 1
     return cell_reports(counts[..., columns], report.intervals_total)
@@ -307,36 +308,57 @@ class TestReplayTrace:
     def test_non_finite_pair_rejected(self, pair):
         pairs = [(s, 1.0, 0.9) for s in range(3)] + [pair]
         with pytest.raises(DataError, match="step 3"):
-            replay_trace(pairs, 2)
+            replay_trace(*zip(*pairs), 2)
 
-    @pytest.mark.parametrize("steps, row", [
-        ((0.5, 1.9, 2.2), 0),                 # once cast to [0 1 2]
-        ((0, 1, 2.5), 2),
-        ((0, 2**53, 2**53 + 1), 1),           # a float holds 2**53 + 1 as 2**53
-        ((0, 1, float("nan")), 2),
-        ((0, float("inf")), 1),
-        ((-2.0**53, 0), 0)])
-    def test_step_that_is_not_an_integer_rejected(self, steps, row):
-        pairs = [(s, 10.0, 9.0) for s in steps]
-        with pytest.raises(ValueError, match=f"integer steps .* row {row} "):
-            replay_trace(pairs, 2)
-        with pytest.raises(ValueError, match=f"integer steps .* row {row} "):
-            replay_trace(np.array(pairs), 2)
+    @pytest.mark.parametrize("steps", [
+        (0.0, 1.0, 2.0),                      # integral floats
+        (0, 1, 2.0),
+        (0, 1, float("nan")),
+        (False, 1),                           # numpy reads this as int64
+        (np.True_, 2),
+        (0, 2**63),
+        (-(2**63) - 1, 0),
+        (0, "1")])
+    def test_step_that_is_not_an_int64_rejected(self, steps):
+        # integral float steps used to be taken, and int steps from 2**53
+        # in magnitude on refused
+        with pytest.raises(ValueError, match="steps must be 64-bit integers"):
+            replay_trace(steps, (10.0,) * len(steps), (9.0,) * len(steps), 2)
+
+    @pytest.mark.parametrize("steps", [
+        np.array([0.0, 1.0]), np.array([False, True]),
+        np.array([0, 2**63], dtype=np.uint64), np.array([0, 1], dtype=object)])
+    def test_step_array_that_is_not_int64_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be 64-bit integers"):
+            replay_trace(steps, np.ones(2), np.ones(2), 2)
 
     @pytest.mark.parametrize("steps", [(0, 2, 1), (0, 1, 1)])
     def test_unordered_steps_rejected(self, steps):
-        with pytest.raises(ValueError, match="pairs must be step-ordered"):
-            replay_trace([(s, 10.0, 9.0) for s in steps], 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            replay_trace(steps, (10.0,) * 3, (9.0,) * 3, 2)
 
-    def test_integer_steps_up_to_the_float_limit_accepted(self):
-        steps = (-(2**53 - 1), 0, 2**53 - 2, 2**53 - 1)
-        trace = replay_trace([(s, 10.0, 9.0) for s in steps], 2)
-        assert trace.steps.tolist() == list(steps)
+    @pytest.mark.parametrize("steps", [
+        (-(2**63), 0, 2**63 - 2, 2**63 - 1),
+        np.array([0, 2**53 + 1, 2**63 - 1], dtype=np.uint64),
+        np.array([-3, 0, 7], dtype=np.int8)])
+    def test_every_int64_step_accepted(self, steps):
+        trace = replay_trace(steps, np.full(len(steps), 10.0),
+                             np.full(len(steps), 9.0), 2)
+        assert trace.steps.dtype == np.int64
+        assert trace.steps.tolist() == [int(s) for s in steps]
+
+    @pytest.mark.parametrize("columns", [
+        ([0, 1], [1.0], [1.0, 1.0]), ([0, 1], [1.0, 1.0], [1.0, 1.0, 1.0]),
+        (np.array([[0, 1]]), np.ones((1, 2)), np.ones((1, 2))),
+        ((), (), ())])
+    def test_columns_of_unequal_shape_or_none_rejected(self, columns):
+        with pytest.raises(ValueError, match="differ in shape|empty"):
+            replay_trace(*columns, 2)
 
     @pytest.mark.parametrize("mat", [0, -1])
     def test_window_of_no_steps_rejected(self, mat):
         with pytest.raises(ValueError, match="mat must be >= 1"):
-            replay_trace([(s, 1.0, 0.9) for s in range(3)], mat)
+            replay_trace(range(3), (1.0,) * 3, (0.9,) * 3, mat)
 
 
 @st.composite
@@ -443,7 +465,7 @@ class TestSweepMatchesStreamingReference:
          3.0])], [(7, 8)], [0.1, 0.3], [0.0, 0.5], [0.0], 3))
     def test_calibrate_counts(self, case):
         pairs, intervals, rets, alphas, betas, mat = case
-        trace = replay_trace(pairs, mat)
+        trace = replay_trace(*zip(*pairs), mat)
         grid = CalibrationGrid(rets, alphas, sorted(betas))
         normal = sum(not any(a <= s <= b for a, b in intervals)
                      for s, _, _ in pairs)
@@ -525,7 +547,7 @@ def test_selection_matches_max_rule(case):
 class TestDefaultGrid:
     def test_contains_published_operating_points(self, rng):
         pairs, _ = synthetic_pairs(rng)
-        grid = default_grid(replay_trace(pairs, 12))
+        grid = default_grid(replay_trace(*zip(*pairs), 12))
         assert 0.66 in grid.alpha_candidates
         assert grid.alpha_candidates == DEFAULT_ALPHAS
         assert len(grid.ret_candidates) == 20
@@ -533,7 +555,7 @@ class TestDefaultGrid:
 
     def test_ret_candidates_span_re_quantiles(self, rng):
         pairs, _ = synthetic_pairs(rng)
-        trace = replay_trace(pairs, 12)
+        trace = replay_trace(*zip(*pairs), 12)
         grid = default_grid(trace)
         assert grid.ret_candidates[0] == float(np.quantile(trace.re, 0.5))
         assert grid.ret_candidates[-1] == float(np.quantile(trace.re, 0.999))
@@ -541,7 +563,7 @@ class TestDefaultGrid:
     def test_stream_shorter_than_mat_rejected(self):
         pairs = [(s, 1.0, 0.9) for s in range(5)]
         with pytest.raises(DataError):
-            default_grid(replay_trace(pairs, 12))
+            default_grid(replay_trace(*zip(*pairs), 12))
 
     def test_calibrate_does_not_import_numpy_ma(self):
         # np.quantile's first call imports numpy.ma, which costs more than
@@ -554,8 +576,7 @@ class TestDefaultGrid:
             "rng = np.random.default_rng(5)\n"
             "re = rng.uniform(0.0, 0.2, 200)\n"
             "re[80:100] += 0.8\n"
-            "pairs = np.column_stack((np.arange(200), np.ones(200), 1 - re))\n"
-            "trace = replay_trace(pairs, 12)\n"
+            "trace = replay_trace(np.arange(200), np.ones(200), 1 - re, 12)\n"
             "calibrate(trace, [(80, 99)], default_grid(trace))\n"
             "print('numpy.ma' in sys.modules)\n")
         src = str(Path(synwatch.__file__).resolve().parents[1])
@@ -603,7 +624,7 @@ def sweep_line(ret, alpha, beta, report):
 
 def test_write_sweep_format(tmp_path, rng):
     pairs, intervals = synthetic_pairs(rng)
-    trace = replay_trace(pairs, 12)
+    trace = replay_trace(*zip(*pairs), 12)
     grid = default_grid(trace)
     _, report, counts = calibrate(trace, intervals, grid)
     path = tmp_path / "sweep.csv"
@@ -653,7 +674,7 @@ def test_sweep_files_are_pinned(tmp_path):
     grid = CalibrationGrid((0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
                            DEFAULT_ALPHAS,
                            (0.0, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2))
-    trace = replay_trace(pairs, 12)
+    trace = replay_trace(*zip(*pairs), 12)
     config, report, counts = calibrate(trace, intervals, grid)
     assert config.to_text() == ("ret=0.01 mat=12 alpha=0.71999999999999997 "
                                 "beta=0.050000000000000003")

@@ -1247,6 +1247,25 @@ def test_row_with_extra_fields_is_a_data_error(runner, workspace, tmp_path,
     assert not (tmp_path / "v.csv").exists()
 
 
+@pytest.mark.parametrize("header, row", [
+    ("step,timestamp,count,foo", "0,2000-01-01T00:00:00,12,normal"),
+    ("step,timestamp,count,label,extra",
+     "0,2000-01-01T00:00:00,12,normal,x"),
+    ("step,timestamp,count,Label", "0,2000-01-01T00:00:00,12,normal")])
+def test_header_with_another_column_is_a_data_error(runner, workspace,
+                                                    tmp_path, header, row):
+    # such a file used to load, unlabeled or labeled, its column not read
+    series = tmp_path / "series.csv"
+    series.write_text(f"{header}\n{row}\n")
+    result = runner.invoke(main, ["detect", workspace["model"],
+                                  workspace["config"], str(series),
+                                  "-o", str(tmp_path / "v.csv")])
+    assert result.exit_code == 3, result.output
+    assert (f"data error: {series}: expected header "
+            "step,timestamp,count[,label]") in result.output
+    assert not (tmp_path / "v.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def long_streams(tmp_path_factory):
     """Labeled 20,000-step validation and test series, long enough that a

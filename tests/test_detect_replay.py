@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synwatch.calibration import evaluate, replay_trace
@@ -168,13 +168,38 @@ class TestDetectMatchesStreamingDetector:
         assert any(v.are == beta and v.dc > 0 and not v.collective_alarm
                    for v in verdicts)
 
+    def test_danger_met_exactly_does_not_fire(self, tmp_path):
+        # dc == alpha at a window whose mean error exceeds beta: two of the
+        # four window errors lie above ret, so dc = 0.5 = alpha, and the
+        # step must not alarm in either form.  alpha = 0 above does not
+        # pin this comparison.
+        counts = [100, 0, 130, 90, 0, 250, 80, 95, 0, 160, 100, 70, 0, 110]
+        lag, seed = 2, 4
+        series = TimeSeries(T0, 1_000_000,
+                            np.asarray(counts, dtype=np.float64))
+        params = init_params(lag, 4, rng_seed=seed)
+        res = sorted(v.re for v in streaming_verdicts(
+            params, series, DetectorConfig(ret=1.0, beta=0.0, mat=4)))
+        ret = res[len(res) // 2]
+        config = DetectorConfig(ret=ret, beta=0.0, mat=4, alpha=0.5)
+        detect, reference = run_both(tmp_path, lag, seed, counts,
+                                     [False] * len(counts), config)
+        assert detect == reference
+        verdicts = read_verdicts(tmp_path / "verdicts.csv")
+        met = [v for v in verdicts if v.dc == 0.5 and v.are > 0.0]
+        assert met and not any(v.collective_alarm for v in met)
 
-#: Steps as a stream may carry them: ints near 0 and near +-2**53, floats
-#: equal to an integer or not, and numpy integers.
+
+#: Steps as a stream may carry them: ints near 0 and at the int64
+#: bounds, floats equal to an integer or not, bools and numpy integers.
 STEPS = st.one_of(
     st.integers(-3, 12),
     st.integers(-3, 12).map(float),
     st.integers(-3, 12).map(np.int64),
+    st.integers(0, 12).map(np.uint64),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.sampled_from([-(2**63), 2**63 - 1, 2**63, float(2**63)]),
     st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, float(2**53)]),
     st.sampled_from([-(2**53 - 1), -2**53, -2**53 - 1]),
     st.integers(-2**60, 2**60),
@@ -185,20 +210,26 @@ STEPS = st.one_of(
 @settings(max_examples=300)
 @given(steps=st.lists(STEPS, min_size=1, max_size=6),
        mat=st.integers(1, 4))
+# numpy alone would read the first two as int64 and the third as float64
+@example(steps=[False, 1], mat=1)
+@example(steps=[0, np.True_], mat=1)
+@example(steps=[np.uint64(1), 2], mat=1)
+@example(steps=[-(2**63), 2**63 - 1], mat=2)
 def test_detector_takes_a_step_sequence_exactly_when_replay_does(steps, mat):
-    rows = [(step, 10.0, 9.0) for step in steps]
     try:
-        replay_trace(rows, mat)
+        replay_trace(steps, [10.0] * len(steps), [9.0] * len(steps), mat)
     except ValueError:
         replayed = False
     else:
         replayed = True
     detector = Detector(DetectorConfig(ret=0.5, beta=0.5, mat=mat))
     try:
-        for row in rows:
-            detector.step(*row)
+        for step in steps:
+            detector.step(step, 10.0, 9.0)
     except ValueError:
         streamed = False
     else:
         streamed = True
     assert streamed == replayed
+    # neither form takes a float step
+    assert not (replayed and any(isinstance(s, float) for s in steps))

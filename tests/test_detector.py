@@ -3,6 +3,7 @@
 import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,30 +206,34 @@ class TestDetectorStep:
             detector.step(4, 1.0, 1.0)
         detector.step(7, 1.0, 1.0)  # gaps are fine, regressions are not
 
-    def test_fractional_steps_rejected_and_state_kept(self):
-        # 0.5 and then 1.9 used to be taken, where replay_trace rejects both
+    def test_float_and_bool_steps_rejected_and_state_kept(self):
+        # integral floats such as 2.0 used to be taken, read as a float64
+        # the way replay_trace read its (n, 3) float table
         config = DetectorConfig(ret=0.5, beta=0.5, mat=3)
         detector = Detector(config)
         detector.step(0, 10.0, 9.0)
-        for step in (0.5, 1.9, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="not an integer below"):
+        for step in (0.5, 2.0, np.float64(3.0), float("nan"), float("inf"),
+                     True, np.True_, "4", None):
+            with pytest.raises(ValueError, match="not a 64-bit integer"):
                 detector.step(step, 10.0, 9.0)
             assert (list(detector.errors), detector.last_step) == ([0.1], 0)
-        # a float equal to an integer is taken, as replay_trace takes it
-        assert detector.step(2.0, 10.0, 9.0).step == 2.0
+        assert detector.step(np.int32(2), 10.0, 9.0).step == 2
 
-    @pytest.mark.parametrize("sign", (1, -1))
-    def test_steps_from_2_to_the_53_rejected_and_state_kept(self, sign):
-        # after a step of float(2**53), 2**53 + 1 used to be taken: as a
-        # float64 it equals 2**53, so replay_trace cannot order it
+    def test_steps_are_taken_exactly_in_the_int64_range(self):
+        # steps from 2**53 in magnitude on used to be rejected, as a
+        # float64 cannot order them; every int64 is taken now
         detector = Detector(DetectorConfig(ret=0.5, beta=0.5, mat=3))
-        first = -(2**53 - 1) if sign < 0 else 2**53 - 1
-        detector.step(first, 10.0, 9.0)
-        for step in (2**53, 2**53 + 1, float(2**53), 2**64):
-            with pytest.raises(ValueError, match="not an integer below"):
-                detector.step(sign * step, 10.0, 9.0)
+        for step in (-(2**63) - 1, np.uint64(2**63), float(-(2**63))):
+            with pytest.raises(ValueError, match="not a 64-bit integer"):
+                detector.step(step, 10.0, 9.0)
+            assert (list(detector.errors), detector.last_step) == ([], None)
+        for step in (-(2**63), np.uint64(2**53 + 1), 2**63 - 1):
+            assert detector.step(step, 10.0, 9.0).step == step
+        for step in (2**63, 2**64, np.uint64(2**64 - 1), float(2**63)):
+            with pytest.raises(ValueError, match="not a 64-bit integer"):
+                detector.step(step, 10.0, 9.0)
             assert (list(detector.errors), detector.last_step) \
-                == ([0.1], first)
+                == ([0.1] * 3, 2**63 - 1)
 
     @pytest.mark.parametrize("actual, predicted", [
         (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),

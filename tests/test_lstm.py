@@ -761,6 +761,30 @@ class TestModelFile:
         with pytest.raises(DataError, match=f"model dimensions {dims} "):
             load_model(path)
 
+    @pytest.mark.parametrize("dims", [
+        # an unknown key, and a repeated key that won, used to load or
+        # fail later with a block-width message
+        "input_dim=1 hidden_dim=2 extra=9", "input_dim=1 hidden_dim=2 "
+        "input_dim=3", "hidden_dim=2 input_dim=1", "input_dim=1",
+        "input_dim=1  hidden_dim=2", "input_dim=+1 hidden_dim=2",
+        "input_dim=1 hidden_dim=2.0", ""])
+    def test_malformed_dimension_line_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.txt"
+        save_model(path, init_params(1, 2, rng_seed=0))
+        lines = path.read_text().splitlines()
+        lines[1] = dims
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match="^malformed model dimension line$"):
+            load_model(path)
+
+    def test_file_of_the_version_line_alone_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("lstm-model v2\n")
+        with pytest.raises(DataError,
+                           match="^malformed model dimension line$"):
+            load_model(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(path, init_params(1, 2, rng_seed=0))

@@ -1302,7 +1302,7 @@ def series_files(draw):
         else st.floats(0, 1e6))
     header = ["step", "timestamp", "count"] + (["label"] if labeled else [])
     if draw(st.integers(0, 9)) == 0:
-        header.append("extra")
+        header.append("extra")  # a bad header: no reader takes it
     if draw(st.integers(0, 9)) == 0:
         header = [f" {name} " for name in header]
     lines = draw(st.lists(st.sampled_from(["# seed=3", "", "  # note"]),
@@ -1458,9 +1458,12 @@ class TestSeriesReaderMatchesPerRowReader:
     @pytest.mark.parametrize("labeled, row, field, text, message", [
         (True, 2900, 0, "2901", "row 2900: step 2901, expected 2899"),
         (True, 2900, 3, "Normal", "row 2900: bad label 'Normal'"),
-        # headers with a column that is not read in place
-        (False, 0, 2, "count,extra", "row 1: 3 fields, the header has 4"),
-        (True, 0, 3, "label,extra", "row 1: 4 fields, the header has 5")])
+        # a header with any other column is rejected before any row is
+        # read; these used to fail on row 1's field count
+        (False, 0, 2, "count,extra",
+         "expected header step,timestamp,count[,label]"),
+        (True, 0, 3, "label,extra",
+         "expected header step,timestamp,count[,label]")])
     def test_a_bad_line_among_lines_read_in_place_is_named(
             self, tmp_path, block, smallest, labeled, row, field, text,
             message):
